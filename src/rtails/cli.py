@@ -8,6 +8,8 @@ timings go to stderr so stdout is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -47,23 +49,29 @@ def cmd_trees(args) -> int:
     return 0
 
 
+# `coeff --brute` lists every weighting in memory; refuse above this many
+BRUTE_MAX_WEIGHTINGS = 100_000
+
+
 def cmd_coeff(args) -> int:
     tree, dec = serialize.tree_from_json(_read_json(args.graph))
-    method = "brute" if args.brute else "dp"
     if args.coda:
         if args.i is None:
             raise InvalidArgument("--coda needs --i")
         I = frozenset(int(x) for x in args.coda.split(","))
-        value = weights.coeff_d(tree, dec, args.i, I, method=method)
-        count = len(weights.enumerate_weightings(tree, dec, context="i-coda", i=args.i, I=I))
+        context = {"context": "i-coda", "i": args.i, "I": I}
+        coeff = functools.partial(weights.coeff_d, tree, dec, args.i, I)
     elif args.i is not None:
-        value = weights.coeff_c_im(tree, dec, args.i, args.m, method=method)
-        count = len(weights.enumerate_weightings(tree, dec, context="i-rooted", i=args.i, m=args.m))
+        context = {"context": "i-rooted", "i": args.i, "m": args.m}
+        coeff = functools.partial(weights.coeff_c_im, tree, dec, args.i, args.m)
     else:
         mults = _parse_mults(args.multiplicities) if args.multiplicities else None
-        value = weights.coeff_c(tree, dec, mults, method=method)
-        count = len(weights.enumerate_weightings(tree, dec, mults=mults))
-    _emit(str(value))
+        context = {"mults": mults}
+        coeff = functools.partial(weights.coeff_c, tree, dec, mults)
+    count = weights.coeff_dp(tree, dec, **context).weighting_count
+    if args.brute and count > BRUTE_MAX_WEIGHTINGS:
+        raise InvalidArgument(f"--brute would list {count} weightings (limit {BRUTE_MAX_WEIGHTINGS})")
+    _emit(str(coeff(method="brute" if args.brute else "dp")))
     _emit(f"weightings: {count}")
     return 0
 
@@ -126,60 +134,6 @@ def cmd_relations(args) -> int:
 # verification suites (parallelizable grids)
 
 
-def _grid(suite: str, max_n: int, max_sum: int) -> list:
-    tasks = []
-    if suite == "vanishing":
-        for n in range(3, max_n + 1):
-            for i in range(1, n):
-                for j in range(1, i):
-                    tasks.append(("vanishing_z", (n, i, j)))
-                    tasks.append(("vanishing_zt", (n, i, j)))
-    elif suite == "recursion":
-        for n in range(3, max_n + 1):
-            for i in range(1, n):
-                for j in range(i - n + 1, i):
-                    tasks.append(("recursion_all", (n, i, j)))
-                    tasks.append(("dect", (n, i, j)))
-    elif suite == "decrec":
-        for n in range(3, max_n + 1):
-            for i in range(1, n):
-                tasks.append(("decrec", (n, i)))
-    elif suite == "collide0":
-        for n in range(3, max_n + 1):
-            for m in range(1, n):
-                tasks.append(("collide0", (n, m)))
-    elif suite == "closed-forms":
-        for n in range(3, max_n + 1):
-            tasks.append(("closed_forms", (n,)))
-    elif suite == "ei":
-        for n in range(3, max_n + 1):
-            for r in range(1, n - 1):
-                for I in itertools.combinations(range(1, n), r):
-                    for i in range(1, n):
-                        tasks.append(("ei_pushforward", (n, I, i)))
-    elif suite == "frec":
-        for n in range(2, max_n + 1):
-            tasks.append(("frec", (n,)))
-    elif suite == "collide-rt":
-        for total in range(2, max_sum + 1):
-            for mults in _compositions(total):
-                tasks.append(("colliding_rt", (mults,)))
-    elif suite == "logan":
-        for g in (2, 3):
-            tasks.append(("logan", (g,)))
-    elif suite == "heavy":
-        for a in range(1, 7):
-            tasks.append(("heavy", (a,)))
-        tasks.append(("heavy_pushforwards", ()))
-    elif suite == "expansions":
-        tasks.append(("expansions", ()))
-        for n in range(1, min(max_n, 4) + 1):
-            tasks.append(("overdegree_drop", (n,)))
-    else:
-        raise InvalidArgument(f"unknown suite {suite!r}")
-    return tasks
-
-
 def _compositions(total: int):
     if total == 0:
         yield ()
@@ -189,126 +143,86 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
+# suite -> (max_n, max_sum) -> its tasks, in the order they run and print
+SUITES = {
+    "vanishing": lambda max_n, _: [
+        (name, (n, i, j))
+        for n in range(3, max_n + 1)
+        for i in range(1, n)
+        for j in range(1, i)
+        for name in ("vanishing_z", "vanishing_zt")
+    ],
+    "recursion": lambda max_n, _: [
+        (name, (n, i, j))
+        for n in range(3, max_n + 1)
+        for i in range(1, n)
+        for j in range(i - n + 1, i)
+        for name in ("recursion_all", "dect")
+    ],
+    "decrec": lambda max_n, _: [("decrec", (n, i)) for n in range(3, max_n + 1) for i in range(1, n)],
+    "collide0": lambda max_n, _: [("collide0", (n, m)) for n in range(3, max_n + 1) for m in range(1, n)],
+    "closed-forms": lambda max_n, _: [("closed_forms", (n,)) for n in range(3, max_n + 1)],
+    "ei": lambda max_n, _: [
+        ("ei_pushforward", (n, I, i))
+        for n in range(3, max_n + 1)
+        for r in range(1, n - 1)
+        for I in itertools.combinations(range(1, n), r)
+        for i in range(1, n)
+    ],
+    "frec": lambda max_n, _: [("frec", (n,)) for n in range(2, max_n + 1)],
+    "collide-rt": lambda _, max_sum: [
+        ("colliding_rt", (mults,)) for total in range(2, max_sum + 1) for mults in _compositions(total)
+    ],
+    "logan": lambda *_: [("logan", (g,)) for g in (2, 3)],
+    "heavy": lambda *_: [("heavy", (a,)) for a in range(1, 7)] + [("heavy_pushforwards", ())],
+    "expansions": lambda max_n, _: [("expansions", ())]
+    + [("overdegree_drop", (n,)) for n in range(1, min(max_n, 4) + 1)],
+}
+
+# task name -> verifier; each looks its function up at call time, so a
+# rebinding of the module attribute (a tracer, a test double) takes effect
+TASKS = {
+    "vanishing_z": lambda n, i, j: cycles.verify_vanishing_cycle(n, i, j),
+    "vanishing_zt": lambda n, i, j: cycles.verify_vanishing_cycle(n, i, j, truncated=True),
+    "recursion_all": lambda *p: cycles.verify_recursion_all(*p),
+    "dect": lambda *p: cycles.verify_dect(*p),
+    "decrec": lambda *p: cycles.verify_decrec(*p),
+    "collide0": lambda *p: cycles.verify_collide0(*p),
+    "closed_forms": lambda *p: cycles.verify_closed_forms(*p),
+    "ei_pushforward": lambda *p: cycles.verify_ei_pushforward(*p),
+    "frec": lambda n: rtclasses.verify_frec("k", "g", n),
+    "colliding_rt": lambda mults: rtclasses.verify_colliding_rt("k", "g", mults),
+    "overdegree_drop": lambda n: rtclasses.verify_overdegree_drop(n),
+    "logan": lambda g: rtclasses.verify_logan(g),
+    "heavy": lambda a: rtclasses.verify_heavy(a),
+    "heavy_pushforwards": lambda: rtclasses.verify_heavy_pushforwards(),
+    "expansions": lambda: rtclasses.verify_expansions(),
+}
+
+
+def _grid(suite: str, max_n: int, max_sum: int) -> list:
+    if suite not in SUITES:
+        raise InvalidArgument(f"unknown suite {suite!r}")
+    return SUITES[suite](max_n, max_sum)
+
+
 def run_task(task) -> cycles.VerificationReport:
     name, params = task
-    if name == "vanishing_z":
-        n, i, j = params
-        t0 = time.perf_counter()
-        w = strata0.zero_witness(cycles.z_cycle(n, i, j))
-        return cycles.VerificationReport("vanishing_z", params, w is None, w, time.perf_counter() - t0)
-    if name == "vanishing_zt":
-        n, i, j = params
-        t0 = time.perf_counter()
-        w = strata0.zero_witness(cycles.z_truncated(n, i, j))
-        return cycles.VerificationReport("vanishing_zt", params, w is None, w, time.perf_counter() - t0)
-    if name == "recursion_all":
-        return cycles.verify_recursion_all(*params)
-    if name == "dect":
-        return cycles.verify_dect(*params)
-    if name == "decrec":
-        return cycles.verify_decrec(*params)
-    if name == "collide0":
-        return cycles.verify_collide0(*params)
-    if name == "closed_forms":
-        return cycles.verify_closed_forms(*params)
-    if name == "ei_pushforward":
-        n, I, i = params
-        return cycles.verify_ei_pushforward(n, I, i)
-    if name == "frec":
-        return rtclasses.verify_frec("k", "g", params[0])
-    if name == "colliding_rt":
-        return rtclasses.verify_colliding_rt("k", "g", params[0])
-    if name == "overdegree_drop":
-        return rtclasses.verify_overdegree_drop(params[0])
-    if name == "logan":
-        return _verify_logan(params[0])
-    if name == "heavy":
-        return _verify_heavy(params[0])
-    if name == "heavy_pushforwards":
-        return _verify_heavy_pushforwards()
-    if name == "expansions":
-        return _verify_expansions()
-    raise InvalidArgument(f"unknown task {name!r}")
-
-
-def _verify_logan(g: int) -> cycles.VerificationReport:
-    from .rtclasses import KPoly, PushedClass, _leg_slot, pushforward_phi
-    from .trees import build_tree
-
-    t0 = time.perf_counter()
-    out = pushforward_phi(rtclasses.f_class(1, g, g), k=1, g=g)
-    expected = PushedClass()
-    t, d = build_tree([list(range(1, g + 1))], [], rt_root=0)
-    for i in range(1, g + 1):
-        expected._add((t, d, ((_leg_slot(i), 1),), ()), KPoly.const(1))
-    expected._add((t, d, (), (1,)), KPoly.const(-1))
-    for r in range(2, g + 1):
-        for M in itertools.combinations(range(1, g + 1), r):
-            root = [l for l in range(1, g + 1) if l not in M]
-            tc, dc = build_tree([root, list(M)], [(0, 1)], rt_root=0)
-            expected._add((tc, dc, (), ()), KPoly.const(-r * (r - 1) // 2))
-    ok = out == expected
-    return cycles.VerificationReport("logan", (g,), ok, None if ok else "class mismatch", time.perf_counter() - t0)
-
-
-def _verify_heavy(a: int) -> cycles.VerificationReport:
-    t0 = time.perf_counter()
-    ok = rtclasses.f_heavy_expanded(a) == rtclasses.heavy_point_expansion(a)
-    return cycles.VerificationReport("heavy", (a,), ok, None if ok else "expansion mismatch", time.perf_counter() - t0)
-
-
-def _verify_heavy_pushforwards() -> cycles.VerificationReport:
-    from .rtclasses import KPoly, PushedClass, pushforward_phi, pushforward_point
-    from .trees import build_tree
-
-    t0 = time.perf_counter()
-    out = pushforward_point(rtclasses.f_class_m("k", "g", (2,)), g=None)
-    expected = PushedClass()
-    expected._add(("kappa", 1, "eta", 0), KPoly({2: 1, 1: 1}))
-    expected._add(("kappa", 0, "eta", 1), KPoly({1: -2, 0: -1}))
-    ok = out == expected
-    if ok:
-        t, d = build_tree([[1]], [], rt_root=0)
-        phi = pushforward_phi(rtclasses.f_class_m("k", "g", (2,)), k=2, g=2, rank_override=3)
-        ok = phi == PushedClass({(t, d, (), ()): KPoly.const(1)})
-    return cycles.VerificationReport(
-        "heavy_pushforwards", (), ok, None if ok else "pushforward mismatch", time.perf_counter() - t0
-    )
-
-
-def _verify_expansions() -> cycles.VerificationReport:
-    t0 = time.perf_counter()
-    ok = True
-    witness = None
-    try:
-        for n in (1, 2, 3):
-            rtclasses.f_class("k", "g", n)
-        # the appendix consistency: F_2 = (kω1-η)(kω2-η) - E_{1}
-        from .rtclasses import RtClass, _fact_tuple, _leg_slot
-        from .trees import build_tree
-
-        t, d = build_tree([[1, 2]], [], rt_root=0)
-        smooth = RtClass({1, 2}, {(t, d, _fact_tuple({_leg_slot(1): 1, _leg_slot(2): 1})): 1})
-        ok = rtclasses.f_class("k", "g", 2) == smooth - rtclasses.e_class("k", "g", 2, {1})
-        if not ok:
-            witness = "F_2 vs (kω-η)^2 - E_1"
-    except Exception as exc:  # pragma: no cover - defensive
-        ok, witness = False, repr(exc)
-    return cycles.VerificationReport("expansions", (), ok, witness, time.perf_counter() - t0)
+    if name not in TASKS:
+        raise InvalidArgument(f"unknown task {name!r}")
+    return TASKS[name](*params)
 
 
 def cmd_verify(args) -> int:
     t_start = time.perf_counter()
     tasks = _grid(args.suite, args.max_n, args.max_sum)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run_task, tasks))
-    else:
-        reports = []
-        for t in tasks:
-            rep = run_task(t)
+    reports = []
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+        for rep in (pool.map if pool else map)(run_task, tasks):
             reports.append(rep)
             if args.fail_fast and not rep.passed:
+                if pool:
+                    pool.shutdown(cancel_futures=True)
                 break
     failed = [r for r in reports if not r.passed]
     for rep in reports:
@@ -370,22 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_pair)
 
     q = sub.add_parser("verify", help="run a verification suite")
-    q.add_argument(
-        "suite",
-        choices=(
-            "vanishing",
-            "recursion",
-            "decrec",
-            "collide0",
-            "closed-forms",
-            "ei",
-            "frec",
-            "collide-rt",
-            "logan",
-            "heavy",
-            "expansions",
-        ),
-    )
+    q.add_argument("suite", choices=tuple(SUITES))
     q.add_argument("--max-n", type=int, default=4)
     q.add_argument("--max-sum", type=int, default=4, help="bound on Σm for collide-rt")
     q.add_argument("--fail-fast", action="store_true")

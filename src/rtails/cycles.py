@@ -11,6 +11,7 @@ stratum whose pairing does not vanish.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,28 +187,37 @@ def _recursion_lhs(n: int, i: int, j: int) -> Class0:
 
 
 def _nonempty_subsets(k: int):
-    import itertools
-
     for r in range(1, k + 1):
         yield from (frozenset(c) for c in itertools.combinations(range(1, k + 1), r))
+
+
+def _verify_recursion(identity: str, n: int, i: int, j: int) -> VerificationReport:
+    t0 = time.perf_counter()
+    diff = _recursion_lhs(n, i, j) - z_truncated(n, i, j)
+    return _report(identity, (n, i, j), diff, t0)
 
 
 def verify_recursion_a(n: int, i: int, j: int) -> VerificationReport:
     """Pullback recursion onto the truncated cycle, for 1 <= i <= n-2."""
     if not 1 <= i <= n - 2:
         raise InvalidArgument("verify_recursion_a needs 1 <= i <= n-2")
-    t0 = time.perf_counter()
-    diff = _recursion_lhs(n, i, j) - z_truncated(n, i, j)
-    return _report("recursion_a", (n, i, j), diff, t0)
+    return _verify_recursion("recursion_a", n, i, j)
 
 
 def verify_recursion_all(n: int, i: int, j: int) -> VerificationReport:
     """The same identity without the upper restriction on i."""
     if i < 1:
         raise InvalidArgument("i must be >= 1")
-    t0 = time.perf_counter()
-    diff = _recursion_lhs(n, i, j) - z_truncated(n, i, j)
-    return _report("recursion_all", (n, i, j), diff, t0)
+    return _verify_recursion("recursion_all", n, i, j)
+
+
+def _plus_sigma0_terms(diff: Class0, n: int, i: int, j: int, factor: int) -> Class0:
+    """diff + factor · Σ_{i+ > i} σ0_*(Z(n-1, i+, j+)) with j+ - i+ = j - i."""
+    for ip in range(i + 1, n - 1):
+        corr = z_cycle(n - 1, ip, j - i + ip)
+        if corr.terms:
+            diff = diff + glue_push_sigma0(corr, n).scale(factor)
+    return diff
 
 
 def verify_dect(n: int, i: int, j: int) -> VerificationReport:
@@ -215,12 +225,7 @@ def verify_dect(n: int, i: int, j: int) -> VerificationReport:
     if i < 1:
         raise InvalidArgument("i must be >= 1")
     t0 = time.perf_counter()
-    diff = z_cycle(n, i, j) - z_truncated(n, i, j)
-    for ip in range(i + 1, n - 1):
-        jp = j - i + ip
-        corr = z_cycle(n - 1, ip, jp)
-        if corr.terms:
-            diff = diff + glue_push_sigma0(corr, n).scale(i)
+    diff = _plus_sigma0_terms(z_cycle(n, i, j) - z_truncated(n, i, j), n, i, j, i)
     return _report("dect", (n, i, j), diff, t0)
 
 
@@ -230,12 +235,7 @@ def verify_decrec(n: int, i: int) -> VerificationReport:
         raise InvalidArgument("verify_decrec needs n >= 3, i >= 1")
     t0 = time.perf_counter()
     for j in range(i - n + 1, i):
-        diff = _recursion_lhs(n, i, j) - z_cycle(n, i, j)
-        for ip in range(i + 1, n - 1):
-            jp = j - i + ip
-            corr = z_cycle(n - 1, ip, jp)
-            if corr.terms:
-                diff = diff - glue_push_sigma0(corr, n).scale(i)
+        diff = _plus_sigma0_terms(_recursion_lhs(n, i, j) - z_cycle(n, i, j), n, i, j, -i)
         w = zero_witness(diff)
         if w is not None:
             return VerificationReport("decrec", (n, i), False, (j, w), time.perf_counter() - t0)
@@ -246,15 +246,21 @@ def verify_vanishing(n_max: int):
     """is_zero for Z(n,i,j) and Z^t(n,i,j), 1 <= j < i <= n-1, 3 <= n <= n_max."""
     if n_max < 3:
         raise InvalidArgument("n_max must be >= 3")
-    reports = []
-    for n in range(3, n_max + 1):
-        for i in range(1, n):
-            for j in range(1, i):
-                t0 = time.perf_counter()
-                reports.append(_report("vanishing_z", (n, i, j), z_cycle(n, i, j), t0))
-                t0 = time.perf_counter()
-                reports.append(_report("vanishing_zt", (n, i, j), z_truncated(n, i, j), t0))
-    return reports
+    return [
+        verify_vanishing_cycle(n, i, j, truncated)
+        for n in range(3, n_max + 1)
+        for i in range(1, n)
+        for j in range(1, i)
+        for truncated in (False, True)
+    ]
+
+
+def verify_vanishing_cycle(n: int, i: int, j: int, truncated: bool = False) -> VerificationReport:
+    """is_zero for Z(n,i,j), or for Z^t(n,i,j) when ``truncated``."""
+    t0 = time.perf_counter()
+    if truncated:
+        return _report("vanishing_zt", (n, i, j), z_truncated(n, i, j), t0)
+    return _report("vanishing_z", (n, i, j), z_cycle(n, i, j), t0)
 
 
 def collide_first_legs(x: Class0, steps: int) -> Class0:
@@ -305,8 +311,6 @@ def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
 
 def closed_form_z_top(n: int) -> Class0:
     """-(n-1) C(n,2) ψ_{h0} + (n-1) Σ_m C(m,2) δ_m, the displayed divisor form."""
-    import itertools
-
     amb = ambient0(n)
     out = zero(amb)
     top, _ = build_tree([sorted(amb, key=str)], [])

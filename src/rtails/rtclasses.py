@@ -30,16 +30,25 @@ from typing import Mapping, Optional
 
 from .trees import (
     H0,
+    NODE,
     Decoration,
     InvalidArgument,
     Tree,
+    attach_leg,
     beyond_legs,
     build_tree,
     child_edges_of,
+    coda_mapping,
+    contract_trivalent,
     decorations_of_degree,
+    detach_leg,
     enumerate_rt_graphs,
+    graft,
     label_key,
     parent_edge_of,
+    path_edges,
+    relabel,
+    split_off,
     valence,
     vertex_of_leg,
     vertex_slots,
@@ -360,102 +369,54 @@ def multiply_divisor(x: RtClass, leg) -> RtClass:
     out = RtClass(x.legs)
     for (graph, dec, fact), coeff in x.terms.items():
         fd = dict(fact)
-        if leg in graph.legs[0]:
-            slot = _leg_slot(leg)
-        else:
-            e = _root_edge_of(graph, leg)
-            slot = _tail_slot(beyond_legs(graph, e))
+        slot = _tail_key(graph, vertex_of_leg(graph, leg)) or _leg_slot(leg)
         fd[slot] = fd.get(slot, 0) + 1
         out._add(graph, dec, fd, coeff)
     return out
 
 
-def _root_edge_of(graph: Tree, leg) -> int:
-    v = vertex_of_leg(graph, leg)
-    up = parent_edge_of(graph)
-    while graph.edges[up[v]][0] != 0:
-        v = graph.edges[up[v]][0]
-    return up[v]
+def _tail_key(graph: Tree, v: int):
+    """Fact key of the tail holding vertex ``v`` (None at the root)."""
+    return _tail_slot(beyond_legs(graph, path_edges(graph, v)[0])) if v else None
+
+
+def _rekey(fd: dict, old, legs) -> None:
+    """Move the exponent at the fact key ``old`` (if any) to the tail ``legs``."""
+    if old in fd:
+        fd[_tail_slot(legs)] = fd.pop(old)
 
 
 def pullback_forget_rt(x: RtClass, new_leg) -> RtClass:
-    """Pull back along the bundle map forgetting ``new_leg``."""
+    """Pull back along the bundle map forgetting ``new_leg``.
+
+    The fact key of the tail that receives ``new_leg`` grows by it; a
+    decorated root leg split off with it becomes a two-leg tail.
+    """
     if new_leg in x.legs:
         raise InvalidArgument(f"leg {new_leg!r} already present")
     out = RtClass(x.legs | {new_leg})
     for (graph, dec, fact), coeff in x.terms.items():
-        fd = dict(fact)
         for v in range(graph.num_vertices()):
-            out._add(*_attach_rt(graph, dec, fd, v, new_leg), coeff)
+            grown = dict(fact)
+            if v:
+                key = _tail_key(graph, v)
+                _rekey(grown, key, key[1] + (new_leg,))
+            out._add(*attach_leg(graph, dec, v, new_leg), grown, coeff)
             for slot in vertex_slots(graph, v):
-                corr = _split_rt(graph, dec, fd, v, new_leg, slot)
-                if corr is not None:
-                    out._add(*corr, -coeff)
+                split = split_off(graph, dec, new_leg, slot, fresh=True)
+                if split is None:
+                    continue
+                fd = grown
+                if not v:
+                    fd = dict(fact)
+                    if isinstance(slot, tuple):
+                        # a decorated root-edge tail: the inserted vertex joins its tail
+                        key = _tail_slot(beyond_legs(graph, slot[0]))
+                        _rekey(fd, key, key[1] + (new_leg,))
+                    else:
+                        _rekey(fd, _leg_slot(slot), (slot, new_leg))
+                out._add(*split, fd, -coeff)
     return out
-
-
-def _tail_keys_with(graph: Tree, v: int):
-    """Root-edge fact key of the tail containing vertex v (None at the root)."""
-    if v == 0:
-        return None
-    up = parent_edge_of(graph)
-    while graph.edges[up[v]][0] != 0:
-        v = graph.edges[up[v]][0]
-    return _tail_slot(beyond_legs(graph, up[v]))
-
-
-def _attach_rt(graph: Tree, dec: Decoration, fd: dict, v: int, new_leg):
-    legs_by = [list(ls) for ls in graph.legs]
-    legs_by[v].append(new_leg)
-    g2, d2 = build_tree(legs_by, list(graph.edges), rt_root=0, half_exp=dec.half_dict(), leg_exp=dec.leg_dict())
-    f2 = dict(fd)
-    key = _tail_keys_with(graph, v)
-    if key is not None and key in f2:
-        f2[_tail_slot(set(key[1]) | {new_leg})] = f2.pop(key)
-    return g2, d2, f2
-
-
-def _split_rt(graph: Tree, dec: Decoration, fd: dict, v: int, new_leg, slot):
-    """One ψ-comparison correction: split ``slot`` and the new leg off ``v``."""
-    half = dec.half_dict()
-    legexp = dec.leg_dict()
-    d = half.get(slot, 0) if isinstance(slot, tuple) else legexp.get(slot, 0)
-    if d == 0:
-        return None
-    nv = graph.num_vertices()
-    legs_by = [list(ls) for ls in graph.legs] + [[new_leg]]
-    pairs = [list(p) for p in graph.edges]
-    if isinstance(slot, tuple):
-        eid, side = slot
-        half.pop(slot)
-        pairs[eid][side] = nv
-    else:
-        legexp.pop(slot)
-        legs_by[v].remove(slot)
-        legs_by[nv].append(slot)
-    new_eid = len(pairs)
-    pairs.append((v, nv))
-    if d - 1:
-        half[(new_eid, 0)] = d - 1
-    g2, d2 = build_tree(legs_by, [tuple(p) for p in pairs], rt_root=0, half_exp=half, leg_exp=legexp)
-
-    f2 = dict(fd)
-    if v == 0:
-        if isinstance(slot, tuple):
-            # a decorated root-edge tail: the inserted vertex joins its tail
-            old_key = _tail_slot(beyond_legs(graph, slot[0]))
-            if old_key in f2:
-                f2[_tail_slot(set(old_key[1]) | {new_leg})] = f2.pop(old_key)
-        else:
-            # a decorated root leg becomes a fresh two-leg tail
-            old_key = _leg_slot(slot)
-            if old_key in f2:
-                f2[_tail_slot({slot, new_leg})] = f2.pop(old_key)
-    else:
-        key = _tail_keys_with(graph, v)
-        if key is not None and key in f2:
-            f2[_tail_slot(set(key[1]) | {new_leg})] = f2.pop(key)
-    return g2, d2, f2
 
 
 def collide_rt(x: RtClass, leg_i, leg_j) -> RtClass:
@@ -467,113 +428,61 @@ def collide_rt(x: RtClass, leg_i, leg_j) -> RtClass:
         vi = vertex_of_leg(graph, leg_i)
         if vi != vertex_of_leg(graph, leg_j):
             continue
-        fd = dict(fact)
-        half = dec.half_dict()
-        legexp = dec.leg_dict()
         if vi != 0 and valence(graph, vi) == 3:
             # contract the supporting edge; ψ moves up with a unit bump
-            e1 = parent_edge_of(graph)[vi]
-            u = graph.edges[e1][0]
-            exp = half.pop((e1, 0), 0)
-            half.pop((e1, 1), None)
-            legexp.pop(leg_j, None)
-            legexp[leg_i] = exp + 1
-            legs_by = [list(ls) for ls in graph.legs]
-            legs_by[vi] = []
-            legs_by[u].append(leg_i)
-            keep = [k for k in range(graph.num_edges()) if k != e1]
-            new_half = {(keep.index(eid), side): ex for (eid, side), ex in half.items()}
-            pairs = [graph.edges[k] for k in keep]
-            legs_by2 = [ls for idx, ls in enumerate(legs_by) if idx != vi]
-            remap = [idx - (1 if idx > vi else 0) for idx in range(graph.num_vertices())]
-            pairs = [(remap[a], remap[b]) for a, b in pairs]
-            g2, d2 = build_tree(legs_by2, pairs, rt_root=0, half_exp=new_half, leg_exp=legexp)
-            _merge_fact_keys(fd, graph, e1, leg_i, leg_j)
-            out._add(g2, d2, fd, -coeff)
+            g2, d2 = contract_trivalent(graph, dec, vi, leg_i, leg_j, bump=1)
+            sign, home = -1, graph.edges[parent_edge_of(graph)[vi]][0]
+            merged = _tail_slot({leg_i, leg_j})
+        elif not (dec.leg_exp(leg_i) or dec.leg_exp(leg_j)):
+            g2, d2 = detach_leg(graph, dec, leg_j)
+            sign, home = 1, vi
+            merged = _leg_slot(leg_j)
         else:
-            if legexp.get(leg_i) or legexp.get(leg_j):
-                continue
-            legs_by = [list(ls) for ls in graph.legs]
-            legs_by[vi].remove(leg_j)
-            g2, d2 = build_tree(legs_by, list(graph.edges), rt_root=0, half_exp=half, leg_exp=legexp)
-            if vi == 0:
-                b = fd.pop(_leg_slot(leg_j), 0)
-                if b:
-                    fd[_leg_slot(leg_i)] = fd.get(_leg_slot(leg_i), 0) + b
-            else:
-                key = _tail_keys_with(graph, vi)
-                if key in fd:
-                    fd[_tail_slot(set(key[1]) - {leg_j})] = fd.pop(key)
-            out._add(g2, d2, fd, coeff)
+            continue
+        fd = dict(fact)
+        if home == 0:
+            # leg_j's root slot, or the two-leg tail that collapsed, folds onto leg_i
+            b = fd.pop(merged, 0)
+            if b:
+                fd[_leg_slot(leg_i)] = fd.get(_leg_slot(leg_i), 0) + b
+        else:
+            key = _tail_key(graph, home)
+            _rekey(fd, key, set(key[1]) - {leg_j})
+        out._add(g2, d2, fd, sign * coeff)
     return out
-
-
-def _merge_fact_keys(fd: dict, graph: Tree, contracted_edge: int, leg_i, leg_j) -> None:
-    """Update tail fact keys after a trivalent {i, j} vertex contraction."""
-    u = graph.edges[contracted_edge][0]
-    if u == 0:
-        # the whole two-leg tail collapses onto a root leg
-        key = _tail_slot({leg_i, leg_j})
-        if key in fd:
-            fd[_leg_slot(leg_i)] = fd.get(_leg_slot(leg_i), 0) + fd.pop(key)
-    else:
-        key = _tail_keys_with(graph, u)
-        if key in fd:
-            fd[_tail_slot(set(key[1]) - {leg_j})] = fd.pop(key)
 
 
 def relabel_rt(x: RtClass, mapping: Mapping) -> RtClass:
     out = RtClass(frozenset(mapping.get(l, l) for l in x.legs))
     for (graph, dec, fact), coeff in x.terms.items():
-        legs_by = [[mapping.get(l, l) for l in ls] for ls in graph.legs]
-        legexp = {mapping.get(l, l): e for l, e in dec.leg}
-        g2, d2 = build_tree(legs_by, list(graph.edges), rt_root=0, half_exp=dec.half_dict(), leg_exp=legexp)
         fd = {}
         for (kind, payload), e in fact:
             if kind == "leg":
                 fd[_leg_slot(mapping.get(payload, payload))] = e
             else:
                 fd[_tail_slot({mapping.get(l, l) for l in payload})] = e
-        out._add(g2, d2, fd, coeff)
+        out._add(*relabel(graph, dec, mapping), fd, coeff)
     return out
 
 
 def e_class(k, g, n: int, I) -> RtClass:
     """γ_* of the heavy-multiplicity class: the coda-glued extra class."""
     I = frozenset(I)
-    m = len(I)
-    if not I or not I <= set(range(1, n)):
-        raise InvalidArgument("I must be a non-empty subset of 1..n-1")
-    base = f_class_m(k, g, (m,) + (1,) * (n - m - 1))
-    free = sorted(set(range(1, n)) - I)
-    mapping = {old: new for old, new in zip(range(2, n - m + 1), free)}
-    mapping[1] = "@node"
-    y = relabel_rt(base, mapping)
+    mapping = coda_mapping(n, I)
+    base = f_class_m(k, g, (len(I),) + (1,) * (n - len(I) - 1))
     out = RtClass(range(1, n + 1))
-    coda = sorted(I | {n})
-    for (graph, dec, fact), coeff in y.terms.items():
-        v = vertex_of_leg(graph, "@node")
-        legs_by = [list(ls) for ls in graph.legs] + [coda]
-        legs_by[v].remove("@node")
-        nv = graph.num_vertices()
-        pairs = list(graph.edges) + [(v, nv)]
-        half = dec.half_dict()
-        legexp = dec.leg_dict()
-        d_node = legexp.pop("@node", 0)
-        if d_node:
-            half[(graph.num_edges(), 0)] = d_node
-        g2, d2 = build_tree(legs_by, pairs, rt_root=0, half_exp=half, leg_exp=legexp)
+    coda = I | {n}
+    for (graph, dec, fact), coeff in relabel_rt(base, mapping).terms.items():
         fd = {}
         for (kind, payload), e in fact:
-            if kind == "leg" and payload == "@node":
-                fd[_tail_slot(coda)] = e
-            elif kind == "leg":
-                fd[_leg_slot(payload)] = e
-            elif "@node" in payload:
-                fd[_tail_slot((set(payload) - {"@node"}) | set(coda))] = e
+            if kind == "leg":
+                # the node's root slot becomes the coda tail
+                fd[_tail_slot(coda) if payload == NODE else _leg_slot(payload)] = e
+            elif NODE in payload:
+                fd[_tail_slot((set(payload) - {NODE}) | coda)] = e
             else:
-                fd[_tail_slot(set(payload))] = e
-        out._add(g2, d2, fd, coeff)
+                fd[_tail_slot(payload)] = e
+        out._add(*graft(graph, dec, NODE, coda), fd, coeff)
     return out
 
 
@@ -623,6 +532,60 @@ def verify_colliding_rt(k, g, mults) -> VerificationReport:
                 )
         method = "per-profile"
     return VerificationReport("colliding_rt", mults, True, method, time.perf_counter() - t0)
+
+
+def verify_expansions() -> VerificationReport:
+    """The appendix consistency F_2 = (kω_1-η)(kω_2-η) - E_{1}, after building F_1..F_3."""
+    t0 = time.perf_counter()
+    for n in (1, 2, 3):
+        f_class("k", "g", n)
+    t, d = build_tree([[1, 2]], [], rt_root=0)
+    smooth = RtClass({1, 2}, {(t, d, _fact_tuple({_leg_slot(1): 1, _leg_slot(2): 1})): 1})
+    ok = f_class("k", "g", 2) == smooth - e_class("k", "g", 2, {1})
+    witness = None if ok else "F_2 vs (kω-η)^2 - E_1"
+    return VerificationReport("expansions", (), ok, witness, time.perf_counter() - t0)
+
+
+def verify_logan(g: int) -> VerificationReport:
+    """φ_* F^1_{g,g}: Σ ω_i - λ_1 - Σ_M C(|M|,2) δ_M over the boundary divisors."""
+    t0 = time.perf_counter()
+    out = pushforward_phi(f_class(1, g, g), k=1, g=g)
+    expected = PushedClass()
+    t, d = build_tree([list(range(1, g + 1))], [], rt_root=0)
+    for i in range(1, g + 1):
+        expected._add((t, d, ((_leg_slot(i), 1),), ()), KPoly.const(1))
+    expected._add((t, d, (), (1,)), KPoly.const(-1))
+    for r in range(2, g + 1):
+        for M in itertools.combinations(range(1, g + 1), r):
+            root = [l for l in range(1, g + 1) if l not in M]
+            tc, dc = build_tree([root, list(M)], [(0, 1)], rt_root=0)
+            expected._add((tc, dc, (), ()), KPoly.const(-r * (r - 1) // 2))
+    ok = out == expected
+    return VerificationReport("logan", (g,), ok, None if ok else "class mismatch", time.perf_counter() - t0)
+
+
+def verify_heavy(a: int) -> VerificationReport:
+    """The one-heavy-leg class equals ∏_{b<a}((k+b)ψ - η)."""
+    t0 = time.perf_counter()
+    ok = f_heavy_expanded(a) == heavy_point_expansion(a)
+    return VerificationReport("heavy", (a,), ok, None if ok else "expansion mismatch", time.perf_counter() - t0)
+
+
+def verify_heavy_pushforwards() -> VerificationReport:
+    """Both pushforwards of the weight-2 one-leg class against their closed forms."""
+    t0 = time.perf_counter()
+    out = pushforward_point(f_class_m("k", "g", (2,)), g=None)
+    expected = PushedClass()
+    expected._add(("kappa", 1, "eta", 0), KPoly({2: 1, 1: 1}))
+    expected._add(("kappa", 0, "eta", 1), KPoly({1: -2, 0: -1}))
+    ok = out == expected
+    if ok:
+        t, d = build_tree([[1]], [], rt_root=0)
+        phi = pushforward_phi(f_class_m("k", "g", (2,)), k=2, g=2, rank_override=3)
+        ok = phi == PushedClass({(t, d, (), ()): KPoly.const(1)})
+    return VerificationReport(
+        "heavy_pushforwards", (), ok, None if ok else "pushforward mismatch", time.perf_counter() - t0
+    )
 
 
 # ---------------------------------------------------------------------------

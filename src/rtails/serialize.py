@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .trees import H0, Decoration, InvalidArgument, Tree, build_tree, label_key
 from .strata0 import Class0
-from .rtclasses import PushedClass, RtClass
+from .rtclasses import RtClass
 
 
 def _label_out(l):
@@ -146,23 +146,6 @@ def rtclass_from_json(blob: dict) -> RtClass:
         tree, dec = tree_from_json(tree_blob)
         out._add(tree, dec, _fact_in(item.get("factored", {})), _frac_in(item["coeff"]))
     return out
-
-
-def pushed_to_json(x: PushedClass) -> dict:
-    terms = []
-    for key, coeff in x.items():
-        if key and key[0] in ("kappa", "eta"):
-            entry = {"symbols": list(key)}
-        else:
-            graph, dec, omegas, lam = key
-            entry = {
-                "tree": tree_to_json(graph, dec),
-                "omega": {f"{k0}:{_label_out(p) if k0 == 'leg' else ','.join(map(str, p))}": e for (k0, p), e in omegas},
-                "lambda": list(lam),
-            }
-        entry["coeff"] = repr(coeff)
-        terms.append(entry)
-    return {"terms": terms}
 
 
 def dumps(blob: dict) -> str:

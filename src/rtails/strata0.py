@@ -20,7 +20,6 @@ exactly when all such pairings do.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -28,13 +27,18 @@ from typing import Iterable, Mapping, Optional
 
 from .trees import (
     H0,
+    NODE,
     Decoration,
     InvalidArgument,
     Tree,
     attach_leg,
     beyond_legs,
     build_tree,
+    coda_mapping,
+    contract_trivalent,
+    detach_leg,
     enumerate_stable_trees,
+    graft,
     label_key,
     make_decoration,
     relabel,
@@ -189,31 +193,17 @@ def integrate(x: Class0) -> Fraction:
 # strata families and split masks
 
 
-_strata_cache: dict = {}
-
-
-def _cache_limit() -> Optional[int]:
-    raw = os.environ.get("RTAILS_CACHE_LIMIT")
-    return int(raw) if raw else None
+@lru_cache(maxsize=None)
+def _bit_order(ambient: frozenset) -> tuple:
+    return sort_labels(ambient)
 
 
 def strata_family(ambient, codim: int) -> tuple:
     """Undecorated boundary strata of the given codimension, canonical order."""
-    key = (frozenset(ambient), codim)
-    if key not in _strata_cache:
-        limit = _cache_limit()
-        if limit is not None and len(_strata_cache) >= limit:
-            _strata_cache.pop(next(iter(_strata_cache)))
-        if codim < 0 or codim > dim_of(frozenset(ambient)):
-            _strata_cache[key] = ()
-        else:
-            _strata_cache[key] = enumerate_stable_trees(sort_labels(ambient), num_edges=codim)
-    return _strata_cache[key]
-
-
-@lru_cache(maxsize=None)
-def _bit_order(ambient: frozenset) -> tuple:
-    return sort_labels(ambient)
+    ambient = frozenset(ambient)
+    if codim < 0 or codim > dim_of(ambient):
+        return ()
+    return enumerate_stable_trees(_bit_order(ambient), num_edges=codim)
 
 
 @lru_cache(maxsize=None)
@@ -267,13 +257,32 @@ def _refine(tree: Tree, stratum: Tree, ambient: frozenset):
     return gamma, edge_of_mask, shared
 
 
-def _transport_dec(tree: Tree, dec: Decoration, ambient: frozenset, edge_of_mask) -> dict:
-    """Half-exponents of ``dec`` re-keyed on the refinement's edges."""
+def _excess_decorations(tree: Tree, dec: Decoration, ambient: frozenset, ref):
+    """Decorations on the refinement of the product of (tree, dec) with a stratum.
+
+    ``ref`` is ``_refine(tree, stratum, ambient)``.  Each shared edge
+    contributes -ψ' - ψ'', so the product is (-1)^|shared| times the sum of
+    the decorated refinements yielded here, one per choice of sides.
+    """
+    _, edge_of_mask, shared = ref
     t_masks = split_masks(tree, ambient)
-    out = {}
-    for (eid, side), e in dec.half:
-        out[(edge_of_mask[t_masks[eid]], side)] = e
-    return out
+    half = {(edge_of_mask[t_masks[eid]], side): e for (eid, side), e in dec.half}
+    legexp = dec.leg_dict()
+    for sides in itertools.product((0, 1), repeat=len(shared)):
+        h2 = dict(half)
+        for m, side in zip(shared, sides):
+            slot = (edge_of_mask[m], side)
+            h2[slot] = h2.get(slot, 0) + 1
+        yield make_decoration(h2, legexp)
+
+
+def _pair_refined(tree: Tree, dec: Decoration, ambient: frozenset, ref) -> Fraction:
+    """The pairing of (tree, dec) with the stratum that ``ref`` refines it against."""
+    gamma = ref[0]
+    total = Fraction(0)
+    for d2 in _excess_decorations(tree, dec, ambient, ref):
+        total += integrate_term(gamma, d2, ambient)
+    return total * (-1) ** len(ref[2])
 
 
 def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
@@ -285,35 +294,15 @@ def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
         ref = _refine(tree, stratum, x.ambient)
         if ref is None:
             continue
-        gamma, edge_of_mask, shared = ref
-        half = _transport_dec(tree, dec, x.ambient, edge_of_mask)
-        legexp = dec.leg_dict()
-        # each shared edge contributes -ψ' - ψ'': expand over side choices
-        for sides in itertools.product((0, 1), repeat=len(shared)):
-            h2 = dict(half)
-            for m, side in zip(shared, sides):
-                slot = (edge_of_mask[m], side)
-                h2[slot] = h2.get(slot, 0) + 1
-            sign = (-1) ** len(shared)
-            out._add(gamma, make_decoration(h2, legexp), coeff * sign)
+        signed = coeff * (-1) ** len(ref[2])
+        for d2 in _excess_decorations(tree, dec, x.ambient, ref):
+            out._add(ref[0], d2, signed)
     return out
 
 
 def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) -> Fraction:
     ref = _refine(tree, stratum, ambient)
-    if ref is None:
-        return Fraction(0)
-    gamma, edge_of_mask, shared = ref
-    half = _transport_dec(tree, dec, ambient, edge_of_mask)
-    legexp = dec.leg_dict()
-    total = Fraction(0)
-    for sides in itertools.product((0, 1), repeat=len(shared)):
-        h2 = dict(half)
-        for m, side in zip(shared, sides):
-            slot = (edge_of_mask[m], side)
-            h2[slot] = h2.get(slot, 0) + 1
-        total += integrate_term(gamma, make_decoration(h2, legexp), ambient)
-    return total * (-1) ** len(shared)
+    return Fraction(0) if ref is None else _pair_refined(tree, dec, ambient, ref)
 
 
 def pair(x: Class0, stratum: Tree) -> Fraction:
@@ -350,18 +339,8 @@ def zero_witness(x: Class0) -> Optional[Tree]:
             ref = _refine(tree, stratum, x.ambient)
             if ref is None:
                 continue
-            gamma, edge_of_mask, shared = ref
             for dec, coeff in items:
-                half = _transport_dec(tree, dec, x.ambient, edge_of_mask)
-                legexp = dec.leg_dict()
-                sub = Fraction(0)
-                for sides in itertools.product((0, 1), repeat=len(shared)):
-                    h2 = dict(half)
-                    for m, side in zip(shared, sides):
-                        slot = (edge_of_mask[m], side)
-                        h2[slot] = h2.get(slot, 0) + 1
-                    sub += integrate_term(gamma, make_decoration(h2, legexp), x.ambient)
-                total += coeff * sub * (-1) ** len(shared)
+                total += coeff * _pair_refined(tree, dec, x.ambient, ref)
         if total:
             return stratum
     return None
@@ -447,62 +426,13 @@ def pushforward_forget(x: Class0, leg) -> Class0:
                 store = half if isinstance(slot, tuple) else legexp
                 if store.get(slot, 0):
                     store[slot] -= 1
-                    legs_by = [list(ls) for ls in tree.legs]
-                    legs_by[v].remove(leg)
-                    t2, d2 = build_tree(legs_by, list(tree.edges), half_exp=half, leg_exp=legexp)
-                    out._add(t2, d2, coeff)
+                    out._add(*detach_leg(tree, make_decoration(half, legexp), leg), coeff)
         else:
-            out._add(*_contract_trivalent(tree, dec, leg), coeff)
+            # decorated slots at a trivalent vertex are already zero in normal
+            # form; the leg left over, or else the first edge, survives
+            keep = next(s for s in vertex_slots(tree, v) if s != leg)
+            out._add(*contract_trivalent(tree, dec, v, keep, leg), coeff)
     return out
-
-
-def _contract_trivalent(tree: Tree, dec: Decoration, leg):
-    """Stabilize after removing ``leg`` from its trivalent vertex."""
-    v = vertex_of_leg(tree, leg)
-    half = dec.half_dict()
-    legexp = dec.leg_dict()
-    slots = [s for s in vertex_slots(tree, v) if s != leg]
-    incident = [s for s in slots if isinstance(s, tuple)]
-    # decorated slots at a trivalent vertex are already zero in normal form
-    legs_by = [list(ls) for ls in tree.legs]
-    legs_by[v].remove(leg)
-    if len(incident) == 2:
-        (e1, _), (e2, _) = incident
-        u = tree.edges[e1][0] if tree.edges[e1][1] == v else tree.edges[e1][1]
-        w = tree.edges[e2][0] if tree.edges[e2][1] == v else tree.edges[e2][1]
-        keep = [k for k in range(tree.num_edges()) if k not in (e1, e2)]
-        pairs = [tree.edges[k] for k in keep] + [(u, w)]
-        new_half = {}
-        for (eid, side), e in half.items():
-            if eid in keep:
-                new_half[(keep.index(eid), side)] = e
-            elif eid == e1:
-                if tree.edges[e1][side] != v:
-                    new_half[(len(keep), 0)] = new_half.get((len(keep), 0), 0) + e
-            elif eid == e2:
-                if tree.edges[e2][side] != v:
-                    new_half[(len(keep), 1)] = new_half.get((len(keep), 1), 0) + e
-        legs_by2 = [ls for i, ls in enumerate(legs_by) if i != v]
-        remap = [i - (1 if i > v else 0) for i in range(tree.num_vertices())]
-        pairs = [(remap[a], remap[b]) for a, b in pairs]
-        return build_tree(legs_by2, pairs, half_exp=new_half, leg_exp=legexp)
-    # one edge and one leg: the leg inherits the far node branch's exponent
-    (e1, _) = incident[0]
-    other_leg = [s for s in slots if not isinstance(s, tuple)][0]
-    u = tree.edges[e1][0] if tree.edges[e1][1] == v else tree.edges[e1][1]
-    far_side = 0 if tree.edges[e1][0] == u else 1
-    exp = half.pop((e1, far_side), 0)
-    half.pop((e1, 1 - far_side), None)
-    legexp[other_leg] = legexp.get(other_leg, 0) + exp
-    legs_by[v].remove(other_leg)
-    legs_by[u].append(other_leg)
-    keep = [k for k in range(tree.num_edges()) if k != e1]
-    new_half = {(keep.index(eid), side): e for (eid, side), e in half.items()}
-    pairs = [tree.edges[k] for k in keep]
-    legs_by2 = [ls for i, ls in enumerate(legs_by) if i != v]
-    remap = [i - (1 if i > v else 0) for i in range(tree.num_vertices())]
-    pairs = [(remap[a], remap[b]) for a, b in pairs]
-    return build_tree(legs_by2, pairs, half_exp=new_half, leg_exp=legexp)
 
 
 def collide(x: Class0, leg_i, leg_j) -> Class0:
@@ -524,33 +454,9 @@ def collide(x: Class0, leg_i, leg_j) -> Class0:
         if valence(tree, vi) == 3:
             # contract the supporting edge; the far branch exponent moves to
             # leg_i and gains one from the excess -ψ
-            half = dec.half_dict()
-            legexp = dec.leg_dict()
-            e1 = [s for s in vertex_slots(tree, vi) if isinstance(s, tuple)][0][0]
-            u = tree.edges[e1][0] if tree.edges[e1][1] == vi else tree.edges[e1][1]
-            far_side = 0 if tree.edges[e1][0] == u else 1
-            exp = half.pop((e1, far_side), 0)
-            half.pop((e1, 1 - far_side), None)
-            legs_by = [list(ls) for ls in tree.legs]
-            legs_by[vi] = []
-            legs_by[u].append(leg_i)
-            legexp.pop(leg_j, None)
-            legexp[leg_i] = exp + 1
-            keep = [k for k in range(tree.num_edges()) if k != e1]
-            new_half = {(keep.index(eid), side): e for (eid, side), e in half.items()}
-            pairs = [tree.edges[k] for k in keep]
-            legs_by2 = [ls for i2, ls in enumerate(legs_by) if i2 != vi]
-            remap = [i2 - (1 if i2 > vi else 0) for i2 in range(tree.num_vertices())]
-            pairs = [(remap[a], remap[b]) for a, b in pairs]
-            t2, d2 = build_tree(legs_by2, pairs, half_exp=new_half, leg_exp=legexp)
-            out._add(t2, d2, -coeff)
-        else:
-            if dec.leg_exp(leg_i) or dec.leg_exp(leg_j):
-                continue
-            legs_by = [list(ls) for ls in tree.legs]
-            legs_by[vi].remove(leg_j)
-            t2, d2 = build_tree(legs_by, list(tree.edges), half_exp=dec.half_dict(), leg_exp=dec.leg_dict())
-            out._add(t2, d2, coeff)
+            out._add(*contract_trivalent(tree, dec, vi, leg_i, leg_j, bump=1), -coeff)
+        elif not (dec.leg_exp(leg_i) or dec.leg_exp(leg_j)):
+            out._add(*detach_leg(tree, dec, leg_j), coeff)
     return out
 
 
@@ -584,30 +490,12 @@ def glue_push_gamma(x: Class0, I, n: int) -> Class0:
     {1..n-1} - I, and the output lives on {1..n, h0}.
     """
     I = frozenset(I)
-    m = len(I)
-    if not I or not I <= set(range(1, n)):
-        raise InvalidArgument("I must be a non-empty subset of 1..n-1")
-    expected = set(range(1, n - m + 1)) | {H0}
-    if x.ambient != frozenset(expected):
+    mapping = coda_mapping(n, I)
+    if x.ambient != frozenset(range(1, n - len(I) + 1)) | {H0}:
         raise InvalidArgument("class lives on the wrong space for this coda")
-    free = sorted(set(range(1, n)) - I)
-    mapping = {old: new for old, new in zip(range(2, n - m + 1), free)}
-    mapping[1] = "@node"
-    y = relabel_class(x, mapping)
     out = Class0(frozenset(range(1, n + 1)) | {H0})
-    for (tree, dec), coeff in y.terms.items():
-        v = vertex_of_leg(tree, "@node")
-        legs_by = [list(ls) for ls in tree.legs] + [sorted(I | {n})]
-        legs_by[v].remove("@node")
-        nv = tree.num_vertices()
-        pairs = list(tree.edges) + [(v, nv)]
-        half = dec.half_dict()
-        legexp = dec.leg_dict()
-        d_node = legexp.pop("@node", 0)
-        if d_node:
-            half[(tree.num_edges(), 0)] = d_node
-        t2, d2 = build_tree(legs_by, pairs, half_exp=half, leg_exp=legexp)
-        out._add(t2, d2, coeff)
+    for (tree, dec), coeff in relabel_class(x, mapping).terms.items():
+        out._add(*graft(tree, dec, NODE, I | {n}), coeff)
     return out
 
 
@@ -620,16 +508,5 @@ def glue_push_sigma0(x: Class0, n: int) -> Class0:
         raise InvalidArgument("class lives on the wrong space for sigma0")
     out = Class0(frozenset(range(1, n + 1)) | {H0})
     for (tree, dec), coeff in x.terms.items():
-        v = vertex_of_leg(tree, H0)
-        legs_by = [list(ls) for ls in tree.legs] + [[H0, n]]
-        legs_by[v].remove(H0)
-        nv = tree.num_vertices()
-        pairs = list(tree.edges) + [(v, nv)]
-        half = dec.half_dict()
-        legexp = dec.leg_dict()
-        d0 = legexp.pop(H0, 0)
-        if d0:
-            half[(tree.num_edges(), 0)] = d0
-        t2, d2 = build_tree(legs_by, pairs, half_exp=half, leg_exp=legexp)
-        out._add(t2, d2, coeff)
+        out._add(*graft(tree, dec, H0, (H0, n)), coeff)
     return out

@@ -376,21 +376,25 @@ def _tree_from_laminar(labels: tuple, family: tuple, rt: bool, extra_root_legs: 
     return tree
 
 
+def _trees_of_laminar(labels: tuple, max_part: int, num_edges, rt: bool, extra_root_legs: tuple = ()) -> tuple:
+    """Dual trees of the laminar families of 2..max_part-subsets of ``labels``."""
+    cands = _subsets_as_masks(len(labels), 2, max_part)
+    out = [
+        _tree_from_laminar(labels, fam, rt, extra_root_legs)
+        for fam in _laminar_families(cands)
+        if num_edges is None or len(fam) == num_edges
+    ]
+    out.sort(key=Tree.sort_key)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def enumerate_stable_trees(labels: tuple, num_edges: Optional[int] = None) -> tuple:
     """All stable trees with the given leg labels (optionally a fixed edge count)."""
     labels = sort_labels(labels)
     if len(labels) < 3:
         raise InvalidArgument("need at least three legs")
-    base, rest = labels[0], labels[1:]
-    cands = _subsets_as_masks(len(rest), 2, len(labels) - 2)
-    out = []
-    for fam in _laminar_families(cands):
-        if num_edges is not None and len(fam) != num_edges:
-            continue
-        out.append(_tree_from_laminar(rest, fam, rt=False, extra_root_legs=(base,)))
-    out.sort(key=Tree.sort_key)
-    return tuple(out)
+    return _trees_of_laminar(labels[1:], len(labels) - 2, num_edges, rt=False, extra_root_legs=labels[:1])
 
 
 def enumerate_trees0(n: int) -> tuple:
@@ -405,15 +409,7 @@ def enumerate_rt_graphs(n: int, num_edges: Optional[int] = None) -> tuple:
     """All rational-tails graphs with legs 1..n and a genus-g root vertex."""
     if n < 1:
         raise InvalidArgument("enumerate_rt_graphs requires n >= 1")
-    labels = tuple(range(1, n + 1))
-    cands = _subsets_as_masks(n, 2, n)
-    out = []
-    for fam in _laminar_families(cands):
-        if num_edges is not None and len(fam) != num_edges:
-            continue
-        out.append(_tree_from_laminar(labels, fam, rt=True))
-    out.sort(key=Tree.sort_key)
-    return tuple(out)
+    return _trees_of_laminar(tuple(range(1, n + 1)), n, num_edges, rt=True)
 
 
 def dimension_budget(tree: Tree, v: int) -> Optional[int]:
@@ -521,18 +517,10 @@ def split_off(tree: Tree, dec: Decoration, move_leg: Label, slot, fresh: bool = 
     new_eid = len(edge_pairs)
     edge_pairs.append([v, nv])
 
-    new_half = dict(half)
     # exponent d-1 sits on the residual-vertex side of the new edge
     if d - 1:
-        new_half[(new_eid, 0)] = d - 1
-    rt_root = 0 if tree.rt else None
-    return build_tree(
-        legs_by_vertex,
-        [tuple(p) for p in edge_pairs],
-        rt_root=rt_root,
-        half_exp=new_half,
-        leg_exp=leg,
-    )
+        half[(new_eid, 0)] = d - 1
+    return _rebuild(tree, legs_by_vertex, [tuple(p) for p in edge_pairs], half, leg)
 
 
 def split_vertex(tree: Tree, dec: Decoration, leg_n: Label, mode: str, tail_eid: Optional[int] = None):
@@ -562,27 +550,100 @@ def split_vertex(tree: Tree, dec: Decoration, leg_n: Label, mode: str, tail_eid:
     return split_off(tree, dec, move_leg=leg_n, slot=slot)
 
 
+def _rebuild(tree: Tree, legs_by_vertex, edge_pairs, half_exp: Mapping, leg_exp: Mapping):
+    """``build_tree`` on edited data of ``tree``, keeping its root kind."""
+    return build_tree(legs_by_vertex, edge_pairs, rt_root=0 if tree.rt else None, half_exp=half_exp, leg_exp=leg_exp)
+
+
 def attach_leg(tree: Tree, dec: Decoration, v: int, label: Label):
     """Attach a fresh leg at vertex ``v``."""
     legs_by_vertex = [list(ls) for ls in tree.legs]
     legs_by_vertex[v].append(label)
-    return build_tree(
-        legs_by_vertex,
-        list(tree.edges),
-        rt_root=0 if tree.rt else None,
-        half_exp=dec.half_dict(),
-        leg_exp=dec.leg_dict(),
-    )
+    return _rebuild(tree, legs_by_vertex, list(tree.edges), dec.half_dict(), dec.leg_dict())
+
+
+def detach_leg(tree: Tree, dec: Decoration, label: Label):
+    """Remove the leg ``label``; its vertex must stay stable."""
+    legs_by_vertex = [[l for l in ls if l != label] for ls in tree.legs]
+    leg = {l: e for l, e in dec.leg if l != label}
+    return _rebuild(tree, legs_by_vertex, list(tree.edges), dec.half_dict(), leg)
 
 
 def relabel(tree: Tree, dec: Decoration, mapping: Mapping):
     """Rename legs; labels absent from the mapping stay fixed."""
     legs_by_vertex = [[mapping.get(l, l) for l in ls] for ls in tree.legs]
     leg = {mapping.get(l, l): e for l, e in dec.leg}
-    return build_tree(
-        legs_by_vertex,
-        list(tree.edges),
-        rt_root=0 if tree.rt else None,
-        half_exp=dec.half_dict(),
-        leg_exp=leg,
-    )
+    return _rebuild(tree, legs_by_vertex, list(tree.edges), dec.half_dict(), leg)
+
+
+def graft(tree: Tree, dec: Decoration, at: Label, legs: Iterable[Label]):
+    """Replace the leg ``at`` by an edge to a new vertex carrying ``legs``.
+
+    The ψ-exponent of ``at`` moves to the new edge's side at the old vertex.
+    """
+    v = vertex_of_leg(tree, at)
+    legs_by_vertex = [list(ls) for ls in tree.legs] + [list(legs)]
+    legs_by_vertex[v].remove(at)
+    half = dec.half_dict()
+    leg = dec.leg_dict()
+    exp = leg.pop(at, 0)
+    if exp:
+        half[(tree.num_edges(), 0)] = exp
+    return _rebuild(tree, legs_by_vertex, list(tree.edges) + [(v, tree.num_vertices())], half, leg)
+
+
+NODE = "@node"
+
+
+def coda_mapping(n: int, I: frozenset) -> dict:
+    """Relabeling that frees the coda legs I ∪ {n} on a space with n - |I| legs.
+
+    Leg 1 becomes the gluing leg `NODE`; legs 2..n-|I| go order-preservingly
+    onto {1..n-1} - I.
+    """
+    if not I or not I <= set(range(1, n)):
+        raise InvalidArgument("I must be a non-empty subset of 1..n-1")
+    mapping = dict(zip(range(2, n - len(I) + 1), sorted(set(range(1, n)) - I)))
+    mapping[1] = NODE
+    return mapping
+
+
+def contract_trivalent(tree: Tree, dec: Decoration, v: int, keep, drop: Label, bump: int = 0):
+    """Remove the leg ``drop`` from the trivalent vertex ``v`` and stabilize.
+
+    The third slot at ``v`` is an edge; it is contracted, so ``v`` disappears
+    and ``keep`` (a leg or a half-edge slot at ``v``) moves to the far vertex,
+    taking the far side's ψ-exponent plus ``bump``.  Exponents at ``v``
+    itself are dropped: they vanish on a trivalent vertex.
+    """
+    ((eid, side),) = [s for s in vertex_slots(tree, v) if s != keep and s != drop]
+    u = tree.edges[eid][1 - side]
+    half = dec.half_dict()
+    leg = dec.leg_dict()
+    exp = half.pop((eid, 1 - side), 0) + bump
+    half.pop((eid, side), None)
+    leg.pop(drop, None)
+    legs_by_vertex = [list(ls) for ls in tree.legs]
+    legs_by_vertex[v].remove(drop)
+    edge_pairs = [list(p) for p in tree.edges]
+    if isinstance(keep, tuple):
+        edge_pairs[keep[0]][keep[1]] = u
+        half[keep] = exp
+    else:
+        legs_by_vertex[v].remove(keep)
+        legs_by_vertex[u].append(keep)
+        leg[keep] = exp
+    return drop_vertex(tree, legs_by_vertex, edge_pairs, half, leg, v, eid)
+
+
+def drop_vertex(tree: Tree, legs_by_vertex, edge_pairs, half: Mapping, leg: Mapping, v: int, eid: int):
+    """Rebuild edited data of ``tree`` without the vertex ``v`` and the edge ``eid``.
+
+    Neither may still be referenced: ``v`` carries no legs and no other edge,
+    and ``half`` has no entry on ``eid``.
+    """
+    keep = [k for k in range(len(edge_pairs)) if k != eid]
+    new_eid = {k: idx for idx, k in enumerate(keep)}
+    pairs = [tuple(a - (a > v) for a in edge_pairs[k]) for k in keep]
+    new_half = {(new_eid[k], side): e for (k, side), e in half.items()}
+    return _rebuild(tree, [ls for w, ls in enumerate(legs_by_vertex) if w != v], pairs, new_half, leg)

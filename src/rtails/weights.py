@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Mapping, Optional
 
 from .trees import (
@@ -70,22 +71,14 @@ def strict_chain_sum(d: int, top: int) -> int:
     return top * strict_chain_sum(d - 1, top - 1) + strict_chain_sum(d, top - 1)
 
 
-@lru_cache(maxsize=None)
 def weak_chain_count(d: int, top: int) -> int:
-    if d == 0:
-        return 1
-    if top <= 0:
-        return 0
-    return weak_chain_count(d - 1, top) + weak_chain_count(d, top - 1)
+    """Weakly decreasing chains of length d in 1..top: multisets of size d."""
+    return comb(max(top, 0) + d - 1, d) if d else 1
 
 
-@lru_cache(maxsize=None)
 def strict_chain_count(d: int, top: int) -> int:
-    if d == 0:
-        return 1
-    if top < d:
-        return 0
-    return strict_chain_count(d - 1, top - 1) + strict_chain_count(d, top - 1)
+    """Strictly increasing chains of length d in 1..top: subsets of size d."""
+    return comb(max(top, 0), d)
 
 
 def _edge_block(cap: int, d_head: int, d_tail: int, top_fixed: Optional[int] = None):
@@ -274,6 +267,31 @@ def _coda_spec(tree: Tree, dec: Decoration, i: int, I: frozenset):
     return _Spec(tree, dec, i=i, head_caps=head_caps, head_fixed=head_fixed, h0_cap=h0_cap)
 
 
+def _spec(tree: Tree, dec: Decoration, context: str, *, i=None, m: int = 1, I=None, mults=None, head_caps=None):
+    """The chain layout of a context; _EMPTY when it has no weightings."""
+    if context == "plain":
+        return _Spec(tree, dec, mults=mults)
+    if context == "i-rooted":
+        if i is None:
+            raise InvalidArgument("i-rooted context needs i")
+        return _Spec(tree, dec, mults={1: m}, i=i, head_caps=head_caps)
+    if context == "i-coda":
+        if i is None or I is None:
+            raise InvalidArgument("i-coda context needs i and I")
+        return _coda_spec(tree, dec, i, frozenset(I))
+    raise InvalidArgument(f"unknown context {context!r}")
+
+
+def _evaluate(spec, method: str) -> tuple:
+    """(weighting-product sum, weighting count) by the DP, or by listing them all."""
+    if spec is _EMPTY:
+        return 0, 0
+    if method == "dp":
+        return _dp(spec)
+    ws = _enumerate(spec)
+    return sum(weight_product(w) for w in ws), len(ws)
+
+
 def enumerate_weightings(
     tree: Tree,
     dec: Decoration,
@@ -285,31 +303,15 @@ def enumerate_weightings(
     mults: Optional[Mapping] = None,
 ) -> tuple:
     """The complete finite set of weightings in the requested context."""
-    if context == "plain":
-        spec = _Spec(tree, dec, mults=mults)
-    elif context == "i-rooted":
-        if i is None:
-            raise InvalidArgument("i-rooted context needs i")
-        spec = _Spec(tree, dec, mults={1: m}, i=i)
-    elif context == "i-coda":
-        if i is None or I is None:
-            raise InvalidArgument("i-coda context needs i and I")
-        spec = _coda_spec(tree, dec, i, frozenset(I))
-        if spec is _EMPTY:
-            return ()
-    else:
-        raise InvalidArgument(f"unknown context {context!r}")
-    return tuple(_enumerate(spec))
+    spec = _spec(tree, dec, context, i=i, m=m, I=I, mults=mults)
+    return () if spec is _EMPTY else tuple(_enumerate(spec))
 
 
 def coeff_c(tree: Tree, dec: Decoration, mults: Optional[Mapping] = None, method: str = "dp") -> int:
     """c_{Γ,ψ}: the weighting-product sum for a rational-tails graph."""
     if not tree.rt:
         raise InvalidArgument("coeff_c expects a rational-tails graph")
-    spec = _Spec(tree, dec, mults=mults)
-    if method == "dp":
-        return _dp(spec)[0]
-    return sum(weight_product(w) for w in _enumerate(spec))
+    return _evaluate(_spec(tree, dec, "plain", mults=mults), method)[0]
 
 
 def coeff_c_im(tree: Tree, dec: Decoration, i: int, m: int, method: str = "dp") -> int:
@@ -318,13 +320,7 @@ def coeff_c_im(tree: Tree, dec: Decoration, i: int, m: int, method: str = "dp") 
         raise InvalidArgument("coeff_c_im expects a rooted rational tree")
     if i < 1 or m < 1:
         raise InvalidArgument("i and m must be >= 1")
-    n = len(tree.all_legs()) - 1
-    if i >= n - 1 + m or dec.leg_exp(1) >= m:
-        return 0
-    spec = _Spec(tree, dec, mults={1: m}, i=i)
-    if method == "dp":
-        return _dp(spec)[0]
-    return sum(weight_product(w) for w in _enumerate(spec))
+    return _coeff_rooted(tree, dec, i, m, method)
 
 
 def coeff_c_im_truncated(tree: Tree, dec: Decoration, i: int, m: int = 1, method: str = "dp") -> int:
@@ -332,31 +328,22 @@ def coeff_c_im_truncated(tree: Tree, dec: Decoration, i: int, m: int = 1, method
     share a trivalent root vertex, only weightings whose subtree head top is
     <= i are counted."""
     n = len(tree.all_legs()) - 1
-    root_legs = set(tree.legs[0])
     kids = child_edges_of(tree, 0)
-    if root_legs == {H0, n} and len(kids) == 1:
-        cap = {kids[0]: i}
-    else:
-        cap = {}
+    cap = {kids[0]: i} if set(tree.legs[0]) == {H0, n} and len(kids) == 1 else None
+    return _coeff_rooted(tree, dec, i, m, method, head_caps=cap)
+
+
+def _coeff_rooted(tree: Tree, dec: Decoration, i: int, m: int, method: str, head_caps=None) -> int:
+    n = len(tree.all_legs()) - 1
     if i >= n - 1 + m or dec.leg_exp(1) >= m:
         return 0
-    spec = _Spec(tree, dec, mults={1: m}, i=i, head_caps=cap)
-    if method == "dp":
-        return _dp(spec)[0]
-    return sum(weight_product(w) for w in _enumerate(spec))
+    return _evaluate(_spec(tree, dec, "i-rooted", i=i, m=m, head_caps=head_caps), method)[0]
 
 
 def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> Fraction:
     """d^i_{T,ψ} for a decorated coda: the weighting sum divided by |I|."""
     I = frozenset(I)
-    spec = _coda_spec(tree, dec, i, I)
-    if spec is _EMPTY:
-        return Fraction(0)
-    if method == "dp":
-        total = _dp(spec)[0]
-    else:
-        total = sum(weight_product(w) for w in _enumerate(spec))
-    d = Fraction(total, len(I))
+    d = Fraction(_evaluate(_spec(tree, dec, "i-coda", i=i, I=I), method)[0], len(I))
     if d.denominator != 1:
         raise ArithmeticError(f"d^i is not an integer: {d}")
     return d
@@ -364,18 +351,8 @@ def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> Fract
 
 def coeff_dp(tree: Tree, dec: Decoration, *, context: str = "plain", i=None, m: int = 1, I=None, mults=None) -> CoeffReport:
     """Chain-factorized evaluation; same value as the brute sum, method tag dp."""
-    if context == "plain":
-        spec = _Spec(tree, dec, mults=mults)
-    elif context == "i-rooted":
-        spec = _Spec(tree, dec, mults={1: m}, i=i)
-    elif context == "i-coda":
-        spec = _coda_spec(tree, dec, i, frozenset(I))
-        if spec is _EMPTY:
-            return CoeffReport(Fraction(0), 0, "dp")
-    else:
-        raise InvalidArgument(f"unknown context {context!r}")
-    total, count = _dp(spec)
+    total, count = _evaluate(_spec(tree, dec, context, i=i, m=m, I=I, mults=mults), "dp")
     coeff = Fraction(total)
     if context == "i-coda":
-        coeff /= len(I)
+        coeff /= len(frozenset(I))
     return CoeffReport(coeff, count, "dp")

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
 
+import pytest
 
-from rtails.cli import main
+from rtails import cycles, weights
+from rtails.cli import BRUTE_MAX_WEIGHTINGS, main
 from rtails.serialize import (
     class0_from_json,
     class0_to_json,
@@ -134,3 +138,51 @@ def test_verify_parallel_matches_serial(capsys):
     _, out1, _ = run_cli(capsys, "verify", "collide0", "--max-n", "4")
     _, out2, _ = run_cli(capsys, "verify", "collide0", "--max-n", "4", "--jobs", "2")
     assert out1 == out2
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patched verifier"
+)
+def test_fail_fast_truncates_the_same_under_jobs(capsys, monkeypatch):
+    # collide0 --max-n 4 runs (3,1), (3,2), (4,1), (4,2), (4,3); force (4,1) to fail
+    real = cycles.verify_collide0
+
+    def failing_at_4_1(n, m):
+        rep = real(n, m)
+        return dataclasses.replace(rep, passed=False, witness="forced") if (n, m) == (4, 1) else rep
+
+    monkeypatch.setattr(cycles, "verify_collide0", failing_at_4_1)
+    runs = [
+        run_cli(capsys, "verify", "collide0", "--max-n", "4", "--fail-fast", "--jobs", jobs)
+        for jobs in ("1", "2")
+    ]
+    assert [code for code, _, _ in runs] == [1, 1]
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][1].splitlines() == [
+        "pass collide0(3, 1)",
+        "pass collide0(3, 2)",
+        "FAIL collide0(4, 1)  witness='forced'",
+    ]
+
+
+def test_coeff_counts_by_dp_and_guards_brute(tmp_path, capsys):
+    # genus root -> chain of rational vertices with legs 1..8 -> leg pair {9, 10};
+    # every head carries psi, so the weighting set is far too large to list
+    blob = {
+        "vertices": [{"genus": "g", "legs": []}] + [{"genus": 0, "legs": [k]} for k in range(1, 9)]
+        + [{"genus": 0, "legs": [9, 10]}],
+        "edges": [[k + 1, k] for k in range(9)],
+        "exp_half": {f"{k}+": 1 for k in range(9)},
+        "exp_leg": {},
+    }
+    path = tmp_path / "chain10.json"
+    path.write_text(json.dumps(blob))
+    tree, dec = tree_from_json(blob)
+    report = weights.coeff_dp(tree, dec)
+    assert report.weighting_count > BRUTE_MAX_WEIGHTINGS
+    code, out, _ = run_cli(capsys, "coeff", "--graph", str(path))
+    assert code == 0
+    assert out.splitlines() == [str(report.coefficient), f"weightings: {report.weighting_count}"]
+    code, out, err = run_cli(capsys, "coeff", "--graph", str(path), "--brute")
+    assert code == 2
+    assert out == "" and "--brute" in err

@@ -20,16 +20,19 @@ from rtails.strata0 import (
     Class0,
     collide,
     collide_via_product,
+    from_terms,
     glue_push_gamma,
     glue_push_sigma0,
     integrate,
     is_zero,
     pair,
+    pair_term,
     product_with_stratum,
     pullback_forget,
     push_tree,
     pushforward_forget,
     strata_family,
+    zero_witness,
 )
 
 
@@ -289,3 +292,52 @@ def test_divisor_pairing_matrix_rank():
         others = strata_family(frozenset(range(1, n + 1)), n - 4)
         matrix = [[pair(push_tree(d), s) for s in others] for d in divisors]
         assert _rank(matrix) == expected
+
+
+def _decorated_terms(labels):
+    """Every nonzero decorated stratum (tree, dec) on the given legs."""
+    dim = len(labels) - 3
+    return [
+        (t, d)
+        for t in enumerate_stable_trees(labels)
+        for d in enumerate_decorations(t, dim - t.num_edges())
+        if push_tree(t, d).terms
+    ]
+
+
+@pytest.mark.parametrize("labels", [(1, 2, 3, 4, H0), (1, 2, 3, 4, 5, H0)])
+def test_pair_term_equals_the_product_route(labels):
+    # pair_term pairs one term; the product route builds the excess product
+    # as a class and integrates it
+    ambient = frozenset(labels)
+    dim = len(labels) - 3
+    terms = _decorated_terms(labels)
+    for t, d in random.Random(5).sample(terms, min(len(terms), 120)):
+        for S in strata_family(ambient, dim - t.num_edges() - d.degree()):
+            assert pair_term(t, d, S, ambient) == integrate(product_with_stratum(push_tree(t, d), S))
+
+
+@pytest.mark.parametrize("labels", [(1, 2, 3, 4, H0), (1, 2, 3, 4, 5, H0)])
+def test_zero_witness_is_the_first_nonzero_pairing(labels):
+    ambient = frozenset(labels)
+    dim = len(labels) - 3
+    rng = random.Random(11)
+    terms = _decorated_terms(labels)
+    for deg in range(dim + 1):
+        pool = [(t, d) for t, d in terms if t.num_edges() + d.degree() == deg]
+        family = strata_family(ambient, dim - deg)
+        for _ in range(4):
+            x = from_terms(ambient, [(t, d, rng.randint(-3, 3)) for t, d in rng.sample(pool, min(len(pool), 3))])
+            assert zero_witness(x) == next((S for S in family if pair(x, S)), None)
+            assert zero_witness(x - x) is None
+
+
+def test_pair_term_with_two_shared_edges():
+    # on 7 legs two codim-2 strata can share both edges: the excess factor
+    # (-ψ' - ψ'')^2 expands into four decorations
+    labels = (1, 2, 3, 4, 5, 6, H0)
+    ambient = frozenset(labels)
+    family = strata_family(ambient, 2)
+    for t in random.Random(7).sample(family, 6):
+        for S in family:
+            assert pair_term(t, make_decoration(), S, ambient) == integrate(product_with_stratum(push_tree(t), S))

@@ -164,3 +164,32 @@ def test_coeff_dp_reports():
     rep = coeff_dp(g, dec)
     assert rep.coefficient == Fraction(7)
     assert rep.weighting_count == 3
+
+
+def test_dp_count_equals_listed_weightings():
+    # `rtails coeff` prints the DP count; the brute enumerator lists the set
+    def agree(tree, dec, **context):
+        count = coeff_dp(tree, dec, **context).weighting_count
+        assert count == len(enumerate_weightings(tree, dec, **context))
+        return count
+
+    codas = 0
+    for n in (3, 4):
+        for t in enumerate_trees0(n):
+            for dec in enumerate_decorations(t, 2, leg_bounds={1: 2}):
+                for i in range(1, n + 1):
+                    for m in (1, 2):
+                        agree(t, dec, context="i-rooted", i=i, m=m)
+                for r in range(1, n):
+                    for I in itertools.combinations(range(1, n), r):
+                        for i in range(1, n):
+                            try:
+                                codas += agree(t, dec, context="i-coda", i=i, I=I) > 0
+                            except InvalidArgument:
+                                pass  # (t, dec) is not a decorated coda for I
+    assert codas > 20
+    for n in (2, 3):
+        for g in enumerate_rt_graphs(n):
+            for dec in enumerate_decorations(g, 2, leg_bounds={1: 2, 2: 3}):
+                agree(g, dec)
+                agree(g, dec, mults={1: 2, 2: 3})
