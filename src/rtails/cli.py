@@ -1,8 +1,9 @@
 """Deterministic command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
-stderr), 2 usage error.  All numeric output is exact ("p/q"); verification
-timings go to stderr so stdout is byte-identical across runs.
+stderr), 2 usage error (bad arguments, unreadable or malformed input), 3
+internal error (traceback on stderr).  All numeric output is exact ("p/q");
+verification timings go to stderr so stdout is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import cycles, rtclasses, serialize, strata0, trees, weights
@@ -25,6 +27,24 @@ def _read_json(path: str) -> dict:
         return json.load(sys.stdin)
     with open(path) as fh:
         return json.load(fh)
+
+
+def _int_list(raw: str) -> tuple:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, not {raw!r}") from None
+
+
+def _k_value(raw: str):
+    """argparse type of ``fclass --k``: ``sym``, ``k`` or an integer."""
+    if raw in ("sym", "k"):
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected sym, k or an integer, not {raw!r}") from None
 
 
 def _emit(text: str) -> None:
@@ -58,14 +78,14 @@ def cmd_coeff(args) -> int:
     if args.coda:
         if args.i is None:
             raise InvalidArgument("--coda needs --i")
-        I = frozenset(int(x) for x in args.coda.split(","))
+        I = frozenset(args.coda)
         context = {"context": "i-coda", "i": args.i, "I": I}
         coeff = functools.partial(weights.coeff_d, tree, dec, args.i, I)
     elif args.i is not None:
         context = {"context": "i-rooted", "i": args.i, "m": args.m}
         coeff = functools.partial(weights.coeff_c_im, tree, dec, args.i, args.m)
     else:
-        mults = _parse_mults(args.multiplicities) if args.multiplicities else None
+        mults = {idx + 1: v for idx, v in enumerate(args.multiplicities)} if args.multiplicities else None
         context = {"mults": mults}
         coeff = functools.partial(weights.coeff_c, tree, dec, mults)
     count = weights.coeff_dp(tree, dec, **context).weighting_count
@@ -74,11 +94,6 @@ def cmd_coeff(args) -> int:
     _emit(str(coeff(method="brute" if args.brute else "dp")))
     _emit(f"weightings: {count}")
     return 0
-
-
-def _parse_mults(raw: str) -> dict:
-    vals = [int(x) for x in raw.split(",")]
-    return {idx + 1: v for idx, v in enumerate(vals)}
 
 
 def cmd_zcycle(args) -> int:
@@ -94,10 +109,9 @@ def cmd_zcycle(args) -> int:
 
 
 def cmd_fclass(args) -> int:
-    k = args.k if args.k in ("sym", "k") else int(args.k)
+    k = args.k
     if args.multiplicities:
-        mults = tuple(int(x) for x in args.multiplicities.split(","))
-        x = rtclasses.f_class_m(k, args.g, mults)
+        x = rtclasses.f_class_m(k, args.g, args.multiplicities)
     elif args.n is not None:
         x = rtclasses.f_class(k, args.g, args.n)
     else:
@@ -256,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--graph", required=True, help="JSON file or - for stdin")
     q.add_argument("--i", type=int)
     q.add_argument("--m", type=int, default=1)
-    q.add_argument("--coda", help="comma-separated I for the coda coefficient")
-    q.add_argument("--multiplicities")
+    q.add_argument("--coda", type=_int_list, help="comma-separated I for the coda coefficient")
+    q.add_argument("--multiplicities", type=_int_list)
     q.add_argument("--brute", action="store_true", help="use the brute-force oracle")
     q.set_defaults(fn=cmd_coeff)
 
@@ -271,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_zcycle)
 
     q = sub.add_parser("fclass", help="the rational-tails graph-formula class")
-    q.add_argument("--k", default="sym")
+    q.add_argument("--k", type=_k_value, default="sym")
     q.add_argument("--g", default="sym")
     q.add_argument("--n", type=int)
-    q.add_argument("--multiplicities")
+    q.add_argument("--multiplicities", type=_int_list)
     q.add_argument("--format", choices=("json", "latex"), default="latex")
     q.set_defaults(fn=cmd_fclass)
 
@@ -313,12 +327,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InvalidArgument as exc:
+    except (InvalidArgument, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

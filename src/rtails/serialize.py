@@ -4,7 +4,10 @@ The JSON tree schema lists vertices with genus (0 or "g") and legs, edges as
 [head_vertex, tail_vertex] pairs, and decoration exponents keyed "E+"/"E-"
 (edge index, head/tail side) and by leg label.  Classes wrap terms with exact
 "p/q" coefficient strings.  Emission is canonical: parse(emit(x)) == x and two
-emissions of equal objects are byte-identical.
+emissions of equal objects are byte-identical.  Reading malformed input
+(a missing key, a value of the wrong shape, a ψ-exponent that is not a
+non-negative integer, a coefficient that is not a rational) raises
+`InvalidArgument`.
 
 The latex emitter renders graphs as adjacency lists with exponents, not
 pictures: vertices with their legs, edges parent->child, ψ-exponents by slot,
@@ -13,6 +16,7 @@ and the factored root monomial for rational-tails terms.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -33,6 +37,29 @@ def _label_in(l):
     return l
 
 
+def _reads_json(fn):
+    """Report any failure to read a JSON blob as ``InvalidArgument``."""
+
+    @functools.wraps(fn)
+    def read(blob):
+        try:
+            return fn(blob)
+        except InvalidArgument:
+            raise
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidArgument(f"malformed JSON ({fn.__name__}): {exc!r}") from exc
+
+    return read
+
+
+def _exponent(e) -> int:
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise InvalidArgument(f"exponent {e!r} is not an integer")
+    if e < 0:
+        raise InvalidArgument(f"negative exponent {e}")
+    return e
+
+
 def tree_to_json(tree: Tree, dec: Decoration = Decoration()) -> dict:
     vertices = []
     for v, legs in enumerate(tree.legs):
@@ -46,6 +73,7 @@ def tree_to_json(tree: Tree, dec: Decoration = Decoration()) -> dict:
     return {"vertices": vertices, "edges": edges, "exp_half": exp_half, "exp_leg": exp_leg}
 
 
+@_reads_json
 def tree_from_json(blob: dict):
     vertices = blob["vertices"]
     legs_by_vertex = [[_label_in(l) for l in v.get("legs", [])] for v in vertices]
@@ -62,8 +90,10 @@ def tree_from_json(blob: dict):
     for key, e in blob.get("exp_half", {}).items():
         eid, sign = int(key[:-1]), key[-1]
         # JSON side refers to the pair as given: side 0 = tail, 1 = head
-        half_exp[(eid, 1 if sign == "+" else 0)] = int(e)
-    leg_exp = {_label_in(l): int(e) for l, e in blob.get("exp_leg", {}).items()}
+        if sign not in ("+", "-"):
+            raise InvalidArgument(f"half-edge key {key!r} does not end in + or -")
+        half_exp[(eid, 1 if sign == "+" else 0)] = _exponent(e)
+    leg_exp = {_label_in(l): _exponent(e) for l, e in blob.get("exp_leg", {}).items()}
     return build_tree(legs_by_vertex, pairs, rt_root=rt_root, half_exp=half_exp, leg_exp=leg_exp)
 
 
@@ -88,6 +118,7 @@ def class0_to_json(x: Class0) -> dict:
     return {"ambient": [str(l) for l in ambient], "terms": terms}
 
 
+@_reads_json
 def class0_from_json(blob: dict) -> Class0:
     out = Class0(frozenset(_label_in(l) for l in blob["ambient"]))
     for item in blob["terms"]:
@@ -115,9 +146,9 @@ def _fact_in(blob: dict) -> dict:
     for key, e in blob.items():
         kind, payload = key.split(":", 1)
         if kind == "leg":
-            fact[("leg", _label_in(payload))] = int(e)
+            fact[("leg", _label_in(payload))] = _exponent(e)
         else:
-            fact[("tail", tuple(sorted((_label_in(l) for l in payload.split(",")), key=label_key)))] = int(e)
+            fact[("tail", tuple(sorted((_label_in(l) for l in payload.split(",")), key=label_key)))] = _exponent(e)
     return fact
 
 
@@ -136,6 +167,7 @@ def rtclass_to_json(x: RtClass, k="k") -> dict:
     return {"k": k, "legs": sorted(_label_out(l) for l in x.legs), "terms": terms}
 
 
+@_reads_json
 def rtclass_from_json(blob: dict) -> RtClass:
     out = RtClass(frozenset(_label_in(l) for l in blob["legs"]))
     for item in blob["terms"]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping, Optional
 
 from .trees import (
@@ -77,20 +77,32 @@ class Class0:
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(*kv[0]))
 
-    def __add__(self, other: "Class0") -> "Class0":
+    def _combined(self, other: "Class0", sign: int) -> "Class0":
+        """self + sign * other; both classes' terms are already checked."""
         if self.ambient != other.ambient:
             raise InvalidArgument("ambient mismatch")
-        out = Class0(self.ambient, self.terms)
-        for (tree, dec), coeff in other.terms.items():
-            out._add(tree, dec, coeff)
+        out = Class0(self.ambient)
+        terms = out.terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            new = terms.get(key, 0) + sign * coeff
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
         return out
 
+    def __add__(self, other: "Class0") -> "Class0":
+        return self._combined(other, 1)
+
     def __sub__(self, other: "Class0") -> "Class0":
-        return self + other.scale(-1)
+        return self._combined(other, -1)
 
     def scale(self, factor) -> "Class0":
         factor = Fraction(factor)
-        return Class0(self.ambient, {k: c * factor for k, c in self.terms.items()})
+        out = Class0(self.ambient)
+        if factor:
+            out.terms = {k: c * factor for k, c in self.terms.items()}
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,26 +174,28 @@ def from_terms(ambient, triples) -> Class0:
 # integration
 
 
-def integrate_term(tree: Tree, dec: Decoration, ambient: frozenset) -> Fraction:
-    """∏ over vertices of the top ψ-integral on that vertex's factor."""
+def integrate_term(tree: Tree, dec: Decoration, ambient: frozenset) -> int:
+    """∏ over vertices of the top ψ-integral on that vertex's factor.
+
+    A vertex of valence k whose exponents e sum to k - 3 contributes the
+    multinomial (k - 3)! / ∏ e!, so the integral is an integer.
+    """
     if term_degree(tree, dec) != dim_of(ambient):
-        return Fraction(0)
+        return 0
     load: list = [[] for _ in range(tree.num_vertices())]
     for (eid, side), e in dec.half:
         load[tree.edges[eid][side]].append(e)
     for l, e in dec.leg:
         load[vertex_of_leg(tree, l)].append(e)
-    total = Fraction(1)
-    for v in range(tree.num_vertices()):
+    total = 1
+    for v, exps in enumerate(load):
         k = valence(tree, v)
-        exps = load[v]
         if sum(exps) != k - 3:
-            return Fraction(0)
-        num = factorial(k - 3)
+            return 0
         den = 1
         for e in exps:
             den *= factorial(e)
-        total *= Fraction(num, den)
+        total *= factorial(k - 3) // den
     return total
 
 
@@ -198,12 +212,21 @@ def _bit_order(ambient: frozenset) -> tuple:
     return sort_labels(ambient)
 
 
+@lru_cache(maxsize=None)
+def _strata_by_codim(ambient: frozenset) -> tuple:
+    """The one family of strata on ``ambient``, split by edge count (in order)."""
+    by_codim: list = [[] for _ in range(dim_of(ambient) + 1)]
+    for tree in enumerate_stable_trees(_bit_order(ambient)):
+        by_codim[tree.num_edges()].append(tree)
+    return tuple(map(tuple, by_codim))
+
+
 def strata_family(ambient, codim: int) -> tuple:
     """Undecorated boundary strata of the given codimension, canonical order."""
     ambient = frozenset(ambient)
     if codim < 0 or codim > dim_of(ambient):
         return ()
-    return enumerate_stable_trees(_bit_order(ambient), num_edges=codim)
+    return _strata_by_codim(ambient)[codim]
 
 
 @lru_cache(maxsize=None)
@@ -236,35 +259,63 @@ def _tree_from_masks(ambient: frozenset, masks: tuple) -> Tree:
     return tree
 
 
+def _laminar(t_masks: tuple, s_masks: tuple) -> bool:
+    """Whether two trees' splits are pairwise nested or disjoint.
+
+    The splits of one tree already are, so only the cross pairs are tested.
+    """
+    for p in t_masks:
+        for q in s_masks:
+            inter = p & q
+            if inter and inter != p and inter != q:
+                return False
+    return True
+
+
+class _Refinement:
+    """The common minimal degeneration ``gamma`` of a tree and a stratum.
+
+    ``edge_of_mask`` maps a split bitmask to its edge of ``gamma``,
+    ``shared`` lists the splits of the edges both trees have, and ``values``
+    memoises the pairing of each decoration of the tree with the stratum.
+    """
+
+    __slots__ = ("gamma", "edge_of_mask", "shared", "values")
+
+    def __init__(self, gamma: Tree, edge_of_mask: dict, shared: tuple):
+        self.gamma = gamma
+        self.edge_of_mask = edge_of_mask
+        self.shared = shared
+        self.values: dict = {}
+
+
 @lru_cache(maxsize=None)
-def _refine(tree: Tree, stratum: Tree, ambient: frozenset):
+def _refine(tree: Tree, stratum: Tree, ambient: frozenset) -> Optional[_Refinement]:
     """Common minimal degeneration of a decorated tree and a stratum.
 
-    Returns ``(gamma, edge_of_mask, shared_masks)`` or None when the two trees
-    admit no joint degeneration (their splits are not laminar).
+    None when the two trees admit no joint degeneration (their splits are not
+    laminar).  The pairing routes test ``_laminar`` first, so only laminar
+    pairs reach this cache from them.
     """
     t_masks = split_masks(tree, ambient)
     s_masks = split_masks(stratum, ambient)
-    union = sorted(set(t_masks) | set(s_masks))
-    for p, q in itertools.combinations(union, 2):
-        inter = p & q
-        if inter and inter != p and inter != q:
-            return None
-    gamma = _tree_from_masks(ambient, tuple(union))
+    if not _laminar(t_masks, s_masks):
+        return None
+    gamma = _tree_from_masks(ambient, tuple(sorted(set(t_masks) | set(s_masks))))
     g_masks = split_masks(gamma, ambient)
     edge_of_mask = {m: e for e, m in enumerate(g_masks)}
     shared = tuple(m for m in t_masks if m in set(s_masks))
-    return gamma, edge_of_mask, shared
+    return _Refinement(gamma, edge_of_mask, shared)
 
 
-def _excess_decorations(tree: Tree, dec: Decoration, ambient: frozenset, ref):
+def _excess_decorations(tree: Tree, dec: Decoration, ambient: frozenset, ref: _Refinement):
     """Decorations on the refinement of the product of (tree, dec) with a stratum.
 
     ``ref`` is ``_refine(tree, stratum, ambient)``.  Each shared edge
     contributes -ψ' - ψ'', so the product is (-1)^|shared| times the sum of
     the decorated refinements yielded here, one per choice of sides.
     """
-    _, edge_of_mask, shared = ref
+    edge_of_mask, shared = ref.edge_of_mask, ref.shared
     t_masks = split_masks(tree, ambient)
     half = {(edge_of_mask[t_masks[eid]], side): e for (eid, side), e in dec.half}
     legexp = dec.leg_dict()
@@ -276,13 +327,17 @@ def _excess_decorations(tree: Tree, dec: Decoration, ambient: frozenset, ref):
         yield make_decoration(h2, legexp)
 
 
-def _pair_refined(tree: Tree, dec: Decoration, ambient: frozenset, ref) -> Fraction:
+def _pair_refined(tree: Tree, dec: Decoration, ambient: frozenset, ref: _Refinement) -> int:
     """The pairing of (tree, dec) with the stratum that ``ref`` refines it against."""
-    gamma = ref[0]
-    total = Fraction(0)
-    for d2 in _excess_decorations(tree, dec, ambient, ref):
-        total += integrate_term(gamma, d2, ambient)
-    return total * (-1) ** len(ref[2])
+    value = ref.values.get(dec)
+    if value is None:
+        value = 0
+        for d2 in _excess_decorations(tree, dec, ambient, ref):
+            value += integrate_term(ref.gamma, d2, ambient)
+        if len(ref.shared) % 2:
+            value = -value
+        ref.values[dec] = value
+    return value
 
 
 def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
@@ -294,15 +349,16 @@ def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
         ref = _refine(tree, stratum, x.ambient)
         if ref is None:
             continue
-        signed = coeff * (-1) ** len(ref[2])
+        signed = coeff * (-1) ** len(ref.shared)
         for d2 in _excess_decorations(tree, dec, x.ambient, ref):
-            out._add(ref[0], d2, signed)
+            out._add(ref.gamma, d2, signed)
     return out
 
 
-def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) -> Fraction:
-    ref = _refine(tree, stratum, ambient)
-    return Fraction(0) if ref is None else _pair_refined(tree, dec, ambient, ref)
+def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) -> int:
+    if not _laminar(split_masks(tree, ambient), split_masks(stratum, ambient)):
+        return 0
+    return _pair_refined(tree, dec, ambient, _refine(tree, stratum, ambient))
 
 
 def pair(x: Class0, stratum: Tree) -> Fraction:
@@ -328,19 +384,23 @@ def zero_witness(x: Class0) -> Optional[Tree]:
     degs = x.degrees()
     if len(degs) > 1:
         raise InvalidArgument("zero test needs a homogeneous class")
-    deg = degs.pop()
-    codim = dim_of(x.ambient) - deg
+    ambient = x.ambient
+    codim = dim_of(ambient) - degs.pop()
+    # integer numerators over the common denominator: same zero pattern
+    common = lcm(*(c.denominator for c in x.terms.values()))
     by_tree: dict = {}
     for (tree, dec), coeff in x.terms.items():
-        by_tree.setdefault(tree, []).append((dec, coeff))
-    for stratum in strata_family(x.ambient, codim):
-        total = Fraction(0)
-        for tree, items in by_tree.items():
-            ref = _refine(tree, stratum, x.ambient)
-            if ref is None:
+        by_tree.setdefault(tree, []).append((dec, coeff.numerator * (common // coeff.denominator)))
+    rows = [(tree, split_masks(tree, ambient), items) for tree, items in by_tree.items()]
+    for stratum in strata_family(ambient, codim):
+        s_masks = split_masks(stratum, ambient)
+        total = 0
+        for tree, t_masks, items in rows:
+            if not _laminar(t_masks, s_masks):
                 continue
-            for dec, coeff in items:
-                total += coeff * _pair_refined(tree, dec, x.ambient, ref)
+            ref = _refine(tree, stratum, ambient)
+            for dec, num in items:
+                total += num * _pair_refined(tree, dec, ambient, ref)
         if total:
             return stratum
     return None

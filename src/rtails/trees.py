@@ -389,19 +389,25 @@ def _trees_of_laminar(labels: tuple, max_part: int, num_edges, rt: bool, extra_r
 
 
 @lru_cache(maxsize=None)
-def enumerate_stable_trees(labels: tuple, num_edges: Optional[int] = None) -> tuple:
-    """All stable trees with the given leg labels (optionally a fixed edge count)."""
-    labels = sort_labels(labels)
-    if len(labels) < 3:
+def enumerate_stable_trees(labels: tuple) -> tuple:
+    """All stable trees with the given leg labels.
+
+    The trees are built once per leg set, on the sorted labels; another order
+    of the same labels is served that family.
+    """
+    ordered = sort_labels(labels)
+    if len(ordered) < 3:
         raise InvalidArgument("need at least three legs")
-    return _trees_of_laminar(labels[1:], len(labels) - 2, num_edges, rt=False, extra_root_legs=labels[:1])
+    if ordered != tuple(labels):
+        return enumerate_stable_trees(ordered)
+    return _trees_of_laminar(ordered[1:], len(ordered) - 2, None, rt=False, extra_root_legs=ordered[:1])
 
 
 def enumerate_trees0(n: int) -> tuple:
     """All rooted rational trees with legs 1..n and the root leg h0."""
     if n < 2:
         raise InvalidArgument("enumerate_trees0 requires n >= 2")
-    return enumerate_stable_trees(tuple(range(1, n + 1)) + (H0,))
+    return enumerate_stable_trees((H0,) + tuple(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)

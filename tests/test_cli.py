@@ -186,3 +186,27 @@ def test_coeff_counts_by_dp_and_guards_brute(tmp_path, capsys):
     code, out, err = run_cli(capsys, "coeff", "--graph", str(path), "--brute")
     assert code == 2
     assert out == "" and "--brute" in err
+
+
+def test_malformed_graph_input_is_a_usage_error(tmp_path, capsys):
+    for bad in ({"exp_half": {"1+": -1}}, {"exp_half": {"1+": 1.5}}, {"exp_leg": {"4": "1"}}, {"vertices": None}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**CHAIN_42, **bad}))
+        code, out, err = run_cli(capsys, "coeff", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+    path.write_text(json.dumps({k: v for k, v in CHAIN_42.items() if k != "vertices"}))  # a missing key
+    assert run_cli(capsys, "coeff", "--graph", str(path))[0] == 2
+    assert run_cli(capsys, "fclass", "--k", "x", "--n", "2")[0] == 2
+    assert run_cli(capsys, "coeff", "--graph", str(path), "--multiplicities", "1,a")[0] == 2
+
+
+def test_internal_error_exits_3_with_a_traceback(capsys, monkeypatch):
+    def broken(n, m):
+        raise ArithmeticError("bookkeeping broke")
+
+    monkeypatch.setattr(cycles, "verify_collide0", broken)
+    code, out, err = run_cli(capsys, "verify", "collide0", "--max-n", "3")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "ArithmeticError: bookkeeping broke" in err

@@ -3,27 +3,36 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from rtails import strata0
+from rtails.cycles import z_cycle
 from rtails.trees import (
     H0,
     InvalidArgument,
     build_tree,
     enumerate_decorations,
     enumerate_stable_trees,
+    enumerate_trees0,
     make_decoration,
+    valence,
+    vertex_of_leg,
 )
 from rtails.strata0 import (
     Class0,
+    _laminar,
+    _refine,
     collide,
     collide_via_product,
     from_terms,
     glue_push_gamma,
     glue_push_sigma0,
     integrate,
+    integrate_term,
     is_zero,
     pair,
     pair_term,
@@ -31,6 +40,7 @@ from rtails.strata0 import (
     pullback_forget,
     push_tree,
     pushforward_forget,
+    split_masks,
     strata_family,
     zero_witness,
 )
@@ -341,3 +351,149 @@ def test_pair_term_with_two_shared_edges():
     for t in random.Random(7).sample(family, 6):
         for S in family:
             assert pair_term(t, make_decoration(), S, ambient) == integrate(product_with_stratum(push_tree(t), S))
+
+
+# ---------------------------------------------------------------------------
+# the integer pairing kernel against the formulas it replaced
+
+
+def _integrate_term_by_fractions(tree, dec, ambient):
+    """integrate_term as a product of Fraction multinomials."""
+    if tree.num_edges() + dec.degree() != len(ambient) - 3:
+        return Fraction(0)
+    load = [[] for _ in range(tree.num_vertices())]
+    for (eid, side), e in dec.half:
+        load[tree.edges[eid][side]].append(e)
+    for l, e in dec.leg:
+        load[vertex_of_leg(tree, l)].append(e)
+    total = Fraction(1)
+    for v, exps in enumerate(load):
+        k = valence(tree, v)
+        if sum(exps) != k - 3:
+            return Fraction(0)
+        total *= Fraction(math.factorial(k - 3), math.prod(math.factorial(e) for e in exps))
+    return total
+
+
+def test_laminar_agrees_with_the_pairwise_test_on_the_union():
+    ambient = frozenset((1, 2, 3, 4, 5, H0))
+    family = [S for c in range(4) for S in strata_family(ambient, c)]
+    laminar_pairs = 0
+    for T in family:
+        t_masks = split_masks(T, ambient)
+        for S in family:
+            s_masks = split_masks(S, ambient)
+            union = set(t_masks) | set(s_masks)
+            pairwise = all((p & q) in (0, p, q) for p, q in itertools.combinations(union, 2))
+            assert _laminar(t_masks, s_masks) == pairwise
+            assert (_refine(T, S, ambient) is None) == (not pairwise)
+            laminar_pairs += pairwise
+    assert 0 < laminar_pairs < len(family) ** 2
+
+
+def test_integrate_term_is_the_fraction_formula():
+    for j, i in itertools.combinations(range(1, 5), 2):
+        x = z_cycle(5, i, j)
+        products = [
+            product_with_stratum(push_tree(t, d), S)
+            for t, d in x.terms
+            for S in strata_family(x.ambient, 3 - t.num_edges() - d.degree())
+        ]
+        decorated = list(x.terms) + [key for y in products for key in y.terms]
+        nonzero = 0
+        for t, d in decorated:
+            value = integrate_term(t, d, x.ambient)
+            assert type(value) is int
+            assert value == _integrate_term_by_fractions(t, d, x.ambient)
+            nonzero += value != 0
+        assert nonzero
+
+
+def test_memoised_pairings_equal_fresh_ones(monkeypatch):
+    labels = (1, 2, 3, 4, 5, H0)
+    ambient = frozenset(labels)
+    dim = len(labels) - 3
+    cases = [
+        (t, d, S)
+        for t, d in random.Random(13).sample(_decorated_terms(labels), 60)
+        for S in strata_family(ambient, dim - t.num_edges() - d.degree())
+    ]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrate_term(*args)
+
+    monkeypatch.setattr(strata0, "integrate_term", counting)
+    _refine.cache_clear()
+    fresh = [pair_term(t, d, S, ambient) for t, d, S in cases]
+    assert calls
+    calls.clear()
+    memoised = [pair_term(t, d, S, ambient) for t, d, S in cases]
+    assert not calls  # every value came from a refinement's memo
+    monkeypatch.undo()
+    for (t, d, S), a, b in zip(cases, fresh, memoised):
+        assert a == b == integrate(product_with_stratum(push_tree(t, d), S))
+
+
+def test_zero_witness_with_fractional_coefficients():
+    labels = (1, 2, 3, 4, 5, H0)
+    ambient = frozenset(labels)
+    rng = random.Random(17)
+    coeffs = (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 21), Fraction(7, 4))
+    terms = _decorated_terms(labels)
+    for deg in range(1, 4):
+        pool = [(t, d) for t, d in terms if t.num_edges() + d.degree() == deg]
+        family = strata_family(ambient, 3 - deg)
+        for _ in range(4):
+            x = from_terms(ambient, [(t, d, rng.choice(coeffs)) for t, d in rng.sample(pool, 4)])
+            assert zero_witness(x) == next((S for S in family if pair(x, S) != 0), None)
+    # a relation with such coefficients is still zero: 2/7 (psi_h0 - the divisors it equals)
+    psi = one_vertex(labels, {H0: 1})
+    relation = psi
+    for r in range(2, 5):
+        for M in itertools.combinations(range(1, 6), r):
+            if 1 in M and 2 in M:
+                t, _ = build_tree([sorted(ambient - set(M), key=str), sorted(M)], [(0, 1)])
+                relation = relation - push_tree(t)
+    assert zero_witness(relation.scale(Fraction(2, 7))) is None
+    assert zero_witness(relation.scale(Fraction(2, 7)) + psi.scale(Fraction(1, 3))) is not None
+
+
+@pytest.mark.parametrize("legs, betti", [(4, (1, 1)), (5, (1, 5, 1)), (6, (1, 16, 16, 1))])
+def test_pairing_ranks_are_keels_betti_numbers(legs, betti):
+    # Keel (Trans. AMS 1992): the Betti numbers of the moduli space of stable
+    # legs-pointed rational curves; the pairing between strata of codim c and
+    # dim - c is perfect on the classes they span, so its rank is betti[c]
+    ambient = frozenset(range(1, legs + 1))
+    dim = legs - 3
+    for c in range(dim + 1):
+        rows = [[pair(push_tree(S), T) for T in strata_family(ambient, dim - c)] for S in strata_family(ambient, c)]
+        assert _rank(rows) == betti[c]
+
+
+def test_class_arithmetic_keeps_terms_and_checks_new_ones():
+    x, y = z_cycle(4, 2, 1), z_cycle(4, 3, 1)
+    assert (x + y) - y == x
+    assert (x - x).terms == {} and x.scale(0).terms == {}
+    assert x.scale(Fraction(2, 3)).terms == {k: c * Fraction(2, 3) for k, c in x.terms.items()}
+    total = x + y
+    total.terms.clear()  # a sum owns its terms
+    assert x.terms and y.terms
+    (t, d), _ = next(iter(x.terms.items()))
+    with pytest.raises(InvalidArgument):
+        Class0(frozenset((1, 2, 3, H0)), {(t, d): Fraction(1)})
+    with pytest.raises(InvalidArgument):
+        x + z_cycle(3, 2, 1)
+
+
+def test_strata_families_come_from_one_enumeration():
+    ambient = frozenset((1, 2, 3, 4, 5, H0))
+    full = enumerate_stable_trees((1, 2, 3, 4, 5, H0))
+    assert enumerate_stable_trees((H0, 1, 2, 3, 4, 5)) is full
+    assert enumerate_trees0(5) is full
+    by_codim = [strata_family(ambient, c) for c in range(4)]
+    for c, family in enumerate(by_codim):
+        assert family == tuple(t for t in full if t.num_edges() == c)
+        assert list(family) == sorted(family, key=lambda t: t.sort_key())
+    assert sum(map(len, by_codim)) == len(full)
