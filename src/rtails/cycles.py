@@ -122,9 +122,6 @@ class DecPolynomial:
                 return c
         return zero(ambient0(self.n))
 
-    def j_range(self):
-        return [j for j, _ in self.coefficients]
-
 
 def dec_polynomial(n: int, i: int, m: int = 1) -> DecPolynomial:
     """All graded pieces of Dec with degrees inside the ambient dimension."""

@@ -25,7 +25,7 @@ import itertools
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Optional
 
 from .trees import (
@@ -53,7 +53,7 @@ from .trees import (
     vertex_of_leg,
     vertex_slots,
 )
-from .strata0 import pair_term, strata_family
+from .strata0 import FormalSum, dim_of, pair_term, strata_family, term_degree
 from .weights import coeff_c
 from .cycles import VerificationReport
 
@@ -92,10 +92,10 @@ def _check_fact_keys(graph: Tree, fact: tuple) -> None:
             raise InvalidArgument(f"factored slot {key!r} is not a root slot")
 
 
-class RtClass:
+class RtClass(FormalSum):
     """Formal sum of rational-tails terms with factored root monomials."""
 
-    __slots__ = ("legs", "terms")
+    __slots__ = ("legs",)
 
     def __init__(self, legs, terms: Optional[Mapping] = None):
         self.legs = frozenset(legs)
@@ -111,41 +111,15 @@ class RtClass:
             raise InvalidArgument("term legs do not match the class")
         fact = _fact_tuple(dict(fact))
         _check_fact_keys(graph, fact)
-        key = (graph, dec, fact)
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        self._put((graph, dec, fact), coeff)
 
-    def items(self):
-        def sk(kv):
-            (graph, dec, fact), _ = kv
-            return (graph.sort_key(), dec.sort_key(), tuple((k[0], str(k[1]), e) for k, e in fact))
+    def _space(self) -> tuple:
+        return (self.legs,)
 
-        return sorted(self.terms.items(), key=sk)
-
-    def __add__(self, other: "RtClass") -> "RtClass":
-        if self.legs != other.legs:
-            raise InvalidArgument("leg mismatch")
-        out = RtClass(self.legs, self.terms)
-        for (g, d, f), c in other.terms.items():
-            out._add(g, d, f, c)
-        return out
-
-    def __sub__(self, other: "RtClass") -> "RtClass":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "RtClass":
-        factor = Fraction(factor)
-        return RtClass(self.legs, {k: c * factor for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RtClass)
-            and self.legs == other.legs
-            and self.terms == other.terms
-        )
+    @staticmethod
+    def _sort_key(key) -> tuple:
+        graph, dec, fact = key
+        return (graph.sort_key(), dec.sort_key(), tuple((k[0], str(k[1]), e) for k, e in fact))
 
     def __repr__(self) -> str:
         return f"RtClass(n={len(self.legs)}, {len(self.terms)} terms)"
@@ -179,20 +153,18 @@ def _fact_for(graph: Tree, dec: Decoration, mults: Mapping) -> dict:
 _f_cache: dict = {}
 
 
-def f_class_m(k, g, mults, *, keep_formal: bool = False) -> RtClass:
+def f_class_m(k, g, mults) -> RtClass:
     """The multiplicity graph-formula class; legs 1..n with weights ``mults``.
 
     k and g ride along symbolically (the factored basis carries k, the genus
     vertex is opaque).  Decorated graphs with a negative net tail exponent are
-    verified to sum to zero per root profile and dropped, unless
-    ``keep_formal``.
+    verified to sum to zero per root profile and dropped.
     """
     mults = tuple(int(m) for m in mults)
     if not mults or any(m < 1 for m in mults):
         raise InvalidArgument("multiplicities must be positive")
-    key = (mults, keep_formal)
-    if key in _f_cache:
-        return _f_cache[key]
+    if mults in _f_cache:
+        return _f_cache[mults]
     n = len(mults)
     weights = {l: mults[l - 1] for l in range(1, n + 1)}
     total_degree = sum(mults)
@@ -215,12 +187,10 @@ def f_class_m(k, g, mults, *, keep_formal: bool = False) -> RtClass:
                 formal._add(graph, dec, fact, sign * c)
             else:
                 out._add(graph, dec, fact, sign * c)
-    if formal.terms:
-        if keep_formal:
-            out = out + formal
-        else:
-            _verify_profile_vanishing(formal, context=f"f_class_m{mults} negative exponents")
-    _f_cache[key] = out
+    profile = _profile_witness(formal)
+    if profile is not None:
+        raise ArithmeticError(f"f_class_m{mults} negative exponents: profile {profile} does not vanish")
+    _f_cache[mults] = out
     return out
 
 
@@ -240,7 +210,7 @@ def over_degree_terms(n: int) -> RtClass:
     """The graph-formula contributions with deg β > n, kept formally.
 
     These are dropped from `f_class`; the vanishing theorem makes their
-    per-profile sums zero, which `verify_profile_vanishing` can certify.
+    per-profile sums zero, which `verify_overdegree_drop` certifies.
     """
     weights = {l: 1 for l in range(1, n + 1)}
     out = RtClass(range(1, n + 1))
@@ -313,49 +283,49 @@ def _profile_groups(x: RtClass) -> dict:
 def _tensor_is_zero(profile, bucket: dict) -> bool:
     """Zero test in the tensor product of the tails' strata algebras.
 
-    Pairs the residual against every tuple of boundary strata; sound and
+    The product is graded by multidegree (one degree per tail), and a term
+    pairs to nonzero only with tuples of strata of complementary codimension,
+    so each multidegree is paired against those tuples alone.  Sound and
     complete because each factor's pairing is perfect and strata span.
+    Coefficients are summed as integer numerators over the bucket's lcm.
     """
     bucket = {k: c for k, c in bucket.items() if c}
     if not bucket:
         return True
-    _, tail_meta = profile
-    ambients = [frozenset(legs) | {H0} for legs, _, _ in tail_meta]
-    families = []
-    for amb in ambients:
-        fam = []
-        for codim in range(len(amb) - 2):
-            fam.extend(strata_family(amb, codim))
-        families.append(fam)
-    for strata in itertools.product(*families):
-        total = Fraction(0)
-        for contents, coeff in bucket.items():
-            prod = coeff
-            for (tree, dec), S, amb in zip(contents, strata, ambients):
-                prod *= pair_term(tree, dec, S, amb)
-                if not prod:
-                    break
-            total += prod
-        if total:
-            return False
+    ambients = [frozenset(legs) | {H0} for legs, _, _ in profile[1]]
+    common = lcm(*(c.denominator for c in bucket.values()))
+    by_degree: dict = {}
+    for contents, coeff in bucket.items():
+        degrees = tuple(term_degree(tree, dec) for tree, dec in contents)
+        by_degree.setdefault(degrees, []).append((contents, coeff.numerator * (common // coeff.denominator)))
+    for degrees, items in by_degree.items():
+        families = [strata_family(amb, dim_of(amb) - d) for amb, d in zip(ambients, degrees)]
+        for strata in itertools.product(*families):
+            total = 0
+            for contents, num in items:
+                for (tree, dec), S, amb in zip(contents, strata, ambients):
+                    num *= pair_term(tree, dec, S, amb)
+                    if not num:
+                        break
+                total += num
+            if total:
+                return False
     return True
 
 
-def _verify_profile_vanishing(x: RtClass, context: str) -> None:
+def _profile_witness(x: RtClass):
+    """The first root profile of ``x`` that does not vanish, or None."""
     for profile, bucket in _profile_groups(x).items():
         if not _tensor_is_zero(profile, bucket):
-            raise ArithmeticError(f"{context}: profile {profile} does not vanish")
+            return profile
+    return None
 
 
 def verify_overdegree_drop(n: int) -> VerificationReport:
     """The dropped deg β > n contributions vanish per root profile."""
     t0 = time.perf_counter()
-    extra = over_degree_terms(n)
-    try:
-        _verify_profile_vanishing(extra, context=f"over-degree terms at n={n}")
-    except ArithmeticError as exc:
-        return VerificationReport("overdegree_drop", (n,), False, str(exc), time.perf_counter() - t0)
-    return VerificationReport("overdegree_drop", (n,), True, None, time.perf_counter() - t0)
+    profile = _profile_witness(over_degree_terms(n))
+    return VerificationReport("overdegree_drop", (n,), profile is None, profile, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +469,8 @@ def verify_frec(k, g, n: int) -> VerificationReport:
     for r in range(1, n):
         for I in itertools.combinations(range(1, n), r):
             lhs = lhs - e_class(k, g, n, I).scale(len(I))
-    diff = lhs - f_class(k, g, n)
-    for profile, bucket in _profile_groups(diff).items():
-        if not _tensor_is_zero(profile, bucket):
-            return VerificationReport("frec", (n,), False, profile, time.perf_counter() - t0)
-    return VerificationReport("frec", (n,), True, None, time.perf_counter() - t0)
+    profile = _profile_witness(lhs - f_class(k, g, n))
+    return VerificationReport("frec", (n,), profile is None, profile, time.perf_counter() - t0)
 
 
 def verify_colliding_rt(k, g, mults) -> VerificationReport:
@@ -521,17 +488,13 @@ def verify_colliding_rt(k, g, mults) -> VerificationReport:
             x = relabel_rt(x, mapping)
         pos += 1
     expected = f_class_m(k, g, mults)
+    profile = None
     if x == expected:
-        method = "termwise"
+        witness = "termwise"
     else:
-        diff = x - expected
-        for profile, bucket in _profile_groups(diff).items():
-            if not _tensor_is_zero(profile, bucket):
-                return VerificationReport(
-                    "colliding_rt", mults, False, profile, time.perf_counter() - t0
-                )
-        method = "per-profile"
-    return VerificationReport("colliding_rt", mults, True, method, time.perf_counter() - t0)
+        profile = _profile_witness(x - expected)
+        witness = "per-profile" if profile is None else profile
+    return VerificationReport("colliding_rt", mults, profile is None, witness, time.perf_counter() - t0)
 
 
 def verify_expansions() -> VerificationReport:
@@ -592,59 +555,47 @@ def verify_heavy_pushforwards() -> VerificationReport:
 # pushforwards
 
 
-class KPoly:
-    """Integer-coefficient polynomials in the symbol k, with Fraction arithmetic."""
+class KPoly(FormalSum):
+    """Integer-coefficient polynomials in the symbol k, with Fraction arithmetic.
 
-    __slots__ = ("c",)
+    ``terms`` maps a power of k to its nonzero coefficient.
+    """
+
+    __slots__ = ()
 
     def __init__(self, c=None):
-        self.c = {}
+        self.terms = {}
         for d, v in dict(c or {}).items():
-            v = Fraction(v)
-            if v:
-                self.c[int(d)] = v
+            self._put(int(d), Fraction(v))
+
+    @staticmethod
+    def _sort_key(d: int) -> int:
+        return -d
 
     @staticmethod
     def const(v) -> "KPoly":
         return KPoly({0: Fraction(v)})
 
-    @staticmethod
-    def k(power: int = 1) -> "KPoly":
-        return KPoly({power: 1})
-
-    def __add__(self, other: "KPoly") -> "KPoly":
-        out = dict(self.c)
-        for d, v in other.c.items():
-            out[d] = out.get(d, Fraction(0)) + v
-        return KPoly(out)
+    def __neg__(self) -> "KPoly":
+        return self.scale(-1)
 
     def __mul__(self, other) -> "KPoly":
         if not isinstance(other, KPoly):
             other = KPoly.const(other)
-        out: dict = {}
-        for d1, v1 in self.c.items():
-            for d2, v2 in other.c.items():
-                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + v1 * v2
-        return KPoly(out)
+        out = KPoly()
+        for d1, v1 in self.terms.items():
+            for d2, v2 in other.terms.items():
+                out._put(d1 + d2, v1 * v2)
+        return out
 
     def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.c.items())))
-
-    def subs(self, value) -> Fraction:
-        return sum((v * Fraction(value) ** d for d, v in self.c.items()), Fraction(0))
+        return bool(self.terms)
 
     def __repr__(self) -> str:
-        if not self.c:
+        if not self.terms:
             return "0"
         bits = []
-        for d in sorted(self.c, reverse=True):
-            v = self.c[d]
+        for d, v in self.items():
             mag = abs(v)
             mono = "" if d == 0 else ("k" if d == 1 else f"k^{d}")
             if not mono:
@@ -660,10 +611,10 @@ class KPoly:
         return out
 
 
-class PushedClass:
+class PushedClass(FormalSum):
     """η-reduced pushforward: symbols ω, ψ, λ, κ, η over boundary graphs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Optional[Mapping] = None):
         self.terms = {}
@@ -671,21 +622,11 @@ class PushedClass:
             self._add(key, coeff)
 
     def _add(self, key, coeff) -> None:
-        if not isinstance(coeff, KPoly):
-            coeff = KPoly.const(coeff)
-        if not coeff:
-            return
-        new = self.terms.get(key, KPoly()) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        self._put(key, coeff if isinstance(coeff, KPoly) else KPoly.const(coeff))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PushedClass) and self.terms == other.terms
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
+    @staticmethod
+    def _sort_key(key) -> str:
+        return repr(key)
 
     def __repr__(self) -> str:
         return f"PushedClass({len(self.terms)} terms)"
@@ -739,68 +680,60 @@ def pushforward_phi(x: RtClass, k: int, g: int, rank_override: Optional[int] = N
     return out
 
 
-def pushforward_point(x: RtClass, k="k", g: Optional[int] = None) -> PushedClass:
-    """Push a single-leg class down the point-forgetting map via κ-classes.
+def _psi_eta_terms(x: RtClass):
+    """Expand a smooth one-leg class after ω = ψ: ((ψ-exp, η-exp), KPoly) pairs.
 
-    With the default symbolic k the coefficients are polynomials in k; a
-    numeric k evaluates them.  κ_0 evaluates to 2g - 2 when g is numeric.
+    A term c ψ^d (kψ - η)^b contributes c C(b,t) (-1)^t k^{b-t} ψ^{b-t+d} η^t.
     """
-    if len(x.legs) != 1:
-        raise InvalidArgument("pushforward_point needs a single-leg class")
-    out = PushedClass()
+    (leg,) = x.legs
     for (graph, dec, fact), coeff in x.terms.items():
         if graph.num_edges():
             raise InvalidArgument("single-leg classes are supported on the smooth locus only")
-        leg = next(iter(x.legs))
         d = dec.leg_exp(leg)
         b = dict(fact).get(_leg_slot(leg), 0)
         if b < 0:
             raise InvalidArgument("negative factored exponent cannot be expanded")
-        # ω = ψ at the single marked point; expand ((k)ψ - η)^b ψ^d
         for t in range(b + 1):
-            a = b - t + d  # ψ-power
-            kc = KPoly({b - t: Fraction(coeff) * comb(b, t) * (-1) ** t})
-            if a == 0:
-                continue  # π_*(η^t) with no ψ dies
-            kappa = a - 1
-            if kappa == 0 and g is not None:
-                out._add(("eta", t), kc * KPoly.const(2 * g - 2))
-            else:
-                out._add(("kappa", kappa, "eta", t), kc)
-    if k not in ("k", "sym"):
-        out = PushedClass({key: KPoly.const(c.subs(k)) for key, c in out.terms.items()})
+            yield (b - t + d, t), KPoly({b - t: coeff * comb(b, t) * (-1) ** t})
+
+
+def pushforward_point(x: RtClass, g: Optional[int] = None) -> PushedClass:
+    """Push a single-leg class down the point-forgetting map via κ-classes.
+
+    The coefficients are polynomials in the symbol k.  κ_0 evaluates to
+    2g - 2 when g is numeric.
+    """
+    if len(x.legs) != 1:
+        raise InvalidArgument("pushforward_point needs a single-leg class")
+    out = PushedClass()
+    for (a, t), kc in _psi_eta_terms(x):
+        if a == 0:
+            continue  # π_*(η^t) with no ψ dies
+        kappa = a - 1
+        if kappa == 0 and g is not None:
+            out._add(("eta", t), kc * KPoly.const(2 * g - 2))
+        else:
+            out._add(("kappa", kappa, "eta", t), kc)
     return out
 
 
-def heavy_point_expansion(a: int) -> dict:
-    """Coefficients of ∏_{b=0}^{a-1}((k+b)ψ - η) as {(ψ-exp, η-exp): KPoly}."""
-    terms = {(0, 0): KPoly.const(1)}
+def heavy_point_expansion(a: int) -> PushedClass:
+    """∏_{b=0}^{a-1}((k+b)ψ - η), keyed by (ψ-exp, η-exp)."""
+    out = PushedClass({(0, 0): 1})
     for b in range(a):
-        new: dict = {}
-        for (pp, pe), c in terms.items():
-            for key, mult in (((pp + 1, pe), KPoly({1: 1, 0: b})), ((pp, pe + 1), KPoly.const(-1))):
-                prev = new.get(key, KPoly())
-                new[key] = prev + c * mult
-        terms = {k: v for k, v in new.items() if v}
-    return terms
+        step = PushedClass()
+        for (pp, pe), c in out.terms.items():
+            step._add((pp + 1, pe), c * KPoly({1: 1, 0: b}))
+            step._add((pp, pe + 1), -c)
+        out = step
+    return out
 
 
-def f_heavy_expanded(a: int) -> dict:
+def f_heavy_expanded(a: int) -> PushedClass:
     """The one-heavy-leg class expanded in (ψ, η) after the ω = ψ identification."""
-    x = f_class_m("k", "g", (a,))
-    out: dict = {}
-    for (graph, dec, fact), coeff in x.terms.items():
-        d = dec.leg_exp(1)
-        b = dict(fact).get(_leg_slot(1), 0)
-        for t in range(b + 1):
-            key = (b - t + d, t)
-            kc = KPoly({b - t: Fraction(coeff) * comb(b, t) * (-1) ** t})
-            prev = out.get(key, KPoly())
-            new = prev + kc
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+    out = PushedClass()
+    for key, kc in _psi_eta_terms(f_class_m("k", "g", (a,))):
+        out._add(key, kc)
     return out
 
 

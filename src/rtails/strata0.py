@@ -1,4 +1,8 @@
-"""The genus-0 strata algebra.
+"""The genus-0 strata algebra, and the formal-sum core every class shares.
+
+`FormalSum` owns the bookkeeping of an exact finite linear combination (add,
+cancel, compare); `Class0` here and `RtClass`, `PushedClass` and `KPoly` in
+`rtclasses` subclass it.
 
 A `Class0` is an exact formal sum of ψ-decorated boundary-strata pushforwards
 on the moduli space of stable rational curves determined by its leg set.
@@ -48,13 +52,71 @@ from .trees import (
     valence,
     vertex_of_leg,
     vertex_slots,
+    _tree_from_laminar,
 )
 
 
-class Class0:
+class FormalSum:
+    """An exact finite linear combination: term key -> nonzero coefficient.
+
+    ``_put`` is the one place a coefficient is added into ``terms`` and a
+    cancelled key dropped.  Subclasses check a new term in their own ``_add``
+    before they ``_put`` it; sums and multiples copy terms that are already
+    checked.  A subclass supplies ``_space()``, the constructor arguments
+    that fix where the sum lives (two summands must agree on them), and
+    ``_sort_key(key)``, the canonical order of ``items()``.
+    """
+
+    __slots__ = ("terms",)
+
+    def _space(self) -> tuple:
+        return ()
+
+    def _put(self, key, coeff) -> None:
+        old = self.terms.get(key)
+        new = coeff if old is None else old + coeff
+        if new:
+            self.terms[key] = new
+        else:
+            self.terms.pop(key, None)
+
+    def _empty(self):
+        return type(self)(*self._space())
+
+    def items(self):
+        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def _combined(self, other: "FormalSum", sign: int):
+        """self + sign * other."""
+        if type(other) is not type(self) or other._space() != self._space():
+            raise InvalidArgument(f"cannot add {other!r} to {self!r}")
+        out = self._empty()
+        out.terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out._put(key, coeff if sign > 0 else -coeff)
+        return out
+
+    def __add__(self, other):
+        return self._combined(other, 1)
+
+    def __sub__(self, other):
+        return self._combined(other, -1)
+
+    def scale(self, factor):
+        factor = Fraction(factor)
+        out = self._empty()
+        if factor:
+            out.terms = {k: c * factor for k, c in self.terms.items()}
+        return out
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._space() == other._space() and self.terms == other.terms
+
+
+class Class0(FormalSum):
     """Formal sum of decorated strata on the moduli space with the given legs."""
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ("ambient",)
 
     def __init__(self, ambient: Iterable, terms: Optional[Mapping] = None):
         self.ambient = frozenset(ambient)
@@ -65,60 +127,21 @@ class Class0:
             self._add(tree, dec, coeff)
 
     def _add(self, tree: Tree, dec: Decoration, coeff: Fraction) -> None:
-        if not coeff or term_is_zero(tree, dec, self.ambient):
-            return
-        key = (tree, dec)
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        if coeff and not term_is_zero(tree, dec, self.ambient):
+            self._put((tree, dec), coeff)
 
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(*kv[0]))
+    def _space(self) -> tuple:
+        return (self.ambient,)
 
-    def _combined(self, other: "Class0", sign: int) -> "Class0":
-        """self + sign * other; both classes' terms are already checked."""
-        if self.ambient != other.ambient:
-            raise InvalidArgument("ambient mismatch")
-        out = Class0(self.ambient)
-        terms = out.terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, 0) + sign * coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        return out
-
-    def __add__(self, other: "Class0") -> "Class0":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "Class0") -> "Class0":
-        return self._combined(other, -1)
-
-    def scale(self, factor) -> "Class0":
-        factor = Fraction(factor)
-        out = Class0(self.ambient)
-        if factor:
-            out.terms = {k: c * factor for k, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Class0)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
+    @staticmethod
+    def _sort_key(key) -> tuple:
+        return term_sort_key(*key)
 
     def __repr__(self) -> str:
         return f"Class0({sorted(self.ambient, key=label_key)!r}, {len(self.terms)} terms)"
 
     def degrees(self) -> set:
         return {term_degree(t, d) for t, d in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def mul_psi(self, leg, power: int = 1) -> "Class0":
         """Multiply by ψ_leg^power (the ψ-class at a marked point)."""
@@ -245,18 +268,8 @@ def split_masks(tree: Tree, ambient: frozenset) -> tuple:
 
 @lru_cache(maxsize=None)
 def _tree_from_masks(ambient: frozenset, masks: tuple) -> Tree:
-    order = _bit_order(ambient)
-    fam = [frozenset(l for i, l in enumerate(order) if (m >> i) & 1) for m in masks]
-    # split off parts largest-first: a part's legs are then still co-located
-    verts = [set(order)]
-    edges: list = []
-    for part in sorted(fam, key=len, reverse=True):
-        vi = next(i for i, vs in enumerate(verts) if part <= vs)
-        verts[vi] -= part
-        verts.append(set(part))
-        edges.append((vi, len(verts) - 1))
-    tree, _ = build_tree([sorted(vs, key=label_key) for vs in verts], edges)
-    return tree
+    """The stratum whose edge splits are the bitmasks ``masks``."""
+    return _tree_from_laminar(_bit_order(ambient), masks, rt=False)
 
 
 def _laminar(t_masks: tuple, s_masks: tuple) -> bool:

@@ -97,9 +97,6 @@ class Decoration:
         return (self.half, tuple((label_key(l), e) for l, e in self.leg))
 
 
-EMPTY_DEC = Decoration()
-
-
 def make_decoration(half_exp: Optional[Mapping] = None, leg_exp: Optional[Mapping] = None) -> Decoration:
     half = tuple(sorted((slot, e) for slot, e in (half_exp or {}).items() if e))
     leg = tuple(sorted(((l, e) for l, e in (leg_exp or {}).items() if e), key=lambda t: label_key(t[0])))
@@ -376,14 +373,10 @@ def _tree_from_laminar(labels: tuple, family: tuple, rt: bool, extra_root_legs: 
     return tree
 
 
-def _trees_of_laminar(labels: tuple, max_part: int, num_edges, rt: bool, extra_root_legs: tuple = ()) -> tuple:
+def _trees_of_laminar(labels: tuple, max_part: int, rt: bool, extra_root_legs: tuple = ()) -> tuple:
     """Dual trees of the laminar families of 2..max_part-subsets of ``labels``."""
     cands = _subsets_as_masks(len(labels), 2, max_part)
-    out = [
-        _tree_from_laminar(labels, fam, rt, extra_root_legs)
-        for fam in _laminar_families(cands)
-        if num_edges is None or len(fam) == num_edges
-    ]
+    out = [_tree_from_laminar(labels, fam, rt, extra_root_legs) for fam in _laminar_families(cands)]
     out.sort(key=Tree.sort_key)
     return tuple(out)
 
@@ -400,7 +393,7 @@ def enumerate_stable_trees(labels: tuple) -> tuple:
         raise InvalidArgument("need at least three legs")
     if ordered != tuple(labels):
         return enumerate_stable_trees(ordered)
-    return _trees_of_laminar(ordered[1:], len(ordered) - 2, None, rt=False, extra_root_legs=ordered[:1])
+    return _trees_of_laminar(ordered[1:], len(ordered) - 2, rt=False, extra_root_legs=ordered[:1])
 
 
 def enumerate_trees0(n: int) -> tuple:
@@ -411,11 +404,11 @@ def enumerate_trees0(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def enumerate_rt_graphs(n: int, num_edges: Optional[int] = None) -> tuple:
+def enumerate_rt_graphs(n: int) -> tuple:
     """All rational-tails graphs with legs 1..n and a genus-g root vertex."""
     if n < 1:
         raise InvalidArgument("enumerate_rt_graphs requires n >= 1")
-    return _trees_of_laminar(tuple(range(1, n + 1)), n, num_edges, rt=True)
+    return _trees_of_laminar(tuple(range(1, n + 1)), n, rt=True)
 
 
 def dimension_budget(tree: Tree, v: int) -> Optional[int]:

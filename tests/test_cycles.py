@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from rtails import cycles
 from rtails.trees import H0, InvalidArgument, build_tree
 from rtails.strata0 import Class0, is_zero, zero
 from rtails.cycles import (
@@ -216,3 +217,16 @@ def test_truncation_support():
                 for tree, _ in diff.terms:
                     assert set(tree.legs[0]) == {H0, n}
                     assert len(child_edges_of(tree, 0)) == 1
+
+
+def test_cached_z_cycles_equal_fresh_ones(monkeypatch):
+    monkeypatch.setattr(cycles, "_z_cache", {})
+    assert verify_recursion_a(4, 2, 1).passed
+    assert verify_decrec(4, 2).passed
+    assert verify_collide0(4, 2).passed
+    assert all(rep.passed for rep in verify_vanishing(4))
+    cached = dict(cycles._z_cache)
+    assert any(key[-1] for key in cached) and any(not key[-1] for key in cached)
+    for (n, i, j, m, truncated), x in cached.items():
+        assert (z_truncated(n, i, j) if truncated else z_cycle(n, i, j, m)) is x
+        assert cycles._assemble_z(n, i, j, m, truncated) == x

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from rtails.trees import InvalidArgument, build_tree
+from rtails import rtclasses
+from rtails.strata0 import pair_term, push_tree, strata_family
+from rtails.trees import H0, InvalidArgument, build_tree
 from rtails.rtclasses import (
     KPoly,
     PushedClass,
@@ -268,3 +270,139 @@ def test_emit_relation_regimes():
     assert x.terms
     with pytest.raises(InvalidArgument):
         emit_relation(2, 2)
+
+
+def _all_codim_is_zero(profile, bucket):
+    """The tensor zero test pairing every tuple of strata of every codimension."""
+    bucket = {k: c for k, c in bucket.items() if c}
+    ambients = [frozenset(legs) | {H0} for legs, _, _ in profile[1]]
+    families = [[S for c in range(len(amb) - 2) for S in strata_family(amb, c)] for amb in ambients]
+    for strata in itertools.product(*families):
+        total = Fraction(0)
+        for contents, coeff in bucket.items():
+            prod = coeff
+            for (tree, dec), S, amb in zip(contents, strata, ambients):
+                prod *= pair_term(tree, dec, S, amb)
+            total += prod
+        if total:
+            return False
+    return True
+
+
+def _two_tail_buckets():
+    """A vanishing bucket over two tails {1,2,3} and {4,5,6}, and perturbations of it.
+
+    On each tail's M_{0,4} ψ_1 (resp. ψ_4) is the class of a boundary point, so
+    ψ - D vanishes in degree 1 and ψ⊗ψ - D⊗D in bidegree (1, 1).
+    """
+    def tail(legs, psi=False, split=False):
+        if split:
+            return build_tree([[H0, legs[0]], list(legs[1:])], [(0, 1)])
+        return build_tree([[H0, *legs]], [], leg_exp={legs[0]: 1} if psi else {})
+
+    a, b = (1, 2, 3), (4, 5, 6)
+    point = tail(a), tail(b)
+    psi = tail(a, psi=True), tail(b, psi=True)
+    div = tail(a, split=True), tail(b, split=True)
+    vanishing = {
+        (psi[0], point[1]): Fraction(1),
+        (div[0], point[1]): Fraction(-1),
+        (point[0], psi[1]): Fraction(2),
+        (point[0], div[1]): Fraction(-2),
+        (psi[0], psi[1]): Fraction(1, 3),
+        (div[0], div[1]): Fraction(-1, 3),
+    }
+    profile = ((), ((a, 0, 0), (b, 0, 0)))
+    perturbed = [
+        {**vanishing, (point[0], point[1]): Fraction(5)},
+        {**vanishing, (div[0], div[1]): Fraction(-1, 2)},
+        {**vanishing, (div[0], point[1]): Fraction(-3, 7)},
+    ]
+    return profile, vanishing, perturbed
+
+
+def test_tensor_zero_test_matches_the_all_codimension_oracle(monkeypatch):
+    seen = []
+    real = rtclasses._tensor_is_zero
+
+    def recording(profile, bucket):
+        seen.append((profile, dict(bucket)))
+        return real(profile, bucket)
+
+    monkeypatch.setattr(rtclasses, "_tensor_is_zero", recording)
+    for n in (2, 3, 4):
+        assert verify_frec("k", "g", n).passed
+    monkeypatch.undo()
+    assert seen
+    nonvanishing = 0
+    for profile, bucket in seen:
+        assert real(profile, bucket) == _all_codim_is_zero(profile, bucket) is True
+        # one more copy of a term's tail content: vanishing or not, both tests agree
+        contents, coeff = next((k, c) for k, c in bucket.items() if c)
+        bumped = {**bucket, contents: coeff + 1}
+        verdict = real(profile, bumped)
+        assert verdict == _all_codim_is_zero(profile, bumped)
+        nonvanishing += not verdict
+    assert nonvanishing
+    profile, vanishing, perturbed = _two_tail_buckets()
+    assert real(profile, vanishing) and _all_codim_is_zero(profile, vanishing)
+    for bucket in perturbed:
+        assert not real(profile, bucket) and not _all_codim_is_zero(profile, bucket)
+
+
+def test_rt_sums_copy_checked_terms(monkeypatch):
+    x, y = f_class("k", "g", 3), e_class("k", "g", 3, {1})
+    calls = []
+    real = rtclasses._rt_term_is_zero
+
+    def counting(graph, dec):
+        calls.append(graph)
+        return real(graph, dec)
+
+    monkeypatch.setattr(rtclasses, "_rt_term_is_zero", counting)
+    total = x + y
+    assert (total - y) == x and x.scale(2) - x == x
+    assert calls == []
+
+
+def test_formal_sums_of_another_space_or_type_are_refused():
+    with pytest.raises(InvalidArgument):
+        f_class("k", "g", 2) + f_class("k", "g", 3)
+    with pytest.raises(InvalidArgument):
+        f_class("k", "g", 2) - e_class("k", "g", 3, {1})
+    point = push_tree(build_tree([[H0, 1, 2]], [])[0])
+    with pytest.raises(InvalidArgument):
+        point + push_tree(build_tree([[H0, 1, 2, 3]], [])[0])
+    with pytest.raises(InvalidArgument):
+        point + RtClass(point.ambient)
+    with pytest.raises(InvalidArgument):
+        KPoly.const(1) + PushedClass()
+    with pytest.raises(InvalidArgument):
+        PushedClass() - KPoly.const(1)
+
+
+def test_kpoly_and_pushed_class_cancellation_drops_keys():
+    p = KPoly({2: 1, 1: 3, 0: Fraction(1, 2)})
+    q = p + KPoly({1: -3})
+    assert q.terms == {2: 1, 0: Fraction(1, 2)}
+    assert (p - p).terms == {} and not (p - p)
+    assert (p * KPoly({1: 1, 0: -1})).terms == {3: 1, 2: 2, 1: Fraction(-5, 2), 0: Fraction(-1, 2)}
+    assert repr(-q) == "-k^2 - 1/2"
+    x = PushedClass({("eta", 0): p, ("eta", 1): 2})
+    x._add(("eta", 0), KPoly({2: -1, 1: -3, 0: Fraction(-1, 2)}))
+    assert x.terms == {("eta", 1): KPoly.const(2)}
+    x._add(("eta", 1), -2)
+    assert x.terms == {} and x == PushedClass()
+    assert (heavy_point_expansion(3) - f_heavy_expanded(3)).terms == {}
+
+
+def test_cached_f_classes_equal_fresh_ones(monkeypatch):
+    monkeypatch.setattr(rtclasses, "_f_cache", {})
+    assert verify_frec("k", "g", 3).passed
+    assert verify_colliding_rt("k", "g", (2, 1)).passed
+    cached = dict(rtclasses._f_cache)
+    assert set(cached) >= {(1, 1), (1, 1, 1), (2, 1)}
+    assert all(f_class_m("k", "g", mults) is x for mults, x in cached.items())
+    for mults, x in cached.items():
+        monkeypatch.setattr(rtclasses, "_f_cache", {})
+        assert f_class_m("k", "g", mults) == x

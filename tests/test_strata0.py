@@ -497,3 +497,10 @@ def test_strata_families_come_from_one_enumeration():
         assert family == tuple(t for t in full if t.num_edges() == c)
         assert list(family) == sorted(family, key=lambda t: t.sort_key())
     assert sum(map(len, by_codim)) == len(full)
+
+
+def test_the_dual_tree_of_a_strata_split_family_is_that_stratum():
+    for labels in ((H0, 1, 2, 3, 4), (H0, 1, 2, 3, 4, 5)):
+        ambient = frozenset(labels)
+        for S in enumerate_stable_trees(labels):
+            assert strata0._tree_from_masks(ambient, split_masks(S, ambient)) == S
