@@ -12,7 +12,6 @@ stratum whose pairing does not vanish.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,12 +20,10 @@ from .trees import (
     H0,
     InvalidArgument,
     build_tree,
-    child_edges_of,
+    coda_path,
     decorations_of_degree,
     enumerate_trees0,
     make_decoration,
-    path_edges,
-    vertex_of_leg,
 )
 from .strata0 import (
     Class0,
@@ -56,9 +53,9 @@ class VerificationReport:
         return f"{status} {self.identity}{self.params}{extra}"
 
 
-def _report(identity: str, params: tuple, diff: Class0, t0: float) -> VerificationReport:
+def _report(identity: str, params: tuple, diff: Class0) -> VerificationReport:
     w = zero_witness(diff)
-    return VerificationReport(identity, params, w is None, w, time.perf_counter() - t0)
+    return VerificationReport(identity, params, w is None, w)
 
 
 def ambient0(n: int) -> frozenset:
@@ -143,27 +140,16 @@ def e_cycle(n: int, I, i: int, j: int) -> Class0:
     out = zero(amb)
     if degree < 0 or degree > dim_of(amb):
         return out
-    full = I == set(range(1, n))
     for tree in enumerate_trees0(n):
-        v_n = vertex_of_leg(tree, n)
-        if child_edges_of(tree, v_n):
-            continue
-        path = path_edges(tree, v_n)
-        if not path:
-            if not full:
-                continue
-        elif set(tree.legs[v_n]) != I | {n}:
-            continue
+        path = coda_path(tree, n, I)
         psi_budget = degree - tree.num_edges()
-        if psi_budget < 0:
+        # the one-vertex coda (empty path) carries no ψ
+        if path is None or psi_budget < 0 or (not path and psi_budget):
             continue
         sign = (-1) ** tree.num_edges()
-        coda_head = (path[-1], 1) if path else None
         for dec in decorations_of_degree(tree, psi_budget):
-            if coda_head is not None and dec.half_exp(coda_head):
-                continue
-            if coda_head is None and dec.degree():
-                continue
+            if path and dec.half_exp((path[-1], 1)):
+                continue  # the coda head stays undecorated
             d = coeff_d(tree, dec, i, I)
             if d:
                 out._add(tree, dec, Fraction(sign) * d)
@@ -189,9 +175,8 @@ def _nonempty_subsets(k: int):
 
 
 def _verify_recursion(identity: str, n: int, i: int, j: int) -> VerificationReport:
-    t0 = time.perf_counter()
     diff = _recursion_lhs(n, i, j) - z_truncated(n, i, j)
-    return _report(identity, (n, i, j), diff, t0)
+    return _report(identity, (n, i, j), diff)
 
 
 def verify_recursion_a(n: int, i: int, j: int) -> VerificationReport:
@@ -221,22 +206,20 @@ def verify_dect(n: int, i: int, j: int) -> VerificationReport:
     """Z = Z^t - sum_{i+ > i} i sigma0_*(Z(n-1, i+, j+)) with j+ - i+ = j - i."""
     if i < 1:
         raise InvalidArgument("i must be >= 1")
-    t0 = time.perf_counter()
     diff = _plus_sigma0_terms(z_cycle(n, i, j) - z_truncated(n, i, j), n, i, j, i)
-    return _report("dect", (n, i, j), diff, t0)
+    return _report("dect", (n, i, j), diff)
 
 
 def verify_decrec(n: int, i: int) -> VerificationReport:
     """The D-polynomial recursion, checked coefficientwise in D^{-1}."""
     if n < 3 or i < 1:
         raise InvalidArgument("verify_decrec needs n >= 3, i >= 1")
-    t0 = time.perf_counter()
     for j in range(i - n + 1, i):
         diff = _plus_sigma0_terms(_recursion_lhs(n, i, j) - z_cycle(n, i, j), n, i, j, -i)
         w = zero_witness(diff)
         if w is not None:
-            return VerificationReport("decrec", (n, i), False, (j, w), time.perf_counter() - t0)
-    return VerificationReport("decrec", (n, i), True, None, time.perf_counter() - t0)
+            return VerificationReport("decrec", (n, i), False, (j, w))
+    return VerificationReport("decrec", (n, i), True, None)
 
 
 def verify_vanishing(n_max: int):
@@ -254,10 +237,9 @@ def verify_vanishing(n_max: int):
 
 def verify_vanishing_cycle(n: int, i: int, j: int, truncated: bool = False) -> VerificationReport:
     """is_zero for Z(n,i,j), or for Z^t(n,i,j) when ``truncated``."""
-    t0 = time.perf_counter()
     if truncated:
-        return _report("vanishing_zt", (n, i, j), z_truncated(n, i, j), t0)
-    return _report("vanishing_z", (n, i, j), z_cycle(n, i, j), t0)
+        return _report("vanishing_zt", (n, i, j), z_truncated(n, i, j))
+    return _report("vanishing_z", (n, i, j), z_cycle(n, i, j))
 
 
 def collide_first_legs(x: Class0, steps: int) -> Class0:
@@ -273,7 +255,6 @@ def verify_collide0(n: int, m_target: int) -> VerificationReport:
     """Colliding the first m points carries Z(n,i,j) onto Z^m(n-m+1,i,j)."""
     if not 1 <= m_target < n:
         raise InvalidArgument("need 1 <= m < n")
-    t0 = time.perf_counter()
     n_small = n - m_target + 1
     for i in range(1, n):
         for j in range(i - n + 1, i):
@@ -281,10 +262,8 @@ def verify_collide0(n: int, m_target: int) -> VerificationReport:
             diff = collided - z_cycle(n_small, i, j, m_target)
             w = zero_witness(diff)
             if w is not None:
-                return VerificationReport(
-                    "collide0", (n, m_target), False, (i, j, w), time.perf_counter() - t0
-                )
-    return VerificationReport("collide0", (n, m_target), True, None, time.perf_counter() - t0)
+                return VerificationReport("collide0", (n, m_target), False, (i, j, w))
+    return VerificationReport("collide0", (n, m_target), True, None)
 
 
 def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
@@ -293,7 +272,6 @@ def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
     m = len(I)
     if not I or not I <= set(range(1, n)) or m > n - 2:
         raise InvalidArgument("need a non-empty I inside 1..n-1 with |I| <= n-2")
-    t0 = time.perf_counter()
     # degrees outside [0, dim] vanish on both sides, so this j-range is complete
     for j in range(i - n + 1, i):
         lhs = e_cycle(n, I, i, j)
@@ -302,8 +280,8 @@ def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
             continue
         w = zero_witness(lhs - rhs)
         if w is not None:
-            return VerificationReport("ei_pushforward", (n, tuple(sorted(I)), i), False, (j, w), time.perf_counter() - t0)
-    return VerificationReport("ei_pushforward", (n, tuple(sorted(I)), i), True, None, time.perf_counter() - t0)
+            return VerificationReport("ei_pushforward", (n, tuple(sorted(I)), i), False, (j, w))
+    return VerificationReport("ei_pushforward", (n, tuple(sorted(I)), i), True, None)
 
 
 def closed_form_z_top(n: int) -> Class0:
@@ -324,13 +302,12 @@ def verify_closed_forms(n: int) -> VerificationReport:
     """Termwise closed form of Z(n,n-1,1), its vanishing, and the j-recursion."""
     if n < 3:
         raise InvalidArgument("n must be >= 3")
-    t0 = time.perf_counter()
     z = z_cycle(n, n - 1, 1)
     if z != closed_form_z_top(n):
-        return VerificationReport("closed_forms", (n,), False, "termwise closed form", time.perf_counter() - t0)
+        return VerificationReport("closed_forms", (n,), False, "termwise closed form")
     w = zero_witness(z)
     if w is not None:
-        return VerificationReport("closed_forms", (n,), False, w, time.perf_counter() - t0)
+        return VerificationReport("closed_forms", (n,), False, w)
     for j in range(2, n - 1):
         diff = (
             z_cycle(n, n - 1, j)
@@ -339,5 +316,5 @@ def verify_closed_forms(n: int) -> VerificationReport:
         )
         w = zero_witness(diff)
         if w is not None:
-            return VerificationReport("closed_forms", (n,), False, (j, w), time.perf_counter() - t0)
-    return VerificationReport("closed_forms", (n,), True, None, time.perf_counter() - t0)
+            return VerificationReport("closed_forms", (n,), False, (j, w))
+    return VerificationReport("closed_forms", (n,), True, None)

@@ -22,7 +22,6 @@ coefficients become integer polynomials in k.
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -40,11 +39,12 @@ from .trees import (
     child_edges_of,
     coda_mapping,
     contract_trivalent,
-    decorations_of_degree,
     detach_leg,
+    enumerate_decorations,
     enumerate_rt_graphs,
     graft,
     label_key,
+    overloaded as _rt_term_is_zero,  # `RtClass._add` looks it up under this name
     parent_edge_of,
     path_edges,
     relabel,
@@ -74,16 +74,6 @@ def rt_term_degree(graph: Tree, dec: Decoration, fact: tuple) -> int:
     return graph.num_edges() + dec.degree() + sum(e for _, e in fact)
 
 
-def _rt_term_is_zero(graph: Tree, dec: Decoration) -> bool:
-    # rational vertices die above their moduli dimension; the root is exempt
-    load = [0] * graph.num_vertices()
-    for (eid, side), e in dec.half:
-        load[graph.edges[eid][side]] += e
-    for l, e in dec.leg:
-        load[vertex_of_leg(graph, l)] += e
-    return any(load[v] > valence(graph, v) - 3 for v in range(1, graph.num_vertices()))
-
-
 def _check_fact_keys(graph: Tree, fact: tuple) -> None:
     tails = {_tail_slot(beyond_legs(graph, e)) for e in child_edges_of(graph, 0)}
     legs = {_leg_slot(l) for l in graph.legs[0]}
@@ -107,7 +97,7 @@ class RtClass(FormalSum):
         coeff = Fraction(coeff)
         if not coeff or _rt_term_is_zero(graph, dec):
             return
-        if frozenset(graph.all_legs()) != self.legs:
+        if frozenset(l for ls in graph.legs for l in ls) != self.legs:
             raise InvalidArgument("term legs do not match the class")
         fact = _fact_tuple(dict(fact))
         _check_fact_keys(graph, fact)
@@ -123,9 +113,6 @@ class RtClass(FormalSum):
 
     def __repr__(self) -> str:
         return f"RtClass(n={len(self.legs)}, {len(self.terms)} terms)"
-
-    def degrees(self) -> set:
-        return {rt_term_degree(*k) for k in self.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +162,7 @@ def f_class_m(k, g, mults) -> RtClass:
         if budget < 0:
             continue
         sign = (-1) ** graph.num_edges()
-        for dec in _decorations_up_to(graph, budget, weights):
+        for dec in enumerate_decorations(graph, budget, weights):
             c = coeff_c(graph, dec, weights)
             if not c:
                 continue
@@ -192,11 +179,6 @@ def f_class_m(k, g, mults) -> RtClass:
         raise ArithmeticError(f"f_class_m{mults} negative exponents: profile {profile} does not vanish")
     _f_cache[mults] = out
     return out
-
-
-def _decorations_up_to(graph: Tree, cap: int, weights: Mapping):
-    for d in range(cap + 1):
-        yield from decorations_of_degree(graph, d, leg_bounds=weights)
 
 
 def f_class(k, g, n: int) -> RtClass:
@@ -219,7 +201,7 @@ def over_degree_terms(n: int) -> RtClass:
         # dimensions plus the chain bound n-2 per root-edge tail slot
         cap = sum(valence(graph, v) - 3 for v in range(1, graph.num_vertices()))
         cap += len(child_edges_of(graph, 0)) * max(n - 2, 0)
-        for dec in _decorations_up_to(graph, cap, weights):
+        for dec in enumerate_decorations(graph, cap, weights):
             if graph.num_edges() + dec.degree() <= n:
                 continue
             c = coeff_c(graph, dec, weights)
@@ -323,9 +305,8 @@ def _profile_witness(x: RtClass):
 
 def verify_overdegree_drop(n: int) -> VerificationReport:
     """The dropped deg β > n contributions vanish per root profile."""
-    t0 = time.perf_counter()
     profile = _profile_witness(over_degree_terms(n))
-    return VerificationReport("overdegree_drop", (n,), profile is None, profile, time.perf_counter() - t0)
+    return VerificationReport("overdegree_drop", (n,), profile is None, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +445,18 @@ def verify_frec(k, g, n: int) -> VerificationReport:
     """π* F_{n-1} · (kω_n - η) - Σ |I| E_I = F_n, per root profile."""
     if n < 2:
         raise InvalidArgument("n must be >= 2")
-    t0 = time.perf_counter()
     lhs = multiply_divisor(pullback_forget_rt(f_class(k, g, n - 1), n), n)
     for r in range(1, n):
         for I in itertools.combinations(range(1, n), r):
             lhs = lhs - e_class(k, g, n, I).scale(len(I))
     profile = _profile_witness(lhs - f_class(k, g, n))
-    return VerificationReport("frec", (n,), profile is None, profile, time.perf_counter() - t0)
+    return VerificationReport("frec", (n,), profile is None, profile)
 
 
 def verify_colliding_rt(k, g, mults) -> VerificationReport:
     """Colliding consecutive legs carries the unit class onto the heavy one."""
     mults = tuple(int(m) for m in mults)
     total = sum(mults)
-    t0 = time.perf_counter()
     x = f_class(k, g, total)
     # fold the legs left to right: collide (pos, pos+1) until each weight is met
     pos = 1
@@ -494,24 +473,22 @@ def verify_colliding_rt(k, g, mults) -> VerificationReport:
     else:
         profile = _profile_witness(x - expected)
         witness = "per-profile" if profile is None else profile
-    return VerificationReport("colliding_rt", mults, profile is None, witness, time.perf_counter() - t0)
+    return VerificationReport("colliding_rt", mults, profile is None, witness)
 
 
 def verify_expansions() -> VerificationReport:
     """The appendix consistency F_2 = (kω_1-η)(kω_2-η) - E_{1}, after building F_1..F_3."""
-    t0 = time.perf_counter()
     for n in (1, 2, 3):
         f_class("k", "g", n)
     t, d = build_tree([[1, 2]], [], rt_root=0)
     smooth = RtClass({1, 2}, {(t, d, _fact_tuple({_leg_slot(1): 1, _leg_slot(2): 1})): 1})
     ok = f_class("k", "g", 2) == smooth - e_class("k", "g", 2, {1})
     witness = None if ok else "F_2 vs (kω-η)^2 - E_1"
-    return VerificationReport("expansions", (), ok, witness, time.perf_counter() - t0)
+    return VerificationReport("expansions", (), ok, witness)
 
 
 def verify_logan(g: int) -> VerificationReport:
     """φ_* F^1_{g,g}: Σ ω_i - λ_1 - Σ_M C(|M|,2) δ_M over the boundary divisors."""
-    t0 = time.perf_counter()
     out = pushforward_phi(f_class(1, g, g), k=1, g=g)
     expected = PushedClass()
     t, d = build_tree([list(range(1, g + 1))], [], rt_root=0)
@@ -524,19 +501,17 @@ def verify_logan(g: int) -> VerificationReport:
             tc, dc = build_tree([root, list(M)], [(0, 1)], rt_root=0)
             expected._add((tc, dc, (), ()), KPoly.const(-r * (r - 1) // 2))
     ok = out == expected
-    return VerificationReport("logan", (g,), ok, None if ok else "class mismatch", time.perf_counter() - t0)
+    return VerificationReport("logan", (g,), ok, None if ok else "class mismatch")
 
 
 def verify_heavy(a: int) -> VerificationReport:
     """The one-heavy-leg class equals ∏_{b<a}((k+b)ψ - η)."""
-    t0 = time.perf_counter()
     ok = f_heavy_expanded(a) == heavy_point_expansion(a)
-    return VerificationReport("heavy", (a,), ok, None if ok else "expansion mismatch", time.perf_counter() - t0)
+    return VerificationReport("heavy", (a,), ok, None if ok else "expansion mismatch")
 
 
 def verify_heavy_pushforwards() -> VerificationReport:
     """Both pushforwards of the weight-2 one-leg class against their closed forms."""
-    t0 = time.perf_counter()
     out = pushforward_point(f_class_m("k", "g", (2,)), g=None)
     expected = PushedClass()
     expected._add(("kappa", 1, "eta", 0), KPoly({2: 1, 1: 1}))
@@ -546,9 +521,7 @@ def verify_heavy_pushforwards() -> VerificationReport:
         t, d = build_tree([[1]], [], rt_root=0)
         phi = pushforward_phi(f_class_m("k", "g", (2,)), k=2, g=2, rank_override=3)
         ok = phi == PushedClass({(t, d, (), ()): KPoly.const(1)})
-    return VerificationReport(
-        "heavy_pushforwards", (), ok, None if ok else "pushforward mismatch", time.perf_counter() - t0
-    )
+    return VerificationReport("heavy_pushforwards", (), ok, None if ok else "pushforward mismatch")
 
 
 # ---------------------------------------------------------------------------

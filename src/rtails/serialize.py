@@ -97,23 +97,31 @@ def tree_from_json(blob: dict):
     return build_tree(legs_by_vertex, pairs, rt_root=rt_root, half_exp=half_exp, leg_exp=leg_exp)
 
 
-def _frac_out(c: Fraction) -> str:
-    return str(c)
+def _term_to_json(key: tuple, coeff: Fraction) -> dict:
+    """One term of a `Class0` (key: tree, decoration) or an `RtClass` (key: graph,
+    decoration, factored monomial)."""
+    tree, dec, *fact = key
+    blob = tree_to_json(tree, dec)
+    decoration = {"exp_half": blob.pop("exp_half"), "exp_leg": blob.pop("exp_leg")}
+    term = {"tree": blob, "decoration": decoration, "coeff": str(coeff)}
+    if fact:
+        term["factored"] = _fact_out(*fact)
+    return term
 
 
-def _frac_in(s) -> Fraction:
-    return Fraction(s)
-
-
-def _dec_blob(blob: dict) -> dict:
-    return {"exp_half": blob.pop("exp_half"), "exp_leg": blob.pop("exp_leg")}
+def _term_from_json(item: dict, factored: bool) -> tuple:
+    """The ``_add`` arguments of one term, its factored monomial included when ``factored``."""
+    tree_blob = dict(item["tree"])
+    if "decoration" in item:
+        tree_blob["exp_half"] = item["decoration"].get("exp_half", {})
+        tree_blob["exp_leg"] = item["decoration"].get("exp_leg", {})
+    tree, dec = tree_from_json(tree_blob)
+    fact = (_fact_in(item.get("factored", {})),) if factored else ()
+    return (tree, dec, *fact, Fraction(item["coeff"]))
 
 
 def class0_to_json(x: Class0) -> dict:
-    terms = []
-    for (tree, dec), coeff in x.items():
-        blob = tree_to_json(tree, dec)
-        terms.append({"tree": blob, "decoration": _dec_blob(blob), "coeff": _frac_out(coeff)})
+    terms = [_term_to_json(key, coeff) for key, coeff in x.items()]
     ambient = sorted((_label_out(l) for l in x.ambient), key=lambda l: label_key(_label_in(l)))
     return {"ambient": [str(l) for l in ambient], "terms": terms}
 
@@ -122,12 +130,7 @@ def class0_to_json(x: Class0) -> dict:
 def class0_from_json(blob: dict) -> Class0:
     out = Class0(frozenset(_label_in(l) for l in blob["ambient"]))
     for item in blob["terms"]:
-        tree_blob = dict(item["tree"])
-        if "decoration" in item:
-            tree_blob["exp_half"] = item["decoration"].get("exp_half", {})
-            tree_blob["exp_leg"] = item["decoration"].get("exp_leg", {})
-        tree, dec = tree_from_json(tree_blob)
-        out._add(tree, dec, _frac_in(item["coeff"]))
+        out._add(*_term_from_json(item, factored=False))
     return out
 
 
@@ -153,17 +156,7 @@ def _fact_in(blob: dict) -> dict:
 
 
 def rtclass_to_json(x: RtClass, k="k") -> dict:
-    terms = []
-    for (graph, dec, fact), coeff in x.items():
-        blob = tree_to_json(graph, dec)
-        terms.append(
-            {
-                "tree": blob,
-                "decoration": _dec_blob(blob),
-                "factored": _fact_out(fact),
-                "coeff": _frac_out(coeff),
-            }
-        )
+    terms = [_term_to_json(key, coeff) for key, coeff in x.items()]
     return {"k": k, "legs": sorted(_label_out(l) for l in x.legs), "terms": terms}
 
 
@@ -171,12 +164,7 @@ def rtclass_to_json(x: RtClass, k="k") -> dict:
 def rtclass_from_json(blob: dict) -> RtClass:
     out = RtClass(frozenset(_label_in(l) for l in blob["legs"]))
     for item in blob["terms"]:
-        tree_blob = dict(item["tree"])
-        if "decoration" in item:
-            tree_blob["exp_half"] = item["decoration"].get("exp_half", {})
-            tree_blob["exp_leg"] = item["decoration"].get("exp_leg", {})
-        tree, dec = tree_from_json(tree_blob)
-        out._add(tree, dec, _fact_in(item.get("factored", {})), _frac_in(item["coeff"]))
+        out._add(*_term_from_json(item, factored=True))
     return out
 
 

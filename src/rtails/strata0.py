@@ -45,6 +45,7 @@ from .trees import (
     graft,
     label_key,
     make_decoration,
+    overloaded,
     relabel,
     sort_labels,
     split_off,
@@ -162,17 +163,9 @@ def term_degree(tree: Tree, dec: Decoration) -> int:
 
 
 def term_is_zero(tree: Tree, dec: Decoration, ambient: frozenset) -> bool:
-    if frozenset(tree.all_legs()) != ambient:
+    if frozenset(l for ls in tree.legs for l in ls) != ambient:
         raise InvalidArgument("term legs do not match the ambient")
-    if term_degree(tree, dec) > dim_of(ambient):
-        return True
-    # a decoration exceeding a vertex factor's dimension kills the term
-    load = [0] * tree.num_vertices()
-    for (eid, side), e in dec.half:
-        load[tree.edges[eid][side]] += e
-    for l, e in dec.leg:
-        load[vertex_of_leg(tree, l)] += e
-    return any(load[v] > valence(tree, v) - 3 for v in range(tree.num_vertices()))
+    return term_degree(tree, dec) > dim_of(ambient) or overloaded(tree, dec)
 
 
 def zero(ambient) -> Class0:

@@ -425,9 +425,7 @@ def _vertex_choices(tree: Tree, v: int, cap: int, leg_bounds: Mapping) -> list:
     slots = vertex_slots(tree, v)
     maxes = []
     for s in slots:
-        if isinstance(s, tuple):
-            maxes.append(budget)
-        elif s == H0:
+        if isinstance(s, tuple) or s == H0:
             maxes.append(budget)
         else:
             maxes.append(min(budget, leg_bounds.get(s, 1) - 1))
@@ -438,22 +436,24 @@ def _vertex_choices(tree: Tree, v: int, cap: int, leg_bounds: Mapping) -> list:
     return out
 
 
-def enumerate_decorations(tree: Tree, degree_cap: int, leg_bounds: Optional[Mapping] = None) -> tuple:
-    """All decorations of total degree <= degree_cap.
+def decorations_of_degree(tree: Tree, degree: int, leg_bounds: Optional[Mapping] = None) -> tuple:
+    """All decorations of total degree exactly ``degree``.
 
     Legs other than h0 are bounded by ``leg_bounds`` (exponent < bound); legs
     absent from the mapping are undecorated, matching the contexts where only
     listed legs may carry ψ.  Exponent assignments killing a rational vertex's
     moduli factor (per-vertex degree > valence - 3) are pruned.
     """
-    if degree_cap < 0:
-        raise InvalidArgument("degree_cap must be >= 0")
+    if degree < 0:
+        raise InvalidArgument("degree must be >= 0")
     bounds = dict(leg_bounds or {})
-    per_vertex = [_vertex_choices(tree, v, degree_cap, bounds) for v in range(tree.num_vertices())]
+    per_vertex = [_vertex_choices(tree, v, degree, bounds) for v in range(tree.num_vertices())]
     out = []
 
     def rec(v: int, remaining: int, acc: list):
         if v == tree.num_vertices():
+            if remaining:
+                return
             half = {}
             leg = {}
             for _, items in acc:
@@ -470,13 +470,43 @@ def enumerate_decorations(tree: Tree, degree_cap: int, leg_bounds: Optional[Mapp
                 rec(v + 1, remaining - choice[0], acc)
                 acc.pop()
 
-    rec(0, degree_cap, [])
+    rec(0, degree, [])
     out.sort(key=Decoration.sort_key)
     return tuple(out)
 
 
-def decorations_of_degree(tree: Tree, degree: int, leg_bounds: Optional[Mapping] = None) -> tuple:
-    return tuple(d for d in enumerate_decorations(tree, degree, leg_bounds) if d.degree() == degree)
+def enumerate_decorations(tree: Tree, degree_cap: int, leg_bounds: Optional[Mapping] = None) -> tuple:
+    """All decorations of total degree <= degree_cap: the sorted union of
+    `decorations_of_degree` over the degrees 0..degree_cap."""
+    if degree_cap < 0:
+        raise InvalidArgument("degree_cap must be >= 0")
+    out = [d for degree in range(degree_cap + 1) for d in decorations_of_degree(tree, degree, leg_bounds)]
+    out.sort(key=Decoration.sort_key)
+    return tuple(out)
+
+
+def overloaded(tree: Tree, dec: Decoration) -> bool:
+    """Whether ψ-exponents above valence - 3 at a rational vertex kill its
+    moduli factor; the genus root of a rational-tails graph is exempt."""
+    load = [0] * tree.num_vertices()
+    for (eid, side), e in dec.half:
+        load[tree.edges[eid][side]] += e
+    for l, e in dec.leg:
+        load[vertex_of_leg(tree, l)] += e
+    return any(load[v] > valence(tree, v) - 3 for v in range(int(tree.rt), tree.num_vertices()))
+
+
+def coda_path(tree: Tree, n: int, I: frozenset) -> Optional[tuple]:
+    """The root-to-coda path edges when ``tree`` is a coda for I, else None:
+    the vertex of leg n is external with the legs I ∪ {n}, or it is the only
+    vertex (an empty path) and I = {1..n-1}."""
+    v_n = vertex_of_leg(tree, n)
+    if child_edges_of(tree, v_n):
+        return None
+    path = path_edges(tree, v_n)
+    if path:
+        return path if set(tree.legs[v_n]) == I | {n} else None
+    return path if I == set(range(1, n)) else None
 
 
 # ---------------------------------------------------------------------------

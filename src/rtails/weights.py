@@ -35,8 +35,7 @@ from .trees import (
     Tree,
     capacity,
     child_edges_of,
-    path_edges,
-    vertex_of_leg,
+    coda_path,
 )
 
 
@@ -237,25 +236,21 @@ def _coda_spec(tree: Tree, dec: Decoration, i: int, I: frozenset):
 
     Raises when (tree, dec) is not a decorated coda for I.
     """
-    I = frozenset(I)
     if not I:
         raise InvalidArgument("I must be non-empty")
     labels = set(tree.all_legs()) - {H0}
     n = len(labels)
     if labels != set(range(1, n + 1)) or not I <= (labels - {n}):
         raise InvalidArgument("coda context expects legs 1..n and I inside 1..n-1")
-    v_n = vertex_of_leg(tree, n)
-    if child_edges_of(tree, v_n):
-        raise InvalidArgument("coda vertex must be external")
-    path = path_edges(tree, v_n)
+    path = coda_path(tree, n, I)
+    if path is None:
+        raise InvalidArgument(f"not a coda for I = {sorted(I)}")
     if not path:
-        # one-vertex coda: only I = {1..n-1} with the trivial decoration
-        if I != labels - {n} or dec.degree() != 0:
-            raise InvalidArgument("the one-vertex coda requires I = {1..n-1}, no decoration")
+        # one-vertex coda (I = {1..n-1}): only with the trivial decoration
+        if dec.degree() != 0:
+            raise InvalidArgument("the one-vertex coda carries no decoration")
         # h0 plays the part of the coda head: its value i must equal |I|
         return _Spec(tree, dec, i=i) if i == len(I) else _EMPTY
-    if set(tree.legs[v_n]) != I | {n}:
-        raise InvalidArgument("coda legs must be I together with n")
     coda_edge = path[-1]
     if dec.half_exp((coda_edge, 1)):
         raise InvalidArgument("coda head must be undecorated")

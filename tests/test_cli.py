@@ -9,7 +9,7 @@ import multiprocessing
 import pytest
 
 from rtails import cycles, weights
-from rtails.cli import BRUTE_MAX_WEIGHTINGS, main
+from rtails.cli import BRUTE_MAX_WEIGHTINGS, main, run_task
 from rtails.serialize import (
     class0_from_json,
     class0_to_json,
@@ -18,6 +18,7 @@ from rtails.serialize import (
     tree_from_json,
     tree_to_json,
 )
+from rtails.strata0 import push_tree
 from rtails.trees import H0, build_tree
 from rtails.cycles import z_cycle
 from rtails.rtclasses import f_class
@@ -210,3 +211,19 @@ def test_internal_error_exits_3_with_a_traceback(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "Traceback" in err and "ArithmeticError: bookkeeping broke" in err
+
+
+def test_run_task_times_each_verdict_and_a_failure_exits_1(capsys, monkeypatch):
+    rep = run_task(("decrec", (4, 2)))
+    assert rep.passed and rep.seconds > 0
+    assert cycles.verify_decrec(4, 2).seconds == 0.0  # only the task runner reads the clock
+    # one extra term in Z(4, 2, 0) breaks decrec(4, 2) alone
+    extra = push_tree(*build_tree([[H0, 1, 2, 3, 4]], [], leg_exp={H0: 1}))
+    real = cycles.z_cycle
+    monkeypatch.setattr(cycles, "z_cycle", lambda *a: real(*a) + extra if a == (4, 2, 0) else real(*a))
+    failing = cycles.verify_decrec(4, 2)
+    assert not failing.passed
+    code, out, err = run_cli(capsys, "verify", "decrec", "--max-n", "4")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("pass ")] == [failing.line()]
+    assert f"witness: decrec(4, 2): {failing.witness!r}" in err

@@ -9,8 +9,9 @@ import pytest
 
 from rtails import cycles
 from rtails.trees import H0, InvalidArgument, build_tree
-from rtails.strata0 import Class0, is_zero, zero
+from rtails.strata0 import Class0, is_zero, push_tree, strata_family, zero, zero_witness
 from rtails.cycles import (
+    ambient0,
     closed_form_z_top,
     dec_polynomial,
     e_cycle,
@@ -230,3 +231,58 @@ def test_cached_z_cycles_equal_fresh_ones(monkeypatch):
     for (n, i, j, m, truncated), x in cached.items():
         assert (z_truncated(n, i, j) if truncated else z_cycle(n, i, j, m)) is x
         assert cycles._assemble_z(n, i, j, m, truncated) == x
+
+
+# ---------------------------------------------------------------------------
+# failure paths: one extra term in an input class makes a verifier fail, and
+# its witness names the index where the term entered and the stratum that
+# detects it
+
+
+def _psi_h0(n, d):
+    """ψ_{h0}^d on the smooth stratum of {1..n, h0}: a nonzero class for d <= n - 2."""
+    return push_tree(*build_tree([[H0, *range(1, n + 1)]], [], leg_exp={H0: d}))
+
+
+def _add_to(monkeypatch, name, args, extra):
+    """Make ``cycles.<name>(*args)`` return its class plus ``extra``."""
+    real = getattr(cycles, name)
+    monkeypatch.setattr(cycles, name, lambda *a: real(*a) + extra if a == args else real(*a))
+
+
+def test_decrec_failure_names_j_and_stratum(monkeypatch):
+    extra = _psi_h0(4, 1)  # Z(4, 2, 0) has degree 1; j = -1 still passes
+    _add_to(monkeypatch, "z_cycle", (4, 2, 0), extra)
+    rep = verify_decrec(4, 2)
+    assert (rep.passed, rep.witness) == (False, (0, zero_witness(extra)))
+    assert rep.line() == f"FAIL decrec(4, 2)  witness={rep.witness!r}"
+
+
+def test_collide0_failure_names_i_j_and_stratum(monkeypatch):
+    extra = _psi_h0(3, 1)  # Z^2(3, 1, -1) has degree 1; (i, j) = (1, -2) still passes
+    _add_to(monkeypatch, "z_cycle", (3, 1, -1, 2), extra)
+    rep = verify_collide0(4, 2)
+    assert (rep.passed, rep.witness) == (False, (1, -1, zero_witness(extra)))
+
+
+def test_ei_pushforward_failure_names_j_and_stratum(monkeypatch):
+    extra = _psi_h0(4, 1)  # E_{1}(2, 0) has degree 1; j = -1 still passes
+    _add_to(monkeypatch, "e_cycle", (4, frozenset({1}), 2, 0), extra)
+    rep = verify_ei_pushforward(4, {1}, 2)
+    assert (rep.passed, rep.witness) == (False, (0, zero_witness(extra)))
+
+
+def test_closed_forms_fails_at_each_of_its_three_checks(monkeypatch):
+    with monkeypatch.context() as m:
+        _add_to(m, "z_cycle", (4, 3, 1), _psi_h0(4, 1))
+        rep = verify_closed_forms(4)
+        assert (rep.passed, rep.witness) == (False, "termwise closed form")
+    with monkeypatch.context() as m:
+        stratum = strata_family(ambient0(4), 1)[0]
+        m.setattr(cycles, "zero_witness", lambda x: stratum)
+        rep = verify_closed_forms(4)
+        assert (rep.passed, rep.witness) == (False, stratum)
+    extra = _psi_h0(4, 2)  # the j-recursion at j = 2 compares degree-2 classes
+    _add_to(monkeypatch, "z_cycle", (4, 3, 2), extra)
+    rep = verify_closed_forms(4)
+    assert (rep.passed, rep.witness) == (False, (2, zero_witness(extra)))

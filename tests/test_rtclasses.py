@@ -406,3 +406,38 @@ def test_cached_f_classes_equal_fresh_ones(monkeypatch):
     for mults, x in cached.items():
         monkeypatch.setattr(rtclasses, "_f_cache", {})
         assert f_class_m("k", "g", mults) == x
+
+
+# ---------------------------------------------------------------------------
+# failure paths: one extra term in an input class makes a verifier fail, and
+# its witness is that term's root profile
+
+
+def _add_smooth_term(monkeypatch, name, args, n):
+    """Make ``rtclasses.<name>(*args)`` return its class plus (kω_1 - η)^2 on the
+    smooth graph with legs 1..n; returns that term's root profile."""
+    t, d, f = _root_only(n, {_leg_slot(1): 2})
+    extra = RtClass(range(1, n + 1), {(t, d, f): 1})
+    real = getattr(rtclasses, name)
+    monkeypatch.setattr(rtclasses, name, lambda *a: real(*a) + extra if a == args else real(*a))
+    return rtclasses.root_profile(t, d, f)[0]
+
+
+def test_frec_failure_names_the_root_profile(monkeypatch):
+    profile = _add_smooth_term(monkeypatch, "f_class", ("k", "g", 2), 2)
+    rep = verify_frec("k", "g", 2)
+    assert (rep.passed, rep.witness) == (False, profile)
+
+
+def test_colliding_rt_failure_names_the_root_profile(monkeypatch):
+    # the collided class no longer equals the heavy one termwise, so the
+    # per-profile test runs and finds the extra term
+    profile = _add_smooth_term(monkeypatch, "f_class_m", ("k", "g", (2,)), 1)
+    rep = verify_colliding_rt("k", "g", (2,))
+    assert (rep.passed, rep.witness) == (False, profile)
+
+
+def test_overdegree_drop_failure_names_the_root_profile(monkeypatch):
+    profile = _add_smooth_term(monkeypatch, "over_degree_terms", (2,), 2)
+    rep = verify_overdegree_drop(2)
+    assert (rep.passed, rep.witness) == (False, profile)

@@ -10,13 +10,16 @@ import pytest
 from rtails.trees import (
     H0,
     InvalidArgument,
+    Decoration,
     build_tree,
     capacity,
     child_edges_of,
+    decorations_of_degree,
     enumerate_decorations,
     enumerate_rt_graphs,
     enumerate_trees0,
     make_decoration,
+    overloaded,
     parent_edge_of,
     split_vertex,
     valence,
@@ -186,6 +189,35 @@ def test_enumerate_decorations_examples():
     # raising the bound admits psi_1
     decs_m2 = enumerate_decorations(t3, 1, leg_bounds={1: 2})
     assert len(decs_m2) == 3
+
+
+def _decorations_by_brute_force(tree, degree, bounds):
+    """Every exponent assignment of total ``degree`` on the half-edges, h0 and
+    the bounded legs that keeps each leg below its bound and no vertex overloaded."""
+    slots = [(eid, side) for eid in range(tree.num_edges()) for side in (0, 1)]
+    slots += [l for ls in tree.legs for l in ls if l == H0 or l in bounds]
+    out = set()
+    for exps in itertools.product(range(degree + 1), repeat=len(slots)):
+        if sum(exps) != degree or any(s in bounds and e >= bounds[s] for s, e in zip(slots, exps)):
+            continue
+        half = {s: e for s, e in zip(slots, exps) if isinstance(s, tuple)}
+        dec = make_decoration(half, {s: e for s, e in zip(slots, exps) if not isinstance(s, tuple)})
+        if not overloaded(tree, dec):
+            out.add(dec)
+    return out
+
+
+def test_decorations_of_degree_match_brute_force():
+    bounds = {1: 2, 2: 3}
+    for tree in enumerate_trees0(3) + enumerate_rt_graphs(3):
+        union = enumerate_decorations(tree, 2, leg_bounds=bounds)
+        for degree in range(3):
+            brute = _decorations_by_brute_force(tree, degree, bounds)
+            assert decorations_of_degree(tree, degree, leg_bounds=bounds) == tuple(sorted(brute, key=Decoration.sort_key))
+            assert {d for d in union if d.degree() == degree} == brute
+        assert list(union) == sorted(union, key=Decoration.sort_key)
+    with pytest.raises(InvalidArgument):
+        decorations_of_degree(tree, -1)
 
 
 def test_decorations_respect_vertex_dimension():
