@@ -36,7 +36,7 @@ from .strata0 import (
     zero,
     zero_witness,
 )
-from .weights import coeff_c_im, coeff_c_im_truncated, coeff_d
+from .weights import coeff_c_im, coeff_c_im_truncated, coeff_d, rooted_factor, rooted_split
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def z_cycle(n: int, i: int, j: int, m: int = 1) -> Class0:
         raise InvalidArgument("z_cycle needs n >= 2, i >= 1, m >= 1")
     key = (n, i, j, m, False)
     if key not in _z_cache:
-        _z_cache[key] = _assemble_z(n, i, j, m, truncated=False)
+        _z_cache[key] = _combine_blocks(n, i, j, m, truncated=False)
     return _z_cache[key]
 
 
@@ -79,11 +79,57 @@ def z_truncated(n: int, i: int, j: int) -> Class0:
     """Z^t: the same sum restricted by the truncation property at the root."""
     key = (n, i, j, 1, True)
     if key not in _z_cache:
-        _z_cache[key] = _assemble_z(n, i, j, 1, truncated=True)
+        _z_cache[key] = _combine_blocks(n, i, j, 1, truncated=True)
     return _z_cache[key]
 
 
+def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
+    """Z or Z^t as the sum of the shared blocks of its degree, each scaled by
+    the half of the coefficient that reads i; frozen, since it is cached."""
+    out = zero(ambient0(n))
+    degree = n + m - 2 + j - i
+    if 0 <= degree <= dim_of(out.ambient):
+        for key, block in _z_blocks(n, m, degree).items():
+            factor = rooted_factor(key, i, truncated)
+            if factor:
+                # every term lives in one block only, so nothing cancels
+                out.terms.update(block.scale(factor).terms)
+    return out.freeze()
+
+
+_block_cache: dict = {}
+
+
+def _z_blocks(n: int, m: int, degree: int) -> dict:
+    """The support of Z^m(n, ·, ·) in one degree, grouped for every (i, j).
+
+    Each (tree, decoration) is enumerated once and carries its sign times the
+    i-free half of its coefficient (`weights.rooted_split`); the terms are
+    grouped by the key that the half reading i depends on, one frozen
+    `Class0` per key.  Z and Z^t of this degree share the blocks.
+    """
+    cache_key = (n, m, degree)
+    if cache_key not in _block_cache:
+        amb = ambient0(n)
+        blocks: dict = {}
+        for tree in enumerate_trees0(n):
+            psi_budget = degree - tree.num_edges()
+            if psi_budget < 0:
+                continue
+            sign = (-1) ** (1 + tree.num_edges())
+            for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
+                free, key = rooted_split(tree, dec, m)
+                if free:
+                    if key not in blocks:
+                        blocks[key] = zero(amb)
+                    blocks[key]._add(tree, dec, Fraction(sign * free))
+        _block_cache[cache_key] = {key: block.freeze() for key, block in blocks.items()}
+    return _block_cache[cache_key]
+
+
 def _assemble_z(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
+    """Z or Z^t term by term, one coefficient per (tree, decoration): the
+    oracle of the grouped route."""
     amb = ambient0(n)
     degree = n + m - 2 + j - i
     out = zero(amb)

@@ -94,6 +94,7 @@ class RtClass(FormalSum):
             self._add(graph, dec, fact, coeff)
 
     def _add(self, graph: Tree, dec: Decoration, fact, coeff) -> None:
+        self._check_mutable()
         coeff = Fraction(coeff)
         if not coeff or _rt_term_is_zero(graph, dec):
             return
@@ -177,7 +178,7 @@ def f_class_m(k, g, mults) -> RtClass:
     profile = _profile_witness(formal)
     if profile is not None:
         raise ArithmeticError(f"f_class_m{mults} negative exponents: profile {profile} does not vanish")
-    _f_cache[mults] = out
+    _f_cache[mults] = out.freeze()
     return out
 
 

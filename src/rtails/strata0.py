@@ -66,14 +66,27 @@ class FormalSum:
     checked.  A subclass supplies ``_space()``, the constructor arguments
     that fix where the sum lives (two summands must agree on them), and
     ``_sort_key(key)``, the canonical order of ``items()``.
+
+    A cached sum is frozen: ``_put`` and ``_add`` then raise, while sums,
+    multiples and products still return fresh sums.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_frozen")
 
     def _space(self) -> tuple:
         return ()
 
+    def freeze(self):
+        """Refuse every later ``_put`` and ``_add``; returns self."""
+        self._frozen = True
+        return self
+
+    def _check_mutable(self) -> None:
+        if getattr(self, "_frozen", False):
+            raise TypeError(f"{self!r} is frozen; copy it before changing it")
+
     def _put(self, key, coeff) -> None:
+        self._check_mutable()
         old = self.terms.get(key)
         new = coeff if old is None else old + coeff
         if new:
@@ -128,6 +141,7 @@ class Class0(FormalSum):
             self._add(tree, dec, coeff)
 
     def _add(self, tree: Tree, dec: Decoration, coeff: Fraction) -> None:
+        self._check_mutable()
         if coeff and not term_is_zero(tree, dec, self.ambient):
             self._put((tree, dec), coeff)
 

@@ -307,9 +307,10 @@ def capacity(tree: Tree, head, leg_weights: Optional[Mapping] = None) -> int:
         return wt
 
     if head == H0:
-        if tree.rt or H0 not in tree.all_legs():
+        # h0 sorts first, so a canonical tree that has it carries it at the root
+        if tree.rt or H0 not in tree.legs[0]:
             raise InvalidArgument("h0 capacity only defined for rooted rational trees")
-        return sum(w(l) for l in tree.all_legs() if l != H0)
+        return sum(w(l) for ls in tree.legs for l in ls if l != H0)
     if not isinstance(head, int) or not (0 <= head < tree.num_edges()):
         raise InvalidArgument(f"not a head half-edge: {head!r}")
     return sum(w(l) for l in beyond_legs(tree, head))
@@ -599,7 +600,16 @@ def detach_leg(tree: Tree, dec: Decoration, label: Label):
 
 
 def relabel(tree: Tree, dec: Decoration, mapping: Mapping):
-    """Rename legs; labels absent from the mapping stay fixed."""
+    """Rename legs; labels absent from the mapping stay fixed.
+
+    A renaming that keeps the `label_key` order of the tree's labels keeps
+    the root, the child order and every sorted leg tuple, so it renames the
+    legs in place; any other goes through `build_tree`.
+    """
+    images = [label_key(mapping.get(l, l)) for l in tree.all_legs()]
+    if all(a < b for a, b in zip(images, images[1:])):
+        legs = tuple(tuple(mapping.get(l, l) for l in ls) for ls in tree.legs)
+        return Tree(legs, tree.edges, tree.rt), Decoration(dec.half, tuple((mapping.get(l, l), e) for l, e in dec.leg))
     legs_by_vertex = [[mapping.get(l, l) for l in ls] for ls in tree.legs]
     leg = {mapping.get(l, l): e for l, e in dec.leg}
     return _rebuild(tree, legs_by_vertex, list(tree.edges), dec.half_dict(), leg)

@@ -98,7 +98,12 @@ def _edge_block(cap: int, d_head: int, d_tail: int, top_fixed: Optional[int] = N
 
 
 class _Spec:
-    """Per-tree chain layout shared by the brute enumerator and the DP."""
+    """Per-tree chain layout shared by the brute enumerator and the DP.
+
+    ``i_edge`` names an edge whose block the DP evaluates with the h0 block,
+    as the half that reads i (see `_i_half`); the i-rooted context passes the
+    root edge that Z^t caps.  ``capacities`` are `_capacities` read in advance.
+    """
 
     def __init__(
         self,
@@ -110,37 +115,37 @@ class _Spec:
         head_caps: Optional[Mapping] = None,
         head_fixed: Optional[Mapping] = None,
         h0_cap: Optional[int] = None,
+        i_edge: Optional[int] = None,
+        capacities: Optional[tuple] = None,
     ):
         self.tree = tree
         self.dec = dec
         self.mults = dict(mults or {})
         self.i = i
+        self.i_edge = i_edge
         half = dec.half_dict()
         leg = dec.leg_dict()
         self.rooted = not tree.rt
+        if i is not None and not self.rooted:
+            raise InvalidArgument("i only applies to rooted rational trees")
 
         caps = dict(head_caps or {})
         fixed = dict(head_fixed or {})
+        edge_caps, cap0 = _capacities(tree, self.mults) if capacities is None else capacities
 
         # edge blocks: (cap, d_head, d_tail, fixed_top)
         self.edges = []
-        for eid in range(tree.num_edges()):
-            cap = capacity(tree, eid, self.mults) - 1
+        for eid, cap in enumerate(edge_caps):
             if eid in caps:
                 cap = min(cap, caps[eid])
             self.edges.append((cap, half.get((eid, 1), 0), half.get((eid, 0), 0), fixed.get(eid)))
 
-        # h0 block: top pinned to i, weak chain of length d_h0 below it
+        # h0 block: (cap0, d_h0), the top pinned to i and a weak chain of length d_h0 below it
         self.h0 = None
         if self.rooted:
-            if i is None:
-                raise InvalidArgument("rooted context needs i")
-            cap0 = capacity(tree, H0, self.mults) - 1
             if h0_cap is not None:
                 cap0 = min(cap0, h0_cap)
-            self.h0 = (cap0, leg.get(H0, 0), i)
-        elif i is not None:
-            raise InvalidArgument("i only applies to rooted rational trees")
+            self.h0 = (cap0, leg.get(H0, 0))
 
         # leg blocks: strict chains below the leg weight (0 when too long)
         self.legs = []
@@ -149,6 +154,26 @@ class _Spec:
                 continue
             self.legs.append((l, self.mults.get(l, 1) - 1, e))
         self.legs.sort(key=lambda t: str(t[0]))
+
+    def i_key(self) -> tuple:
+        """What the half that reads i reads: (d_h0, cap0, and the
+        (cap, d_head, d_tail) of ``i_edge``, or None)."""
+        cap0, d0 = self.h0
+        edge = None if self.i_edge is None else self.edges[self.i_edge][:3]
+        return d0, cap0, edge
+
+
+def _capacities(tree: Tree, mults: Mapping) -> tuple:
+    """(capacity - 1 of every edge head in edge order, that of h0 or None),
+    with the legs weighted by ``mults``."""
+    edge_caps = tuple(capacity(tree, eid, mults) - 1 for eid in range(tree.num_edges()))
+    return edge_caps, None if tree.rt else capacity(tree, H0, mults) - 1
+
+
+@lru_cache(maxsize=None)
+def _rooted_capacities(tree: Tree, m: int) -> tuple:
+    """`_capacities` with leg 1 weighted m, read once per tree and m."""
+    return _capacities(tree, {1: m})
 
 
 def _chains_weak(d: int, top: int):
@@ -171,7 +196,7 @@ def _enumerate(spec: _Spec):
         out = [w | o for w in out for o in options]
 
     if spec.h0 is not None:
-        cap, d0, i = spec.h0
+        (cap, d0), i = spec.h0, spec.i
         options = []
         if 1 <= i <= cap:
             for chain in _chains_weak(d0, i):
@@ -199,21 +224,45 @@ def _enumerate(spec: _Spec):
     return out
 
 
-def _dp(spec: _Spec):
-    total, count = 1, 1
-    if spec.h0 is not None:
-        cap, d0, i = spec.h0
-        if not (1 <= i <= cap):
-            return 0, 0
-        total *= i * weak_chain_sum(d0, i)
-        count *= weak_chain_count(d0, i)
-    for cap, d_head, d_tail, fixed in spec.edges:
-        t, c = _edge_block(cap, d_head, d_tail, fixed)
+def _i_half(key: tuple, i: int, cap: Optional[int] = None) -> tuple:
+    """Sum and count of the blocks that read i, from ``key`` = `_Spec.i_key()`.
+
+    The h0 block is i * h_{d0}(1..i), gated by 1 <= i <= cap0; the edge the
+    key names (if any) is one more edge block, its cap lowered to ``cap``.
+    """
+    d0, cap0, edge = key
+    if not 1 <= i <= cap0:
+        return 0, 0
+    total, count = i * weak_chain_sum(d0, i), weak_chain_count(d0, i)
+    if edge is not None:
+        e_cap, d_head, d_tail = edge
+        t, c = _edge_block(e_cap if cap is None else min(e_cap, cap), d_head, d_tail)
         total *= t
         count *= c
+    return total, count
+
+
+def _free_half(spec: _Spec) -> tuple:
+    """Sum and count of the blocks that do not read i: every edge but
+    ``spec.i_edge``, and the legs."""
+    total, count = 1, 1
+    for eid, (cap, d_head, d_tail, fixed) in enumerate(spec.edges):
+        if eid != spec.i_edge:
+            t, c = _edge_block(cap, d_head, d_tail, fixed)
+            total *= t
+            count *= c
     for _, bound, d in spec.legs:
         total *= strict_chain_sum(d, bound)
         count *= strict_chain_count(d, bound)
+    return total, count
+
+
+def _dp(spec: _Spec):
+    total, count = _free_half(spec)
+    if spec.h0 is not None:
+        t, c = _i_half(spec.i_key(), spec.i)
+        total *= t
+        count *= c
     return total, count
 
 
@@ -265,11 +314,13 @@ def _coda_spec(tree: Tree, dec: Decoration, i: int, I: frozenset):
 def _spec(tree: Tree, dec: Decoration, context: str, *, i=None, m: int = 1, I=None, mults=None, head_caps=None):
     """The chain layout of a context; _EMPTY when it has no weightings."""
     if context == "plain":
+        if not tree.rt:
+            raise InvalidArgument("rooted context needs i")
         return _Spec(tree, dec, mults=mults)
     if context == "i-rooted":
         if i is None:
             raise InvalidArgument("i-rooted context needs i")
-        return _Spec(tree, dec, mults={1: m}, i=i, head_caps=head_caps)
+        return _rooted_spec(tree, dec, m, i, head_caps)
     if context == "i-coda":
         if i is None or I is None:
             raise InvalidArgument("i-coda context needs i and I")
@@ -322,16 +373,56 @@ def coeff_c_im_truncated(tree: Tree, dec: Decoration, i: int, m: int = 1, method
     """The truncated-cycle variant of c^{i,m}: when h0, the leg n, and a tail
     share a trivalent root vertex, only weightings whose subtree head top is
     <= i are counted."""
-    n = len(tree.all_legs()) - 1
+    return _coeff_rooted(tree, dec, i, m, method, truncated=True)
+
+
+def _truncated_edge(tree: Tree) -> Optional[int]:
+    """The edge Z^t caps at i: the one child edge of a root vertex that
+    carries exactly h0 and the last leg n; None on every other tree."""
+    n = sum(map(len, tree.legs)) - 1
     kids = child_edges_of(tree, 0)
-    cap = {kids[0]: i} if set(tree.legs[0]) == {H0, n} and len(kids) == 1 else None
-    return _coeff_rooted(tree, dec, i, m, method, head_caps=cap)
+    return kids[0] if len(kids) == 1 and set(tree.legs[0]) == {H0, n} else None
 
 
-def _coeff_rooted(tree: Tree, dec: Decoration, i: int, m: int, method: str, head_caps=None) -> int:
-    n = len(tree.all_legs()) - 1
+def _rooted_spec(tree: Tree, dec: Decoration, m: int, i: Optional[int] = None, head_caps=None) -> _Spec:
+    """The i-rooted layout; without i it serves `rooted_split`, which never reads i."""
+    if tree.rt:
+        raise InvalidArgument("the i-rooted context expects a rooted rational tree")
+    return _Spec(
+        tree,
+        dec,
+        mults={1: m},
+        i=i,
+        head_caps=head_caps,
+        i_edge=_truncated_edge(tree),
+        capacities=_rooted_capacities(tree, m),
+    )
+
+
+def rooted_split(tree: Tree, dec: Decoration, m: int = 1) -> tuple:
+    """c^{i,m}_{T,ψ} split as ``free * rooted_factor(key, i, truncated)``.
+
+    ``free`` is the product of the blocks that do not read i: every edge but
+    the root edge Z^t caps, and the legs.  ``key`` is what the rest reads:
+    the h0 ψ-exponent d0, the h0 cap cap0, and that root edge's
+    (cap, d_head, d_tail), or None.
+    """
+    spec = _rooted_spec(tree, dec, m)
+    return _free_half(spec)[0], spec.i_key()
+
+
+def rooted_factor(key: tuple, i: int, truncated: bool = False) -> int:
+    """The half of c^{i,m} that reads i, for a `rooted_split` key; with
+    ``truncated`` the key's root edge is capped at i, as in Z^t."""
+    return _i_half(key, i, i if truncated else None)[0]
+
+
+def _coeff_rooted(tree: Tree, dec: Decoration, i: int, m: int, method: str, truncated: bool = False) -> int:
+    n = sum(map(len, tree.legs)) - 1
     if i >= n - 1 + m or dec.leg_exp(1) >= m:
         return 0
+    eid = _truncated_edge(tree)
+    head_caps = {eid: i} if truncated and eid is not None else None
     return _evaluate(_spec(tree, dec, "i-rooted", i=i, m=m, head_caps=head_caps), method)[0]
 
 

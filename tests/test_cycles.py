@@ -286,3 +286,74 @@ def test_closed_forms_fails_at_each_of_its_three_checks(monkeypatch):
     _add_to(monkeypatch, "z_cycle", (4, 3, 2), extra)
     rep = verify_closed_forms(4)
     assert (rep.passed, rep.witness) == (False, (2, zero_witness(extra)))
+
+
+# ---------------------------------------------------------------------------
+# the grouped assembly: Z and Z^t are sums of blocks shared per (n, m, degree)
+
+
+def _box(n_max):
+    """Every (n, i, j, m, truncated) with n + m - 1 <= n_max, 1 <= i <= n + m - 2
+    and a degree inside the ambient dimension; Z^t only at m = 1.  This holds
+    every class the vanishing, recursion, decrec, collide0, ei and
+    closed-forms grids reach at --max-n n_max."""
+    for n in range(2, n_max + 1):
+        for m in range(1, n_max + 2 - n):
+            for i in range(1, n + m - 1):
+                for degree in range(n - 1):
+                    j = degree - (n + m - 2) + i
+                    yield n, i, j, m, False
+                    if m == 1:
+                        yield n, i, j, m, True
+
+
+def test_grouped_z_equals_the_termwise_oracle(monkeypatch):
+    # the oracle enumerates the same decorations for every i of a degree;
+    # they are listed once here, so the test pays for its coefficients only
+    listed = {}
+    real = cycles.decorations_of_degree
+
+    def listed_once(tree, degree, leg_bounds=None):
+        key = (tree, degree, tuple(sorted((leg_bounds or {}).items())))
+        if key not in listed:
+            listed[key] = real(tree, degree, leg_bounds)
+        return listed[key]
+
+    monkeypatch.setattr(cycles, "decorations_of_degree", listed_once)
+    for n, i, j, m, truncated in _box(6):
+        x = z_truncated(n, i, j) if truncated else z_cycle(n, i, j, m)
+        assert x == cycles._assemble_z(n, i, j, m, truncated), (n, i, j, m, truncated)
+
+
+def test_cached_classes_are_frozen():
+    z = z_cycle(4, 2, 1)
+    t, d = next(iter(z.terms))
+    with pytest.raises(TypeError):
+        z._add(t, d, Fraction(1))
+    with pytest.raises(TypeError):
+        z._put((t, d), Fraction(1))
+    with pytest.raises(TypeError):
+        z_truncated(4, 2, 1)._add(t, d, Fraction(1))
+    for block in cycles._z_blocks(4, 1, 1).values():
+        with pytest.raises(TypeError):
+            block._add(t, d, Fraction(1))
+    assert z_cycle(4, 2, 1) == cycles._assemble_z(4, 2, 1, 1, False)
+    # sums, multiples and ψ-products are fresh, mutable classes
+    for fresh in (z + z, z - z, z.scale(2), z.mul_psi(H0)):
+        fresh._add(t, d, Fraction(1))
+    assert z_cycle(4, 2, 1) == cycles._assemble_z(4, 2, 1, 1, False)
+
+
+def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):
+    monkeypatch.setattr(cycles, "_z_cache", {})
+    monkeypatch.setattr(cycles, "_block_cache", {})
+    calls = []
+    real = cycles.decorations_of_degree
+
+    def recording(tree, degree, leg_bounds=None):
+        calls.append((tree, degree, tuple(sorted((leg_bounds or {}).items()))))
+        return real(tree, degree, leg_bounds)
+
+    monkeypatch.setattr(cycles, "decorations_of_degree", recording)
+    assert all(rep.passed for rep in verify_vanishing(5))
+    assert calls and len(calls) == len(set(calls))

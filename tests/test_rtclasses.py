@@ -403,6 +403,11 @@ def test_cached_f_classes_equal_fresh_ones(monkeypatch):
     cached = dict(rtclasses._f_cache)
     assert set(cached) >= {(1, 1), (1, 1, 1), (2, 1)}
     assert all(f_class_m("k", "g", mults) is x for mults, x in cached.items())
+    for x in cached.values():
+        key = next(iter(x.terms))
+        with pytest.raises(TypeError):  # cached classes are frozen
+            x._add(*key, 1)
+        (x + x)._add(*key, 1)  # a sum is a fresh class
     for mults, x in cached.items():
         monkeypatch.setattr(rtclasses, "_f_cache", {})
         assert f_class_m("k", "g", mults) == x

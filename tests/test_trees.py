@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from rtails import trees
 from rtails.trees import (
     H0,
     InvalidArgument,
@@ -21,6 +22,7 @@ from rtails.trees import (
     make_decoration,
     overloaded,
     parent_edge_of,
+    relabel,
     split_vertex,
     valence,
     vertex_of_leg,
@@ -270,3 +272,52 @@ def test_split_vertex_figure_case():
     t2, d2 = build_tree([[H0, 1], ["n", 2]], [(0, 1)], half_exp={(0, 1): 1})
     with pytest.raises(InvalidArgument):
         split_vertex(t2, d2, "n", "circ")
+
+
+def _relabel_rebuilt(tree, dec, mapping):
+    """The `build_tree` route of `relabel`: the oracle of its in-place fast path."""
+    return build_tree(
+        [[mapping.get(l, l) for l in ls] for ls in tree.legs],
+        list(tree.edges),
+        rt_root=0 if tree.rt else None,
+        half_exp=dec.half_dict(),
+        leg_exp={mapping.get(l, l): e for l, e in dec.leg},
+    )
+
+
+def test_relabel_fast_path_equals_the_rebuilt_tree(monkeypatch):
+    def mappings(n):
+        ints = range(1, n + 1)
+        yield {k: k + 1 for k in ints}, True  # shift up
+        yield {k: k - 1 for k in ints if k >= 2}, n < 2  # shift down onto 1: a collapse
+        yield {k: 2 * k for k in ints}, True  # order kept, gaps opened
+        yield {k: n + 1 - k for k in ints}, n < 2  # reversal
+        yield {1: 2, 2: 1}, False  # swap
+        yield {1: "@node"}, n < 2  # moves 1 past every integer
+        yield {k: k + 1 for k in ints if k >= 2}, True  # a gap after 1
+        yield {H0: 0}, True  # h0 becomes the smallest integer
+
+    real_build = trees.build_tree
+    cases = 0
+    rooted = [t for n in range(2, 7) for t in enumerate_trees0(n)]
+    for tree in rooted + [t for n in range(1, 6) for t in enumerate_rt_graphs(n)]:
+        labels = tree.all_legs()
+        n = sum(1 for l in labels if l != H0)
+        dec = make_decoration(
+            {(eid, eid % 2): 1 + eid % 2 for eid in range(tree.num_edges())},
+            {l: 1 + k % 2 for k, l in enumerate(labels) if k % 3 != 1},
+        )
+        for mapping, in_place in mappings(n):
+            try:
+                want = _relabel_rebuilt(tree, dec, mapping)
+            except InvalidArgument:
+                with pytest.raises(InvalidArgument):
+                    relabel(tree, dec, mapping)
+                continue
+            with monkeypatch.context() as m:
+                if in_place:
+                    m.setattr(trees, "build_tree", None)  # the fast path never rebuilds
+                assert relabel(tree, dec, mapping) == want
+            cases += 1
+    assert cases > 20000
+    assert trees.build_tree is real_build

@@ -19,9 +19,12 @@ from rtails.trees import (
 from rtails.weights import (
     coeff_c,
     coeff_c_im,
+    coeff_c_im_truncated,
     coeff_d,
     coeff_dp,
     enumerate_weightings,
+    rooted_factor,
+    rooted_split,
     weight_product,
 )
 
@@ -193,3 +196,29 @@ def test_dp_count_equals_listed_weightings():
             for dec in enumerate_decorations(g, 2, leg_bounds={1: 2, 2: 3}):
                 agree(g, dec)
                 agree(g, dec, mults={1: 2, 2: 3})
+
+
+def test_split_coefficients_equal_the_listed_weightings():
+    # c^{i,m} = free * rooted_factor(key, i): the grouped route's product
+    # against the brute enumeration, plain and truncated, for every term of
+    # Z^m(n, ., .) with n <= 5
+    from rtails import cycles
+    from rtails.trees import decorations_of_degree
+
+    for n in range(2, 6):
+        for m in range(1, 7 - n):
+            for degree in range(n - 1):
+                blocks = cycles._z_blocks(n, m, degree)
+                for tree in enumerate_trees0(n):
+                    budget = degree - tree.num_edges()
+                    if budget < 0:
+                        continue
+                    sign = (-1) ** (1 + tree.num_edges())
+                    for dec in decorations_of_degree(tree, budget, leg_bounds={1: m}):
+                        free, key = rooted_split(tree, dec, m)
+                        held = blocks[key].terms.get((tree, dec), 0) if key in blocks else 0
+                        assert held == sign * free
+                        for i in range(1, n + m + 1):
+                            assert free * rooted_factor(key, i) == coeff_c_im(tree, dec, i, m, method="brute")
+                            truncated = coeff_c_im_truncated(tree, dec, i, m, method="brute")
+                            assert free * rooted_factor(key, i, truncated=True) == truncated
