@@ -1,9 +1,11 @@
 """Deterministic command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
-stderr), 2 usage error (bad arguments, unreadable or malformed input), 3
-internal error (traceback on stderr).  All numeric output is exact ("p/q");
-verification timings go to stderr so stdout is byte-identical across runs.
+stderr) or ran over its time budget, 2 usage error (bad arguments, unreadable
+or malformed input, a verify grid with no tasks or with --max-n above the
+largest measured size), 3 internal error (traceback on stderr).  All numeric
+output is exact ("p/q"); verification timings go to stderr so stdout is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -45,6 +47,19 @@ def _k_value(raw: str):
         return int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected sym, k or an integer, not {raw!r}") from None
+
+
+def _positive(kind):
+    """argparse type: a positive ``kind`` (int or float)."""
+
+    def parse(raw: str):
+        value = kind(raw)  # argparse reports a ValueError as "invalid <name> value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, not {raw!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _emit(text: str) -> None:
@@ -230,9 +245,17 @@ def run_task(task) -> cycles.VerificationReport:
     return dataclasses.replace(report, seconds=time.perf_counter() - t0)
 
 
+# the largest --max-n whose grids have been measured (the n = 7 vanishing grid)
+MAX_N = 7
+
+
 def cmd_verify(args) -> int:
     t_start = time.perf_counter()
+    if args.max_n > MAX_N:
+        raise InvalidArgument(f"--max-n {args.max_n} is above {MAX_N}, the largest size measured")
     tasks = _grid(args.suite, args.max_n, args.max_sum)
+    if not tasks:
+        raise InvalidArgument(f"suite {args.suite} has no tasks at --max-n {args.max_n} --max-sum {args.max_sum}")
     reports = []
     if args.jobs > 1:
         # imported here: multiprocessing would add its import time to every run
@@ -308,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-n", type=int, default=4)
     q.add_argument("--max-sum", type=int, default=4, help="bound on Σm for collide-rt")
     q.add_argument("--fail-fast", action="store_true")
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_positive(int), default=1)
     q.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive(float),
         help="fail (exit 1) when the suite exceeds this many seconds; results still print",
     )
     q.set_defaults(fn=cmd_verify)

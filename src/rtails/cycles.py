@@ -58,6 +58,17 @@ def _report(identity: str, params: tuple, diff: Class0) -> VerificationReport:
     return VerificationReport(identity, params, w is None, w)
 
 
+def _report_first(identity: str, params: tuple, labelled) -> VerificationReport:
+    """Zero-test the ``(label, diff)`` pairs in turn and fail on the first
+    nonzero diff, with witness ``(*label, w)`` (the bare ``w`` under an empty
+    label).  ``labelled`` may be lazy: no diff past the failing one is built."""
+    for label, diff in labelled:
+        w = zero_witness(diff)
+        if w is not None:
+            return VerificationReport(identity, params, False, (*label, w) if label else w)
+    return VerificationReport(identity, params, True, None)
+
+
 def ambient0(n: int) -> frozenset:
     return frozenset(range(1, n + 1)) | {H0}
 
@@ -260,12 +271,11 @@ def verify_decrec(n: int, i: int) -> VerificationReport:
     """The D-polynomial recursion, checked coefficientwise in D^{-1}."""
     if n < 3 or i < 1:
         raise InvalidArgument("verify_decrec needs n >= 3, i >= 1")
-    for j in range(i - n + 1, i):
-        diff = _plus_sigma0_terms(_recursion_lhs(n, i, j) - z_cycle(n, i, j), n, i, j, -i)
-        w = zero_witness(diff)
-        if w is not None:
-            return VerificationReport("decrec", (n, i), False, (j, w))
-    return VerificationReport("decrec", (n, i), True, None)
+    diffs = (
+        ((j,), _plus_sigma0_terms(_recursion_lhs(n, i, j) - z_cycle(n, i, j), n, i, j, -i))
+        for j in range(i - n + 1, i)
+    )
+    return _report_first("decrec", (n, i), diffs)
 
 
 def verify_vanishing(n_max: int):
@@ -302,14 +312,12 @@ def verify_collide0(n: int, m_target: int) -> VerificationReport:
     if not 1 <= m_target < n:
         raise InvalidArgument("need 1 <= m < n")
     n_small = n - m_target + 1
-    for i in range(1, n):
-        for j in range(i - n + 1, i):
-            collided = collide_first_legs(z_cycle(n, i, j), m_target - 1)
-            diff = collided - z_cycle(n_small, i, j, m_target)
-            w = zero_witness(diff)
-            if w is not None:
-                return VerificationReport("collide0", (n, m_target), False, (i, j, w))
-    return VerificationReport("collide0", (n, m_target), True, None)
+    diffs = (
+        ((i, j), collide_first_legs(z_cycle(n, i, j), m_target - 1) - z_cycle(n_small, i, j, m_target))
+        for i in range(1, n)
+        for j in range(i - n + 1, i)
+    )
+    return _report_first("collide0", (n, m_target), diffs)
 
 
 def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
@@ -319,15 +327,11 @@ def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
     if not I or not I <= set(range(1, n)) or m > n - 2:
         raise InvalidArgument("need a non-empty I inside 1..n-1 with |I| <= n-2")
     # degrees outside [0, dim] vanish on both sides, so this j-range is complete
-    for j in range(i - n + 1, i):
-        lhs = e_cycle(n, I, i, j)
-        rhs = glue_push_gamma(z_cycle(n - m, i, j, m), I, n)
-        if lhs == rhs:
-            continue
-        w = zero_witness(lhs - rhs)
-        if w is not None:
-            return VerificationReport("ei_pushforward", (n, tuple(sorted(I)), i), False, (j, w))
-    return VerificationReport("ei_pushforward", (n, tuple(sorted(I)), i), True, None)
+    diffs = (
+        ((j,), e_cycle(n, I, i, j) - glue_push_gamma(z_cycle(n - m, i, j, m), I, n))
+        for j in range(i - n + 1, i)
+    )
+    return _report_first("ei_pushforward", (n, tuple(sorted(I)), i), diffs)
 
 
 def closed_form_z_top(n: int) -> Class0:
@@ -351,16 +355,14 @@ def verify_closed_forms(n: int) -> VerificationReport:
     z = z_cycle(n, n - 1, 1)
     if z != closed_form_z_top(n):
         return VerificationReport("closed_forms", (n,), False, "termwise closed form")
-    w = zero_witness(z)
-    if w is not None:
-        return VerificationReport("closed_forms", (n,), False, w)
-    for j in range(2, n - 1):
-        diff = (
+    # its vanishing, then the j-recursion
+    j_recursion = (
+        (
+            (j,),
             z_cycle(n, n - 1, j)
             - z_cycle(n, n - 2, j - 1).scale(Fraction(n - 1, n - 2))
-            - z_cycle(n, n - 1, j - 1).mul_psi(H0).scale(n - 1)
+            - z_cycle(n, n - 1, j - 1).mul_psi(H0).scale(n - 1),
         )
-        w = zero_witness(diff)
-        if w is not None:
-            return VerificationReport("closed_forms", (n,), False, (j, w))
-    return VerificationReport("closed_forms", (n,), True, None)
+        for j in range(2, n - 1)
+    )
+    return _report_first("closed_forms", (n,), itertools.chain([((), z)], j_recursion))

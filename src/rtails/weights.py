@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Mapping, Optional
 
 from .trees import (
@@ -80,79 +80,73 @@ def strict_chain_count(d: int, top: int) -> int:
     return comb(max(top, 0), d)
 
 
+def _tops(cap: int, top_fixed: Optional[int]) -> range:
+    """The values of a head's top ``w0``: 1..cap, or ``top_fixed`` alone when
+    it pins ``w0`` (nothing when it lies outside 1..cap)."""
+    lo, hi = (1, cap) if top_fixed is None else (max(top_fixed, 1), min(top_fixed, cap))
+    return range(lo, hi + 1)
+
+
 def _edge_block(cap: int, d_head: int, d_tail: int, top_fixed: Optional[int] = None):
     """Sum and count over one edge's coupled chains.
 
     The head chain is ``w0 >= w1 >= ... >= w_{d_head}`` with ``w0 <= cap``;
     the mate tail chain is strict below ``w0``.  ``top_fixed`` pins ``w0``.
+    The h0 block is the block of a head without a tail whose top is pinned to i.
     """
-    total = 0
-    count = 0
-    tops = [top_fixed] if top_fixed is not None else range(1, cap + 1)
-    for w0 in tops:
-        if w0 < 1 or w0 > cap:
-            continue
+    total = count = 0
+    for w0 in _tops(cap, top_fixed):
         total += w0 * weak_chain_sum(d_head, w0) * strict_chain_sum(d_tail, w0 - 1)
         count += weak_chain_count(d_head, w0) * strict_chain_count(d_tail, w0 - 1)
     return total, count
 
 
 class _Spec:
-    """Per-tree chain layout shared by the brute enumerator and the DP.
+    """Per-decoration chain layout shared by the brute enumerator and the DP.
 
-    ``i_edge`` names an edge whose block the DP evaluates with the h0 block,
-    as the half that reads i (see `_i_half`); the i-rooted context passes the
-    root edge that Z^t caps.  ``capacities`` are `_capacities` read in advance.
+    Each context builder hands in its tree's finished caps: ``edge_caps`` (the cap of
+    every edge head, in edge order), ``cap0`` (that of h0, None on a
+    rational-tails graph, which has no h0 block) and the pinned tops
+    ``fixed``.  ``i_edge`` names an edge whose block the DP evaluates with
+    the h0 block, as the half that reads i (see `_i_half`); the i-rooted
+    context passes the root edge that Z^t caps, and ``truncated`` caps it.
     """
 
     def __init__(
         self,
-        tree: Tree,
         dec: Decoration,
+        edge_caps,
+        cap0: Optional[int],
         *,
         mults: Optional[Mapping] = None,
         i: Optional[int] = None,
-        head_caps: Optional[Mapping] = None,
-        head_fixed: Optional[Mapping] = None,
-        h0_cap: Optional[int] = None,
+        fixed: Optional[Mapping] = None,
         i_edge: Optional[int] = None,
-        capacities: Optional[tuple] = None,
+        truncated: bool = False,
     ):
-        self.tree = tree
-        self.dec = dec
-        self.mults = dict(mults or {})
         self.i = i
         self.i_edge = i_edge
+        self.truncated = truncated
         half = dec.half_dict()
         leg = dec.leg_dict()
-        self.rooted = not tree.rt
-        if i is not None and not self.rooted:
-            raise InvalidArgument("i only applies to rooted rational trees")
-
-        caps = dict(head_caps or {})
-        fixed = dict(head_fixed or {})
-        edge_caps, cap0 = _capacities(tree, self.mults) if capacities is None else capacities
+        fixed = fixed or {}
 
         # edge blocks: (cap, d_head, d_tail, fixed_top)
-        self.edges = []
-        for eid, cap in enumerate(edge_caps):
-            if eid in caps:
-                cap = min(cap, caps[eid])
-            self.edges.append((cap, half.get((eid, 1), 0), half.get((eid, 0), 0), fixed.get(eid)))
+        self.edges = [
+            (cap, half.get((eid, 1), 0), half.get((eid, 0), 0), fixed.get(eid))
+            for eid, cap in enumerate(edge_caps)
+        ]
 
         # h0 block: (cap0, d_h0), the top pinned to i and a weak chain of length d_h0 below it
-        self.h0 = None
-        if self.rooted:
-            if h0_cap is not None:
-                cap0 = min(cap0, h0_cap)
-            self.h0 = (cap0, leg.get(H0, 0))
+        self.h0 = None if cap0 is None else (cap0, leg.get(H0, 0))
 
         # leg blocks: strict chains below the leg weight (0 when too long)
+        mults = mults or {}
         self.legs = []
         for l, e in leg.items():
             if l == H0 or not e:
                 continue
-            self.legs.append((l, self.mults.get(l, 1) - 1, e))
+            self.legs.append((l, mults.get(l, 1) - 1, e))
         self.legs.sort(key=lambda t: str(t[0]))
 
     def i_key(self) -> tuple:
@@ -163,17 +157,21 @@ class _Spec:
         return d0, cap0, edge
 
 
-def _capacities(tree: Tree, mults: Mapping) -> tuple:
-    """(capacity - 1 of every edge head in edge order, that of h0 or None),
-    with the legs weighted by ``mults``."""
-    edge_caps = tuple(capacity(tree, eid, mults) - 1 for eid in range(tree.num_edges()))
-    return edge_caps, None if tree.rt else capacity(tree, H0, mults) - 1
+def _i_edge_cap(cap: int, i: int, truncated: bool) -> int:
+    """The cap of ``i_edge``'s head: Z^t lowers it to i."""
+    return min(cap, i) if truncated else cap
+
+
+def _capacities(tree: Tree, mults: Optional[Mapping]) -> tuple:
+    """capacity - 1 of every edge head in edge order, with the legs weighted by ``mults``."""
+    return tuple(capacity(tree, eid, mults) - 1 for eid in range(tree.num_edges()))
 
 
 @lru_cache(maxsize=None)
 def _rooted_capacities(tree: Tree, m: int) -> tuple:
-    """`_capacities` with leg 1 weighted m, read once per tree and m."""
-    return _capacities(tree, {1: m})
+    """(`_capacities`, capacity - 1 of h0) with leg 1 weighted m, read once per
+    tree and m; `capacity` rejects a rational-tails graph, which has no h0."""
+    return _capacities(tree, {1: m}), capacity(tree, H0, {1: m}) - 1
 
 
 def _chains_weak(d: int, top: int):
@@ -187,7 +185,6 @@ def _chains_strict(d: int, top: int):
 
 def _enumerate(spec: _Spec):
     """All weightings as dicts keyed by echelon index (h, e)."""
-    tree, dec = spec.tree, spec.dec
     out = [{}]
 
     def extend(options) -> None:
@@ -195,26 +192,23 @@ def _enumerate(spec: _Spec):
         options = list(options)
         out = [w | o for w in out for o in options]
 
-    if spec.h0 is not None:
-        (cap, d0), i = spec.h0, spec.i
-        options = []
-        if 1 <= i <= cap:
-            for chain in _chains_weak(d0, i):
-                options.append({(H0, e): v for e, v in enumerate((i,) + chain)})
-        extend(options)
-
-    for eid, (cap, d_head, d_tail, fixed) in enumerate(spec.edges):
-        options = []
-        tops = [fixed] if fixed is not None else range(1, cap + 1)
-        for w0 in tops:
-            if w0 is None or not (1 <= w0 <= cap):
-                continue
+    def block(head, tail, cap, d_head, d_tail, fixed):
+        # the listed weightings of one `_edge_block`
+        for w0 in _tops(cap, fixed):
             for hc in _chains_weak(d_head, w0):
                 for tc in _chains_strict(d_tail, w0 - 1):
-                    o = {((eid, 1), e): v for e, v in enumerate((w0,) + hc)}
-                    o.update({((eid, 0), e + 1): v for e, v in enumerate(tc)})
-                    options.append(o)
-        extend(options)
+                    o = {(head, e): v for e, v in enumerate((w0,) + hc)}
+                    o.update({(tail, e + 1): v for e, v in enumerate(tc)})
+                    yield o
+
+    if spec.h0 is not None:
+        cap0, d0 = spec.h0
+        extend(block(H0, None, cap0, d0, 0, spec.i))
+
+    for eid, (cap, d_head, d_tail, fixed) in enumerate(spec.edges):
+        if eid == spec.i_edge:
+            cap = _i_edge_cap(cap, spec.i, spec.truncated)
+        extend(block((eid, 1), (eid, 0), cap, d_head, d_tail, fixed))
 
     for l, bound, d in spec.legs:
         extend(
@@ -224,19 +218,17 @@ def _enumerate(spec: _Spec):
     return out
 
 
-def _i_half(key: tuple, i: int, cap: Optional[int] = None) -> tuple:
+def _i_half(key: tuple, i: int, truncated: bool = False) -> tuple:
     """Sum and count of the blocks that read i, from ``key`` = `_Spec.i_key()`.
 
     The h0 block is i * h_{d0}(1..i), gated by 1 <= i <= cap0; the edge the
-    key names (if any) is one more edge block, its cap lowered to ``cap``.
+    key names (if any) is one more edge block, capped at i when ``truncated``.
     """
     d0, cap0, edge = key
-    if not 1 <= i <= cap0:
-        return 0, 0
-    total, count = i * weak_chain_sum(d0, i), weak_chain_count(d0, i)
+    total, count = _edge_block(cap0, d0, 0, top_fixed=i)
     if edge is not None:
         e_cap, d_head, d_tail = edge
-        t, c = _edge_block(e_cap if cap is None else min(e_cap, cap), d_head, d_tail)
+        t, c = _edge_block(_i_edge_cap(e_cap, i, truncated), d_head, d_tail)
         total *= t
         count *= c
     return total, count
@@ -257,34 +249,20 @@ def _free_half(spec: _Spec) -> tuple:
     return total, count
 
 
-def _dp(spec: _Spec):
-    total, count = _free_half(spec)
-    if spec.h0 is not None:
-        t, c = _i_half(spec.i_key(), spec.i)
-        total *= t
-        count *= c
-    return total, count
-
-
 def weight_product(w: Mapping) -> int:
-    prod = 1
-    for v in w.values():
-        prod *= v
-    return prod
+    return prod(w.values())
 
 
 # ---------------------------------------------------------------------------
 # public contexts
 
 
-_EMPTY = object()
-
-
 def _coda_spec(tree: Tree, dec: Decoration, i: int, I: frozenset):
-    """Spec for the coda context, _EMPTY when the weighting set is empty.
+    """Spec for the coda context.
 
     Raises when (tree, dec) is not a decorated coda for I.
     """
+    edge_caps, cap0 = _rooted_capacities(tree, 1)  # first: it rejects a rational-tails graph
     if not I:
         raise InvalidArgument("I must be non-empty")
     labels = set(tree.all_legs()) - {H0}
@@ -298,29 +276,29 @@ def _coda_spec(tree: Tree, dec: Decoration, i: int, I: frozenset):
         # one-vertex coda (I = {1..n-1}): only with the trivial decoration
         if dec.degree() != 0:
             raise InvalidArgument("the one-vertex coda carries no decoration")
-        # h0 plays the part of the coda head: its value i must equal |I|
-        return _Spec(tree, dec, i=i) if i == len(I) else _EMPTY
+        # h0 plays the part of the coda head: its value i must equal |I|,
+        # so no weighting exists (cap 0) for any other i
+        return _Spec(dec, edge_caps, cap0 if i == len(I) else 0, i=i)
     coda_edge = path[-1]
     if dec.half_exp((coda_edge, 1)):
         raise InvalidArgument("coda head must be undecorated")
-    # predecessors of the coda head (h0 and the path heads above the coda)
-    # are capped one below their capacity
-    head_fixed = {coda_edge: len(I)}
-    head_caps = {eid: capacity(tree, eid) - 2 for eid in path[:-1]}
-    h0_cap = capacity(tree, H0) - 2
-    return _Spec(tree, dec, i=i, head_caps=head_caps, head_fixed=head_fixed, h0_cap=h0_cap)
+    # the coda head is pinned to |I|; its predecessors (h0 and the path heads
+    # above the coda) are capped one below their capacity
+    above = set(path[:-1])
+    edge_caps = [cap - (eid in above) for eid, cap in enumerate(edge_caps)]
+    return _Spec(dec, edge_caps, cap0 - 1, i=i, fixed={coda_edge: len(I)})
 
 
-def _spec(tree: Tree, dec: Decoration, context: str, *, i=None, m: int = 1, I=None, mults=None, head_caps=None):
-    """The chain layout of a context; _EMPTY when it has no weightings."""
+def _spec(tree: Tree, dec: Decoration, context: str, *, i=None, m: int = 1, I=None, mults=None):
+    """The chain layout of a context."""
     if context == "plain":
         if not tree.rt:
-            raise InvalidArgument("rooted context needs i")
-        return _Spec(tree, dec, mults=mults)
+            raise InvalidArgument("the plain context expects a rational-tails graph; a rooted tree needs i")
+        return _Spec(dec, _capacities(tree, mults), None, mults=mults)
     if context == "i-rooted":
         if i is None:
             raise InvalidArgument("i-rooted context needs i")
-        return _rooted_spec(tree, dec, m, i, head_caps)
+        return _rooted_spec(tree, dec, m, i)
     if context == "i-coda":
         if i is None or I is None:
             raise InvalidArgument("i-coda context needs i and I")
@@ -329,11 +307,16 @@ def _spec(tree: Tree, dec: Decoration, context: str, *, i=None, m: int = 1, I=No
 
 
 def _evaluate(spec, method: str) -> tuple:
-    """(weighting-product sum, weighting count) by the DP, or by listing them all."""
-    if spec is _EMPTY:
-        return 0, 0
+    """(weighting-product sum, weighting count) by the DP, or by listing them all.
+
+    The DP multiplies the blocks that do not read i by those that do.
+    """
     if method == "dp":
-        return _dp(spec)
+        total, count = _free_half(spec)
+        if spec.h0 is None:
+            return total, count
+        t, c = _i_half(spec.i_key(), spec.i, spec.truncated)
+        return total * t, count * c
     ws = _enumerate(spec)
     return sum(weight_product(w) for w in ws), len(ws)
 
@@ -350,22 +333,16 @@ def enumerate_weightings(
 ) -> tuple:
     """The complete finite set of weightings in the requested context."""
     spec = _spec(tree, dec, context, i=i, m=m, I=I, mults=mults)
-    return () if spec is _EMPTY else tuple(_enumerate(spec))
+    return tuple(_enumerate(spec))
 
 
 def coeff_c(tree: Tree, dec: Decoration, mults: Optional[Mapping] = None, method: str = "dp") -> int:
     """c_{Γ,ψ}: the weighting-product sum for a rational-tails graph."""
-    if not tree.rt:
-        raise InvalidArgument("coeff_c expects a rational-tails graph")
     return _evaluate(_spec(tree, dec, "plain", mults=mults), method)[0]
 
 
 def coeff_c_im(tree: Tree, dec: Decoration, i: int, m: int, method: str = "dp") -> int:
     """c^{i,m}_{T,ψ} for a rooted rational tree; 0 outside the nonempty range."""
-    if tree.rt:
-        raise InvalidArgument("coeff_c_im expects a rooted rational tree")
-    if i < 1 or m < 1:
-        raise InvalidArgument("i and m must be >= 1")
     return _coeff_rooted(tree, dec, i, m, method)
 
 
@@ -376,6 +353,12 @@ def coeff_c_im_truncated(tree: Tree, dec: Decoration, i: int, m: int = 1, method
     return _coeff_rooted(tree, dec, i, m, method, truncated=True)
 
 
+def _coeff_rooted(tree: Tree, dec: Decoration, i: int, m: int, method: str, truncated: bool = False) -> int:
+    if i < 1 or m < 1:
+        raise InvalidArgument("i and m must be >= 1")
+    return _evaluate(_rooted_spec(tree, dec, m, i, truncated), method)[0]
+
+
 def _truncated_edge(tree: Tree) -> Optional[int]:
     """The edge Z^t caps at i: the one child edge of a root vertex that
     carries exactly h0 and the last leg n; None on every other tree."""
@@ -384,18 +367,15 @@ def _truncated_edge(tree: Tree) -> Optional[int]:
     return kids[0] if len(kids) == 1 and set(tree.legs[0]) == {H0, n} else None
 
 
-def _rooted_spec(tree: Tree, dec: Decoration, m: int, i: Optional[int] = None, head_caps=None) -> _Spec:
+def _rooted_spec(tree: Tree, dec: Decoration, m: int, i: Optional[int] = None, truncated: bool = False) -> _Spec:
     """The i-rooted layout; without i it serves `rooted_split`, which never reads i."""
-    if tree.rt:
-        raise InvalidArgument("the i-rooted context expects a rooted rational tree")
     return _Spec(
-        tree,
         dec,
+        *_rooted_capacities(tree, m),
         mults={1: m},
         i=i,
-        head_caps=head_caps,
         i_edge=_truncated_edge(tree),
-        capacities=_rooted_capacities(tree, m),
+        truncated=truncated,
     )
 
 
@@ -414,31 +394,24 @@ def rooted_split(tree: Tree, dec: Decoration, m: int = 1) -> tuple:
 def rooted_factor(key: tuple, i: int, truncated: bool = False) -> int:
     """The half of c^{i,m} that reads i, for a `rooted_split` key; with
     ``truncated`` the key's root edge is capped at i, as in Z^t."""
-    return _i_half(key, i, i if truncated else None)[0]
+    return _i_half(key, i, truncated)[0]
 
 
-def _coeff_rooted(tree: Tree, dec: Decoration, i: int, m: int, method: str, truncated: bool = False) -> int:
-    n = sum(map(len, tree.legs)) - 1
-    if i >= n - 1 + m or dec.leg_exp(1) >= m:
-        return 0
-    eid = _truncated_edge(tree)
-    head_caps = {eid: i} if truncated and eid is not None else None
-    return _evaluate(_spec(tree, dec, "i-rooted", i=i, m=m, head_caps=head_caps), method)[0]
-
-
-def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> Fraction:
-    """d^i_{T,ψ} for a decorated coda: the weighting sum divided by |I|."""
-    I = frozenset(I)
-    d = Fraction(_evaluate(_spec(tree, dec, "i-coda", i=i, I=I), method)[0], len(I))
+def _coda_coefficient(total: int, I) -> Fraction:
+    """d^i from the coda weighting sum: divided by |I|, which leaves an integer."""
+    d = Fraction(total, len(frozenset(I)))
     if d.denominator != 1:
         raise ArithmeticError(f"d^i is not an integer: {d}")
     return d
 
 
+def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> Fraction:
+    """d^i_{T,ψ} for a decorated coda: the weighting sum divided by |I|."""
+    return _coda_coefficient(_evaluate(_spec(tree, dec, "i-coda", i=i, I=I), method)[0], I)
+
+
 def coeff_dp(tree: Tree, dec: Decoration, *, context: str = "plain", i=None, m: int = 1, I=None, mults=None) -> CoeffReport:
     """Chain-factorized evaluation; same value as the brute sum, method tag dp."""
     total, count = _evaluate(_spec(tree, dec, context, i=i, m=m, I=I, mults=mults), "dp")
-    coeff = Fraction(total)
-    if context == "i-coda":
-        coeff /= len(frozenset(I))
+    coeff = _coda_coefficient(total, I) if context == "i-coda" else Fraction(total)
     return CoeffReport(coeff, count, "dp")

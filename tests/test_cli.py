@@ -116,6 +116,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "relations", "--g", "2", "--n", "2")
     assert code == 2
+    for option, value in (("--jobs", "0"), ("--jobs", "-2"), ("--time-budget", "-1"), ("--time-budget", "0")):
+        code, out, err = run_cli(capsys, "verify", "closed-forms", "--max-n", "3", option, value)
+        assert (code, out) == (2, "")
+        assert option in err
 
 
 def test_relations_emit(capsys):
@@ -227,3 +231,31 @@ def test_run_task_times_each_verdict_and_a_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert [line for line in out.splitlines() if not line.startswith("pass ")] == [failing.line()]
     assert f"witness: decrec(4, 2): {failing.witness!r}" in err
+
+
+def test_time_budget_fails_the_run_but_keeps_stdout(capsys):
+    _, plain, _ = run_cli(capsys, "verify", "closed-forms", "--max-n", "3")
+    code, out, err = run_cli(capsys, "verify", "closed-forms", "--max-n", "3", "--time-budget", "1e-9")
+    assert code == 1
+    assert "time budget exceeded" in err
+    assert out == plain
+
+
+def test_empty_or_oversized_verify_grid_is_a_usage_error(capsys):
+    for argv, named in (
+        (["vanishing", "--max-n", "2"], ["vanishing", "--max-n 2"]),
+        (["collide-rt", "--max-sum", "1"], ["collide-rt", "--max-sum 1"]),
+        (["vanishing", "--max-n", "8"], ["--max-n 8", "7"]),
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and all(word in err for word in named)
+
+
+def test_coda_on_a_rational_tails_graph_is_a_usage_error(tmp_path, capsys):
+    # one genus vertex with legs 1, 2, 3 has no h0, so it is no coda
+    path = tmp_path / "genus.json"
+    path.write_text(json.dumps({"vertices": [{"genus": "g", "legs": [1, 2, 3]}], "edges": [], "exp_half": {}, "exp_leg": {}}))
+    code, out, err = run_cli(capsys, "coeff", "--graph", str(path), "--i", "2", "--coda", "1,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -34,6 +34,14 @@ GRAPHS = {
         "exp_half": {"0+": 1},
         "exp_leg": {},
     },
+    # {h0, 4} -> {1, 2, 3} with ψ on the head and on leg 1: with --m 2, leg 1's
+    # weighted block joins the i-rooted layout
+    "@rooted-leg": {
+        "vertices": [{"genus": 0, "legs": ["h0", 4]}, {"genus": 0, "legs": [1, 2, 3]}],
+        "edges": [[1, 0]],
+        "exp_half": {"0+": 1},
+        "exp_leg": {"1": 1},
+    },
     # the coda {1, 3} for I = {1} below the root {h0, 2}
     "@coda": {
         "vertices": [{"genus": 0, "legs": ["h0", 2]}, {"genus": 0, "legs": [1, 3]}],
@@ -57,6 +65,8 @@ CLI_COMMANDS = {
     "coeff-chain-brute": ["coeff", "--graph", "@chain", "--brute"],
     "coeff-chain-m211": ["coeff", "--graph", "@chain", "--multiplicities", "2,1,1"],
     "coeff-rooted-i2": ["coeff", "--graph", "@rooted", "--i", "2"],
+    "coeff-rooted-m2": ["coeff", "--graph", "@rooted-leg", "--i", "2", "--m", "2"],
+    "coeff-rooted-m2-brute": ["coeff", "--graph", "@rooted-leg", "--i", "2", "--m", "2", "--brute"],
     "coeff-coda-i1": ["coeff", "--graph", "@coda", "--i", "1", "--coda", "1"],
 }
 

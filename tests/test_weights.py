@@ -88,8 +88,14 @@ def test_rooted_examples():
 
     # d1 >= m annihilates
     assert coeff_c_im(t, make_decoration(leg_exp={1: 1}), i=1, m=1) == 0
-    with pytest.raises(InvalidArgument):
-        coeff_c_im(t, make_decoration(), i=0, m=1)
+    # the plain and the truncated coefficient check their arguments alike
+    g, dec = _single_edge_graph()
+    for coeff in (coeff_c_im, coeff_c_im_truncated):
+        for i, m in ((0, 1), (1, 0)):
+            with pytest.raises(InvalidArgument):
+                coeff(t, make_decoration(), i, m)
+        with pytest.raises(InvalidArgument):
+            coeff(g, dec, 1, 1)  # a rational-tails graph has no h0
 
 
 def test_coda_examples():
