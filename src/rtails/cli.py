@@ -94,15 +94,19 @@ def cmd_coeff(args) -> int:
         if args.i is None:
             raise InvalidArgument("--coda needs --i")
         I = frozenset(args.coda)
-        context = {"context": "i-coda", "i": args.i, "I": I}
+        context, unread = {"context": "i-coda", "i": args.i, "I": I}, ("m", "multiplicities")
         coeff = functools.partial(weights.coeff_d, tree, dec, args.i, I)
     elif args.i is not None:
-        context = {"context": "i-rooted", "i": args.i, "m": args.m}
-        coeff = functools.partial(weights.coeff_c_im, tree, dec, args.i, args.m)
+        m = 1 if args.m is None else args.m
+        context, unread = {"context": "i-rooted", "i": args.i, "m": m}, ("multiplicities",)
+        coeff = functools.partial(weights.coeff_c_im, tree, dec, args.i, m)
     else:
         mults = {idx + 1: v for idx, v in enumerate(args.multiplicities)} if args.multiplicities else None
-        context = {"mults": mults}
+        context, unread = {"mults": mults}, ("m",)
         coeff = functools.partial(weights.coeff_c, tree, dec, mults)
+    for option in unread:
+        if getattr(args, option) is not None:
+            raise InvalidArgument(f"--{option} is not read by the {context.get('context', 'plain')} coefficient")
     count = weights.coeff_dp(tree, dec, **context).weighting_count
     if args.brute and count > BRUTE_MAX_WEIGHTINGS:
         raise InvalidArgument(f"--brute would list {count} weightings (limit {BRUTE_MAX_WEIGHTINGS})")
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("coeff", help="weighting coefficient of a decorated graph")
     q.add_argument("--graph", required=True, help="JSON file or - for stdin")
     q.add_argument("--i", type=int)
-    q.add_argument("--m", type=int, default=1)
+    q.add_argument("--m", type=int, help="multiplicity of leg i under --i (default 1)")
     q.add_argument("--coda", type=_int_list, help="comma-separated I for the coda coefficient")
     q.add_argument("--multiplicities", type=_int_list)
     q.add_argument("--brute", action="store_true", help="use the brute-force oracle")

@@ -7,6 +7,9 @@ carry, besides the ψ-decoration, a factored root monomial: exponents of
 exponent after cancelling against the legs' divisor factors sits on the edge).
 k stays symbolic inside the factored basis; coefficients are rationals.
 
+Collide and pullback run the per-term rules of `trees` that `Class0` runs;
+through every move the monomial follows its legs (`_carry_fact`).
+
 The graph formula can produce decorated graphs whose net tail exponent is
 negative while the total degree is fine; such a bracket is not a cycle, but
 the per-root-profile sum of those terms is a combination of vanishing cycles
@@ -33,25 +36,21 @@ from .trees import (
     Decoration,
     InvalidArgument,
     Tree,
-    attach_leg,
     beyond_legs,
     build_tree,
     child_edges_of,
     coda_mapping,
-    contract_trivalent,
-    detach_leg,
+    collide_term,
     enumerate_decorations,
     enumerate_rt_graphs,
     graft,
     label_key,
     overloaded as _rt_term_is_zero,  # `RtClass._add` looks it up under this name
-    parent_edge_of,
     path_edges,
+    pullback_terms,
     relabel,
-    split_off,
     valence,
     vertex_of_leg,
-    vertex_slots,
 )
 from .strata0 import FormalSum, dim_of, pair_term, strata_family, term_degree
 from .weights import coeff_c
@@ -138,6 +137,26 @@ def _fact_for(graph: Tree, dec: Decoration, mults: Mapping) -> dict:
     return fact
 
 
+def _formula_terms(weights: Mapping, cap, keep=None):
+    """The graph-formula terms ``(graph, dec, fact, coeff)`` with leg weights ``weights``.
+
+    Each rt graph is decorated up to ``cap(graph)`` (skipped when negative);
+    decorations failing ``keep(graph, dec)`` are skipped before their
+    coefficient is computed.  The sign is (-1)^|E|.
+    """
+    for graph in enumerate_rt_graphs(len(weights)):
+        budget = cap(graph)
+        if budget < 0:
+            continue
+        sign = (-1) ** graph.num_edges()
+        for dec in enumerate_decorations(graph, budget, weights):
+            if keep is not None and not keep(graph, dec):
+                continue
+            c = coeff_c(graph, dec, weights)
+            if c:
+                yield graph, dec, _fact_for(graph, dec, weights), sign * c
+
+
 _f_cache: dict = {}
 
 
@@ -158,23 +177,13 @@ def f_class_m(k, g, mults) -> RtClass:
     total_degree = sum(mults)
     out = RtClass(range(1, n + 1))
     formal = RtClass(range(1, n + 1))
-    for graph in enumerate_rt_graphs(n):
-        budget = total_degree - graph.num_edges()
-        if budget < 0:
-            continue
-        sign = (-1) ** graph.num_edges()
-        for dec in enumerate_decorations(graph, budget, weights):
-            c = coeff_c(graph, dec, weights)
-            if not c:
-                continue
-            fact = _fact_for(graph, dec, weights)
-            term_deg = rt_term_degree(graph, dec, _fact_tuple(fact))
-            if term_deg != total_degree:
-                raise ArithmeticError("graph formula degree bookkeeping broke")
-            if min(fact.values(), default=0) < 0:
-                formal._add(graph, dec, fact, sign * c)
-            else:
-                out._add(graph, dec, fact, sign * c)
+    for graph, dec, fact, coeff in _formula_terms(weights, lambda graph: total_degree - graph.num_edges()):
+        if rt_term_degree(graph, dec, _fact_tuple(fact)) != total_degree:
+            raise ArithmeticError("graph formula degree bookkeeping broke")
+        if min(fact.values(), default=0) < 0:
+            formal._add(graph, dec, fact, coeff)
+        else:
+            out._add(graph, dec, fact, coeff)
     profile = _profile_witness(formal)
     if profile is not None:
         raise ArithmeticError(f"f_class_m{mults} negative exponents: profile {profile} does not vanish")
@@ -195,21 +204,17 @@ def over_degree_terms(n: int) -> RtClass:
     These are dropped from `f_class`; the vanishing theorem makes their
     per-profile sums zero, which `verify_overdegree_drop` certifies.
     """
-    weights = {l: 1 for l in range(1, n + 1)}
-    out = RtClass(range(1, n + 1))
-    for graph in enumerate_rt_graphs(n):
+
+    def cap(graph: Tree) -> int:
         # nonzero coefficients are bounded by the rational vertices' moduli
         # dimensions plus the chain bound n-2 per root-edge tail slot
-        cap = sum(valence(graph, v) - 3 for v in range(1, graph.num_vertices()))
-        cap += len(child_edges_of(graph, 0)) * max(n - 2, 0)
-        for dec in enumerate_decorations(graph, cap, weights):
-            if graph.num_edges() + dec.degree() <= n:
-                continue
-            c = coeff_c(graph, dec, weights)
-            if not c:
-                continue
-            fact = _fact_for(graph, dec, mults=weights)
-            out._add(graph, dec, fact, (-1) ** graph.num_edges() * c)
+        rational = sum(valence(graph, v) - 3 for v in range(1, graph.num_vertices()))
+        return rational + len(child_edges_of(graph, 0)) * max(n - 2, 0)
+
+    out = RtClass(range(1, n + 1))
+    terms = _formula_terms({l: 1 for l in range(1, n + 1)}, cap, lambda graph, dec: term_degree(graph, dec) > n)
+    for graph, dec, fact, coeff in terms:
+        out._add(graph, dec, fact, coeff)
     return out
 
 
@@ -314,6 +319,30 @@ def verify_overdegree_drop(n: int) -> VerificationReport:
 # operations
 
 
+@lru_cache(maxsize=None)
+def _fact_key(graph: Tree, leg) -> tuple:
+    """The root slot that ``leg`` feeds: its own leg slot at the root, else its tail's slot."""
+    v = vertex_of_leg(graph, leg)
+    return _tail_slot(beyond_legs(graph, path_edges(graph, v)[0])) if v else _leg_slot(leg)
+
+
+def _carry_fact(fact: tuple, graph: Tree, image: Optional[Mapping] = None) -> dict:
+    """Move a factored monomial through a move whose output graph is ``graph``.
+
+    Each exponent follows the first leg of its slot, renamed by ``image``, to
+    the root slot that leg feeds in ``graph``; slots that merge add their
+    exponents.  No move splits a root slot, so the first leg speaks for all.
+    """
+    out: dict = {}
+    for (kind, payload), e in fact:
+        leg = payload if kind == "leg" else payload[0]
+        if image:
+            leg = image.get(leg, leg)
+        key = _fact_key(graph, leg)
+        out[key] = out.get(key, 0) + e
+    return out
+
+
 def multiply_divisor(x: RtClass, leg) -> RtClass:
     """Multiply by (kω_leg - η): a factored bump at the leg's root slot."""
     if leg not in x.legs:
@@ -321,25 +350,14 @@ def multiply_divisor(x: RtClass, leg) -> RtClass:
     out = RtClass(x.legs)
     for (graph, dec, fact), coeff in x.terms.items():
         fd = dict(fact)
-        slot = _tail_key(graph, vertex_of_leg(graph, leg)) or _leg_slot(leg)
+        slot = _fact_key(graph, leg)
         fd[slot] = fd.get(slot, 0) + 1
         out._add(graph, dec, fd, coeff)
     return out
 
 
-def _tail_key(graph: Tree, v: int):
-    """Fact key of the tail holding vertex ``v`` (None at the root)."""
-    return _tail_slot(beyond_legs(graph, path_edges(graph, v)[0])) if v else None
-
-
-def _rekey(fd: dict, old, legs) -> None:
-    """Move the exponent at the fact key ``old`` (if any) to the tail ``legs``."""
-    if old in fd:
-        fd[_tail_slot(legs)] = fd.pop(old)
-
-
 def pullback_forget_rt(x: RtClass, new_leg) -> RtClass:
-    """Pull back along the bundle map forgetting ``new_leg``.
+    """Pull back along the bundle map forgetting ``new_leg`` (`trees.pullback_terms`).
 
     The fact key of the tail that receives ``new_leg`` grows by it; a
     decorated root leg split off with it becomes a two-leg tail.
@@ -348,93 +366,50 @@ def pullback_forget_rt(x: RtClass, new_leg) -> RtClass:
         raise InvalidArgument(f"leg {new_leg!r} already present")
     out = RtClass(x.legs | {new_leg})
     for (graph, dec, fact), coeff in x.terms.items():
-        for v in range(graph.num_vertices()):
-            grown = dict(fact)
-            if v:
-                key = _tail_key(graph, v)
-                _rekey(grown, key, key[1] + (new_leg,))
-            out._add(*attach_leg(graph, dec, v, new_leg), grown, coeff)
-            for slot in vertex_slots(graph, v):
-                split = split_off(graph, dec, new_leg, slot, fresh=True)
-                if split is None:
-                    continue
-                fd = grown
-                if not v:
-                    fd = dict(fact)
-                    if isinstance(slot, tuple):
-                        # a decorated root-edge tail: the inserted vertex joins its tail
-                        key = _tail_slot(beyond_legs(graph, slot[0]))
-                        _rekey(fd, key, key[1] + (new_leg,))
-                    else:
-                        _rekey(fd, _leg_slot(slot), (slot, new_leg))
-                out._add(*split, fd, -coeff)
+        for sign, g2, d2 in pullback_terms(graph, dec, new_leg):
+            out._add(g2, d2, _carry_fact(fact, g2), coeff if sign > 0 else -coeff)
     return out
 
 
 def collide_rt(x: RtClass, leg_i, leg_j) -> RtClass:
-    """Collide two legs: multiply by the {i,j} divisor and forget ``leg_j``."""
+    """Collide two legs (`trees.collide_term`): multiply by the {i,j} divisor and forget ``leg_j``.
+
+    ``leg_j``'s root slot, or the two-leg tail that collapses, folds onto
+    ``leg_i``'s slot.
+    """
     if leg_i == leg_j or leg_i not in x.legs or leg_j not in x.legs:
         raise InvalidArgument("collide needs two distinct present legs")
     out = RtClass(x.legs - {leg_j})
+    image = {leg_j: leg_i}
     for (graph, dec, fact), coeff in x.terms.items():
-        vi = vertex_of_leg(graph, leg_i)
-        if vi != vertex_of_leg(graph, leg_j):
-            continue
-        if vi != 0 and valence(graph, vi) == 3:
-            # contract the supporting edge; ψ moves up with a unit bump
-            g2, d2 = contract_trivalent(graph, dec, vi, leg_i, leg_j, bump=1)
-            sign, home = -1, graph.edges[parent_edge_of(graph)[vi]][0]
-            merged = _tail_slot({leg_i, leg_j})
-        elif not (dec.leg_exp(leg_i) or dec.leg_exp(leg_j)):
-            g2, d2 = detach_leg(graph, dec, leg_j)
-            sign, home = 1, vi
-            merged = _leg_slot(leg_j)
-        else:
-            continue
-        fd = dict(fact)
-        if home == 0:
-            # leg_j's root slot, or the two-leg tail that collapsed, folds onto leg_i
-            b = fd.pop(merged, 0)
-            if b:
-                fd[_leg_slot(leg_i)] = fd.get(_leg_slot(leg_i), 0) + b
-        else:
-            key = _tail_key(graph, home)
-            _rekey(fd, key, set(key[1]) - {leg_j})
-        out._add(g2, d2, fd, sign * coeff)
+        term = collide_term(graph, dec, leg_i, leg_j)
+        if term is not None:
+            sign, g2, d2 = term
+            out._add(g2, d2, _carry_fact(fact, g2, image), coeff if sign > 0 else -coeff)
     return out
 
 
 def relabel_rt(x: RtClass, mapping: Mapping) -> RtClass:
     out = RtClass(frozenset(mapping.get(l, l) for l in x.legs))
     for (graph, dec, fact), coeff in x.terms.items():
-        fd = {}
-        for (kind, payload), e in fact:
-            if kind == "leg":
-                fd[_leg_slot(mapping.get(payload, payload))] = e
-            else:
-                fd[_tail_slot({mapping.get(l, l) for l in payload})] = e
-        out._add(*relabel(graph, dec, mapping), fd, coeff)
+        g2, d2 = relabel(graph, dec, mapping)
+        out._add(g2, d2, _carry_fact(fact, g2, mapping), coeff)
     return out
 
 
 def e_class(k, g, n: int, I) -> RtClass:
-    """γ_* of the heavy-multiplicity class: the coda-glued extra class."""
+    """γ_* of the heavy-multiplicity class: the coda-glued extra class.
+
+    The node's root slot becomes the coda tail.
+    """
     I = frozenset(I)
     mapping = coda_mapping(n, I)
     base = f_class_m(k, g, (len(I),) + (1,) * (n - len(I) - 1))
     out = RtClass(range(1, n + 1))
-    coda = I | {n}
+    image = {NODE: n}
     for (graph, dec, fact), coeff in relabel_rt(base, mapping).terms.items():
-        fd = {}
-        for (kind, payload), e in fact:
-            if kind == "leg":
-                # the node's root slot becomes the coda tail
-                fd[_tail_slot(coda) if payload == NODE else _leg_slot(payload)] = e
-            elif NODE in payload:
-                fd[_tail_slot((set(payload) - {NODE}) | coda)] = e
-            else:
-                fd[_tail_slot(payload)] = e
-        out._add(*graft(graph, dec, NODE, coda), fd, coeff)
+        g2, d2 = graft(graph, dec, NODE, I | {n})
+        out._add(g2, d2, _carry_fact(fact, g2, image), coeff)
     return out
 
 

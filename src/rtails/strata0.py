@@ -35,10 +35,10 @@ from .trees import (
     Decoration,
     InvalidArgument,
     Tree,
-    attach_leg,
     beyond_legs,
     build_tree,
     coda_mapping,
+    collide_term,
     contract_trivalent,
     detach_leg,
     enumerate_stable_trees,
@@ -46,9 +46,9 @@ from .trees import (
     label_key,
     make_decoration,
     overloaded,
+    pullback_terms,
     relabel,
     sort_labels,
-    split_off,
     term_sort_key,
     valence,
     vertex_of_leg,
@@ -435,22 +435,13 @@ def is_zero(x: Class0) -> bool:
 
 
 def pullback_forget(x: Class0, new_leg) -> Class0:
-    """Pull back along the map forgetting ``new_leg``.
-
-    Per term and vertex: attach the leg, minus one splitting per decorated
-    slot at that vertex (the ψ-comparison corrections).
-    """
+    """Pull back along the map forgetting ``new_leg`` (`trees.pullback_terms`)."""
     if new_leg in x.ambient:
         raise InvalidArgument(f"leg {new_leg!r} already present")
     out = Class0(x.ambient | {new_leg})
     for (tree, dec), coeff in x.terms.items():
-        for v in range(tree.num_vertices()):
-            t2, d2 = attach_leg(tree, dec, v, new_leg)
-            out._add(t2, d2, coeff)
-            for slot in vertex_slots(tree, v):
-                split = split_off(tree, dec, new_leg, slot, fresh=True)
-                if split is not None:
-                    out._add(split[0], split[1], -coeff)
+        for sign, t2, d2 in pullback_terms(tree, dec, new_leg):
+            out._add(t2, d2, coeff if sign > 0 else -coeff)
     return out
 
 
@@ -518,9 +509,7 @@ def pushforward_forget(x: Class0, leg) -> Class0:
 def collide(x: Class0, leg_i, leg_j) -> Class0:
     """Multiply with the {i,j} boundary divisor and forget ``leg_j``.
 
-    Implemented by the direct rule: a trivalent vertex carrying both legs
-    contracts with a ψ-bump and a sign; a larger vertex merges the legs (ψ on
-    either colliding leg kills the term); legs apart give zero.
+    Implemented by the direct rule `trees.collide_term`.
     """
     if leg_i == leg_j:
         raise InvalidArgument("cannot collide a leg with itself")
@@ -528,15 +517,10 @@ def collide(x: Class0, leg_i, leg_j) -> Class0:
         raise InvalidArgument("legs must sit in the ambient")
     out = Class0(x.ambient - {leg_j})
     for (tree, dec), coeff in x.terms.items():
-        vi = vertex_of_leg(tree, leg_i)
-        if vi != vertex_of_leg(tree, leg_j):
-            continue
-        if valence(tree, vi) == 3:
-            # contract the supporting edge; the far branch exponent moves to
-            # leg_i and gains one from the excess -ψ
-            out._add(*contract_trivalent(tree, dec, vi, leg_i, leg_j, bump=1), -coeff)
-        elif not (dec.leg_exp(leg_i) or dec.leg_exp(leg_j)):
-            out._add(*detach_leg(tree, dec, leg_j), coeff)
+        term = collide_term(tree, dec, leg_i, leg_j)
+        if term is not None:
+            sign, t2, d2 = term
+            out._add(t2, d2, coeff if sign > 0 else -coeff)
     return out
 
 

@@ -686,3 +686,39 @@ def drop_vertex(tree: Tree, legs_by_vertex, edge_pairs, half: Mapping, leg: Mapp
     pairs = [tuple(a - (a > v) for a in edge_pairs[k]) for k in keep]
     new_half = {(new_eid[k], side): e for (k, side), e in half.items()}
     return _rebuild(tree, [ls for w, ls in enumerate(legs_by_vertex) if w != v], pairs, new_half, leg)
+
+
+# ---------------------------------------------------------------------------
+# per-term rules of the class moves (shared by `Class0` and `RtClass`)
+
+
+def collide_term(tree: Tree, dec: Decoration, i: Label, j: Label):
+    """One term of colliding ``j`` into ``i``: ``(sign, tree, dec)`` or None (zero).
+
+    Legs apart give zero.  At a trivalent rational vertex the supporting edge
+    contracts: the far branch exponent moves to ``i``, gains one from the
+    excess -ψ, and the sign flips; the genus root never contracts.  Any other
+    vertex merges the two legs, unless either carries ψ.
+    """
+    v = vertex_of_leg(tree, i)
+    if j not in tree.legs[v]:
+        return None
+    if dimension_budget(tree, v) == 0:
+        return (-1, *contract_trivalent(tree, dec, v, i, j, bump=1))
+    if dec.leg_exp(i) or dec.leg_exp(j):
+        return None
+    return (1, *detach_leg(tree, dec, j))
+
+
+def pullback_terms(tree: Tree, dec: Decoration, new_leg: Label):
+    """The terms ``(sign, tree, dec)`` of pulling back along forgetting ``new_leg``.
+
+    Per vertex: the leg attached there, minus one splitting per decorated
+    slot at that vertex (the ψ-comparison corrections).
+    """
+    for v in range(tree.num_vertices()):
+        yield (1, *attach_leg(tree, dec, v, new_leg))
+        for slot in vertex_slots(tree, v):
+            split = split_off(tree, dec, new_leg, slot, fresh=True)
+            if split is not None:
+                yield (-1, *split)

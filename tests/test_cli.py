@@ -41,6 +41,22 @@ CHAIN_42 = {
     "exp_leg": {},
 }
 
+# a one-edge rooted tree {h0, 1} -> {2, 3, 4}, read by `coeff --i`
+ROOTED = {
+    "vertices": [{"genus": 0, "legs": ["h0", 1]}, {"genus": 0, "legs": [2, 3, 4]}],
+    "edges": [[1, 0]],
+    "exp_half": {"0+": 1},
+    "exp_leg": {},
+}
+
+# the coda {1, 3} for I = {1} below the root {h0, 2}, read by `coeff --i 1 --coda 1`
+CODA = {
+    "vertices": [{"genus": 0, "legs": ["h0", 2]}, {"genus": 0, "legs": [1, 3]}],
+    "edges": [[1, 0]],
+    "exp_half": {},
+    "exp_leg": {},
+}
+
 
 def test_tree_json_roundtrip():
     for blob_tree in [
@@ -109,7 +125,7 @@ def test_pair_cli(tmp_path, capsys):
     assert out.strip() == "0"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "zcycle", "--n", "4")
     assert code == 2
     code, _, _ = run_cli(capsys, "fclass")
@@ -118,6 +134,18 @@ def test_usage_errors(capsys):
     assert code == 2
     for option, value in (("--jobs", "0"), ("--jobs", "-2"), ("--time-budget", "-1"), ("--time-budget", "0")):
         code, out, err = run_cli(capsys, "verify", "closed-forms", "--max-n", "3", option, value)
+        assert (code, out) == (2, "")
+        assert option in err
+    # `coeff` refuses an option that its context would not read
+    path = tmp_path / "graph.json"
+    for blob, argv, option in (
+        (CHAIN_42, ("--m", "3"), "--m"),
+        (ROOTED, ("--i", "2", "--multiplicities", "2,1,1,1"), "--multiplicities"),
+        (CODA, ("--i", "1", "--coda", "1", "--multiplicities", "2,1,1"), "--multiplicities"),
+        (CODA, ("--i", "1", "--coda", "1", "--m", "2"), "--m"),
+    ):
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "coeff", "--graph", str(path), *argv)
         assert (code, out) == (2, "")
         assert option in err
 

@@ -162,6 +162,71 @@ def test_collide_rt_cases():
     assert collide_rt(RtClass({1, 2}, {(t3, d3, f3): Fraction(1)}), 1, 2).terms == {}
 
 
+def _term(legs_by_vertex, edges, fact, half=None, legexp=None):
+    graph, dec = build_tree(legs_by_vertex, edges, rt_root=0, half_exp=half or {}, leg_exp=legexp or {})
+    return graph, dec, _fact_tuple(fact)
+
+
+def _one(*term_args, **term_kwargs):
+    """The one-term class with coefficient 1 on ``_term(...)``."""
+    graph, dec, fact = _term(*term_args, **term_kwargs)
+    return RtClass(graph.all_legs(), {(graph, dec, fact): 1})
+
+
+L, T = _leg_slot, _tail_slot
+
+# case -> (the move, every term it must give with its coefficient)
+FACT_MOVES = {
+    "pullback: a decorated root leg split off becomes a two-leg tail key": (
+        lambda: pullback_forget_rt(_one([[1, 2]], [], {L(1): 2, L(2): 1}, legexp={1: 1}), 3),
+        {
+            _term([[1, 2, 3]], [], {L(1): 2, L(2): 1}, legexp={1: 1}): 1,
+            _term([[2], [1, 3]], [(0, 1)], {T((1, 3)): 2, L(2): 1}): -1,
+        },
+    ),
+    "pullback: a tail key grows by the new leg": (
+        lambda: pullback_forget_rt(_one([[1], [2, 3]], [(0, 1)], {L(1): 1, T((2, 3)): 2}), 4),
+        {
+            _term([[1, 4], [2, 3]], [(0, 1)], {L(1): 1, T((2, 3)): 2}): 1,
+            _term([[1], [2, 3, 4]], [(0, 1)], {L(1): 1, T((2, 3, 4)): 2}): 1,
+        },
+    ),
+    "collide: a collapsing tail {i, j} folds onto root leg i": (
+        lambda: collide_rt(_one([[3], [1, 2]], [(0, 1)], {L(3): 1, T((1, 2)): 2}), 2, 1),
+        {_term([[2, 3]], [], {L(2): 2, L(3): 1}, legexp={2: 1}): -1},
+    ),
+    "collide: root legs i and j merge and their exponents add": (
+        lambda: collide_rt(_one([[1, 2, 3]], [], {L(1): 1, L(2): 2, L(3): 1}), 1, 2),
+        {_term([[1, 3]], [], {L(1): 3, L(3): 1}): 1},
+    ),
+    "collide: a genus root of valence 3 merges and does not contract": (
+        lambda: collide_rt(_one([[1, 2], [3, 4]], [(0, 1)], {L(1): 1, L(2): 1, T((3, 4)): 1}), 1, 2),
+        {_term([[1], [3, 4]], [(0, 1)], {L(1): 2, T((3, 4)): 1}): 1},
+    ),
+    "collide: a tail key loses leg j": (
+        lambda: collide_rt(_one([[1], [2, 3, 4]], [(0, 1)], {T((2, 3, 4)): 1}), 3, 2),
+        {_term([[1], [3, 4]], [(0, 1)], {T((3, 4)): 1}): 1},
+    ),
+    "relabel: leg and tail keys are renamed": (
+        lambda: rtclasses.relabel_rt(_one([[1], [2, 3]], [(0, 1)], {L(1): 1, T((2, 3)): 2}), {1: 3, 3: 1}),
+        {_term([[3], [1, 2]], [(0, 1)], {L(3): 1, T((1, 2)): 2}): 1},
+    ),
+    "e_class: the node's root slot becomes the coda tail": (
+        lambda: e_class("k", "g", 3, {1}),
+        {
+            _term([[2], [1, 3]], [(0, 1)], {L(2): 1, T((1, 3)): 1}): 1,
+            _term([[], [2], [1, 3]], [(0, 1), (1, 2)], {T((1, 2, 3)): 1}): -1,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACT_MOVES))
+def test_the_factored_monomial_follows_its_legs(case):
+    move, expected = FACT_MOVES[case]
+    assert move().terms == expected
+
+
 def test_colliding_rt_small():
     for mults in [(2,), (2, 1), (1, 2), (1, 1, 1), (3,), (2, 2)]:
         rep = verify_colliding_rt("k", "g", mults)
