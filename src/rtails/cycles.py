@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .trees import (
@@ -187,6 +188,12 @@ def dec_polynomial(n: int, i: int, m: int = 1) -> DecPolynomial:
     return DecPolynomial(n, i, m, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _codas(n: int, I: frozenset) -> tuple:
+    """Every coda tree for I on legs 1..n, with its root-to-coda path."""
+    return tuple((tree, path) for tree in enumerate_trees0(n) if (path := coda_path(tree, n, I)) is not None)
+
+
 def e_cycle(n: int, I, i: int, j: int) -> Class0:
     """E_I(i,j): the coda cycle of degree n-1+j-i."""
     I = frozenset(I)
@@ -197,11 +204,10 @@ def e_cycle(n: int, I, i: int, j: int) -> Class0:
     out = zero(amb)
     if degree < 0 or degree > dim_of(amb):
         return out
-    for tree in enumerate_trees0(n):
-        path = coda_path(tree, n, I)
+    for tree, path in _codas(n, I):
         psi_budget = degree - tree.num_edges()
         # the one-vertex coda (empty path) carries no ψ
-        if path is None or psi_budget < 0 or (not path and psi_budget):
+        if psi_budget < 0 or (not path and psi_budget):
             continue
         sign = (-1) ** tree.num_edges()
         for dec in decorations_of_degree(tree, psi_budget):

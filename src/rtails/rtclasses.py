@@ -74,10 +74,9 @@ def rt_term_degree(graph: Tree, dec: Decoration, fact: tuple) -> int:
 
 
 def _check_fact_keys(graph: Tree, fact: tuple) -> None:
-    tails = {_tail_slot(beyond_legs(graph, e)) for e in child_edges_of(graph, 0)}
-    legs = {_leg_slot(l) for l in graph.legs[0]}
+    slots = _root_slots(graph)
     for key, _ in fact:
-        if key not in tails and key not in legs:
+        if key not in slots:
             raise InvalidArgument(f"factored slot {key!r} is not a root slot")
 
 
@@ -324,6 +323,13 @@ def _fact_key(graph: Tree, leg) -> tuple:
     """The root slot that ``leg`` feeds: its own leg slot at the root, else its tail's slot."""
     v = vertex_of_leg(graph, leg)
     return _tail_slot(beyond_legs(graph, path_edges(graph, v)[0])) if v else _leg_slot(leg)
+
+
+@lru_cache(maxsize=None)
+def _root_slots(graph: Tree) -> frozenset:
+    """Every root slot of ``graph``: the root's own legs and its tails."""
+    tails = {_tail_slot(beyond_legs(graph, e)) for e in child_edges_of(graph, 0)}
+    return frozenset(tails | {_leg_slot(l) for l in graph.legs[0]})
 
 
 def _carry_fact(fact: tuple, graph: Tree, image: Optional[Mapping] = None) -> dict:

@@ -602,17 +602,12 @@ def detach_leg(tree: Tree, dec: Decoration, label: Label):
 def relabel(tree: Tree, dec: Decoration, mapping: Mapping):
     """Rename legs; labels absent from the mapping stay fixed.
 
-    A renaming that keeps the `label_key` order of the tree's labels keeps
-    the root, the child order and every sorted leg tuple, so it renames the
-    legs in place; any other goes through `build_tree`.
+    The new tree and its slot map come from one plan per (tree, images of
+    its legs) (`_relabel_plan`); the decoration follows by lookups.
     """
-    images = [label_key(mapping.get(l, l)) for l in tree.all_legs()]
-    if all(a < b for a, b in zip(images, images[1:])):
-        legs = tuple(tuple(mapping.get(l, l) for l in ls) for ls in tree.legs)
-        return Tree(legs, tree.edges, tree.rt), Decoration(dec.half, tuple((mapping.get(l, l), e) for l, e in dec.leg))
-    legs_by_vertex = [[mapping.get(l, l) for l in ls] for ls in tree.legs]
-    leg = {mapping.get(l, l): e for l, e in dec.leg}
-    return _rebuild(tree, legs_by_vertex, list(tree.edges), dec.half_dict(), leg)
+    new, slots = _relabel_plan(tree, tuple(mapping.get(l, l) for ls in tree.legs for l in ls))
+    leg = sorted(((mapping.get(l, l), e) for l, e in dec.leg), key=lambda t: label_key(t[0]))
+    return new, Decoration(_carried(dec.half, slots), tuple(leg))
 
 
 def graft(tree: Tree, dec: Decoration, at: Label, legs: Iterable[Label]):
@@ -655,7 +650,7 @@ def contract_trivalent(tree: Tree, dec: Decoration, v: int, keep, drop: Label, b
     taking the far side's ψ-exponent plus ``bump``.  Exponents at ``v``
     itself are dropped: they vanish on a trivalent vertex.
     """
-    ((eid, side),) = [s for s in vertex_slots(tree, v) if s != keep and s != drop]
+    eid, side = _contracted_slot(tree, v, keep, drop)
     u = tree.edges[eid][1 - side]
     half = dec.half_dict()
     leg = dec.leg_dict()
@@ -675,6 +670,14 @@ def contract_trivalent(tree: Tree, dec: Decoration, v: int, keep, drop: Label, b
     return drop_vertex(tree, legs_by_vertex, edge_pairs, half, leg, v, eid)
 
 
+def _contracted_slot(tree: Tree, v: int, keep, drop: Label) -> tuple:
+    """The half-edge slot at the trivalent vertex ``v`` besides ``keep`` and ``drop``."""
+    others = [s for s in vertex_slots(tree, v) if s != keep and s != drop]
+    if len(others) != 1 or not isinstance(others[0], tuple):
+        raise InvalidArgument("no edge to contract at the vertex")
+    return others[0]
+
+
 def drop_vertex(tree: Tree, legs_by_vertex, edge_pairs, half: Mapping, leg: Mapping, v: int, eid: int):
     """Rebuild edited data of ``tree`` without the vertex ``v`` and the edge ``eid``.
 
@@ -689,6 +692,92 @@ def drop_vertex(tree: Tree, legs_by_vertex, edge_pairs, half: Mapping, leg: Mapp
 
 
 # ---------------------------------------------------------------------------
+# move plans: a move's new tree depends only on the old tree and the move, so
+# each (tree, move) is canonicalised once and decorations follow by lookups
+
+
+def _slot_map(old: Tree, new: Tree, image: Mapping, extra: Optional[tuple] = None) -> dict:
+    """Old half-edge slot -> new slot, matched by the leg split of each edge.
+
+    ``image`` names each old leg in ``new`` (a leg absent from it is gone);
+    ``extra`` is ``(leg, v)``, a new leg on old vertex ``v``'s side of every
+    old edge.  An edge whose split is in ``new`` in neither orientation was
+    contracted and has no image.  A rational-tails root stays the root, so
+    only a rooted tree, whose root may move, matches flipped splits; there no
+    two edges have complementary splits, so the match is unique.
+    """
+    child_side = {beyond_legs(new, e): e for e in range(new.num_edges())}
+    all_new = frozenset(l for ls in new.legs for l in ls)
+    out = {}
+    for e in range(old.num_edges()):
+        side = frozenset(image[l] for l in beyond_legs(old, e) if l in image)
+        if extra is not None and e in path_edges(old, extra[1]):
+            side |= {extra[0]}
+        if side in child_side:
+            e2 = child_side[side]
+            out[(e, 0)], out[(e, 1)] = (e2, 0), (e2, 1)
+        elif not new.rt and all_new - side in child_side:
+            e2 = child_side[all_new - side]
+            out[(e, 0)], out[(e, 1)] = (e2, 1), (e2, 0)
+    return out
+
+
+def _carried(half: tuple, slots: Mapping, skip=None) -> tuple:
+    """The half-edge exponents of ``half`` on their new slots; unmapped slots and ``skip`` drop."""
+    return tuple(sorted((slots[s], e) for s, e in half if s != skip and s in slots))
+
+
+def _kept_legs(tree: Tree, *gone: Label) -> dict:
+    return {l: l for ls in tree.legs for l in ls if l not in gone}
+
+
+@lru_cache(maxsize=None)
+def _collide_plan(tree: Tree, i: Label, j: Label):
+    """Colliding ``j`` into ``i``: None when the legs sit apart, else
+    ``(new tree, slot map, far slot)``, the far slot (whose exponent moves to
+    ``i``) being None when the legs merge instead of contracting an edge."""
+    v = vertex_of_leg(tree, i)
+    if j not in tree.legs[v]:
+        return None
+    if dimension_budget(tree, v) == 0:
+        eid, side = _contracted_slot(tree, v, i, j)
+        new, _ = contract_trivalent(tree, Decoration(), v, i, j)
+        far = (eid, 1 - side)
+    else:
+        new, _ = detach_leg(tree, Decoration(), j)
+        far = None
+    return new, _slot_map(tree, new, _kept_legs(tree, j)), far
+
+
+@lru_cache(maxsize=None)
+def _relabel_plan(tree: Tree, images: tuple):
+    """Renaming the legs of ``tree``, in `Tree.legs` order, to ``images``: ``(new tree, slot map)``."""
+    mapping = dict(zip((l for ls in tree.legs for l in ls), images))
+    new, _ = _rebuild(tree, [[mapping[l] for l in ls] for ls in tree.legs], list(tree.edges), {}, {})
+    return new, _slot_map(tree, new, mapping)
+
+
+@lru_cache(maxsize=None)
+def _attach_plan(tree: Tree, v: int, new_leg: Label):
+    """Attaching ``new_leg`` at ``v``: ``(new tree, slot map)``."""
+    new, _ = attach_leg(tree, Decoration(), v, new_leg)
+    return new, _slot_map(tree, new, _kept_legs(tree), (new_leg, v))
+
+
+@lru_cache(maxsize=None)
+def _split_plan(tree: Tree, slot, new_leg: Label):
+    """Splitting ``slot`` off with the fresh ``new_leg``: ``(new tree, slot map,
+    residual slot)``, the residual slot being where the exponent less one lands.
+
+    The move runs on exponent 2 at ``slot``, so that slot shows in its output.
+    """
+    probe = make_decoration({slot: 2}) if isinstance(slot, tuple) else make_decoration(leg_exp={slot: 2})
+    new, dec = split_off(tree, probe, new_leg, slot, fresh=True)
+    ((residual, _),) = dec.half
+    return new, _slot_map(tree, new, _kept_legs(tree), (new_leg, slot_vertex(tree, slot))), residual
+
+
+# ---------------------------------------------------------------------------
 # per-term rules of the class moves (shared by `Class0` and `RtClass`)
 
 
@@ -698,27 +787,42 @@ def collide_term(tree: Tree, dec: Decoration, i: Label, j: Label):
     Legs apart give zero.  At a trivalent rational vertex the supporting edge
     contracts: the far branch exponent moves to ``i``, gains one from the
     excess -ψ, and the sign flips; the genus root never contracts.  Any other
-    vertex merges the two legs, unless either carries ψ.
+    vertex merges the two legs, unless either carries ψ.  The new tree comes
+    from one plan per (tree, i, j) (`_collide_plan`).
     """
-    v = vertex_of_leg(tree, i)
-    if j not in tree.legs[v]:
+    plan = _collide_plan(tree, i, j)
+    if plan is None:
         return None
-    if dimension_budget(tree, v) == 0:
-        return (-1, *contract_trivalent(tree, dec, v, i, j, bump=1))
-    if dec.leg_exp(i) or dec.leg_exp(j):
-        return None
-    return (1, *detach_leg(tree, dec, j))
+    new, slots, far = plan
+    if far is None:
+        if dec.leg_exp(i) or dec.leg_exp(j):
+            return None
+        return (1, new, Decoration(_carried(dec.half, slots), dec.leg))
+    # exponents at the contracted vertex drop: they vanish on a trivalent vertex
+    leg = [(l, e) for l, e in dec.leg if l != i and l != j]
+    leg.append((i, dec.half_exp(far) + 1))
+    leg.sort(key=lambda t: label_key(t[0]))
+    return (-1, new, Decoration(_carried(dec.half, slots), tuple(leg)))
 
 
 def pullback_terms(tree: Tree, dec: Decoration, new_leg: Label):
     """The terms ``(sign, tree, dec)`` of pulling back along forgetting ``new_leg``.
 
     Per vertex: the leg attached there, minus one splitting per decorated
-    slot at that vertex (the ψ-comparison corrections).
+    slot at that vertex (the ψ-comparison corrections).  The new trees come
+    from one plan per (tree, vertex or slot, new_leg).
     """
+    exps = {**dict(dec.half), **dict(dec.leg)}
     for v in range(tree.num_vertices()):
-        yield (1, *attach_leg(tree, dec, v, new_leg))
+        new, slots = _attach_plan(tree, v, new_leg)
+        yield (1, new, Decoration(_carried(dec.half, slots), dec.leg))
         for slot in vertex_slots(tree, v):
-            split = split_off(tree, dec, new_leg, slot, fresh=True)
-            if split is not None:
-                yield (-1, *split)
+            d = exps.get(slot, 0)
+            if not d:
+                continue
+            new, slots, residual = _split_plan(tree, slot, new_leg)
+            half = _carried(dec.half, slots, skip=slot)
+            if d > 1:
+                half = tuple(sorted(half + ((residual, d - 1),)))
+            leg = tuple((l, e) for l, e in dec.leg if l != slot)
+            yield (-1, new, Decoration(half, leg))

@@ -162,6 +162,14 @@ def test_collide_rt_cases():
     assert collide_rt(RtClass({1, 2}, {(t3, d3, f3): Fraction(1)}), 1, 2).terms == {}
 
 
+def test_a_factored_slot_off_the_root_is_rejected():
+    tc, dc = _coda_graph(3, {1, 2})
+    RtClass({1, 2, 3}, {(tc, dc, _fact_tuple({_tail_slot({1, 2}): 1, _leg_slot(3): 1})): 1})
+    for slot in (_leg_slot(1), _tail_slot({1, 3}), _tail_slot({1, 2, 3})):
+        with pytest.raises(InvalidArgument):
+            RtClass({1, 2, 3}, {(tc, dc, _fact_tuple({slot: 1})): 1})
+
+
 def _term(legs_by_vertex, edges, fact, half=None, legexp=None):
     graph, dec = build_tree(legs_by_vertex, edges, rt_root=0, half_exp=half or {}, leg_exp=legexp or {})
     return graph, dec, _fact_tuple(fact)

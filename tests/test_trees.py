@@ -7,25 +7,34 @@ import random
 
 import pytest
 
-from rtails import trees
+from rtails import strata0, trees
 from rtails.trees import (
     H0,
     InvalidArgument,
     Decoration,
+    attach_leg,
     build_tree,
     capacity,
     child_edges_of,
+    collide_term,
+    contract_trivalent,
     decorations_of_degree,
+    detach_leg,
+    dimension_budget,
     enumerate_decorations,
     enumerate_rt_graphs,
+    enumerate_stable_trees,
     enumerate_trees0,
     make_decoration,
     overloaded,
     parent_edge_of,
+    pullback_terms,
     relabel,
+    split_off,
     split_vertex,
     valence,
     vertex_of_leg,
+    vertex_slots,
 )
 
 
@@ -274,8 +283,23 @@ def test_split_vertex_figure_case():
         split_vertex(t2, d2, "n", "circ")
 
 
+# ---------------------------------------------------------------------------
+# the move plans against the `build_tree` route: each oracle composes the
+# moves that rebuild every decorated term
+
+
+def _collide_rebuilt(tree, dec, i, j):
+    v = vertex_of_leg(tree, i)
+    if j not in tree.legs[v]:
+        return None
+    if dimension_budget(tree, v) == 0:
+        return (-1, *contract_trivalent(tree, dec, v, i, j, bump=1))
+    if dec.leg_exp(i) or dec.leg_exp(j):
+        return None
+    return (1, *detach_leg(tree, dec, j))
+
+
 def _relabel_rebuilt(tree, dec, mapping):
-    """The `build_tree` route of `relabel`: the oracle of its in-place fast path."""
     return build_tree(
         [[mapping.get(l, l) for l in ls] for ls in tree.legs],
         list(tree.edges),
@@ -285,39 +309,118 @@ def _relabel_rebuilt(tree, dec, mapping):
     )
 
 
-def test_relabel_fast_path_equals_the_rebuilt_tree(monkeypatch):
-    def mappings(n):
-        ints = range(1, n + 1)
-        yield {k: k + 1 for k in ints}, True  # shift up
-        yield {k: k - 1 for k in ints if k >= 2}, n < 2  # shift down onto 1: a collapse
-        yield {k: 2 * k for k in ints}, True  # order kept, gaps opened
-        yield {k: n + 1 - k for k in ints}, n < 2  # reversal
-        yield {1: 2, 2: 1}, False  # swap
-        yield {1: "@node"}, n < 2  # moves 1 past every integer
-        yield {k: k + 1 for k in ints if k >= 2}, True  # a gap after 1
-        yield {H0: 0}, True  # h0 becomes the smallest integer
+def _pullback_rebuilt(tree, dec, new_leg):
+    out = []
+    for v in range(tree.num_vertices()):
+        out.append((1, *attach_leg(tree, dec, v, new_leg)))
+        for slot in vertex_slots(tree, v):
+            split = split_off(tree, dec, new_leg, slot, fresh=True)
+            if split is not None:
+                out.append((-1, *split))
+    return out
 
-    real_build = trees.build_tree
-    cases = 0
-    rooted = [t for n in range(2, 7) for t in enumerate_trees0(n)]
-    for tree in rooted + [t for n in range(1, 6) for t in enumerate_rt_graphs(n)]:
-        labels = tree.all_legs()
-        n = sum(1 for l in labels if l != H0)
-        dec = make_decoration(
-            {(eid, eid % 2): 1 + eid % 2 for eid in range(tree.num_edges())},
-            {l: 1 + k % 2 for k, l in enumerate(labels) if k % 3 != 1},
+
+def _differential_terms():
+    """Every tree with h0 and two to five more legs, every tree with three to
+    five legs and no h0 (there a move can change which vertex is the root),
+    every rational-tails graph with n <= 4, and every decoration up to
+    degree 2 on each."""
+    rooted = [t for n in range(2, 6) for t in enumerate_trees0(n)]
+    bare = [t for n in range(3, 6) for t in enumerate_stable_trees(tuple(range(1, n + 1)))]
+    rt = [t for n in range(1, 5) for t in enumerate_rt_graphs(n)]
+    for tree in rooted + bare + rt:
+        for dec in enumerate_decorations(tree, 2, leg_bounds={l: 3 for l in tree.all_legs()}):
+            yield tree, dec
+
+
+def test_collide_term_equals_the_build_tree_route():
+    outputs = 0
+    for tree, dec in _differential_terms():
+        if not tree.rt and tree.num_edges() == 0 and len(tree.legs[0]) == 3:
+            continue  # no edge to contract: test_collide_term_without_an_edge_raises
+        for i, j in itertools.permutations(tree.all_legs(), 2):
+            got = collide_term(tree, dec, i, j)
+            assert got == _collide_rebuilt(tree, dec, i, j)
+            outputs += got is not None
+    assert outputs > 5000
+
+
+def test_collide_term_without_an_edge_raises():
+    # the three-leg one-vertex tree: the trivalent vertex has no edge to contract
+    with pytest.raises(InvalidArgument):
+        collide_term(enumerate_trees0(2)[0], Decoration(), 1, 2)
+
+
+def _relabellings(n):
+    ints = range(1, n + 1)
+    yield {k: k + 1 for k in ints}  # shift up
+    yield {k: k - 1 for k in ints if k >= 2}  # shift down onto 1: a collapse
+    yield {k: 2 * k for k in ints}  # order kept, gaps opened
+    yield {k: n + 1 - k for k in ints}  # reversal
+    yield {1: 2, 2: 1}  # swap
+    yield {1: "@node"}  # moves 1 past every integer
+    yield {k: k + 1 for k in ints if k >= 2}  # a gap after 1
+    yield {H0: 0}  # h0 becomes the smallest integer
+
+
+def test_relabel_equals_the_build_tree_route():
+    # the differential terms, and one mixed decoration, of any degree, on every
+    # tree with n <= 6 and every rational-tails graph with n <= 5
+    every = [t for n in range(2, 7) for t in enumerate_trees0(n)] + [t for n in range(1, 6) for t in enumerate_rt_graphs(n)]
+    mixed = [
+        (
+            tree,
+            make_decoration(
+                {(eid, eid % 2): 1 + eid % 2 for eid in range(tree.num_edges())},
+                {l: 1 + k % 2 for k, l in enumerate(tree.all_legs()) if k % 3 != 1},
+            ),
         )
-        for mapping, in_place in mappings(n):
+        for tree in every
+    ]
+    cases = 0
+    for tree, dec in itertools.chain(_differential_terms(), mixed):
+        n = sum(1 for l in tree.all_legs() if l != H0)
+        for mapping in _relabellings(n):
             try:
                 want = _relabel_rebuilt(tree, dec, mapping)
             except InvalidArgument:
                 with pytest.raises(InvalidArgument):
                     relabel(tree, dec, mapping)
                 continue
-            with monkeypatch.context() as m:
-                if in_place:
-                    m.setattr(trees, "build_tree", None)  # the fast path never rebuilds
-                assert relabel(tree, dec, mapping) == want
+            assert relabel(tree, dec, mapping) == want
             cases += 1
     assert cases > 20000
-    assert trees.build_tree is real_build
+
+
+def test_pullback_terms_equal_the_build_tree_route():
+    outputs = 0
+    for tree, dec in _differential_terms():
+        # a leg after every label, and one before them all that moves the root of a tree without h0
+        for new_leg in ("new", 0):
+            got = list(pullback_terms(tree, dec, new_leg))
+            assert got == _pullback_rebuilt(tree, dec, new_leg)
+            outputs += len(got)
+    assert outputs > 10000
+
+
+def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
+    # every term sits on one tree: 1 and 2 on a trivalent vertex, 3 and 4 at the root
+    tree, _ = build_tree([[H0, 3, 4], [1, 2]], [(0, 1)])
+    x = strata0.Class0(tree.all_legs(), {(tree, dec): 1 for dec in enumerate_decorations(tree, 1, {3: 2, 4: 2})})
+    assert len(x.terms) == 5
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(trees, "build_tree", counting)
+    trees._collide_plan.cache_clear()
+    trees._relabel_plan.cache_clear()
+    for fresh in (True, False):
+        calls.clear()
+        contracted = strata0.collide(x, 1, 2)
+        merged = strata0.collide(x, 3, 4)
+        relabelled = strata0.relabel_class(contracted, {3: 2, 4: 3})
+        assert len(calls) == 3 * fresh  # one canonicalisation per move, none on a repeat
+        assert contracted.terms and merged.terms and len(relabelled.terms) == len(contracted.terms)
