@@ -51,6 +51,8 @@ from .trees import (
     relabel,
     valence,
     vertex_of_leg,
+    _carried,
+    _slot_map,
 )
 from .strata0 import FormalSum, dim_of, pair_term, strata_family, term_degree
 from .weights import coeff_c
@@ -222,23 +224,33 @@ def over_degree_terms(n: int) -> RtClass:
 
 
 def extract_tail(graph: Tree, dec: Decoration, root_edge: int):
-    """The genus-0 content of a tail as a rooted rational tree with leg h0."""
-    region_edges = [
-        e for e in range(graph.num_edges()) if beyond_legs(graph, e) <= beyond_legs(graph, root_edge)
-    ]
+    """The genus-0 content of a tail as a rooted rational tree with leg h0.
+
+    The head of the root edge carries h0, with that side's ψ-exponent.  The
+    tree comes from one plan per (graph, root edge) (`_tail_plan`).
+    """
+    tree, slots, legs = _tail_plan(graph, root_edge)
+    leg = tuple((l, e) for l, e in dec.leg if l in legs)
+    h0_exp = dec.half_exp((root_edge, 1))
+    if h0_exp:
+        leg = ((H0, h0_exp),) + leg  # h0 sorts first
+    return tree, Decoration(_carried(dec.half, slots), leg)
+
+
+@lru_cache(maxsize=None)
+def _tail_plan(graph: Tree, root_edge: int):
+    """The tail below ``root_edge``: ``(tree, slot map, its legs)``; the slot
+    map sends the slots of the edges inside the tail to the tree's."""
+    legs = beyond_legs(graph, root_edge)
+    region_edges = [e for e in range(graph.num_edges()) if beyond_legs(graph, e) <= legs]
     inner = [e for e in region_edges if e != root_edge]
     verts = sorted({graph.edges[e][1] for e in region_edges})
     vmap = {v: idx for idx, v in enumerate(verts)}
     legs_by = [list(graph.legs[v]) for v in verts]
     legs_by[vmap[graph.edges[root_edge][1]]].append(H0)
     pairs = [(vmap[graph.edges[e][0]], vmap[graph.edges[e][1]]) for e in inner]
-    half = {}
-    for (eid, side), ex in dec.half:
-        if eid in inner:
-            half[(inner.index(eid), side)] = ex
-    legexp = {l: e for l, e in dec.leg if vertex_of_leg(graph, l) in verts}
-    legexp[H0] = dec.half_exp((root_edge, 1))
-    return build_tree(legs_by, pairs, half_exp=half, leg_exp=legexp)
+    tree, _ = build_tree(legs_by, pairs)
+    return tree, _slot_map(graph, tree, {l: l for l in legs}), legs
 
 
 def root_profile(graph: Tree, dec: Decoration, fact: tuple):

@@ -19,6 +19,14 @@ The zero test pairs a homogeneous class against every boundary stratum of
 complementary dimension.  Boundary strata span these spaces and the
 intersection pairing is perfect over the rationals, so a class vanishes
 exactly when all such pairings do.
+
+The pairing kernel (`zero_witness`, `pair_term`, `_refine`) tests laminarity
+with one AND: each split mask of an ambient has a bit, and each tree caches
+the bits of its own splits and of every split crossing one of them
+(`split_bits`).  The common refinement comes from the mask-keyed tree cache
+that the enumerator fills, so each stratum is canonicalised once.  Of the
+side choices of the excess factor, a pairing integrates only those that
+leave every vertex a ψ-load of exactly valence - 3; the others give 0.
 """
 
 from __future__ import annotations
@@ -204,6 +212,14 @@ def from_terms(ambient, triples) -> Class0:
 # integration
 
 
+@lru_cache(maxsize=None)
+def _load_table(tree: Tree) -> tuple:
+    """``(valence - 3 per vertex, {leg: its vertex})``: the ψ-load each vertex
+    of a top-degree term must carry, and where each leg's exponent lands."""
+    budgets = tuple(valence(tree, v) - 3 for v in range(tree.num_vertices()))
+    return budgets, {l: v for v, ls in enumerate(tree.legs) for l in ls}
+
+
 def integrate_term(tree: Tree, dec: Decoration, ambient: frozenset) -> int:
     """∏ over vertices of the top ψ-integral on that vertex's factor.
 
@@ -212,20 +228,20 @@ def integrate_term(tree: Tree, dec: Decoration, ambient: frozenset) -> int:
     """
     if term_degree(tree, dec) != dim_of(ambient):
         return 0
-    load: list = [[] for _ in range(tree.num_vertices())]
+    budgets, leg_vertex = _load_table(tree)
+    load: list = [[] for _ in budgets]
     for (eid, side), e in dec.half:
         load[tree.edges[eid][side]].append(e)
     for l, e in dec.leg:
-        load[vertex_of_leg(tree, l)].append(e)
+        load[leg_vertex[l]].append(e)
     total = 1
-    for v, exps in enumerate(load):
-        k = valence(tree, v)
-        if sum(exps) != k - 3:
+    for budget, exps in zip(budgets, load):
+        if sum(exps) != budget:
             return 0
         den = 1
         for e in exps:
             den *= factorial(e)
-        total *= factorial(k - 3) // den
+        total *= factorial(budget) // den
     return total
 
 
@@ -274,37 +290,68 @@ def split_masks(tree: Tree, ambient: frozenset) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _tree_from_masks(ambient: frozenset, masks: tuple) -> Tree:
-    """The stratum whose edge splits are the bitmasks ``masks``."""
-    return _tree_from_laminar(_bit_order(ambient), masks, rt=False)
+def _crossing_table(ambient: frozenset) -> dict:
+    """Every split mask on ``ambient`` -> (its bit, the bits of the splits crossing it).
 
-
-def _laminar(t_masks: tuple, s_masks: tuple) -> bool:
-    """Whether two trees' splits are pairwise nested or disjoint.
-
-    The splits of one tree already are, so only the cross pairs are tested.
+    A split is a set of two to |ambient| - 2 legs without the base label, so
+    two splits cross exactly when they meet and neither holds the other.
     """
-    for p in t_masks:
-        for q in s_masks:
+    k = len(ambient)
+    splits = [m for m in range(2, 1 << k, 2) if 2 <= m.bit_count() <= k - 2]
+    bits = {m: 1 << idx for idx, m in enumerate(splits)}
+    table = {}
+    for p in splits:
+        crossing = 0
+        for q in splits:
             inter = p & q
             if inter and inter != p and inter != q:
-                return False
-    return True
+                crossing |= bits[q]
+        table[p] = (bits[p], crossing)
+    return table
+
+
+@lru_cache(maxsize=None)
+def split_bits(tree: Tree, ambient: frozenset) -> tuple:
+    """``(own, crossing)``: the bits of the tree's splits, and of every split
+    crossing one of them (`_crossing_table`)."""
+    table = _crossing_table(ambient)
+    own = crossing = 0
+    for m in split_masks(tree, ambient):
+        bit, cross = table[m]
+        own |= bit
+        crossing |= cross
+    return own, crossing
+
+
+def _laminar(tree: Tree, stratum: Tree, ambient: frozenset) -> bool:
+    """Whether the splits of two trees are pairwise nested or disjoint: one
+    AND, since no split of ``stratum`` may cross a split of ``tree``."""
+    return not split_bits(tree, ambient)[1] & split_bits(stratum, ambient)[0]
+
+
+def _tree_from_masks(ambient: frozenset, masks: tuple) -> Tree:
+    """The stratum whose edge splits are the bitmasks ``masks``.
+
+    These masks are the enumerator's shifted past the base label, so an
+    enumerated stratum is looked up, not rebuilt (`trees._laminar_trees`).
+    """
+    order = _bit_order(ambient)
+    return _tree_from_laminar(order[1:], tuple(m >> 1 for m in masks), rt=False, extra_root_legs=order[:1])
 
 
 class _Refinement:
     """The common minimal degeneration ``gamma`` of a tree and a stratum.
 
-    ``edge_of_mask`` maps a split bitmask to its edge of ``gamma``,
-    ``shared`` lists the splits of the edges both trees have, and ``values``
+    ``edge_of`` maps each edge of the tree to its edge of ``gamma``,
+    ``shared`` lists the edges of ``gamma`` both trees have, and ``values``
     memoises the pairing of each decoration of the tree with the stratum.
     """
 
-    __slots__ = ("gamma", "edge_of_mask", "shared", "values")
+    __slots__ = ("gamma", "edge_of", "shared", "values")
 
-    def __init__(self, gamma: Tree, edge_of_mask: dict, shared: tuple):
+    def __init__(self, gamma: Tree, edge_of: tuple, shared: tuple):
         self.gamma = gamma
-        self.edge_of_mask = edge_of_mask
+        self.edge_of = edge_of
         self.shared = shared
         self.values: dict = {}
 
@@ -317,46 +364,58 @@ def _refine(tree: Tree, stratum: Tree, ambient: frozenset) -> Optional[_Refineme
     laminar).  The pairing routes test ``_laminar`` first, so only laminar
     pairs reach this cache from them.
     """
-    t_masks = split_masks(tree, ambient)
-    s_masks = split_masks(stratum, ambient)
-    if not _laminar(t_masks, s_masks):
+    if not _laminar(tree, stratum, ambient):
         return None
-    gamma = _tree_from_masks(ambient, tuple(sorted(set(t_masks) | set(s_masks))))
-    g_masks = split_masks(gamma, ambient)
-    edge_of_mask = {m: e for e, m in enumerate(g_masks)}
-    shared = tuple(m for m in t_masks if m in set(s_masks))
-    return _Refinement(gamma, edge_of_mask, shared)
+    t_masks = split_masks(tree, ambient)
+    s_masks = set(split_masks(stratum, ambient))
+    gamma = _tree_from_masks(ambient, tuple(sorted(s_masks.union(t_masks))))
+    edge_of_mask = {m: e for e, m in enumerate(split_masks(gamma, ambient))}
+    shared = tuple(edge_of_mask[m] for m in t_masks if m in s_masks)
+    return _Refinement(gamma, tuple(edge_of_mask[m] for m in t_masks), shared)
 
 
-def _excess_decorations(tree: Tree, dec: Decoration, ambient: frozenset, ref: _Refinement):
+def _excess_decorations(dec: Decoration, ref: _Refinement, top_only: bool = False):
     """Decorations on the refinement of the product of (tree, dec) with a stratum.
 
     ``ref`` is ``_refine(tree, stratum, ambient)``.  Each shared edge
     contributes -ψ' - ψ'', so the product is (-1)^|shared| times the sum of
-    the decorated refinements yielded here, one per choice of sides.
+    the decorated refinements yielded here, one per choice of sides.  With
+    ``top_only``, only the choices that leave every vertex of ``gamma`` a
+    ψ-load of valence - 3 are yielded: every other choice integrates to 0.
     """
-    edge_of_mask, shared = ref.edge_of_mask, ref.shared
-    t_masks = split_masks(tree, ambient)
-    half = {(edge_of_mask[t_masks[eid]], side): e for (eid, side), e in dec.half}
-    legexp = dec.leg_dict()
+    gamma, edge_of, shared = ref.gamma, ref.edge_of, ref.shared
+    half = {(edge_of[eid], side): e for (eid, side), e in dec.half}
+    if top_only:
+        budgets, leg_vertex = _load_table(gamma)
+        need = list(budgets)
+        for (eid, side), e in half.items():
+            need[gamma.edges[eid][side]] -= e
+        for l, e in dec.leg:
+            need[leg_vertex[l]] -= e
+        if min(need) < 0 or sum(need) != len(shared):
+            return
     for sides in itertools.product((0, 1), repeat=len(shared)):
+        if top_only:
+            left = list(need)
+            for eid, side in zip(shared, sides):
+                left[gamma.edges[eid][side]] -= 1
+            if any(left):
+                continue
         h2 = dict(half)
-        for m, side in zip(shared, sides):
-            slot = (edge_of_mask[m], side)
-            h2[slot] = h2.get(slot, 0) + 1
-        yield make_decoration(h2, legexp)
+        for eid, side in zip(shared, sides):
+            h2[(eid, side)] = h2.get((eid, side), 0) + 1
+        yield Decoration(tuple(sorted(h2.items())), dec.leg)
 
 
-def _pair_refined(tree: Tree, dec: Decoration, ambient: frozenset, ref: _Refinement) -> int:
-    """The pairing of (tree, dec) with the stratum that ``ref`` refines it against."""
-    value = ref.values.get(dec)
-    if value is None:
-        value = 0
-        for d2 in _excess_decorations(tree, dec, ambient, ref):
-            value += integrate_term(ref.gamma, d2, ambient)
-        if len(ref.shared) % 2:
-            value = -value
-        ref.values[dec] = value
+def _pair_refined(dec: Decoration, ambient: frozenset, ref: _Refinement) -> int:
+    """The pairing of (tree, dec) with the stratum that ``ref`` refines it
+    against, memoised in ``ref.values``; the callers read the memo first."""
+    value = 0
+    for d2 in _excess_decorations(dec, ref, top_only=True):
+        value += integrate_term(ref.gamma, d2, ambient)
+    if len(ref.shared) % 2:
+        value = -value
+    ref.values[dec] = value
     return value
 
 
@@ -370,15 +429,17 @@ def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
         if ref is None:
             continue
         signed = coeff * (-1) ** len(ref.shared)
-        for d2 in _excess_decorations(tree, dec, x.ambient, ref):
+        for d2 in _excess_decorations(dec, ref):
             out._add(ref.gamma, d2, signed)
     return out
 
 
 def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) -> int:
-    if not _laminar(split_masks(tree, ambient), split_masks(stratum, ambient)):
+    if not _laminar(tree, stratum, ambient):
         return 0
-    return _pair_refined(tree, dec, ambient, _refine(tree, stratum, ambient))
+    ref = _refine(tree, stratum, ambient)
+    value = ref.values.get(dec)
+    return _pair_refined(dec, ambient, ref) if value is None else value
 
 
 def pair(x: Class0, stratum: Tree) -> Fraction:
@@ -411,16 +472,20 @@ def zero_witness(x: Class0) -> Optional[Tree]:
     by_tree: dict = {}
     for (tree, dec), coeff in x.terms.items():
         by_tree.setdefault(tree, []).append((dec, coeff.numerator * (common // coeff.denominator)))
-    rows = [(tree, split_masks(tree, ambient), items) for tree, items in by_tree.items()]
+    rows = [(tree, split_bits(tree, ambient)[1], items) for tree, items in by_tree.items()]
     for stratum in strata_family(ambient, codim):
-        s_masks = split_masks(stratum, ambient)
+        own = split_bits(stratum, ambient)[0]
         total = 0
-        for tree, t_masks, items in rows:
-            if not _laminar(t_masks, s_masks):
+        for tree, crossing, items in rows:
+            if crossing & own:
                 continue
             ref = _refine(tree, stratum, ambient)
+            values = ref.values
             for dec, num in items:
-                total += num * _pair_refined(tree, dec, ambient, ref)
+                value = values.get(dec)
+                if value is None:
+                    value = _pair_refined(dec, ambient, ref)
+                total += num * value
         if total:
             return stratum
     return None

@@ -346,7 +346,22 @@ def _laminar_families(candidates: list):
     yield from rec(0, [])
 
 
+# (labels, rt, extra root legs, sorted split masks) -> its dual tree; the
+# enumerators fill it, so a lookup of an enumerated family builds nothing
+_laminar_trees: dict = {}
+
+
 def _tree_from_laminar(labels: tuple, family: tuple, rt: bool, extra_root_legs: tuple = ()) -> Tree:
+    """The dual tree whose edge splits are exactly ``family``, canonicalised
+    once per family (``_laminar_trees``)."""
+    key = (labels, rt, extra_root_legs, tuple(sorted(family)))
+    tree = _laminar_trees.get(key)
+    if tree is None:
+        tree = _laminar_trees[key] = _build_from_laminar(labels, family, rt, extra_root_legs)
+    return tree
+
+
+def _build_from_laminar(labels: tuple, family: tuple, rt: bool, extra_root_legs: tuple) -> Tree:
     """Build the dual tree whose edge splits are exactly ``family``."""
     bit = {l: i for i, l in enumerate(labels)}
     sets = sorted(family, key=lambda m: (-m.bit_count(), m))
@@ -614,16 +629,14 @@ def graft(tree: Tree, dec: Decoration, at: Label, legs: Iterable[Label]):
     """Replace the leg ``at`` by an edge to a new vertex carrying ``legs``.
 
     The ψ-exponent of ``at`` moves to the new edge's side at the old vertex.
+    The new tree comes from one plan per (tree, at, legs) (`_graft_plan`).
     """
-    v = vertex_of_leg(tree, at)
-    legs_by_vertex = [list(ls) for ls in tree.legs] + [list(legs)]
-    legs_by_vertex[v].remove(at)
-    half = dec.half_dict()
-    leg = dec.leg_dict()
-    exp = leg.pop(at, 0)
+    new, slots, at_slot = _graft_plan(tree, at, sort_labels(legs))
+    half = _carried(dec.half, slots)
+    exp = dec.leg_exp(at)
     if exp:
-        half[(tree.num_edges(), 0)] = exp
-    return _rebuild(tree, legs_by_vertex, list(tree.edges) + [(v, tree.num_vertices())], half, leg)
+        half = tuple(sorted(half + ((at_slot, exp),)))
+    return new, Decoration(half, tuple((l, e) for l, e in dec.leg if l != at))
 
 
 NODE = "@node"
@@ -700,7 +713,7 @@ def _slot_map(old: Tree, new: Tree, image: Mapping, extra: Optional[tuple] = Non
     """Old half-edge slot -> new slot, matched by the leg split of each edge.
 
     ``image`` names each old leg in ``new`` (a leg absent from it is gone);
-    ``extra`` is ``(leg, v)``, a new leg on old vertex ``v``'s side of every
+    ``extra`` is ``(legs, v)``, new legs on old vertex ``v``'s side of every
     old edge.  An edge whose split is in ``new`` in neither orientation was
     contracted and has no image.  A rational-tails root stays the root, so
     only a rooted tree, whose root may move, matches flipped splits; there no
@@ -712,7 +725,7 @@ def _slot_map(old: Tree, new: Tree, image: Mapping, extra: Optional[tuple] = Non
     for e in range(old.num_edges()):
         side = frozenset(image[l] for l in beyond_legs(old, e) if l in image)
         if extra is not None and e in path_edges(old, extra[1]):
-            side |= {extra[0]}
+            side |= frozenset(extra[0])
         if side in child_side:
             e2 = child_side[side]
             out[(e, 0)], out[(e, 1)] = (e2, 0), (e2, 1)
@@ -761,7 +774,7 @@ def _relabel_plan(tree: Tree, images: tuple):
 def _attach_plan(tree: Tree, v: int, new_leg: Label):
     """Attaching ``new_leg`` at ``v``: ``(new tree, slot map)``."""
     new, _ = attach_leg(tree, Decoration(), v, new_leg)
-    return new, _slot_map(tree, new, _kept_legs(tree), (new_leg, v))
+    return new, _slot_map(tree, new, _kept_legs(tree), ((new_leg,), v))
 
 
 @lru_cache(maxsize=None)
@@ -774,7 +787,25 @@ def _split_plan(tree: Tree, slot, new_leg: Label):
     probe = make_decoration({slot: 2}) if isinstance(slot, tuple) else make_decoration(leg_exp={slot: 2})
     new, dec = split_off(tree, probe, new_leg, slot, fresh=True)
     ((residual, _),) = dec.half
-    return new, _slot_map(tree, new, _kept_legs(tree), (new_leg, slot_vertex(tree, slot))), residual
+    return new, _slot_map(tree, new, _kept_legs(tree), ((new_leg,), slot_vertex(tree, slot))), residual
+
+
+@lru_cache(maxsize=None)
+def _graft_plan(tree: Tree, at: Label, legs: tuple):
+    """Grafting ``legs`` at the leg ``at``: ``(new tree, slot map, at slot)``,
+    the at slot being the new edge's side at the old vertex, where the
+    exponent of ``at`` lands.
+
+    The new edge is built with exponent 1 on that side, so the slot shows in
+    the output.
+    """
+    v = vertex_of_leg(tree, at)
+    legs_by_vertex = [list(ls) for ls in tree.legs] + [list(legs)]
+    legs_by_vertex[v].remove(at)
+    edge_pairs = list(tree.edges) + [(v, tree.num_vertices())]
+    new, probe = _rebuild(tree, legs_by_vertex, edge_pairs, {(tree.num_edges(), 0): 1}, {})
+    ((at_slot, _),) = probe.half
+    return new, _slot_map(tree, new, _kept_legs(tree, at), (legs, v)), at_slot
 
 
 # ---------------------------------------------------------------------------

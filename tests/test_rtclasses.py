@@ -9,7 +9,16 @@ import pytest
 
 from rtails import rtclasses
 from rtails.strata0 import pair_term, push_tree, strata_family
-from rtails.trees import H0, InvalidArgument, build_tree
+from rtails.trees import (
+    H0,
+    InvalidArgument,
+    beyond_legs,
+    build_tree,
+    child_edges_of,
+    enumerate_decorations,
+    enumerate_rt_graphs,
+    vertex_of_leg,
+)
 from rtails.rtclasses import (
     KPoly,
     PushedClass,
@@ -17,6 +26,7 @@ from rtails.rtclasses import (
     collide_rt,
     e_class,
     emit_relation,
+    extract_tail,
     f_class,
     f_class_m,
     f_heavy_expanded,
@@ -421,6 +431,47 @@ def test_tensor_zero_test_matches_the_all_codimension_oracle(monkeypatch):
     assert real(profile, vanishing) and _all_codim_is_zero(profile, vanishing)
     for bucket in perturbed:
         assert not real(profile, bucket) and not _all_codim_is_zero(profile, bucket)
+
+
+def _tail_rebuilt(graph, dec, root_edge):
+    """The tail below ``root_edge`` by `build_tree`, decoration and all."""
+    region = [e for e in range(graph.num_edges()) if beyond_legs(graph, e) <= beyond_legs(graph, root_edge)]
+    inner = [e for e in region if e != root_edge]
+    verts = sorted({graph.edges[e][1] for e in region})
+    vmap = {v: idx for idx, v in enumerate(verts)}
+    legs_by = [list(graph.legs[v]) for v in verts]
+    legs_by[vmap[graph.edges[root_edge][1]]].append(H0)
+    pairs = [(vmap[graph.edges[e][0]], vmap[graph.edges[e][1]]) for e in inner]
+    half = {(inner.index(eid), side): ex for (eid, side), ex in dec.half if eid in inner}
+    legexp = {l: e for l, e in dec.leg if vertex_of_leg(graph, l) in verts}
+    legexp[H0] = dec.half_exp((root_edge, 1))
+    return build_tree(legs_by, pairs, half_exp=half, leg_exp=legexp)
+
+
+def test_extract_tail_equals_the_build_tree_route(monkeypatch):
+    # every tail of every rational-tails graph with n <= 5, under every
+    # decoration up to degree 2; a repeat canonicalises nothing
+    cases = [
+        (graph, dec, e)
+        for n in range(1, 6)
+        for graph in enumerate_rt_graphs(n)
+        for dec in enumerate_decorations(graph, 2, leg_bounds={l: 3 for l in graph.all_legs()})
+        for e in child_edges_of(graph, 0)
+    ]
+    want = [_tail_rebuilt(graph, dec, e) for graph, dec, e in cases]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(rtclasses, "build_tree", counting)
+    rtclasses._tail_plan.cache_clear()
+    assert [extract_tail(graph, dec, e) for graph, dec, e in cases] == want
+    assert len(calls) == len({(graph, e) for graph, _, e in cases})
+    calls.clear()
+    assert [extract_tail(graph, dec, e) for graph, dec, e in cases] == want
+    assert not calls and len(cases) > 5000
 
 
 def test_rt_sums_copy_checked_terms(monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from rtails import strata0
-from rtails.cycles import z_cycle
+from rtails.cycles import ambient0, z_cycle, z_truncated
 from rtails.trees import (
     H0,
     InvalidArgument,
@@ -342,6 +342,28 @@ def test_zero_witness_is_the_first_nonzero_pairing(labels):
             assert zero_witness(x - x) is None
 
 
+def _z_terms(n):
+    """The distinct terms of every Z(n,i,j) and Zᵗ(n,i,j) of the vanishing grid."""
+    terms = {key for i in range(1, n) for j in range(1, i) for f in (z_cycle, z_truncated) for key in f(n, i, j).terms}
+    return sorted(terms, key=lambda key: strata0.term_sort_key(*key))
+
+
+def test_pairing_kernel_equals_the_product_route():
+    # every term of every Z/Zᵗ with n <= 5, then a fixed sample of the n = 6
+    # terms, against every stratum of complementary codimension
+    cases = [(n, t, d) for n in range(3, 6) for t, d in _z_terms(n)]
+    cases += [(6, t, d) for t, d in random.Random(19).sample(_z_terms(6), 60)]
+    pairs = nonzero = 0
+    for n, t, d in cases:
+        ambient = ambient0(n)
+        for S in strata_family(ambient, n - 2 - t.num_edges() - d.degree()):
+            value = pair_term(t, d, S, ambient)
+            assert value == integrate(product_with_stratum(push_tree(t, d), S))
+            pairs += 1
+            nonzero += value != 0
+    assert 0 < nonzero < pairs
+
+
 def test_pair_term_with_two_shared_edges():
     # on 7 legs two codim-2 strata can share both edges: the excess factor
     # (-ψ' - ψ'')^2 expands into four decorations
@@ -375,20 +397,54 @@ def _integrate_term_by_fractions(tree, dec, ambient):
     return total
 
 
+def _pairwise_laminar(t_masks, s_masks):
+    union = set(t_masks) | set(s_masks)
+    return all((p & q) in (0, p, q) for p, q in itertools.combinations(union, 2))
+
+
 def test_laminar_agrees_with_the_pairwise_test_on_the_union():
-    ambient = frozenset((1, 2, 3, 4, 5, H0))
-    family = [S for c in range(4) for S in strata_family(ambient, c)]
+    # every pair of strata on 6 legs, then every codim-1 x codim-3 pair on 7
+    six = frozenset((1, 2, 3, 4, 5, H0))
+    seven = six | {6}
+    family = [S for c in range(4) for S in strata_family(six, c)]
+    cases = [(six, T, S) for T in family for S in family]
+    cases += [(seven, T, S) for T in strata_family(seven, 1) for S in strata_family(seven, 3)]
     laminar_pairs = 0
-    for T in family:
-        t_masks = split_masks(T, ambient)
-        for S in family:
-            s_masks = split_masks(S, ambient)
-            union = set(t_masks) | set(s_masks)
-            pairwise = all((p & q) in (0, p, q) for p, q in itertools.combinations(union, 2))
-            assert _laminar(t_masks, s_masks) == pairwise
+    for ambient, T, S in cases:
+        pairwise = _pairwise_laminar(split_masks(T, ambient), split_masks(S, ambient))
+        assert _laminar(T, S, ambient) == pairwise
+        if ambient is six:
             assert (_refine(T, S, ambient) is None) == (not pairwise)
-            laminar_pairs += pairwise
-    assert 0 < laminar_pairs < len(family) ** 2
+        laminar_pairs += pairwise
+    assert 0 < laminar_pairs < len(cases)
+
+
+def test_zero_witness_pairs_the_same_strata(monkeypatch):
+    # the strata a zero test refines against: on a passing class every stratum
+    # laminar with at least one term, in family order; on a failing class the
+    # same, up to the first stratum with a nonzero pairing, where it stops
+    seen = []
+    refine = strata0._refine
+
+    def recording(tree, stratum, ambient):
+        seen.append(stratum)
+        return refine(tree, stratum, ambient)
+
+    def laminar_strata(x, family):
+        trees = {split_masks(t, x.ambient) for t, _ in x.terms}
+        return [S for S in family if any(_pairwise_laminar(m, split_masks(S, x.ambient)) for m in trees)]
+
+    monkeypatch.setattr(strata0, "_refine", recording)
+    for j, i in itertools.combinations(range(1, 5), 2):
+        for x in (z_cycle(5, i, j), z_truncated(5, i, j)):
+            family = strata_family(x.ambient, 3 - x.degrees().pop())
+            (t, d), _ = x.items()[0]
+            failing = x + push_tree(t, d)
+            witness = next(S for S in family if pair(failing, S))
+            for y, stop in ((x, len(family)), (failing, family.index(witness) + 1)):
+                seen.clear()
+                assert zero_witness(y) == (None if y is x else witness)
+                assert list(dict.fromkeys(seen)) == laminar_strata(y, family[:stop])
 
 
 def test_integrate_term_is_the_fraction_formula():

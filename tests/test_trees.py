@@ -25,6 +25,7 @@ from rtails.trees import (
     enumerate_rt_graphs,
     enumerate_stable_trees,
     enumerate_trees0,
+    graft,
     make_decoration,
     overloaded,
     parent_edge_of,
@@ -403,6 +404,30 @@ def test_pullback_terms_equal_the_build_tree_route():
     assert outputs > 10000
 
 
+def _graft_rebuilt(tree, dec, at, legs):
+    v = vertex_of_leg(tree, at)
+    legs_by_vertex = [list(ls) for ls in tree.legs] + [list(legs)]
+    legs_by_vertex[v].remove(at)
+    half, leg = dec.half_dict(), dec.leg_dict()
+    if leg.get(at):
+        half[(tree.num_edges(), 0)] = leg.pop(at)
+    edges = list(tree.edges) + [(v, tree.num_vertices())]
+    return build_tree(legs_by_vertex, edges, rt_root=0 if tree.rt else None, half_exp=half, leg_exp=leg)
+
+
+def test_graft_equals_the_build_tree_route():
+    # at every leg: a vertex keeping the leg (as sigma0 grafts at h0), two
+    # legs after every label, and, on a tree without h0, a leg before them all
+    # that moves the root onto the new vertex
+    cases = 0
+    for tree, dec in _differential_terms():
+        for at in tree.all_legs():
+            for legs in ((at, "new"), ("new", "two"), (0, "new")):
+                assert graft(tree, dec, at, legs) == _graft_rebuilt(tree, dec, at, legs)
+                cases += 1
+    assert cases > 20000
+
+
 def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
     # every term sits on one tree: 1 and 2 on a trivalent vertex, 3 and 4 at the root
     tree, _ = build_tree([[H0, 3, 4], [1, 2]], [(0, 1)])
@@ -417,10 +442,13 @@ def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
     monkeypatch.setattr(trees, "build_tree", counting)
     trees._collide_plan.cache_clear()
     trees._relabel_plan.cache_clear()
+    trees._graft_plan.cache_clear()
     for fresh in (True, False):
         calls.clear()
         contracted = strata0.collide(x, 1, 2)
         merged = strata0.collide(x, 3, 4)
         relabelled = strata0.relabel_class(contracted, {3: 2, 4: 3})
-        assert len(calls) == 3 * fresh  # one canonicalisation per move, none on a repeat
+        grafted = strata0.glue_push_sigma0(x, 5)
+        assert len(calls) == 4 * fresh  # one canonicalisation per move, none on a repeat
         assert contracted.terms and merged.terms and len(relabelled.terms) == len(contracted.terms)
+        assert len(grafted.terms) == len(x.terms)
