@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
 stderr) or ran over its time budget, 2 usage error (bad arguments, unreadable
-or malformed input, a verify grid with no tasks or with --max-n above the
-largest measured size), 3 internal error (traceback on stderr).  All numeric
+or malformed input, a verify grid with no tasks or with --max-n or --max-sum
+above the largest measured size), 3 internal error (traceback on stderr).  All numeric
 output is exact ("p/q"); verification timings go to stderr so stdout is
 byte-identical across runs.
 """
@@ -249,14 +249,18 @@ def run_task(task) -> cycles.VerificationReport:
     return dataclasses.replace(report, seconds=time.perf_counter() - t0)
 
 
-# the largest --max-n whose grids have been measured (the n = 7 vanishing grid)
+# the largest --max-n and --max-sum whose grids have been measured (the n = 7
+# vanishing grid; collide-rt at Σm = 6 takes about 25 s and 116 MiB)
 MAX_N = 7
+MAX_SUM = 6
 
 
 def cmd_verify(args) -> int:
     t_start = time.perf_counter()
     if args.max_n > MAX_N:
         raise InvalidArgument(f"--max-n {args.max_n} is above {MAX_N}, the largest size measured")
+    if args.max_sum > MAX_SUM:
+        raise InvalidArgument(f"--max-sum {args.max_sum} is above {MAX_SUM}, the largest size measured")
     tasks = _grid(args.suite, args.max_n, args.max_sum)
     if not tasks:
         raise InvalidArgument(f"suite {args.suite} has no tasks at --max-n {args.max_n} --max-sum {args.max_sum}")

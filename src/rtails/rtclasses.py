@@ -52,7 +52,7 @@ from .trees import (
     valence,
     vertex_of_leg,
     _carried,
-    _slot_map,
+    _plan,
 )
 from .strata0 import FormalSum, dim_of, pair_term, strata_family, term_degree
 from .weights import coeff_c
@@ -239,18 +239,12 @@ def extract_tail(graph: Tree, dec: Decoration, root_edge: int):
 
 @lru_cache(maxsize=None)
 def _tail_plan(graph: Tree, root_edge: int):
-    """The tail below ``root_edge``: ``(tree, slot map, its legs)``; the slot
-    map sends the slots of the edges inside the tail to the tree's."""
+    """The tail below ``root_edge``: ``(tree, slot map, its legs)``.  Every
+    other leg is forgotten and h0 lands at the head of the root edge, so the
+    edges outside the tail, the root edge among them, drop."""
     legs = beyond_legs(graph, root_edge)
-    region_edges = [e for e in range(graph.num_edges()) if beyond_legs(graph, e) <= legs]
-    inner = [e for e in region_edges if e != root_edge]
-    verts = sorted({graph.edges[e][1] for e in region_edges})
-    vmap = {v: idx for idx, v in enumerate(verts)}
-    legs_by = [list(graph.legs[v]) for v in verts]
-    legs_by[vmap[graph.edges[root_edge][1]]].append(H0)
-    pairs = [(vmap[graph.edges[e][0]], vmap[graph.edges[e][1]]) for e in inner]
-    tree, _ = build_tree(legs_by, pairs)
-    return tree, _slot_map(graph, tree, {l: l for l in legs}), legs
+    forgotten = {l: None for ls in graph.legs for l in ls if l not in legs}
+    return (*_plan(graph, forgotten, (H0,), graph.edges[root_edge][1]), legs)
 
 
 def root_profile(graph: Tree, dec: Decoration, fact: tuple):

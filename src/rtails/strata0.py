@@ -47,8 +47,6 @@ from .trees import (
     build_tree,
     coda_mapping,
     collide_term,
-    contract_trivalent,
-    detach_leg,
     enumerate_stable_trees,
     graft,
     label_key,
@@ -61,6 +59,8 @@ from .trees import (
     valence,
     vertex_of_leg,
     vertex_slots,
+    _carried,
+    _forget_plan,
     _tree_from_laminar,
 )
 
@@ -184,9 +184,16 @@ def term_degree(tree: Tree, dec: Decoration) -> int:
     return tree.num_edges() + dec.degree()
 
 
-def term_is_zero(tree: Tree, dec: Decoration, ambient: frozenset) -> bool:
+def _check_tree(tree: Tree, ambient: frozenset) -> None:
+    """Refuse a tree that is no genus-0 stratum of ``ambient``."""
+    if tree.rt:
+        raise InvalidArgument("a genus-0 class has no rational-tails graph")
     if frozenset(l for ls in tree.legs for l in ls) != ambient:
-        raise InvalidArgument("term legs do not match the ambient")
+        raise InvalidArgument("tree legs do not match the ambient")
+
+
+def term_is_zero(tree: Tree, dec: Decoration, ambient: frozenset) -> bool:
+    _check_tree(tree, ambient)
     return term_degree(tree, dec) > dim_of(ambient) or overloaded(tree, dec)
 
 
@@ -277,9 +284,11 @@ def strata_family(ambient, codim: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def split_masks(tree: Tree, ambient: frozenset) -> tuple:
-    """Per-edge bitmask of the legs beyond the edge (never the base label)."""
+    """Per-edge bitmask of the legs beyond the edge, which never hold the
+    base (smallest) label; the bits number the labels after it, as the
+    enumerator's masks do (`trees._laminar_trees`)."""
     order = _bit_order(ambient)
-    bit = {l: i for i, l in enumerate(order)}
+    bit = {l: i for i, l in enumerate(order[1:])}
     out = []
     for eid in range(tree.num_edges()):
         mask = 0
@@ -297,7 +306,7 @@ def _crossing_table(ambient: frozenset) -> dict:
     two splits cross exactly when they meet and neither holds the other.
     """
     k = len(ambient)
-    splits = [m for m in range(2, 1 << k, 2) if 2 <= m.bit_count() <= k - 2]
+    splits = [m for m in range(1, 1 << (k - 1)) if 2 <= m.bit_count() <= k - 2]
     bits = {m: 1 << idx for idx, m in enumerate(splits)}
     table = {}
     for p in splits:
@@ -329,16 +338,6 @@ def _laminar(tree: Tree, stratum: Tree, ambient: frozenset) -> bool:
     return not split_bits(tree, ambient)[1] & split_bits(stratum, ambient)[0]
 
 
-def _tree_from_masks(ambient: frozenset, masks: tuple) -> Tree:
-    """The stratum whose edge splits are the bitmasks ``masks``.
-
-    These masks are the enumerator's shifted past the base label, so an
-    enumerated stratum is looked up, not rebuilt (`trees._laminar_trees`).
-    """
-    order = _bit_order(ambient)
-    return _tree_from_laminar(order[1:], tuple(m >> 1 for m in masks), rt=False, extra_root_legs=order[:1])
-
-
 class _Refinement:
     """The common minimal degeneration ``gamma`` of a tree and a stratum.
 
@@ -368,7 +367,9 @@ def _refine(tree: Tree, stratum: Tree, ambient: frozenset) -> Optional[_Refineme
         return None
     t_masks = split_masks(tree, ambient)
     s_masks = set(split_masks(stratum, ambient))
-    gamma = _tree_from_masks(ambient, tuple(sorted(s_masks.union(t_masks))))
+    order = _bit_order(ambient)
+    # the enumerator's masks: an enumerated stratum is looked up, not rebuilt
+    gamma = _tree_from_laminar(order[1:], tuple(s_masks.union(t_masks)), rt=False, extra_root_legs=order[:1])
     edge_of_mask = {m: e for e, m in enumerate(split_masks(gamma, ambient))}
     shared = tuple(edge_of_mask[m] for m in t_masks if m in s_masks)
     return _Refinement(gamma, tuple(edge_of_mask[m] for m in t_masks), shared)
@@ -421,8 +422,7 @@ def _pair_refined(dec: Decoration, ambient: frozenset, ref: _Refinement) -> int:
 
 def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
     """Excess-intersection product with an undecorated boundary stratum."""
-    if frozenset(stratum.all_legs()) != x.ambient:
-        raise InvalidArgument("ambient mismatch")
+    _check_tree(stratum, x.ambient)
     out = Class0(x.ambient)
     for (tree, dec), coeff in x.terms.items():
         ref = _refine(tree, stratum, x.ambient)
@@ -444,8 +444,7 @@ def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) ->
 
 def pair(x: Class0, stratum: Tree) -> Fraction:
     """Integral of the product against an undecorated stratum."""
-    if frozenset(stratum.all_legs()) != x.ambient:
-        raise InvalidArgument("ambient mismatch")
+    _check_tree(stratum, x.ambient)
     if x.terms:
         degs = x.degrees()
         if len(degs) > 1:
@@ -551,23 +550,26 @@ def pushforward_forget(x: Class0, leg) -> Class0:
     flat = _eliminate_leg_psi(x, leg)
     out = Class0(ambient2)
     for (tree, dec), coeff in flat.terms.items():
+        new, slots, moved = _forget_plan(tree, leg)
+        half = _carried(dec.half, slots)
         v = vertex_of_leg(tree, leg)
         if valence(tree, v) >= 4:
-            # string rule: lower one decorated slot at v by one
+            # string rule: lower one decorated slot at v by one (ψ_leg is gone)
             for slot in vertex_slots(tree, v):
-                if slot == leg:
-                    continue
-                half = dec.half_dict()
-                legexp = dec.leg_dict()
-                store = half if isinstance(slot, tuple) else legexp
-                if store.get(slot, 0):
-                    store[slot] -= 1
-                    out._add(*detach_leg(tree, make_decoration(half, legexp), leg), coeff)
+                lowered, legexp = dict(half), dec.leg_dict()
+                store, key = (lowered, slots[slot]) if isinstance(slot, tuple) else (legexp, slot)
+                if store.get(key):
+                    store[key] -= 1
+                    out._add(new, make_decoration(lowered, legexp), coeff)
         else:
             # decorated slots at a trivalent vertex are already zero in normal
-            # form; the leg left over, or else the first edge, survives
-            keep = next(s for s in vertex_slots(tree, v) if s != leg)
-            out._add(*contract_trivalent(tree, dec, v, keep, leg), coeff)
+            # form; the leg left over takes the far exponent, or the edge left
+            # over merges with the contracted one (`_forget_plan`)
+            leg_exp = dec.leg_dict()
+            if moved is not None:
+                far, keep = moved
+                leg_exp[keep] = dec.half_exp(far)
+            out._add(new, make_decoration(dict(half), leg_exp), coeff)
     return out
 
 

@@ -526,46 +526,141 @@ def coda_path(tree: Tree, n: int, I: frozenset) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# vertex splitting (the T°/T^{h-} constructions of the pull-back expansion)
+# moves: a stable tree is fixed by its legs and the splits its edges cut off,
+# so every move edits the split family, and each (tree, move) is canonicalised
+# once (`_plan`); decorations follow by slot lookups
 
 
-def split_off(tree: Tree, dec: Decoration, move_leg: Label, slot, fresh: bool = False):
-    """Split the vertex holding ``slot``, moving the slot and ``move_leg``
-    onto a new trivalent vertex; the slot's ψ-exponent drops by one onto the
-    residual side of the inserted edge.  Returns None (zero marker) when it
-    is 0.  With ``fresh`` the leg is new instead of moved.
+def _plan(old: Tree, image: Mapping, extra: tuple = (), at: int = 0, added: tuple = ()):
+    """The tree a move makes of ``old``, and its slot map: ``(new tree, slots)``.
+
+    ``image`` renames legs, or forgets those it sends to None; the others
+    stay.  The ``extra`` legs are new and land on vertex ``at``'s side of
+    every old edge.  ``added`` lists the legs on one side of each new edge;
+    the slot map numbers the k-th new edge ``old.num_edges() + k``, with
+    that side as its head.  Each edge keeps its split under these edits.  A
+    split that no longer cuts off two legs a side (the genus root of a
+    rational-tails graph needs none) drops: that edge was contracted, and
+    its slots get no image.  Edges whose splits coincide merge: the vertex
+    between them was contracted, and no exponent may sit there.  Adding h0
+    to a rational-tails graph cuts off a rooted tree.
+
+    The new tree comes from the enumerator's split-keyed cache
+    (`_laminar_trees`), so each family is canonicalised once, and each slot
+    finds its new slot by its edge's split.  A rooted tree stores the side
+    without its smallest label, so there a split may flip; a rational-tails
+    root stays the root, so there none does.
     """
+    legs = [image.get(l, l) for ls in old.legs for l in ls] + list(extra)
+    legs = [l for l in legs if l is not None]
+    if len(set(legs)) != len(legs):
+        raise InvalidArgument("duplicate leg labels")
+    rt = old.rt and H0 not in extra
+    ordered = sort_labels(legs)
+    base = () if rt else ordered[:1]
+    labels = ordered[len(base):]
+    bit = {l: 1 << k for k, l in enumerate(labels)}
+    full = (1 << len(labels)) - 1
+    on_path = path_edges(old, at)
+
+    def split(side) -> tuple:
+        mask = sum(bit.get(l, 0) for l in side)
+        flip = bool(base) and base[0] in side
+        return (full ^ mask if flip else mask), flip
+
+    sides = [
+        split([image.get(l, l) for l in beyond_legs(old, e)] + (list(extra) if e in on_path else []))
+        for e in range(old.num_edges())
+    ] + [split(side) for side in added]
+    most = len(labels) - 1 if base else len(labels)
+    kept = {mask for mask, _ in sides if 2 <= mask.bit_count() <= most}
+    if any(mask not in kept for mask, _ in sides[old.num_edges():]):
+        raise InvalidArgument("a new edge must cut off two legs a side")
+    new = _tree_from_laminar(labels, tuple(kept), rt, base)
+    edge_of = {sum(bit[l] for l in beyond_legs(new, e2)): e2 for e2 in range(new.num_edges())}
+    slots = {}
+    for e, (mask, flip) in enumerate(sides):
+        if mask in kept:
+            slots[(e, 0)], slots[(e, 1)] = (edge_of[mask], int(flip)), (edge_of[mask], 1 - flip)
+    return new, slots
+
+
+def _carried(half: tuple, slots: Mapping, skip=None) -> tuple:
+    """The half-edge exponents of ``half`` on their new slots; unmapped slots and ``skip`` drop."""
+    return tuple(sorted((slots[s], e) for s, e in half if s != skip and s in slots))
+
+
+@lru_cache(maxsize=None)
+def _forget_plan(tree: Tree, leg: Label):
+    """Forgetting ``leg``: ``(new tree, slot map, moved)``.
+
+    At a trivalent rational vertex an edge there contracts: the last of its
+    two other slots, legs coming first.  When the first is a leg,
+    ``moved`` is ``(far slot, that leg)``: the leg moves to the far vertex
+    and takes the far slot's exponent.  Otherwise (the first is an edge,
+    whose split the contracted one shares, or the vertex stays stable)
+    ``moved`` is None.
+    """
+    v = vertex_of_leg(tree, leg)
+    moved = None
+    if dimension_budget(tree, v) == 0:
+        keep, edge = [s for s in vertex_slots(tree, v) if s != leg]
+        if not isinstance(edge, tuple):
+            raise InvalidArgument("no edge to contract at the vertex")
+        if not isinstance(keep, tuple):
+            moved = ((edge[0], 1 - edge[1]), keep)
+    return (*_plan(tree, {leg: None}), moved)
+
+
+@lru_cache(maxsize=None)
+def _relabel_plan(tree: Tree, images: tuple):
+    """Renaming the legs of ``tree``, in `Tree.legs` order, to ``images``: ``(new tree, slot map)``."""
+    return _plan(tree, dict(zip((l for ls in tree.legs for l in ls), images)))
+
+
+@lru_cache(maxsize=None)
+def _attach_plan(tree: Tree, v: int, new_leg: Label):
+    """Attaching ``new_leg`` at ``v``: ``(new tree, slot map)``."""
+    return _plan(tree, {}, (new_leg,), v)
+
+
+@lru_cache(maxsize=None)
+def _split_plan(tree: Tree, slot, leg: Label):
+    """Splitting ``slot`` and ``leg`` off their vertex onto a new trivalent
+    vertex: ``(new tree, slot map, residual slot)``, the residual slot being
+    the new edge's side at the old vertex.  ``leg`` moves when the vertex
+    has it; otherwise it is new."""
     v = slot_vertex(tree, slot)
-    if not fresh and move_leg not in tree.legs[v]:
-        raise InvalidArgument("leg and slot sit at different vertices")
-    half = dec.half_dict()
-    leg = dec.leg_dict()
-    if isinstance(slot, tuple):
-        d = half.pop(slot, 0)
+    if isinstance(slot, tuple) and slot[1] == 1:
+        # the head above v: the new vertex goes above it, and v heads the new edge
+        cut, side = beyond_legs(tree, slot[0]) - {leg}, 1
     else:
-        d = leg.pop(slot, 0)
-    if d == 0:
+        cut, side = (beyond_legs(tree, slot[0]) if isinstance(slot, tuple) else {slot}) | {leg}, 0
+    new, slots = _plan(tree, {}, () if leg in tree.legs[v] else (leg,), v, (cut,))
+    return new, slots, slots[(tree.num_edges(), side)]
+
+
+@lru_cache(maxsize=None)
+def _graft_plan(tree: Tree, at: Label, legs: tuple):
+    """Grafting ``legs`` at the leg ``at``: ``(new tree, slot map, at slot)``,
+    the at slot being the new edge's side at the old vertex, where the
+    exponent of ``at`` lands."""
+    new, slots = _plan(tree, {at: None}, legs, vertex_of_leg(tree, at), (legs,))
+    return new, slots, slots[(tree.num_edges(), 0)]
+
+
+def _split_term(tree: Tree, dec: Decoration, slot, leg: Label):
+    """Split ``slot`` and ``leg`` off their vertex (`_split_plan`); the
+    slot's ψ-exponent drops by one onto the new edge's side at the old
+    vertex.  Returns ``(tree, dec)``, or None (zero marker) when it is 0."""
+    d = dec.half_exp(slot) if isinstance(slot, tuple) else dec.leg_exp(slot)
+    if not d:
         return None
-
-    nv = tree.num_vertices()
-    legs_by_vertex = [list(ls) for ls in tree.legs] + [[move_leg]]
-    if not fresh:
-        legs_by_vertex[v].remove(move_leg)
-    edge_pairs = [list(pair) for pair in tree.edges]
-    # re-home the split slot onto the new vertex
-    if isinstance(slot, tuple):
-        eid, side = slot
-        edge_pairs[eid][side] = nv
-    else:
-        legs_by_vertex[v].remove(slot)
-        legs_by_vertex[nv].append(slot)
-    new_eid = len(edge_pairs)
-    edge_pairs.append([v, nv])
-
-    # exponent d-1 sits on the residual-vertex side of the new edge
-    if d - 1:
-        half[(new_eid, 0)] = d - 1
-    return _rebuild(tree, legs_by_vertex, [tuple(p) for p in edge_pairs], half, leg)
+    new, slots, residual = _split_plan(tree, slot, leg)
+    half = _carried(dec.half, slots, skip=slot)
+    if d > 1:
+        half = tuple(sorted(half + ((residual, d - 1),)))
+    return new, Decoration(half, tuple((l, e) for l, e in dec.leg if l != slot))
 
 
 def split_vertex(tree: Tree, dec: Decoration, leg_n: Label, mode: str, tail_eid: Optional[int] = None):
@@ -573,8 +668,9 @@ def split_vertex(tree: Tree, dec: Decoration, leg_n: Label, mode: str, tail_eid:
 
     mode "circ" transports the slot pointing toward the root (the leg h0 at
     the root vertex, else the head above); mode "tail" transports the tail of
-    the child edge ``tail_eid``.  Returns ``(tree, dec)`` with a fresh leg
-    label, or None (the zero marker) when the transported exponent is zero.
+    the child edge ``tail_eid``.  ``leg_n`` moves with the slot.  Returns
+    ``(tree, dec)``, or None (the zero marker) when the transported exponent
+    is zero.
     """
     v = vertex_of_leg(tree, leg_n)
     if valence(tree, v) < 4:
@@ -592,26 +688,7 @@ def split_vertex(tree: Tree, dec: Decoration, leg_n: Label, mode: str, tail_eid:
         slot = (tail_eid, 0)
     else:
         raise InvalidArgument(f"unknown mode {mode!r}")
-    return split_off(tree, dec, move_leg=leg_n, slot=slot)
-
-
-def _rebuild(tree: Tree, legs_by_vertex, edge_pairs, half_exp: Mapping, leg_exp: Mapping):
-    """``build_tree`` on edited data of ``tree``, keeping its root kind."""
-    return build_tree(legs_by_vertex, edge_pairs, rt_root=0 if tree.rt else None, half_exp=half_exp, leg_exp=leg_exp)
-
-
-def attach_leg(tree: Tree, dec: Decoration, v: int, label: Label):
-    """Attach a fresh leg at vertex ``v``."""
-    legs_by_vertex = [list(ls) for ls in tree.legs]
-    legs_by_vertex[v].append(label)
-    return _rebuild(tree, legs_by_vertex, list(tree.edges), dec.half_dict(), dec.leg_dict())
-
-
-def detach_leg(tree: Tree, dec: Decoration, label: Label):
-    """Remove the leg ``label``; its vertex must stay stable."""
-    legs_by_vertex = [[l for l in ls if l != label] for ls in tree.legs]
-    leg = {l: e for l, e in dec.leg if l != label}
-    return _rebuild(tree, legs_by_vertex, list(tree.edges), dec.half_dict(), leg)
+    return _split_term(tree, dec, slot, leg_n)
 
 
 def relabel(tree: Tree, dec: Decoration, mapping: Mapping):
@@ -655,159 +732,6 @@ def coda_mapping(n: int, I: frozenset) -> dict:
     return mapping
 
 
-def contract_trivalent(tree: Tree, dec: Decoration, v: int, keep, drop: Label, bump: int = 0):
-    """Remove the leg ``drop`` from the trivalent vertex ``v`` and stabilize.
-
-    The third slot at ``v`` is an edge; it is contracted, so ``v`` disappears
-    and ``keep`` (a leg or a half-edge slot at ``v``) moves to the far vertex,
-    taking the far side's ψ-exponent plus ``bump``.  Exponents at ``v``
-    itself are dropped: they vanish on a trivalent vertex.
-    """
-    eid, side = _contracted_slot(tree, v, keep, drop)
-    u = tree.edges[eid][1 - side]
-    half = dec.half_dict()
-    leg = dec.leg_dict()
-    exp = half.pop((eid, 1 - side), 0) + bump
-    half.pop((eid, side), None)
-    leg.pop(drop, None)
-    legs_by_vertex = [list(ls) for ls in tree.legs]
-    legs_by_vertex[v].remove(drop)
-    edge_pairs = [list(p) for p in tree.edges]
-    if isinstance(keep, tuple):
-        edge_pairs[keep[0]][keep[1]] = u
-        half[keep] = exp
-    else:
-        legs_by_vertex[v].remove(keep)
-        legs_by_vertex[u].append(keep)
-        leg[keep] = exp
-    return drop_vertex(tree, legs_by_vertex, edge_pairs, half, leg, v, eid)
-
-
-def _contracted_slot(tree: Tree, v: int, keep, drop: Label) -> tuple:
-    """The half-edge slot at the trivalent vertex ``v`` besides ``keep`` and ``drop``."""
-    others = [s for s in vertex_slots(tree, v) if s != keep and s != drop]
-    if len(others) != 1 or not isinstance(others[0], tuple):
-        raise InvalidArgument("no edge to contract at the vertex")
-    return others[0]
-
-
-def drop_vertex(tree: Tree, legs_by_vertex, edge_pairs, half: Mapping, leg: Mapping, v: int, eid: int):
-    """Rebuild edited data of ``tree`` without the vertex ``v`` and the edge ``eid``.
-
-    Neither may still be referenced: ``v`` carries no legs and no other edge,
-    and ``half`` has no entry on ``eid``.
-    """
-    keep = [k for k in range(len(edge_pairs)) if k != eid]
-    new_eid = {k: idx for idx, k in enumerate(keep)}
-    pairs = [tuple(a - (a > v) for a in edge_pairs[k]) for k in keep]
-    new_half = {(new_eid[k], side): e for (k, side), e in half.items()}
-    return _rebuild(tree, [ls for w, ls in enumerate(legs_by_vertex) if w != v], pairs, new_half, leg)
-
-
-# ---------------------------------------------------------------------------
-# move plans: a move's new tree depends only on the old tree and the move, so
-# each (tree, move) is canonicalised once and decorations follow by lookups
-
-
-def _slot_map(old: Tree, new: Tree, image: Mapping, extra: Optional[tuple] = None) -> dict:
-    """Old half-edge slot -> new slot, matched by the leg split of each edge.
-
-    ``image`` names each old leg in ``new`` (a leg absent from it is gone);
-    ``extra`` is ``(legs, v)``, new legs on old vertex ``v``'s side of every
-    old edge.  An edge whose split is in ``new`` in neither orientation was
-    contracted and has no image.  A rational-tails root stays the root, so
-    only a rooted tree, whose root may move, matches flipped splits; there no
-    two edges have complementary splits, so the match is unique.
-    """
-    child_side = {beyond_legs(new, e): e for e in range(new.num_edges())}
-    all_new = frozenset(l for ls in new.legs for l in ls)
-    out = {}
-    for e in range(old.num_edges()):
-        side = frozenset(image[l] for l in beyond_legs(old, e) if l in image)
-        if extra is not None and e in path_edges(old, extra[1]):
-            side |= frozenset(extra[0])
-        if side in child_side:
-            e2 = child_side[side]
-            out[(e, 0)], out[(e, 1)] = (e2, 0), (e2, 1)
-        elif not new.rt and all_new - side in child_side:
-            e2 = child_side[all_new - side]
-            out[(e, 0)], out[(e, 1)] = (e2, 1), (e2, 0)
-    return out
-
-
-def _carried(half: tuple, slots: Mapping, skip=None) -> tuple:
-    """The half-edge exponents of ``half`` on their new slots; unmapped slots and ``skip`` drop."""
-    return tuple(sorted((slots[s], e) for s, e in half if s != skip and s in slots))
-
-
-def _kept_legs(tree: Tree, *gone: Label) -> dict:
-    return {l: l for ls in tree.legs for l in ls if l not in gone}
-
-
-@lru_cache(maxsize=None)
-def _collide_plan(tree: Tree, i: Label, j: Label):
-    """Colliding ``j`` into ``i``: None when the legs sit apart, else
-    ``(new tree, slot map, far slot)``, the far slot (whose exponent moves to
-    ``i``) being None when the legs merge instead of contracting an edge."""
-    v = vertex_of_leg(tree, i)
-    if j not in tree.legs[v]:
-        return None
-    if dimension_budget(tree, v) == 0:
-        eid, side = _contracted_slot(tree, v, i, j)
-        new, _ = contract_trivalent(tree, Decoration(), v, i, j)
-        far = (eid, 1 - side)
-    else:
-        new, _ = detach_leg(tree, Decoration(), j)
-        far = None
-    return new, _slot_map(tree, new, _kept_legs(tree, j)), far
-
-
-@lru_cache(maxsize=None)
-def _relabel_plan(tree: Tree, images: tuple):
-    """Renaming the legs of ``tree``, in `Tree.legs` order, to ``images``: ``(new tree, slot map)``."""
-    mapping = dict(zip((l for ls in tree.legs for l in ls), images))
-    new, _ = _rebuild(tree, [[mapping[l] for l in ls] for ls in tree.legs], list(tree.edges), {}, {})
-    return new, _slot_map(tree, new, mapping)
-
-
-@lru_cache(maxsize=None)
-def _attach_plan(tree: Tree, v: int, new_leg: Label):
-    """Attaching ``new_leg`` at ``v``: ``(new tree, slot map)``."""
-    new, _ = attach_leg(tree, Decoration(), v, new_leg)
-    return new, _slot_map(tree, new, _kept_legs(tree), ((new_leg,), v))
-
-
-@lru_cache(maxsize=None)
-def _split_plan(tree: Tree, slot, new_leg: Label):
-    """Splitting ``slot`` off with the fresh ``new_leg``: ``(new tree, slot map,
-    residual slot)``, the residual slot being where the exponent less one lands.
-
-    The move runs on exponent 2 at ``slot``, so that slot shows in its output.
-    """
-    probe = make_decoration({slot: 2}) if isinstance(slot, tuple) else make_decoration(leg_exp={slot: 2})
-    new, dec = split_off(tree, probe, new_leg, slot, fresh=True)
-    ((residual, _),) = dec.half
-    return new, _slot_map(tree, new, _kept_legs(tree), ((new_leg,), slot_vertex(tree, slot))), residual
-
-
-@lru_cache(maxsize=None)
-def _graft_plan(tree: Tree, at: Label, legs: tuple):
-    """Grafting ``legs`` at the leg ``at``: ``(new tree, slot map, at slot)``,
-    the at slot being the new edge's side at the old vertex, where the
-    exponent of ``at`` lands.
-
-    The new edge is built with exponent 1 on that side, so the slot shows in
-    the output.
-    """
-    v = vertex_of_leg(tree, at)
-    legs_by_vertex = [list(ls) for ls in tree.legs] + [list(legs)]
-    legs_by_vertex[v].remove(at)
-    edge_pairs = list(tree.edges) + [(v, tree.num_vertices())]
-    new, probe = _rebuild(tree, legs_by_vertex, edge_pairs, {(tree.num_edges(), 0): 1}, {})
-    ((at_slot, _),) = probe.half
-    return new, _slot_map(tree, new, _kept_legs(tree, at), (legs, v)), at_slot
-
-
 # ---------------------------------------------------------------------------
 # per-term rules of the class moves (shared by `Class0` and `RtClass`)
 
@@ -818,20 +742,19 @@ def collide_term(tree: Tree, dec: Decoration, i: Label, j: Label):
     Legs apart give zero.  At a trivalent rational vertex the supporting edge
     contracts: the far branch exponent moves to ``i``, gains one from the
     excess -ψ, and the sign flips; the genus root never contracts.  Any other
-    vertex merges the two legs, unless either carries ψ.  The new tree comes
-    from one plan per (tree, i, j) (`_collide_plan`).
+    vertex merges the two legs, unless either carries ψ.  The new tree is
+    that of forgetting ``j`` (`_forget_plan`).
     """
-    plan = _collide_plan(tree, i, j)
-    if plan is None:
+    if j not in tree.legs[vertex_of_leg(tree, i)]:
         return None
-    new, slots, far = plan
-    if far is None:
+    new, slots, moved = _forget_plan(tree, j)
+    if moved is None:
         if dec.leg_exp(i) or dec.leg_exp(j):
             return None
         return (1, new, Decoration(_carried(dec.half, slots), dec.leg))
     # exponents at the contracted vertex drop: they vanish on a trivalent vertex
     leg = [(l, e) for l, e in dec.leg if l != i and l != j]
-    leg.append((i, dec.half_exp(far) + 1))
+    leg.append((i, dec.half_exp(moved[0]) + 1))
     leg.sort(key=lambda t: label_key(t[0]))
     return (-1, new, Decoration(_carried(dec.half, slots), tuple(leg)))
 
@@ -848,12 +771,5 @@ def pullback_terms(tree: Tree, dec: Decoration, new_leg: Label):
         new, slots = _attach_plan(tree, v, new_leg)
         yield (1, new, Decoration(_carried(dec.half, slots), dec.leg))
         for slot in vertex_slots(tree, v):
-            d = exps.get(slot, 0)
-            if not d:
-                continue
-            new, slots, residual = _split_plan(tree, slot, new_leg)
-            half = _carried(dec.half, slots, skip=slot)
-            if d > 1:
-                half = tuple(sorted(half + ((residual, d - 1),)))
-            leg = tuple((l, e) for l, e in dec.leg if l != slot)
-            yield (-1, new, Decoration(half, leg))
+            if exps.get(slot):
+                yield (-1, *_split_term(tree, dec, slot, new_leg))

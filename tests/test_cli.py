@@ -125,6 +125,22 @@ def test_pair_cli(tmp_path, capsys):
     assert out.strip() == "0"
 
 
+def test_pair_refuses_a_rational_tails_stratum(tmp_path, capsys):
+    # the fundamental class of the 4-pointed space against a genus vertex with
+    # h0 and 1 and a rational one with 2 and 3, or a genus vertex without legs
+    klass = tmp_path / "class.json"
+    klass.write_text(json.dumps(class0_to_json(push_tree(build_tree([[H0, 1, 2, 3]], [])[0]))))
+    for vertices in (
+        [{"genus": "g", "legs": ["h0", 1]}, {"genus": 0, "legs": [2, 3]}],
+        [{"genus": "g", "legs": []}, {"genus": 0, "legs": ["h0", 1, 2, 3]}],
+    ):
+        stratum = tmp_path / "stratum.json"
+        stratum.write_text(json.dumps({"vertices": vertices, "edges": [[1, 0]], "exp_half": {}, "exp_leg": {}}))
+        code, out, err = run_cli(capsys, "pair", "--klass", str(klass), "--stratum", str(stratum))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "zcycle", "--n", "4")
     assert code == 2
@@ -274,6 +290,7 @@ def test_empty_or_oversized_verify_grid_is_a_usage_error(capsys):
         (["vanishing", "--max-n", "2"], ["vanishing", "--max-n 2"]),
         (["collide-rt", "--max-sum", "1"], ["collide-rt", "--max-sum 1"]),
         (["vanishing", "--max-n", "8"], ["--max-n 8", "7"]),
+        (["collide-rt", "--max-sum", "7"], ["--max-sum 7", "6"]),
     ):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (2, "")

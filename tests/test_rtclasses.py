@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rtails import rtclasses
+from rtails import rtclasses, trees
 from rtails.strata0 import pair_term, push_tree, strata_family
 from rtails.trees import (
     H0,
@@ -450,7 +450,8 @@ def _tail_rebuilt(graph, dec, root_edge):
 
 def test_extract_tail_equals_the_build_tree_route(monkeypatch):
     # every tail of every rational-tails graph with n <= 5, under every
-    # decoration up to degree 2; a repeat canonicalises nothing
+    # decoration up to degree 2: one plan per (graph, root edge), each tail
+    # tree canonicalised once, and a repeat canonicalises nothing
     cases = [
         (graph, dec, e)
         for n in range(1, 6)
@@ -459,19 +460,13 @@ def test_extract_tail_equals_the_build_tree_route(monkeypatch):
         for e in child_edges_of(graph, 0)
     ]
     want = [_tail_rebuilt(graph, dec, e) for graph, dec, e in cases]
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build_tree(*args, **kwargs)
-
-    monkeypatch.setattr(rtclasses, "build_tree", counting)
+    monkeypatch.setattr(trees, "_laminar_trees", {})
     rtclasses._tail_plan.cache_clear()
     assert [extract_tail(graph, dec, e) for graph, dec, e in cases] == want
-    assert len(calls) == len({(graph, e) for graph, _, e in cases})
-    calls.clear()
+    assert rtclasses._tail_plan.cache_info().misses == len({(graph, e) for graph, _, e in cases})
+    assert len(trees._laminar_trees) == len({tree for tree, _ in want})
     assert [extract_tail(graph, dec, e) for graph, dec, e in cases] == want
-    assert not calls and len(cases) > 5000
+    assert len(trees._laminar_trees) == len({tree for tree, _ in want}) and len(cases) > 5000
 
 
 def test_rt_sums_copy_checked_terms(monkeypatch):

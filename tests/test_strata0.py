@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from rtails import strata0
+from rtails import strata0, trees
 from rtails.cycles import ambient0, z_cycle, z_truncated
 from rtails.trees import (
     H0,
@@ -556,7 +556,24 @@ def test_strata_families_come_from_one_enumeration():
 
 
 def test_the_dual_tree_of_a_strata_split_family_is_that_stratum():
+    # `split_masks` numbers the bits over the labels after the base, as the
+    # enumerator's split-keyed tree cache does
     for labels in ((H0, 1, 2, 3, 4), (H0, 1, 2, 3, 4, 5)):
         ambient = frozenset(labels)
         for S in enumerate_stable_trees(labels):
-            assert strata0._tree_from_masks(ambient, split_masks(S, ambient)) == S
+            assert trees._tree_from_laminar(labels[1:], split_masks(S, ambient), rt=False, extra_root_legs=labels[:1]) == S
+
+
+def test_genus0_classes_refuse_rational_tails_graphs():
+    # a genus vertex with h0 and 1, and a rational one with 2 and 3
+    rt, dec = build_tree([[H0, 1], [2, 3]], [(0, 1)], rt_root=0)
+    ambient = frozenset((H0, 1, 2, 3))
+    point = push_tree(build_tree([[H0, 1, 2, 3]], [])[0])
+    for refused in (
+        lambda: Class0(ambient, {(rt, dec): 1}),
+        lambda: push_tree(rt, dec),
+        lambda: pair(point, rt),
+        lambda: product_with_stratum(point, rt),
+    ):
+        with pytest.raises(InvalidArgument):
+            refused()

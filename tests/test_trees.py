@@ -12,14 +12,11 @@ from rtails.trees import (
     H0,
     InvalidArgument,
     Decoration,
-    attach_leg,
     build_tree,
     capacity,
     child_edges_of,
     collide_term,
-    contract_trivalent,
     decorations_of_degree,
-    detach_leg,
     dimension_budget,
     enumerate_decorations,
     enumerate_rt_graphs,
@@ -31,7 +28,7 @@ from rtails.trees import (
     parent_edge_of,
     pullback_terms,
     relabel,
-    split_off,
+    slot_vertex,
     split_vertex,
     valence,
     vertex_of_leg,
@@ -285,8 +282,72 @@ def test_split_vertex_figure_case():
 
 
 # ---------------------------------------------------------------------------
-# the move plans against the `build_tree` route: each oracle composes the
-# moves that rebuild every decorated term
+# the move plans against the `build_tree` route: each oracle edits the raw
+# vertex and edge data of a decorated term and canonicalises it with
+# `build_tree`
+
+
+def _rt_root(tree):
+    return 0 if tree.rt else None
+
+
+def _contracted(tree, dec, v, keep, drop, bump=0):
+    """`build_tree` of ``tree`` less the leg ``drop`` at the trivalent vertex
+    ``v``, whose one other edge contracts onto its far vertex: ``keep`` moves
+    there and takes the far exponent plus ``bump``; exponents at ``v`` drop."""
+    ((eid, side),) = [s for s in vertex_slots(tree, v) if isinstance(s, tuple) and s != keep]
+    u = tree.edges[eid][1 - side]
+    legs = [[l for l in ls if l != drop] for ls in tree.legs]
+    edges = [list(p) for p in tree.edges]
+    half = {s: e for s, e in dec.half if tree.edges[s[0]][s[1]] != v}
+    leg = {l: e for l, e in dec.leg if vertex_of_leg(tree, l) != v}
+    far = dec.half_exp((eid, 1 - side)) + bump
+    if isinstance(keep, tuple):
+        edges[keep[0]][keep[1]] = u
+        half[keep] = far
+    else:
+        legs[v].remove(keep)
+        legs[u].append(keep)
+        leg[keep] = far
+    order = [k for k in range(len(edges)) if k != eid]
+    renumber = {k: idx for idx, k in enumerate(order)}
+    pairs = [tuple(a - (a > v) for a in edges[k]) for k in order]
+    half = {(renumber[k], s): e for (k, s), e in half.items() if k != eid}
+    legs = [ls for w, ls in enumerate(legs) if w != v]
+    return build_tree(legs, pairs, rt_root=_rt_root(tree), half_exp=half, leg_exp=leg)
+
+
+def _detached(tree, dec, label):
+    """`build_tree` of ``tree`` less the leg ``label``."""
+    legs = [[l for l in ls if l != label] for ls in tree.legs]
+    leg = {l: e for l, e in dec.leg if l != label}
+    return build_tree(legs, list(tree.edges), rt_root=_rt_root(tree), half_exp=dec.half_dict(), leg_exp=leg)
+
+
+def _split_rebuilt(tree, dec, slot, leg):
+    """`build_tree` of ``tree`` with ``slot`` and ``leg`` (moved when the slot's
+    vertex has it, else new) on a new vertex joined to the slot's vertex; the
+    slot's exponent less one lands on the new edge's side at the old vertex."""
+    d = dec.half_exp(slot) if isinstance(slot, tuple) else dec.leg_exp(slot)
+    if not d:
+        return None
+    v, nv = slot_vertex(tree, slot), tree.num_vertices()
+    legs = [list(ls) for ls in tree.legs] + [[leg]]
+    if leg in legs[v]:
+        legs[v].remove(leg)
+    edges = [list(p) for p in tree.edges]
+    half, legexp = dec.half_dict(), dec.leg_dict()
+    if isinstance(slot, tuple):
+        del half[slot]
+        edges[slot[0]][slot[1]] = nv
+    else:
+        del legexp[slot]
+        legs[v].remove(slot)
+        legs[nv].append(slot)
+    if d > 1:
+        half[(len(edges), 0)] = d - 1
+    edges.append([v, nv])
+    return build_tree(legs, edges, rt_root=_rt_root(tree), half_exp=half, leg_exp=legexp)
 
 
 def _collide_rebuilt(tree, dec, i, j):
@@ -294,17 +355,17 @@ def _collide_rebuilt(tree, dec, i, j):
     if j not in tree.legs[v]:
         return None
     if dimension_budget(tree, v) == 0:
-        return (-1, *contract_trivalent(tree, dec, v, i, j, bump=1))
+        return (-1, *_contracted(tree, dec, v, i, j, bump=1))
     if dec.leg_exp(i) or dec.leg_exp(j):
         return None
-    return (1, *detach_leg(tree, dec, j))
+    return (1, *_detached(tree, dec, j))
 
 
 def _relabel_rebuilt(tree, dec, mapping):
     return build_tree(
         [[mapping.get(l, l) for l in ls] for ls in tree.legs],
         list(tree.edges),
-        rt_root=0 if tree.rt else None,
+        rt_root=_rt_root(tree),
         half_exp=dec.half_dict(),
         leg_exp={mapping.get(l, l): e for l, e in dec.leg},
     )
@@ -313,9 +374,11 @@ def _relabel_rebuilt(tree, dec, mapping):
 def _pullback_rebuilt(tree, dec, new_leg):
     out = []
     for v in range(tree.num_vertices()):
-        out.append((1, *attach_leg(tree, dec, v, new_leg)))
+        legs = [list(ls) for ls in tree.legs]
+        legs[v].append(new_leg)
+        out.append((1, *build_tree(legs, list(tree.edges), rt_root=_rt_root(tree), half_exp=dec.half_dict(), leg_exp=dec.leg_dict())))
         for slot in vertex_slots(tree, v):
-            split = split_off(tree, dec, new_leg, slot, fresh=True)
+            split = _split_rebuilt(tree, dec, slot, new_leg)
             if split is not None:
                 out.append((-1, *split))
     return out
@@ -404,6 +467,62 @@ def test_pullback_terms_equal_the_build_tree_route():
     assert outputs > 10000
 
 
+def test_split_vertex_equals_the_build_tree_route():
+    # both modes at every leg of a vertex of valence >= 4 (the leg moves with
+    # the slot); h0 cannot move with itself
+    cases = nonzero = 0
+    for tree, dec in _differential_terms():
+        for leg in tree.all_legs():
+            v = vertex_of_leg(tree, leg)
+            if valence(tree, v) < 4:
+                continue
+            moves = [("tail", (eid, 0), eid) for eid in child_edges_of(tree, v)]
+            if v:
+                moves.append(("circ", (parent_edge_of(tree)[v], 1), None))
+            elif not tree.rt and leg != H0:
+                moves.append(("circ", H0, None))
+            for mode, slot, eid in moves:
+                got = split_vertex(tree, dec, leg, mode, tail_eid=eid)
+                assert got == _split_rebuilt(tree, dec, slot, leg)
+                cases += 1
+                nonzero += got is not None
+    assert cases > 5000 and nonzero > 1000
+
+
+def test_pushforward_forget_equals_the_build_tree_route():
+    # every term without ψ on the forgotten leg, on every genus-0 tree of the
+    # differential with four legs or more: the string rule at valence >= 4,
+    # a trivalent vertex keeping a leg or an edge, and, on a tree without h0,
+    # a trivalent root whose smallest leg is forgotten, so the root moves
+    seen = {"string": 0, "leg": 0, "edge": 0, "root moves": 0}
+    for tree, dec in _differential_terms():
+        if tree.rt or len(tree.all_legs()) < 4 or overloaded(tree, dec):
+            continue
+        ambient = frozenset(tree.all_legs())
+        for leg in ambient:
+            if dec.leg_exp(leg):
+                continue
+            v = vertex_of_leg(tree, leg)
+            want = []
+            if valence(tree, v) >= 4:
+                seen["string"] += 1
+                for slot in vertex_slots(tree, v):
+                    half, legexp = dec.half_dict(), dec.leg_dict()
+                    store = half if isinstance(slot, tuple) else legexp
+                    if slot != leg and store.get(slot):
+                        store[slot] -= 1
+                        want.append(_detached(tree, make_decoration(half, legexp), leg))
+            else:
+                keep = next(s for s in vertex_slots(tree, v) if s != leg)
+                kind = "edge" if isinstance(keep, tuple) else "leg"
+                seen[kind] += 1
+                seen["root moves"] += kind == "edge" and v == 0 and leg == min(ambient, key=trees.label_key)
+                want.append(_contracted(tree, dec, v, keep, leg))
+            got = strata0.pushforward_forget(strata0.push_tree(tree, dec), leg)
+            assert got == strata0.from_terms(ambient - {leg}, [(t, d, 1) for t, d in want])
+    assert min(seen.values()) > 50, seen
+
+
 def _graft_rebuilt(tree, dec, at, legs):
     v = vertex_of_leg(tree, at)
     legs_by_vertex = [list(ls) for ls in tree.legs] + [list(legs)]
@@ -426,6 +545,9 @@ def test_graft_equals_the_build_tree_route():
                 assert graft(tree, dec, at, legs) == _graft_rebuilt(tree, dec, at, legs)
                 cases += 1
     assert cases > 20000
+    # a new vertex with one leg is unstable
+    with pytest.raises(InvalidArgument):
+        graft(tree, dec, at, ("new",))
 
 
 def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
@@ -433,22 +555,18 @@ def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
     tree, _ = build_tree([[H0, 3, 4], [1, 2]], [(0, 1)])
     x = strata0.Class0(tree.all_legs(), {(tree, dec): 1 for dec in enumerate_decorations(tree, 1, {3: 2, 4: 2})})
     assert len(x.terms) == 5
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build_tree(*args, **kwargs)
-
-    monkeypatch.setattr(trees, "build_tree", counting)
-    trees._collide_plan.cache_clear()
-    trees._relabel_plan.cache_clear()
-    trees._graft_plan.cache_clear()
+    # an empty tree cache and empty plan caches: each move's tree is a miss once
+    monkeypatch.setattr(trees, "_laminar_trees", {})
+    for plan in (trees._forget_plan, trees._relabel_plan, trees._graft_plan):
+        plan.cache_clear()
     for fresh in (True, False):
-        calls.clear()
+        before = len(trees._laminar_trees)
         contracted = strata0.collide(x, 1, 2)
         merged = strata0.collide(x, 3, 4)
         relabelled = strata0.relabel_class(contracted, {3: 2, 4: 3})
         grafted = strata0.glue_push_sigma0(x, 5)
-        assert len(calls) == 4 * fresh  # one canonicalisation per move, none on a repeat
-        assert contracted.terms and merged.terms and len(relabelled.terms) == len(contracted.terms)
-        assert len(grafted.terms) == len(x.terms)
+        forgotten = strata0.pushforward_forget(x, 1)
+        # one canonicalisation per move, none on a repeat
+        assert len(trees._laminar_trees) - before == 5 * fresh
+        assert contracted.terms and merged.terms and forgotten.terms
+        assert len(relabelled.terms) == len(contracted.terms) and len(grafted.terms) == len(x.terms)
