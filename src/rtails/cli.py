@@ -2,10 +2,11 @@
 
 Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
 stderr) or ran over its time budget, 2 usage error (bad arguments, unreadable
-or malformed input, a verify grid with no tasks or with --max-n or --max-sum
-above the largest measured size), 3 internal error (traceback on stderr).  All numeric
-output is exact ("p/q"); verification timings go to stderr so stdout is
-byte-identical across runs.
+or malformed input, a verify grid with no tasks, a size above the largest
+measured: an --n or --max-n above MAX_N, or an fclass or relations --n, an
+fclass --multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
+(traceback on stderr).  All numeric output is exact ("p/q"); verification
+timings go to stderr so stdout is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ def _positive(kind):
     return parse
 
 
+# the largest sizes measured, one process each on 2 cores with Python 3.11:
+# the n = 7 vanishing grid, `trees --n 7 --rt` (10 s, 158 MiB), collide-rt at
+# Σm = 6 (about 25 s and 116 MiB) and `fclass --n 6` (6 s, 101 MiB)
+MAX_N = 7
+MAX_SUM = 6
+
+
+def _at_most(option: str, value: int, bound: int) -> None:
+    """Refuse a size above the largest measured; every subcommand checks before it starts work."""
+    if value > bound:
+        raise InvalidArgument(f"{option} {value} is above {bound}, the largest size measured")
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -71,6 +85,7 @@ def _emit(text: str) -> None:
 
 
 def cmd_trees(args) -> int:
+    _at_most("--n", args.n, MAX_N)
     if args.rt:
         family = trees.enumerate_rt_graphs(args.n)
     else:
@@ -116,6 +131,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_zcycle(args) -> int:
+    _at_most("--n", args.n, MAX_N)
     if args.truncated:
         x = cycles.z_truncated(args.n, args.i, args.j)
     else:
@@ -130,8 +146,10 @@ def cmd_zcycle(args) -> int:
 def cmd_fclass(args) -> int:
     k = args.k
     if args.multiplicities:
+        _at_most("--multiplicities sum", sum(args.multiplicities), MAX_SUM)
         x = rtclasses.f_class_m(k, args.g, args.multiplicities)
     elif args.n is not None:
+        _at_most("--n", args.n, MAX_SUM)
         x = rtclasses.f_class(k, args.g, args.n)
     else:
         raise InvalidArgument("fclass needs --n or --multiplicities")
@@ -153,6 +171,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    _at_most("--n", args.n, MAX_SUM)
     x = rtclasses.emit_relation(args.g, args.n)
     if args.format == "json":
         blob = serialize.rtclass_to_json(x, k="1")
@@ -249,18 +268,10 @@ def run_task(task) -> cycles.VerificationReport:
     return dataclasses.replace(report, seconds=time.perf_counter() - t0)
 
 
-# the largest --max-n and --max-sum whose grids have been measured (the n = 7
-# vanishing grid; collide-rt at Σm = 6 takes about 25 s and 116 MiB)
-MAX_N = 7
-MAX_SUM = 6
-
-
 def cmd_verify(args) -> int:
     t_start = time.perf_counter()
-    if args.max_n > MAX_N:
-        raise InvalidArgument(f"--max-n {args.max_n} is above {MAX_N}, the largest size measured")
-    if args.max_sum > MAX_SUM:
-        raise InvalidArgument(f"--max-sum {args.max_sum} is above {MAX_SUM}, the largest size measured")
+    _at_most("--max-n", args.max_n, MAX_N)
+    _at_most("--max-sum", args.max_sum, MAX_SUM)
     tasks = _grid(args.suite, args.max_n, args.max_sum)
     if not tasks:
         raise InvalidArgument(f"suite {args.suite} has no tasks at --max-n {args.max_n} --max-sum {args.max_sum}")

@@ -21,12 +21,13 @@ intersection pairing is perfect over the rationals, so a class vanishes
 exactly when all such pairings do.
 
 The pairing kernel (`zero_witness`, `pair_term`, `_refine`) tests laminarity
-with one AND: each split mask of an ambient has a bit, and each tree caches
-the bits of its own splits and of every split crossing one of them
-(`split_bits`).  The common refinement comes from the mask-keyed tree cache
-that the enumerator fills, so each stratum is canonicalised once.  Of the
-side choices of the excess factor, a pairing integrates only those that
-leave every vertex a ψ-load of exactly valence - 3; the others give 0.
+with one AND.  A tree's split masks come from `trees.splits`; one crossing
+table per leg count gives each split a bit, and each tree caches the bits of
+its own splits and of every split crossing one of them (`split_bits`).  The
+common refinement comes from the mask-keyed tree cache that the enumerator
+fills, so each stratum is canonicalised once.  Of the side choices of the
+excess factor, a pairing integrates only those that leave every vertex a
+ψ-load of exactly valence - 3; the others give 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .trees import (
     Decoration,
     InvalidArgument,
     Tree,
-    beyond_legs,
     build_tree,
     coda_mapping,
     collide_term,
@@ -61,7 +61,10 @@ from .trees import (
     vertex_slots,
     _carried,
     _forget_plan,
+    _frame,
+    _subsets_as_masks,
     _tree_from_laminar,
+    splits,
 )
 
 
@@ -261,15 +264,10 @@ def integrate(x: Class0) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _bit_order(ambient: frozenset) -> tuple:
-    return sort_labels(ambient)
-
-
-@lru_cache(maxsize=None)
 def _strata_by_codim(ambient: frozenset) -> tuple:
     """The one family of strata on ``ambient``, split by edge count (in order)."""
     by_codim: list = [[] for _ in range(dim_of(ambient) + 1)]
-    for tree in enumerate_stable_trees(_bit_order(ambient)):
+    for tree in enumerate_stable_trees(sort_labels(ambient)):
         by_codim[tree.num_edges()].append(tree)
     return tuple(map(tuple, by_codim))
 
@@ -283,59 +281,35 @@ def strata_family(ambient, codim: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def split_masks(tree: Tree, ambient: frozenset) -> tuple:
-    """Per-edge bitmask of the legs beyond the edge, which never hold the
-    base (smallest) label; the bits number the labels after it, as the
-    enumerator's masks do (`trees._laminar_trees`)."""
-    order = _bit_order(ambient)
-    bit = {l: i for i, l in enumerate(order[1:])}
-    out = []
-    for eid in range(tree.num_edges()):
-        mask = 0
-        for l in beyond_legs(tree, eid):
-            mask |= 1 << bit[l]
-        out.append(mask)
-    return tuple(out)
+def _crossing_table(k: int) -> dict:
+    """Every split mask on ``k`` legs -> (its bit, the bits of the splits crossing it).
 
-
-@lru_cache(maxsize=None)
-def _crossing_table(ambient: frozenset) -> dict:
-    """Every split mask on ``ambient`` -> (its bit, the bits of the splits crossing it).
-
-    A split is a set of two to |ambient| - 2 legs without the base label, so
-    two splits cross exactly when they meet and neither holds the other.
+    The splits are the enumerator's genus-0 candidates, two to k - 2 of the
+    labels after the base, so two splits cross exactly when they meet and
+    neither holds the other.
     """
-    k = len(ambient)
-    splits = [m for m in range(1, 1 << (k - 1)) if 2 <= m.bit_count() <= k - 2]
-    bits = {m: 1 << idx for idx, m in enumerate(splits)}
-    table = {}
-    for p in splits:
-        crossing = 0
-        for q in splits:
-            inter = p & q
-            if inter and inter != p and inter != q:
-                crossing |= bits[q]
-        table[p] = (bits[p], crossing)
-    return table
+    cands = _subsets_as_masks(k - 1, 2, k - 2)
+    bits = {m: 1 << idx for idx, m in enumerate(cands)}
+    return {p: (bits[p], sum(bits[q] for q in cands if p & q not in (0, p, q))) for p in cands}
 
 
 @lru_cache(maxsize=None)
-def split_bits(tree: Tree, ambient: frozenset) -> tuple:
+def split_bits(tree: Tree) -> tuple:
     """``(own, crossing)``: the bits of the tree's splits, and of every split
     crossing one of them (`_crossing_table`)."""
-    table = _crossing_table(ambient)
+    table = _crossing_table(sum(map(len, tree.legs)))
     own = crossing = 0
-    for m in split_masks(tree, ambient):
+    for m in splits(tree):
         bit, cross = table[m]
         own |= bit
         crossing |= cross
     return own, crossing
 
 
-def _laminar(tree: Tree, stratum: Tree, ambient: frozenset) -> bool:
+def _laminar(tree: Tree, stratum: Tree) -> bool:
     """Whether the splits of two trees are pairwise nested or disjoint: one
     AND, since no split of ``stratum`` may cross a split of ``tree``."""
-    return not split_bits(tree, ambient)[1] & split_bits(stratum, ambient)[0]
+    return not split_bits(tree)[1] & split_bits(stratum)[0]
 
 
 class _Refinement:
@@ -363,14 +337,14 @@ def _refine(tree: Tree, stratum: Tree, ambient: frozenset) -> Optional[_Refineme
     laminar).  The pairing routes test ``_laminar`` first, so only laminar
     pairs reach this cache from them.
     """
-    if not _laminar(tree, stratum, ambient):
+    if not _laminar(tree, stratum):
         return None
-    t_masks = split_masks(tree, ambient)
-    s_masks = set(split_masks(stratum, ambient))
-    order = _bit_order(ambient)
+    t_masks = splits(tree)
+    s_masks = set(splits(stratum))
+    base, labels, _ = _frame(ambient, rt=False)
     # the enumerator's masks: an enumerated stratum is looked up, not rebuilt
-    gamma = _tree_from_laminar(order[1:], tuple(s_masks.union(t_masks)), rt=False, extra_root_legs=order[:1])
-    edge_of_mask = {m: e for e, m in enumerate(split_masks(gamma, ambient))}
+    gamma = _tree_from_laminar(labels, tuple(s_masks.union(t_masks)), False, base)
+    edge_of_mask = {m: e for e, m in enumerate(splits(gamma))}
     shared = tuple(edge_of_mask[m] for m in t_masks if m in s_masks)
     return _Refinement(gamma, tuple(edge_of_mask[m] for m in t_masks), shared)
 
@@ -435,7 +409,7 @@ def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
 
 
 def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) -> int:
-    if not _laminar(tree, stratum, ambient):
+    if not _laminar(tree, stratum):
         return 0
     ref = _refine(tree, stratum, ambient)
     value = ref.values.get(dec)
@@ -471,9 +445,9 @@ def zero_witness(x: Class0) -> Optional[Tree]:
     by_tree: dict = {}
     for (tree, dec), coeff in x.terms.items():
         by_tree.setdefault(tree, []).append((dec, coeff.numerator * (common // coeff.denominator)))
-    rows = [(tree, split_bits(tree, ambient)[1], items) for tree, items in by_tree.items()]
+    rows = [(tree, split_bits(tree)[1], items) for tree, items in by_tree.items()]
     for stratum in strata_family(ambient, codim):
-        own = split_bits(stratum, ambient)[0]
+        own = split_bits(stratum)[0]
         total = 0
         for tree, crossing, items in rows:
             if crossing & own:

@@ -127,6 +127,8 @@ def build_tree(
     ``edge_pairs`` are unordered vertex-index pairs; ``half_exp`` is keyed by
     ``(input_edge_index, input_side)`` where side 0 refers to the first vertex
     of the pair.  ``rt_root`` names the genus vertex of a rational-tails graph.
+    The tree is built from its split family (`_build_from_laminar`), and each
+    half-edge follows its edge's split.  An exponent on a missing slot is refused.
     """
     nv = len(legs_by_vertex)
     legs_in = [list(ls) for ls in legs_by_vertex]
@@ -138,8 +140,12 @@ def build_tree(
     if len(edge_pairs) != nv - 1:
         raise InvalidArgument("not a tree: |E| != |V| - 1")
 
+    if rt_root is not None and rt_root not in range(nv):
+        raise InvalidArgument(f"no vertex {rt_root!r}")
     adj: list = [[] for _ in range(nv)]
     for ei, (a, b) in enumerate(edge_pairs):
+        if a not in range(nv) or b not in range(nv):
+            raise InvalidArgument(f"edge {(a, b)!r} names no vertex")
         if a == b:
             raise InvalidArgument("loop edge")
         adj[a].append((b, ei))
@@ -154,69 +160,43 @@ def build_tree(
         elif valence < 3:
             raise InvalidArgument(f"unstable vertex of valence {valence}")
 
-    # root selection
-    if rt_root is not None:
-        root = rt_root
-    else:
-        min_label = min(all_labels, key=label_key)
-        root = next(v for v in range(nv) if min_label in legs_in[v])
-
-    # connectivity + subtree minima (for deterministic child ordering)
-    seen = [False] * nv
-    order: list = []
-    parent = [-1] * nv
-    parent_edge = [-1] * nv
+    # the root is the genus vertex, or the vertex of the smallest label
+    rt = rt_root is not None
+    base, labels, bit = _frame(frozenset(all_labels), rt)
+    root = rt_root if rt else next(v for v, ls in enumerate(legs_in) if base[0] in ls)
+    up = {root: None}  # vertex -> (its parent, the edge to it), in discovery order
     stack = [root]
-    seen[root] = True
     while stack:
         v = stack.pop()
-        order.append(v)
         for w, ei in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                parent_edge[w] = ei
+            if w not in up:
+                up[w] = (v, ei)
                 stack.append(w)
-    if len(order) != nv:
+    if len(up) != nv:
         raise InvalidArgument("tree is not connected")
 
-    submin = [None] * nv
-    for v in reversed(order):
-        cands = [label_key(l) for l in legs_in[v]]
-        cands += [submin[w] for w, _ in adj[v] if parent[w] == v]
-        submin[v] = min(cands) if cands else (3,)
-
-    # canonical DFS: children sorted by subtree minimum
-    new_index = {}
-    new_edges = []
-    edge_map = {}
-    counter = itertools.count()
-
-    def visit(v: int) -> None:
-        new_index[v] = next(counter)
-        kids = sorted((w for w, _ in adj[v] if parent[w] == v), key=lambda w: submin[w])
-        for w in kids:
-            eid = len(new_edges)
-            new_edges.append((v, w))
-            edge_map[parent_edge[w]] = (eid, w)
-            visit(w)
-
-    visit(root)
-    legs = tuple(sort_labels(legs_in[v]) for v in sorted(range(nv), key=lambda v: new_index[v]))
-    edges = tuple((new_index[a], new_index[b]) for a, b in new_edges)
-    tree = Tree(legs=legs, edges=edges, rt=rt_root is not None)
+    # each vertex's split: the legs of its subtree
+    below = list(up)[1:]
+    mask = [sum(bit.get(l, 0) for l in ls) for ls in legs_in]
+    for v in reversed(below):
+        mask[up[v][0]] |= mask[v]
+    tree = _build_from_laminar(labels, tuple(mask[v] for v in below), rt, base)
+    edge_of = {m: e for e, m in enumerate(splits(tree))}
+    image = {up[w][1]: (edge_of[mask[w]], w) for w in below}  # input edge -> (edge, its child)
 
     new_half = {}
-    for (ei, side), e in (half_exp or {}).items():
+    for slot, e in (half_exp or {}).items():
         if not e:
             continue
-        a, b = edge_pairs[ei]
-        vert = (a, b)[side]
-        eid, child = edge_map[ei]
-        new_side = 1 if vert == child else 0
-        new_half[(eid, new_side)] = new_half.get((eid, new_side), 0) + e
-    dec = make_decoration(new_half, leg_exp)
-    return tree, dec
+        ei, side = slot if isinstance(slot, tuple) and len(slot) == 2 else (None, None)
+        if ei not in image or side not in (0, 1):
+            raise InvalidArgument(f"no half-edge {slot!r}")
+        eid, child = image[ei]
+        new_half[(eid, int(edge_pairs[ei][side] == child))] = e
+    for l, e in (leg_exp or {}).items():
+        if e and l not in all_labels:
+            raise InvalidArgument(f"no leg {l!r}")
+    return tree, make_decoration(new_half, leg_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +241,30 @@ def beyond_legs(tree: Tree, eid: int) -> frozenset:
     for e2 in child_edges_of(tree, child):
         acc |= beyond_legs(tree, e2)
     return frozenset(acc)
+
+
+@lru_cache(maxsize=None)
+def _frame(legs: frozenset, rt: bool) -> tuple:
+    """``(base, labels, bit)`` of a tree with these legs: a rooted tree keeps
+    its smallest label, the base, at the root, and split masks number the
+    labels after it (``bit``: label -> its bit).  A rational-tails graph has
+    no base.  Cached per leg set: every refinement of a pairing reads it."""
+    ordered = sort_labels(legs)
+    base = () if rt else ordered[:1]
+    labels = ordered[len(base):]
+    return base, labels, {l: 1 << k for k, l in enumerate(labels)}
+
+
+@lru_cache(maxsize=None)
+def splits(tree: Tree) -> tuple:
+    """Each edge's split, in edge order: the bitmask of the legs beyond it,
+    bit k standing for label k of the frame (`_frame`)."""
+    bit = _frame(frozenset(tree.all_legs()), tree.rt)[2]
+    masks = [sum(bit.get(l, 0) for l in ls) for ls in tree.legs]
+    # a child's index is above its parent's, so this adds each subtree bottom up
+    for p, c in reversed(tree.edges):
+        masks[p] |= masks[c]
+    return tuple(masks[c] for _, c in tree.edges)
 
 
 @lru_cache(maxsize=None)
@@ -346,53 +350,53 @@ def _laminar_families(candidates: list):
     yield from rec(0, [])
 
 
-# (labels, rt, extra root legs, sorted split masks) -> its dual tree; the
-# enumerators fill it, so a lookup of an enumerated family builds nothing
+# (labels, rt, base, sorted split masks) -> its dual tree; the enumerators
+# fill it, so a lookup of an enumerated family builds nothing
 _laminar_trees: dict = {}
 
 
-def _tree_from_laminar(labels: tuple, family: tuple, rt: bool, extra_root_legs: tuple = ()) -> Tree:
-    """The dual tree whose edge splits are exactly ``family``, canonicalised
-    once per family (``_laminar_trees``)."""
-    key = (labels, rt, extra_root_legs, tuple(sorted(family)))
+def _tree_from_laminar(labels: tuple, family: tuple, rt: bool, base: tuple = ()) -> Tree:
+    """The dual tree whose edge splits are exactly ``family``, built once per
+    family (``_laminar_trees``)."""
+    key = (labels, rt, base, tuple(sorted(family)))
     tree = _laminar_trees.get(key)
     if tree is None:
-        tree = _laminar_trees[key] = _build_from_laminar(labels, family, rt, extra_root_legs)
+        tree = _laminar_trees[key] = _build_from_laminar(labels, family, rt, base)
     return tree
 
 
-def _build_from_laminar(labels: tuple, family: tuple, rt: bool, extra_root_legs: tuple) -> Tree:
-    """Build the dual tree whose edge splits are exactly ``family``."""
-    bit = {l: i for i, l in enumerate(labels)}
-    sets = sorted(family, key=lambda m: (-m.bit_count(), m))
-    parent_set = []
-    full = (1 << len(labels)) - 1
-    for i, m in enumerate(sets):
-        p = -1
-        best = None
-        for j in range(i):
-            if m & sets[j] == m and (best is None or sets[j] & best == sets[j]):
-                p, best = j, sets[j]
-        parent_set.append(p)
-    nv = len(sets) + 1
-    legs_by_vertex: list = [set() for _ in range(nv)]
-    covered = [0] * nv
-    for i, m in enumerate(sets):
-        covered[parent_set[i] + 1] |= m
-    for i in range(nv):
-        mask = full if i == 0 else sets[i - 1]
-        own = mask & ~covered[i]
-        legs_by_vertex[i] = {l for l in labels if (own >> bit[l]) & 1}
-    legs_by_vertex[0] |= set(extra_root_legs)
-    edge_pairs = [(parent_set[i] + 1, i + 1) for i in range(len(sets))]
-    tree, _ = build_tree(legs_by_vertex, edge_pairs, rt_root=0 if rt else None)
-    return tree
+def _build_from_laminar(labels: tuple, family: tuple, rt: bool, base: tuple) -> Tree:
+    """The canonical tree whose edge splits are exactly ``family``.
+
+    Bit k of a split is ``labels[k]``.  A split's parent is the smallest
+    split that holds it; the root holds the ``base`` legs and every label no
+    split holds.  Children come in the order of their lowest bit, the
+    smallest label beyond them, and vertices are numbered depth first.
+    """
+    by_size = sorted(family, key=int.bit_count)
+    children: dict = {m: [] for m in [None] + by_size}  # None: the root
+    for i, m in enumerate(by_size):
+        children[next((p for p in by_size[i + 1:] if p & m == m), None)].append(m)
+    legs: list = []
+    edges: list = []
+
+    def visit(node, mask: int, own: tuple) -> None:
+        v = len(legs)
+        kids = sorted(children[node], key=lambda m: m & -m)
+        rest = mask & ~sum(kids)  # disjoint, so their sum is their union
+        legs.append(own + tuple(l for k, l in enumerate(labels) if rest >> k & 1))
+        for m in kids:
+            edges.append((v, len(legs)))
+            visit(m, m, ())
+
+    visit(None, (1 << len(labels)) - 1, base)
+    return Tree(legs=tuple(legs), edges=tuple(edges), rt=rt)
 
 
-def _trees_of_laminar(labels: tuple, max_part: int, rt: bool, extra_root_legs: tuple = ()) -> tuple:
+def _trees_of_laminar(labels: tuple, max_part: int, rt: bool, base: tuple = ()) -> tuple:
     """Dual trees of the laminar families of 2..max_part-subsets of ``labels``."""
     cands = _subsets_as_masks(len(labels), 2, max_part)
-    out = [_tree_from_laminar(labels, fam, rt, extra_root_legs) for fam in _laminar_families(cands)]
+    out = [_tree_from_laminar(labels, fam, rt, base) for fam in _laminar_families(cands)]
     out.sort(key=Tree.sort_key)
     return tuple(out)
 
@@ -409,7 +413,7 @@ def enumerate_stable_trees(labels: tuple) -> tuple:
         raise InvalidArgument("need at least three legs")
     if ordered != tuple(labels):
         return enumerate_stable_trees(ordered)
-    return _trees_of_laminar(ordered[1:], len(ordered) - 2, rt=False, extra_root_legs=ordered[:1])
+    return _trees_of_laminar(ordered[1:], len(ordered) - 2, rt=False, base=ordered[:1])
 
 
 def enumerate_trees0(n: int) -> tuple:
@@ -556,10 +560,7 @@ def _plan(old: Tree, image: Mapping, extra: tuple = (), at: int = 0, added: tupl
     if len(set(legs)) != len(legs):
         raise InvalidArgument("duplicate leg labels")
     rt = old.rt and H0 not in extra
-    ordered = sort_labels(legs)
-    base = () if rt else ordered[:1]
-    labels = ordered[len(base):]
-    bit = {l: 1 << k for k, l in enumerate(labels)}
+    base, labels, bit = _frame(frozenset(legs), rt)
     full = (1 << len(labels)) - 1
     on_path = path_edges(old, at)
 
@@ -577,7 +578,7 @@ def _plan(old: Tree, image: Mapping, extra: tuple = (), at: int = 0, added: tupl
     if any(mask not in kept for mask, _ in sides[old.num_edges():]):
         raise InvalidArgument("a new edge must cut off two legs a side")
     new = _tree_from_laminar(labels, tuple(kept), rt, base)
-    edge_of = {sum(bit[l] for l in beyond_legs(new, e2)): e2 for e2 in range(new.num_edges())}
+    edge_of = {m: e2 for e2, m in enumerate(splits(new))}
     slots = {}
     for e, (mask, flip) in enumerate(sides):
         if mask in kept:

@@ -8,7 +8,7 @@ import multiprocessing
 
 import pytest
 
-from rtails import cycles, weights
+from rtails import cycles, rtclasses, trees, weights
 from rtails.cli import BRUTE_MAX_WEIGHTINGS, main, run_task
 from rtails.serialize import (
     class0_from_json,
@@ -295,6 +295,60 @@ def test_empty_or_oversized_verify_grid_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and all(word in err for word in named)
+
+
+def test_oversized_subcommands_are_usage_errors_before_any_work(capsys, monkeypatch):
+    def started(*args):
+        raise AssertionError("the work started")
+
+    for module, name in (
+        (trees, "enumerate_trees0"),
+        (trees, "enumerate_rt_graphs"),
+        (cycles, "z_cycle"),
+        (cycles, "z_truncated"),
+        (rtclasses, "f_class"),
+        (rtclasses, "f_class_m"),
+        (rtclasses, "emit_relation"),
+    ):
+        monkeypatch.setattr(module, name, started)
+    for argv, named in (
+        (["trees", "--n", "8"], ["--n 8", "7"]),
+        (["trees", "--n", "8", "--rt"], ["--n 8", "7"]),
+        (["zcycle", "--n", "8", "--i", "4", "--j", "1"], ["--n 8", "7"]),
+        (["zcycle", "--n", "8", "--i", "4", "--j", "1", "--truncated"], ["--n 8", "7"]),
+        (["fclass", "--n", "7"], ["--n 7", "6"]),
+        (["fclass", "--multiplicities", "3,2,2"], ["--multiplicities sum 7", "6"]),
+        (["relations", "--g", "2", "--n", "7"], ["--n 7", "6"]),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and all(word in err for word in named)
+    # at the bounds the work starts, and meets the stand-in
+    for argv in (
+        ["trees", "--n", "7"],
+        ["zcycle", "--n", "7", "--i", "4", "--j", "1"],
+        ["fclass", "--n", "6"],
+        ["fclass", "--multiplicities", "2,2,2"],
+        ["relations", "--g", "2", "--n", "6"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and "the work started" in err
+
+
+def test_coeff_refuses_exponents_on_slots_the_graph_lacks(tmp_path, capsys):
+    # a leg exponent on a label the graph lacks, in the plain and the rooted
+    # context, and a half-edge key whose edge is out of range
+    path = tmp_path / "graph.json"
+    for blob, argv in (
+        ({**CHAIN_42, "exp_leg": {"99": 1}}, ()),
+        ({**ROOTED, "exp_leg": {"99": 1}}, ("--i", "1")),
+        ({**CHAIN_42, "exp_half": {"-1+": 1}}, ()),
+        ({**ROOTED, "exp_half": {"1-": 1}}, ("--i", "1")),
+    ):
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "coeff", "--graph", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no ") and "Traceback" not in err
 
 
 def test_coda_on_a_rational_tails_graph_is_a_usage_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ from rtails.trees import (
     enumerate_stable_trees,
     enumerate_trees0,
     make_decoration,
+    splits,
     valence,
     vertex_of_leg,
 )
@@ -40,7 +41,6 @@ from rtails.strata0 import (
     pullback_forget,
     push_tree,
     pushforward_forget,
-    split_masks,
     strata_family,
     zero_witness,
 )
@@ -411,8 +411,8 @@ def test_laminar_agrees_with_the_pairwise_test_on_the_union():
     cases += [(seven, T, S) for T in strata_family(seven, 1) for S in strata_family(seven, 3)]
     laminar_pairs = 0
     for ambient, T, S in cases:
-        pairwise = _pairwise_laminar(split_masks(T, ambient), split_masks(S, ambient))
-        assert _laminar(T, S, ambient) == pairwise
+        pairwise = _pairwise_laminar(splits(T), splits(S))
+        assert _laminar(T, S) == pairwise
         if ambient is six:
             assert (_refine(T, S, ambient) is None) == (not pairwise)
         laminar_pairs += pairwise
@@ -431,8 +431,8 @@ def test_zero_witness_pairs_the_same_strata(monkeypatch):
         return refine(tree, stratum, ambient)
 
     def laminar_strata(x, family):
-        trees = {split_masks(t, x.ambient) for t, _ in x.terms}
-        return [S for S in family if any(_pairwise_laminar(m, split_masks(S, x.ambient)) for m in trees)]
+        trees = {splits(t) for t, _ in x.terms}
+        return [S for S in family if any(_pairwise_laminar(m, splits(S)) for m in trees)]
 
     monkeypatch.setattr(strata0, "_refine", recording)
     for j, i in itertools.combinations(range(1, 5), 2):
@@ -556,12 +556,11 @@ def test_strata_families_come_from_one_enumeration():
 
 
 def test_the_dual_tree_of_a_strata_split_family_is_that_stratum():
-    # `split_masks` numbers the bits over the labels after the base, as the
+    # `splits` numbers the bits over the labels after the base, as the
     # enumerator's split-keyed tree cache does
     for labels in ((H0, 1, 2, 3, 4), (H0, 1, 2, 3, 4, 5)):
-        ambient = frozenset(labels)
         for S in enumerate_stable_trees(labels):
-            assert trees._tree_from_laminar(labels[1:], split_masks(S, ambient), rt=False, extra_root_legs=labels[:1]) == S
+            assert trees._tree_from_laminar(labels[1:], splits(S), rt=False, base=labels[:1]) == S
 
 
 def test_genus0_classes_refuse_rational_tails_graphs():

@@ -10,8 +10,10 @@ import pytest
 from rtails import strata0, trees
 from rtails.trees import (
     H0,
+    NODE,
     InvalidArgument,
     Decoration,
+    Tree,
     build_tree,
     capacity,
     child_edges_of,
@@ -23,12 +25,14 @@ from rtails.trees import (
     enumerate_stable_trees,
     enumerate_trees0,
     graft,
+    label_key,
     make_decoration,
     overloaded,
     parent_edge_of,
     pullback_terms,
     relabel,
     slot_vertex,
+    sort_labels,
     split_vertex,
     valence,
     vertex_of_leg,
@@ -154,6 +158,111 @@ def test_canonical_form_stable_under_relabeling():
             edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
             rebuilt, _ = build_tree(legs, edges, rt_root=perm[0] if t.rt else None)
             assert rebuilt == t
+
+
+# ---------------------------------------------------------------------------
+# the one canonicaliser against the depth-first one `build_tree` used before
+# it built every tree from its split family
+
+
+def _dfs_canonical(legs_by_vertex, edge_pairs, rt_root=None, half_exp=None, leg_exp=None):
+    """Root the raw tree, order each vertex's children by the smallest label
+    in their subtree, and number the vertices and edges depth first."""
+    nv = len(legs_by_vertex)
+    adj = [[] for _ in range(nv)]
+    for ei, (a, b) in enumerate(edge_pairs):
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
+    if rt_root is None:
+        min_label = min((l for ls in legs_by_vertex for l in ls), key=label_key)
+        root = next(v for v in range(nv) if min_label in legs_by_vertex[v])
+    else:
+        root = rt_root
+    order, parent, parent_edge, stack = [], [-1] * nv, [-1] * nv, [root]
+    seen = {root}
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w, ei in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w], parent_edge[w] = v, ei
+                stack.append(w)
+    submin = [None] * nv
+    for v in reversed(order):
+        submin[v] = min([label_key(l) for l in legs_by_vertex[v]] + [submin[w] for w, _ in adj[v] if parent[w] == v])
+    new_index, new_edges, edge_map = {}, [], {}
+
+    def visit(v):
+        new_index[v] = len(new_index)
+        for w in sorted((w for w, _ in adj[v] if parent[w] == v), key=lambda w: submin[w]):
+            edge_map[parent_edge[w]] = (len(new_edges), w)
+            new_edges.append((v, w))
+            visit(w)
+
+    visit(root)
+    legs = tuple(sort_labels(legs_by_vertex[v]) for v in sorted(range(nv), key=new_index.get))
+    edges = tuple((new_index[a], new_index[b]) for a, b in new_edges)
+    half = {}
+    for (ei, side), e in (half_exp or {}).items():
+        eid, child = edge_map[ei]
+        half[(eid, int(edge_pairs[ei][side] == child))] = e
+    return Tree(legs, edges, rt_root is not None), make_decoration(half, leg_exp)
+
+
+def _raw_input(tree, rng):
+    """``tree`` as raw `build_tree` arguments: legs renamed so that h0,
+    `NODE` and integers all occur, vertices permuted, legs shuffled, edges
+    reordered and pairs reversed, and one or two exponents on raw slots."""
+    old = tree.all_legs()
+    images = ([H0, NODE] + rng.sample(range(-1, 2 * len(old)), len(old)))[: len(old)]
+    rng.shuffle(images)
+    rename = dict(zip(old, images))
+    perm = list(range(tree.num_vertices()))
+    rng.shuffle(perm)
+    legs = [None] * len(perm)
+    for v, ls in enumerate(tree.legs):
+        legs[perm[v]] = rng.sample([rename[l] for l in ls], len(ls))
+    edges = [(perm[a], perm[b])[:: rng.choice((1, -1))] for a, b in tree.edges]
+    rng.shuffle(edges)
+    slots = [(ei, side) for ei in range(len(edges)) for side in (0, 1)] + images
+    exps = {slot: rng.randint(1, 2) for slot in rng.sample(slots, min(len(slots), rng.randint(1, 2)))}
+    half = {s: e for s, e in exps.items() if isinstance(s, tuple)}
+    leg = {s: e for s, e in exps.items() if not isinstance(s, tuple)}
+    return (legs, edges), dict(rt_root=perm[0] if tree.rt else None, half_exp=half, leg_exp=leg)
+
+
+def test_build_tree_equals_the_depth_first_canonicaliser():
+    rng = random.Random(12)
+    every = [t for n in range(2, 6) for t in enumerate_trees0(n)] + [t for n in range(1, 6) for t in enumerate_rt_graphs(n)]
+    cases = 0
+    for tree in every:
+        # the enumerated tree of each family is the depth-first one
+        base, labels, _ = trees._frame(frozenset(tree.all_legs()), tree.rt)
+        assert trees._build_from_laminar(labels, trees.splits(tree), tree.rt, base) == tree
+        assert _dfs_canonical(tree.legs, tree.edges, 0 if tree.rt else None)[0] == tree
+        for _ in range(3):
+            args, kwargs = _raw_input(tree, rng)
+            want = _dfs_canonical(*args, **kwargs)
+            assert build_tree(*args, **kwargs) == want
+            new = want[0]
+            base, labels, _ = trees._frame(frozenset(new.all_legs()), new.rt)
+            assert trees._build_from_laminar(labels, trees.splits(new), new.rt, base) == new
+            cases += 1
+    assert cases > 2000
+
+
+def test_build_tree_refuses_slots_and_vertices_the_input_lacks():
+    legs, edges = [[1, 2], [H0, 3, 4]], [(0, 1)]
+    for half, leg in (({(-1, 0): 1}, {}), ({(1, 0): 1}, {}), ({(0, 2): 1}, {}), ({0: 1}, {}), ({}, {99: 1})):
+        with pytest.raises(InvalidArgument):
+            build_tree(legs, edges, half_exp=half, leg_exp=leg)
+    # a zero exponent is no exponent
+    assert build_tree(legs, edges, half_exp={(1, 0): 0}, leg_exp={99: 0}) == build_tree(legs, edges)
+    # and an edge or a genus vertex that names no vertex
+    for bad_edges, rt_root in (([(0, 2)], None), ([(0, -1)], None), (edges, 2), (edges, -1)):
+        with pytest.raises(InvalidArgument):
+            build_tree(legs, bad_edges, rt_root=rt_root)
 
 
 def test_capacity_examples():
