@@ -54,7 +54,7 @@ from .trees import (
     _carried,
     _plan,
 )
-from .strata0 import FormalSum, dim_of, pair_term, strata_family, term_degree
+from .strata0 import FormalSum, dim_of, exact, pair_term, strata_family, term_degree
 from .weights import coeff_c
 from .cycles import VerificationReport
 
@@ -95,7 +95,7 @@ class RtClass(FormalSum):
 
     def _add(self, graph: Tree, dec: Decoration, fact, coeff) -> None:
         self._check_mutable()
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if not coeff or _rt_term_is_zero(graph, dec):
             return
         if frozenset(l for ls in graph.legs for l in ls) != self.legs:
@@ -527,7 +527,7 @@ class KPoly(FormalSum):
     def __init__(self, c=None):
         self.terms = {}
         for d, v in dict(c or {}).items():
-            self._put(int(d), Fraction(v))
+            self._put(int(d), exact(v))
 
     @staticmethod
     def _sort_key(d: int) -> int:
@@ -535,7 +535,7 @@ class KPoly(FormalSum):
 
     @staticmethod
     def const(v) -> "KPoly":
-        return KPoly({0: Fraction(v)})
+        return KPoly({0: exact(v)})
 
     def __neg__(self) -> "KPoly":
         return self.scale(-1)

@@ -18,7 +18,13 @@ every shared edge contributes a factor -ψ' - ψ''.
 The zero test pairs a homogeneous class against every boundary stratum of
 complementary dimension.  Boundary strata span these spaces and the
 intersection pairing is perfect over the rationals, so a class vanishes
-exactly when all such pairings do.
+exactly when all such pairings do.  A caller may name legs under whose
+permutations the class is invariant; the test then pairs only the first
+stratum of each orbit, in family order (`_orbit_firsts`).  When σx = x,
+⟨x, σS⟩ = ⟨σx, σS⟩ = ⟨x, S⟩, so the pairing is constant on each orbit: the
+first nonzero orbit representative is the full route's first nonzero
+stratum, and the witness does not change.  The invariance is a claim the
+caller certifies (`is_invariant`); without one the full route runs.
 
 The pairing kernel (`zero_witness`, `pair_term`, `_refine`) tests laminarity
 with one AND.  A tree's split masks come from `trees.splits`; one crossing
@@ -33,6 +39,7 @@ excess factor, a pairing integrates only those that leave every vertex a
 from __future__ import annotations
 
 import itertools
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -66,6 +73,15 @@ from .trees import (
     _tree_from_laminar,
     splits,
 )
+
+
+def exact(coeff) -> Fraction:
+    """``coeff`` as a `Fraction`; a float or other inexact number is refused."""
+    if isinstance(coeff, Fraction):
+        return coeff
+    if not isinstance(coeff, numbers.Rational):
+        raise InvalidArgument(f"coefficient {coeff!r} is not an exact rational")
+    return Fraction(coeff)
 
 
 class FormalSum:
@@ -128,7 +144,7 @@ class FormalSum:
         return self._combined(other, -1)
 
     def scale(self, factor):
-        factor = Fraction(factor)
+        factor = exact(factor)
         out = self._empty()
         if factor:
             out.terms = {k: c * factor for k, c in self.terms.items()}
@@ -149,7 +165,7 @@ class Class0(FormalSum):
             raise InvalidArgument("ambient needs at least three legs")
         self.terms = {}
         for (tree, dec), coeff in (terms or {}).items():
-            self._add(tree, dec, coeff)
+            self._add(tree, dec, exact(coeff))
 
     def _add(self, tree: Tree, dec: Decoration, coeff: Fraction) -> None:
         self._check_mutable()
@@ -214,7 +230,7 @@ def push_tree(tree: Tree, dec: Decoration = Decoration()) -> Class0:
 def from_terms(ambient, triples) -> Class0:
     out = Class0(ambient)
     for tree, dec, coeff in triples:
-        out._add(tree, dec, Fraction(coeff))
+        out._add(tree, dec, exact(coeff))
     return out
 
 
@@ -431,8 +447,52 @@ def pair(x: Class0, stratum: Tree) -> Fraction:
     )
 
 
-def zero_witness(x: Class0) -> Optional[Tree]:
-    """A complementary stratum with nonzero pairing, or None when x = 0."""
+@lru_cache(maxsize=None)
+def _orbit_firsts(ambient: frozenset, codim: int, legs: frozenset) -> tuple:
+    """The first stratum of each orbit under permuting ``legs``, in family order.
+
+    Two strata lie in one orbit exactly when they have the same rooted shape:
+    the root is vertex 0, which holds the base label (so ``legs`` must not),
+    and each vertex's key is its fixed legs, the count of its permutable legs
+    and the sorted keys of its children.
+    """
+    firsts: dict = {}
+    for stratum in strata_family(ambient, codim):
+        kids: list = [[] for _ in stratum.legs]
+        for parent, child in stratum.edges:
+            kids[parent].append(child)
+        keys: list = [None] * len(kids)
+        # a child's index is above its parent's, so this keys each subtree bottom up
+        for v in reversed(range(len(kids))):
+            own = stratum.legs[v]
+            fixed = tuple(label_key(l) for l in own if l not in legs)
+            keys[v] = (fixed, len(own) - len(fixed), tuple(sorted(keys[c] for c in kids[v])))
+        firsts.setdefault(keys[0], stratum)
+    return tuple(firsts.values())
+
+
+def is_invariant(x: Class0, legs) -> bool:
+    """Whether every permutation of ``legs`` fixes x: checked exactly for one
+    transposition and the full cycle of the legs, which generate them all."""
+    order = sort_labels(legs)
+    if len(order) < 2:
+        return True
+    swap = {order[0]: order[1], order[1]: order[0]}
+    cycle = dict(zip(order, order[1:] + order[:1]))
+    return all(relabel_class(x, g) == x for g in (swap, cycle))
+
+
+def zero_witness(x: Class0, legs: Iterable = frozenset()) -> Optional[Tree]:
+    """A complementary stratum with nonzero pairing, or None when x = 0.
+
+    ``legs``, when given, are legs under whose permutations x is invariant
+    (`is_invariant` certifies it); only the first stratum of each orbit is
+    paired then (`_orbit_firsts`), and the witness is the same.
+    """
+    legs = frozenset(legs)
+    base = _frame(x.ambient, rt=False)[0][0]
+    if base in legs or not legs <= x.ambient:
+        raise InvalidArgument(f"cannot permute {sort_labels(legs)!r}: only ambient legs other than {base!r} move")
     if not x.terms:
         return None
     degs = x.degrees()
@@ -446,7 +506,7 @@ def zero_witness(x: Class0) -> Optional[Tree]:
     for (tree, dec), coeff in x.terms.items():
         by_tree.setdefault(tree, []).append((dec, coeff.numerator * (common // coeff.denominator)))
     rows = [(tree, split_bits(tree)[1], items) for tree, items in by_tree.items()]
-    for stratum in strata_family(ambient, codim):
+    for stratum in _orbit_firsts(ambient, codim, legs) if legs else strata_family(ambient, codim):
         own = split_bits(stratum)[0]
         total = 0
         for tree, crossing, items in rows:
@@ -580,10 +640,12 @@ def collide_via_product(x: Class0, leg_i, leg_j) -> Class0:
 
 
 def relabel_class(x: Class0, mapping: Mapping) -> Class0:
+    """Rename legs.  Renaming keeps a term's degree and vertex loads and
+    refuses duplicate labels (`trees.relabel`), so the terms of x, already
+    checked, are copied without a new check."""
     out = Class0(frozenset(mapping.get(l, l) for l in x.ambient))
     for (tree, dec), coeff in x.terms.items():
-        t2, d2 = relabel(tree, dec, mapping)
-        out._add(t2, d2, coeff)
+        out._put(relabel(tree, dec, mapping), coeff)
     return out
 
 

@@ -10,6 +10,7 @@ import pytest
 from rtails import cycles
 from rtails.trees import H0, InvalidArgument, build_tree
 from rtails.strata0 import Class0, is_zero, push_tree, strata_family, zero, zero_witness
+from rtails.weights import rooted_factor
 from rtails.cycles import (
     ambient0,
     closed_form_z_top,
@@ -23,6 +24,7 @@ from rtails.cycles import (
     verify_recursion_a,
     verify_recursion_all,
     verify_vanishing,
+    verify_vanishing_cycle,
     z_cycle,
     z_truncated,
 )
@@ -357,3 +359,53 @@ def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):
     monkeypatch.setattr(cycles, "decorations_of_degree", recording)
     assert all(rep.passed for rep in verify_vanishing(5))
     assert calls and len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# the orbit route of the vanishing checks: certified symmetric blocks
+
+
+def test_z_symmetry_certifies_every_block():
+    # a broken certificate would keep every verdict and quietly lose the speed
+    for n in range(2, 7):
+        for degree in range(n - 1):
+            assert cycles._z_symmetry(n, 1, degree) == frozenset(range(1, n)), (n, degree)
+    assert cycles._z_symmetry(5, 2, 2) == frozenset({2, 3, 4})
+
+
+def test_the_orbit_route_gives_the_full_route_witness():
+    nonzero = 0
+    for n, i, j, m, truncated in _box(5):
+        if m == 1:
+            x = z_truncated(n, i, j) if truncated else z_cycle(n, i, j)
+            w = zero_witness(x)
+            assert zero_witness(x, cycles._z_symmetry(n, 1, n - 1 + j - i)) == w, (n, i, j, truncated)
+            nonzero += w is not None
+    assert nonzero >= 20
+
+
+def test_an_uncertified_block_falls_back_to_the_full_route(monkeypatch):
+    # ψ_1 + ψ_2 - 2ψ_3 + ψ_4 - 2ψ_h0 is not invariant under legs 1..3, and
+    # pairs to 0 with the first stratum of every orbit, though not with all
+    def psi(leg):
+        return push_tree(*build_tree([[H0, 1, 2, 3, 4]], [], leg_exp={leg: 1}))
+
+    lopsided = psi(1) + psi(2) - psi(3).scale(2) + psi(4) - psi(H0).scale(2)
+    assert zero_witness(lopsided, {1, 2, 3}) is None and zero_witness(lopsided) is not None
+    # Z(4, 3, 1), a sum of terms that vanishes as a class, scales the blocks
+    # without and with ψ_h0 by 3 and 18, so these two changes add 3 * lopsided
+    real = z_cycle(4, 3, 1)
+    blocks = dict(cycles._z_blocks(4, 1, 1))
+    assert [rooted_factor(key, 3) for key in ((0, 3, None), (1, 3, None))] == [3, 18]
+    blocks[(0, 3, None)] = (blocks[(0, 3, None)] + psi(1) + psi(2) - psi(3).scale(2) + psi(4)).freeze()
+    blocks[(1, 3, None)] = (blocks[(1, 3, None)] - psi(H0).scale(Fraction(1, 3))).freeze()
+    monkeypatch.setattr(cycles, "_block_cache", {(4, 1, 1): blocks})
+    monkeypatch.setattr(cycles, "_z_cache", {})
+    cycles._z_symmetry.cache_clear()
+    try:
+        assert z_cycle(4, 3, 1) - real == lopsided.scale(3)
+        assert cycles._z_symmetry(4, 1, 1) == frozenset()
+        rep = verify_vanishing_cycle(4, 3, 1)
+        assert (rep.passed, rep.witness) == (False, zero_witness(lopsided))
+    finally:
+        cycles._z_symmetry.cache_clear()

@@ -500,6 +500,21 @@ def test_formal_sums_of_another_space_or_type_are_refused():
         PushedClass() - KPoly.const(1)
 
 
+def test_inexact_coefficients_are_refused():
+    x = f_class("k", "g", 2)
+    key = next(iter(x.terms))
+    for refused in (
+        lambda: x.scale(0.1),
+        lambda: RtClass(x.legs, {key: 0.5}),
+        lambda: KPoly({0: 0.5}),
+        lambda: KPoly.const(1) * 0.5,
+    ):
+        with pytest.raises(InvalidArgument):
+            refused()
+    assert RtClass(x.legs, {key: Fraction(1, 2)}) == RtClass(x.legs, {key: 1}).scale(Fraction(1, 2))
+    assert KPoly({0: 2}) == KPoly.const(Fraction(2))
+
+
 def test_kpoly_and_pushed_class_cancellation_drops_keys():
     p = KPoly({2: 1, 1: 3, 0: Fraction(1, 2)})
     q = p + KPoly({1: -3})

@@ -19,6 +19,7 @@ from rtails.trees import (
     enumerate_stable_trees,
     enumerate_trees0,
     make_decoration,
+    relabel,
     splits,
     valence,
     vertex_of_leg,
@@ -26,6 +27,7 @@ from rtails.trees import (
 from rtails.strata0 import (
     Class0,
     _laminar,
+    _orbit_firsts,
     _refine,
     collide,
     collide_via_product,
@@ -34,6 +36,7 @@ from rtails.strata0 import (
     glue_push_sigma0,
     integrate,
     integrate_term,
+    is_invariant,
     is_zero,
     pair,
     pair_term,
@@ -576,3 +579,70 @@ def test_genus0_classes_refuse_rational_tails_graphs():
     ):
         with pytest.raises(InvalidArgument):
             refused()
+
+
+def test_inexact_coefficients_are_refused():
+    z = z_cycle(4, 3, 1)
+    (t, d), _ = next(iter(z.terms.items()))
+    for refused in (
+        lambda: z.scale(0.1),
+        lambda: from_terms(z.ambient, [(t, d, 0.1)]),
+        lambda: Class0(z.ambient, {(t, d): 0.5}),
+    ):
+        with pytest.raises(InvalidArgument):
+            refused()
+    # exact rationals of every kind stay welcome, and are stored as Fractions
+    assert z.scale(Fraction(1, 10)).terms == {key: c / 10 for key, c in z.terms.items()}
+    assert from_terms(z.ambient, [(t, d, 2)]) == Class0(z.ambient, {(t, d): Fraction(2)})
+    assert type(Class0(z.ambient, {(t, d): 2}).terms[(t, d)]) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the orbit route: one stratum per orbit of the legs a class is invariant under
+
+
+def _brute_orbit_firsts(ambient, codim, legs):
+    """The first stratum of each orbit, with each orbit built by relabelling
+    under every permutation of ``legs``."""
+    order = sorted(legs)
+    seen, firsts = set(), []
+    for S in strata_family(ambient, codim):
+        if S not in seen:
+            firsts.append(S)
+            for images in itertools.permutations(order):
+                seen.add(relabel(S, make_decoration(), dict(zip(order, images)))[0])
+    return tuple(firsts)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_orbit_firsts_equal_the_brute_force_orbits(n):
+    ambient = ambient0(n)
+    for legs in (frozenset(range(1, n)), frozenset(range(2, n))):
+        for codim in range(n - 1):
+            assert _orbit_firsts(ambient, codim, legs) == _brute_orbit_firsts(ambient, codim, legs), (legs, codim)
+
+
+def test_orbit_counts_on_seven_legs():
+    ambient = ambient0(6)
+    assert [len(_orbit_firsts(ambient, c, frozenset(range(1, 6)))) for c in range(1, 5)] == [8, 26, 38, 20]
+    assert [len(_orbit_firsts(ambient, c, frozenset(range(1, 7)))) for c in range(1, 5)] == [4, 10, 12, 6]
+
+
+def test_the_orbit_route_refuses_legs_that_cannot_move():
+    x = z_cycle(4, 2, 1)
+    for legs in ({H0, 1, 2}, {1, 2, 9}):
+        for refused in (lambda: zero_witness(x, legs), lambda: zero_witness(x - x, legs)):
+            with pytest.raises(InvalidArgument):
+                refused()
+
+
+def test_is_invariant_checks_the_whole_symmetric_group():
+    psi1 = one_vertex((H0, 1, 2, 3, 4), {1: 1})
+    assert is_invariant(psi1, {2, 3, 4})
+    assert not is_invariant(psi1, {1, 2, 3, 4})
+    assert is_invariant(psi1, {1}) and is_invariant(psi1, ())
+    # ψ_2 + ψ_3 is fixed by the swap of 2 and 3, the one transposition checked
+    # on {2, 3, 4}; the cycle of 2, 3, 4 moves it
+    lopsided = one_vertex((H0, 1, 2, 3, 4), {2: 1}) + one_vertex((H0, 1, 2, 3, 4), {3: 1})
+    assert not is_invariant(lopsided, {2, 3, 4})
+    assert is_invariant(lopsided, {2, 3})
