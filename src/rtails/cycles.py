@@ -28,6 +28,7 @@ from .trees import (
 )
 from .strata0 import (
     Class0,
+    ambient0,
     collide,
     dim_of,
     glue_push_gamma,
@@ -71,8 +72,9 @@ def _report_first(identity: str, params: tuple, labelled) -> VerificationReport:
     return VerificationReport(identity, params, True, None)
 
 
-def ambient0(n: int) -> frozenset:
-    return frozenset(range(1, n + 1)) | {H0}
+def _z_degree(n: int, i: int, j: int, m: int = 1) -> int:
+    """The class degree of Z^m(n, i, j) and Z^t(n, i, j)."""
+    return n + m - 2 + j - i
 
 
 _z_cache: dict = {}
@@ -100,7 +102,7 @@ def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
     """Z or Z^t as the sum of the shared blocks of its degree, each scaled by
     the half of the coefficient that reads i; frozen, since it is cached."""
     out = zero(ambient0(n))
-    degree = n + m - 2 + j - i
+    degree = _z_degree(n, i, j, m)
     if 0 <= degree <= dim_of(out.ambient):
         for key, block in _z_blocks(n, m, degree).items():
             factor = rooted_factor(key, i, truncated)
@@ -159,7 +161,7 @@ def _assemble_z(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
     """Z or Z^t term by term, one coefficient per (tree, decoration): the
     oracle of the grouped route."""
     amb = ambient0(n)
-    degree = n + m - 2 + j - i
+    degree = _z_degree(n, i, j, m)
     out = zero(amb)
     if degree < 0 or degree > dim_of(amb):
         return out
@@ -322,7 +324,7 @@ def verify_vanishing_cycle(n: int, i: int, j: int, truncated: bool = False) -> V
     whole space, so no certificate is sought there.
     """
     x = z_truncated(n, i, j) if truncated else z_cycle(n, i, j)
-    degree = n - 1 + j - i
+    degree = _z_degree(n, i, j)
     legs = _z_symmetry(n, 1, degree) if x.terms and degree < dim_of(x.ambient) else frozenset()
     w = zero_witness(x, legs)
     return VerificationReport("vanishing_zt" if truncated else "vanishing_z", (n, i, j), w is None, w)

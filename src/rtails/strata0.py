@@ -649,6 +649,11 @@ def relabel_class(x: Class0, mapping: Mapping) -> Class0:
     return out
 
 
+def ambient0(n: int) -> frozenset:
+    """The legs {1..n, h0} of the rooted space M̄_{0,n+1}."""
+    return frozenset(range(1, n + 1)) | {H0}
+
+
 def glue_push_gamma(x: Class0, I, n: int) -> Class0:
     """Attach the coda vertex with legs I ∪ {n} at the first marked point.
 
@@ -658,9 +663,9 @@ def glue_push_gamma(x: Class0, I, n: int) -> Class0:
     """
     I = frozenset(I)
     mapping = coda_mapping(n, I)
-    if x.ambient != frozenset(range(1, n - len(I) + 1)) | {H0}:
+    if x.ambient != ambient0(n - len(I)):
         raise InvalidArgument("class lives on the wrong space for this coda")
-    out = Class0(frozenset(range(1, n + 1)) | {H0})
+    out = Class0(ambient0(n))
     for (tree, dec), coeff in relabel_class(x, mapping).terms.items():
         out._add(*graft(tree, dec, NODE, I | {n}), coeff)
     return out
@@ -670,10 +675,9 @@ def glue_push_sigma0(x: Class0, n: int) -> Class0:
     """Attach a rational bridge carrying h0 and the new leg n at the root leg."""
     if H0 not in x.ambient:
         raise InvalidArgument("sigma0 needs the root leg h0")
-    expected = frozenset(range(1, n)) | {H0}
-    if x.ambient != expected:
+    if x.ambient != ambient0(n - 1):
         raise InvalidArgument("class lives on the wrong space for sigma0")
-    out = Class0(frozenset(range(1, n + 1)) | {H0})
+    out = Class0(ambient0(n))
     for (tree, dec), coeff in x.terms.items():
         out._add(*graft(tree, dec, H0, (H0, n)), coeff)
     return out

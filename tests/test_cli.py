@@ -164,6 +164,12 @@ def test_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, "coeff", "--graph", str(path), *argv)
         assert (code, out) == (2, "")
         assert option in err
+    # i < 1 is a usage error in the coda context too, not the value 0
+    path.write_text(json.dumps(CODA))
+    for argv in (("--i", "0"), ("--i", "0", "--coda", "1")):
+        code, out, err = run_cli(capsys, "coeff", "--graph", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert "i must be >= 1" in err
 
 
 def test_relations_emit(capsys):

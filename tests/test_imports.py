@@ -1,4 +1,5 @@
-"""Source hygiene: no `rtails` module imports a name from a sibling and never uses it.
+"""Source hygiene: no `rtails` module imports a name from a sibling and never
+uses it, and no private module-level name is left unread.
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rtails"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rtails"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,3 +36,54 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_sibling_imports(path):
     assert unused_sibling_imports(path.read_text()) == []
+
+
+def _reads(node) -> set:
+    """The names and attributes ``node`` reads."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+    return out
+
+
+def _defines(node) -> list:
+    """The names a module-level statement defines (imports excluded)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def unread_private_names(modules: dict, readers=()) -> list:
+    """``module.name`` for each module-level ``_name`` in ``modules`` that no
+    statement reads, in ``modules`` or ``readers``, outside its own definition."""
+    statements = [(mod, node) for mod, source in modules.items() for node in ast.parse(source).body]
+    statements += [(None, node) for source in readers for node in ast.parse(source).body]
+    reads = [_reads(node) for _, node in statements]
+    return sorted(
+        f"{mod}.{name}"
+        for k, (mod, node) in enumerate(statements)
+        if mod is not None
+        for name in _defines(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != k)
+    )
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = (
+        "_used = 1\n_unread: int = 2\n__dunder__ = 3\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _by_tests():\n    pass\n"
+        "def f():\n    return _used\n"
+    )
+    assert unread_private_names({"m": source}, ["m._by_tests()\n"]) == ["m._recursive", "m._unread"]
+
+
+def test_every_private_name_is_read():
+    readers = [p.read_text() for folder in ("tests", "bench") for p in sorted((ROOT / folder).glob("*.py"))]
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(modules, readers) == []

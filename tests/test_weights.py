@@ -98,6 +98,31 @@ def test_rooted_examples():
             coeff(g, dec, 1, 1)  # a rational-tails graph has no h0
 
 
+def test_every_entry_point_refuses_i_below_one_and_an_unknown_method():
+    t, _ = build_tree([[1, 2, 3, H0]], [])
+    psi_h0 = make_decoration(leg_exp={H0: 1})
+    coda, _ = build_tree([[2, H0], [1, 3]], [(0, 1)])
+    trivial = make_decoration()
+    for tree, dec, context in ((t, psi_h0, {"context": "i-rooted", "m": 1}), (coda, trivial, {"context": "i-coda", "I": {1}})):
+        for entry in (coeff_dp, enumerate_weightings):
+            with pytest.raises(InvalidArgument):
+                entry(tree, dec, i=0, **context)
+    with pytest.raises(InvalidArgument):
+        coeff_d(coda, trivial, 0, {1})
+    with pytest.raises(InvalidArgument):
+        rooted_factor((0, 3, None), 0)
+    g, dec = _single_edge_graph(head_exp=1)
+    for coeff, args in (
+        (coeff_c, (g, dec)),
+        (coeff_c_im, (t, psi_h0, 2, 1)),
+        (coeff_c_im_truncated, (t, psi_h0, 2, 1)),
+        (coeff_d, (coda, trivial, 1, {1})),
+    ):
+        assert coeff(*args, method="brute") == coeff(*args, method="dp")
+        with pytest.raises(InvalidArgument):
+            coeff(*args, method="bogus")
+
+
 def test_coda_examples():
     # one-vertex coda, I = {1..n-1}: d^{n-1} = 1
     for n in (3, 4, 5):
@@ -176,11 +201,15 @@ def test_coeff_dp_reports():
 
 
 def test_dp_count_equals_listed_weightings():
-    # `rtails coeff` prints the DP count; the brute enumerator lists the set
+    # `rtails coeff` prints the DP count; the brute enumerator lists the set,
+    # and its product sum (over |I| for a coda) is the DP value
     def agree(tree, dec, **context):
-        count = coeff_dp(tree, dec, **context).weighting_count
-        assert count == len(enumerate_weightings(tree, dec, **context))
-        return count
+        report = coeff_dp(tree, dec, **context)
+        ws = enumerate_weightings(tree, dec, **context)
+        assert report.weighting_count == len(ws)
+        total = Fraction(sum(weight_product(w) for w in ws))
+        assert report.coefficient == (total / len(context["I"]) if "I" in context else total)
+        return report.weighting_count
 
     codas = 0
     for n in (3, 4):
