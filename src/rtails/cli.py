@@ -1,7 +1,8 @@
 """Deterministic command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
-stderr) or ran over its time budget, 2 usage error (bad arguments, unreadable
+stderr) or ran over its time budget, 2 usage error (bad arguments, an option
+the command would not read, such as zcycle --m under --truncated, unreadable
 or malformed input, a verify grid with no tasks, a size above the largest
 measured: an --n or --max-n above MAX_N, or an fclass or relations --n, an
 fclass --multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
@@ -133,9 +134,11 @@ def cmd_coeff(args) -> int:
 def cmd_zcycle(args) -> int:
     _at_most("--n", args.n, MAX_N)
     if args.truncated:
+        if args.m is not None:
+            raise InvalidArgument("--m is not read by the truncated cycle")
         x = cycles.z_truncated(args.n, args.i, args.j)
     else:
-        x = cycles.z_cycle(args.n, args.i, args.j, args.m)
+        x = cycles.z_cycle(args.n, args.i, args.j, 1 if args.m is None else args.m)
     if args.format == "json":
         _emit(serialize.dumps(serialize.class0_to_json(x)))
     else:
@@ -147,10 +150,10 @@ def cmd_fclass(args) -> int:
     k = args.k
     if args.multiplicities:
         _at_most("--multiplicities sum", sum(args.multiplicities), MAX_SUM)
-        x = rtclasses.f_class_m(k, args.g, args.multiplicities)
+        x = rtclasses.f_class_m(k, "g", args.multiplicities)
     elif args.n is not None:
         _at_most("--n", args.n, MAX_SUM)
-        x = rtclasses.f_class(k, args.g, args.n)
+        x = rtclasses.f_class(k, "g", args.n)
     else:
         raise InvalidArgument("fclass needs --n or --multiplicities")
     ksym = "k" if k in ("sym", "k") else str(k)
@@ -327,14 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--j", type=int, required=True)
-    q.add_argument("--m", type=int, default=1)
+    q.add_argument("--m", type=int, help="multiplicity of leg i (default 1); not read under --truncated")
     q.add_argument("--truncated", action="store_true")
     q.add_argument("--format", choices=("json", "latex"), default="latex")
     q.set_defaults(fn=cmd_zcycle)
 
     q = sub.add_parser("fclass", help="the rational-tails graph-formula class")
     q.add_argument("--k", type=_k_value, default="sym")
-    q.add_argument("--g", default="sym")
     q.add_argument("--n", type=int)
     q.add_argument("--multiplicities", type=_int_list)
     q.add_argument("--format", choices=("json", "latex"), default="latex")

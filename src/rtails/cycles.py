@@ -56,11 +56,6 @@ class VerificationReport:
         return f"{status} {self.identity}{self.params}{extra}"
 
 
-def _report(identity: str, params: tuple, diff: Class0) -> VerificationReport:
-    w = zero_witness(diff)
-    return VerificationReport(identity, params, w is None, w)
-
-
 def _report_first(identity: str, params: tuple, labelled) -> VerificationReport:
     """Zero-test the ``(label, diff)`` pairs in turn and fail on the first
     nonzero diff, with witness ``(*label, w)`` (the bare ``w`` under an empty
@@ -257,7 +252,7 @@ def _nonempty_subsets(k: int):
 
 def _verify_recursion(identity: str, n: int, i: int, j: int) -> VerificationReport:
     diff = _recursion_lhs(n, i, j) - z_truncated(n, i, j)
-    return _report(identity, (n, i, j), diff)
+    return _report_first(identity, (n, i, j), [((), diff)])
 
 
 def verify_recursion_a(n: int, i: int, j: int) -> VerificationReport:
@@ -288,7 +283,7 @@ def verify_dect(n: int, i: int, j: int) -> VerificationReport:
     if i < 1:
         raise InvalidArgument("i must be >= 1")
     diff = _plus_sigma0_terms(z_cycle(n, i, j) - z_truncated(n, i, j), n, i, j, i)
-    return _report("dect", (n, i, j), diff)
+    return _report_first("dect", (n, i, j), [((), diff)])
 
 
 def verify_decrec(n: int, i: int) -> VerificationReport:

@@ -47,9 +47,9 @@ from .trees import (
     label_key,
     overloaded as _rt_term_is_zero,  # `RtClass._add` looks it up under this name
     path_edges,
+    psi_budgets,
     pullback_terms,
     relabel,
-    valence,
     vertex_of_leg,
     _carried,
     _plan,
@@ -209,7 +209,7 @@ def over_degree_terms(n: int) -> RtClass:
     def cap(graph: Tree) -> int:
         # nonzero coefficients are bounded by the rational vertices' moduli
         # dimensions plus the chain bound n-2 per root-edge tail slot
-        rational = sum(valence(graph, v) - 3 for v in range(1, graph.num_vertices()))
+        rational = sum(psi_budgets(graph)[1:])
         return rational + len(child_edges_of(graph, 0)) * max(n - 2, 0)
 
     out = RtClass(range(1, n + 1))

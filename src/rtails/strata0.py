@@ -27,13 +27,13 @@ stratum, and the witness does not change.  The invariance is a claim the
 caller certifies (`is_invariant`); without one the full route runs.
 
 The pairing kernel (`zero_witness`, `pair_term`, `_refine`) tests laminarity
-with one AND.  A tree's split masks come from `trees.splits`; one crossing
-table per leg count gives each split a bit, and each tree caches the bits of
-its own splits and of every split crossing one of them (`split_bits`).  The
-common refinement comes from the mask-keyed tree cache that the enumerator
-fills, so each stratum is canonicalised once.  Of the side choices of the
-excess factor, a pairing integrates only those that leave every vertex a
-ψ-load of exactly valence - 3; the others give 0.
+with one AND of the bits `trees.split_bits` caches per tree: those of its own
+splits, and of every split crossing one of them, from the enumerator's
+crossing table.  The common refinement comes from the mask-keyed tree cache
+that the enumerator fills, so each stratum is canonicalised once.  Of the
+side choices of the excess factor, a pairing integrates only those that
+leave every vertex a ψ-load equal to its budget (`trees.psi_budgets`); the
+others give 0.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import itertools
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Optional
 
 from .trees import (
@@ -59,19 +59,20 @@ from .trees import (
     label_key,
     make_decoration,
     overloaded,
+    psi_budgets,
+    psi_loads,
     pullback_terms,
     relabel,
     sort_labels,
+    split_bits,
+    splits,
     term_sort_key,
-    valence,
     vertex_of_leg,
     vertex_slots,
     _carried,
     _forget_plan,
     _frame,
-    _subsets_as_masks,
     _tree_from_laminar,
-    splits,
 )
 
 
@@ -238,37 +239,19 @@ def from_terms(ambient, triples) -> Class0:
 # integration
 
 
-@lru_cache(maxsize=None)
-def _load_table(tree: Tree) -> tuple:
-    """``(valence - 3 per vertex, {leg: its vertex})``: the ψ-load each vertex
-    of a top-degree term must carry, and where each leg's exponent lands."""
-    budgets = tuple(valence(tree, v) - 3 for v in range(tree.num_vertices()))
-    return budgets, {l: v for v, ls in enumerate(tree.legs) for l in ls}
-
-
 def integrate_term(tree: Tree, dec: Decoration, ambient: frozenset) -> int:
     """∏ over vertices of the top ψ-integral on that vertex's factor.
 
-    A vertex of valence k whose exponents e sum to k - 3 contributes the
-    multinomial (k - 3)! / ∏ e!, so the integral is an integer.
+    It is 0 unless every vertex's ψ-load equals its budget b (`psi_budgets`).
+    Then each vertex contributes the multinomial b! / ∏ e! of its exponents,
+    so the integral ∏ b! // ∏ e!, over all vertices and exponents, is an integer.
     """
     if term_degree(tree, dec) != dim_of(ambient):
         return 0
-    budgets, leg_vertex = _load_table(tree)
-    load: list = [[] for _ in budgets]
-    for (eid, side), e in dec.half:
-        load[tree.edges[eid][side]].append(e)
-    for l, e in dec.leg:
-        load[leg_vertex[l]].append(e)
-    total = 1
-    for budget, exps in zip(budgets, load):
-        if sum(exps) != budget:
-            return 0
-        den = 1
-        for e in exps:
-            den *= factorial(e)
-        total *= factorial(budget) // den
-    return total
+    budgets = psi_budgets(tree)
+    if tuple(psi_loads(tree, dec)) != budgets:
+        return 0
+    return prod(map(factorial, budgets)) // prod(factorial(e) for _, e in itertools.chain(dec.half, dec.leg))
 
 
 def integrate(x: Class0) -> Fraction:
@@ -294,32 +277,6 @@ def strata_family(ambient, codim: int) -> tuple:
     if codim < 0 or codim > dim_of(ambient):
         return ()
     return _strata_by_codim(ambient)[codim]
-
-
-@lru_cache(maxsize=None)
-def _crossing_table(k: int) -> dict:
-    """Every split mask on ``k`` legs -> (its bit, the bits of the splits crossing it).
-
-    The splits are the enumerator's genus-0 candidates, two to k - 2 of the
-    labels after the base, so two splits cross exactly when they meet and
-    neither holds the other.
-    """
-    cands = _subsets_as_masks(k - 1, 2, k - 2)
-    bits = {m: 1 << idx for idx, m in enumerate(cands)}
-    return {p: (bits[p], sum(bits[q] for q in cands if p & q not in (0, p, q))) for p in cands}
-
-
-@lru_cache(maxsize=None)
-def split_bits(tree: Tree) -> tuple:
-    """``(own, crossing)``: the bits of the tree's splits, and of every split
-    crossing one of them (`_crossing_table`)."""
-    table = _crossing_table(sum(map(len, tree.legs)))
-    own = crossing = 0
-    for m in splits(tree):
-        bit, cross = table[m]
-        own |= bit
-        crossing |= cross
-    return own, crossing
 
 
 def _laminar(tree: Tree, stratum: Tree) -> bool:
@@ -372,17 +329,13 @@ def _excess_decorations(dec: Decoration, ref: _Refinement, top_only: bool = Fals
     contributes -ψ' - ψ'', so the product is (-1)^|shared| times the sum of
     the decorated refinements yielded here, one per choice of sides.  With
     ``top_only``, only the choices that leave every vertex of ``gamma`` a
-    ψ-load of valence - 3 are yielded: every other choice integrates to 0.
+    ψ-load equal to its budget are yielded: every other choice integrates to 0.
     """
     gamma, edge_of, shared = ref.gamma, ref.edge_of, ref.shared
     half = {(edge_of[eid], side): e for (eid, side), e in dec.half}
     if top_only:
-        budgets, leg_vertex = _load_table(gamma)
-        need = list(budgets)
-        for (eid, side), e in half.items():
-            need[gamma.edges[eid][side]] -= e
-        for l, e in dec.leg:
-            need[leg_vertex[l]] -= e
+        loads = psi_loads(gamma, Decoration(tuple(half.items()), dec.leg))
+        need = [b - load for b, load in zip(psi_budgets(gamma), loads)]
         if min(need) < 0 or sum(need) != len(shared):
             return
     for sides in itertools.product((0, 1), repeat=len(shared)):
@@ -587,7 +540,7 @@ def pushforward_forget(x: Class0, leg) -> Class0:
         new, slots, moved = _forget_plan(tree, leg)
         half = _carried(dec.half, slots)
         v = vertex_of_leg(tree, leg)
-        if valence(tree, v) >= 4:
+        if psi_budgets(tree)[v]:
             # string rule: lower one decorated slot at v by one (ψ_leg is gone)
             for slot in vertex_slots(tree, v):
                 lowered, legexp = dict(half), dec.leg_dict()

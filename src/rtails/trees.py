@@ -268,6 +268,30 @@ def splits(tree: Tree) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _crossing_table(k: int, max_part: int) -> dict:
+    """Each of the enumerator's candidate splits, two to ``max_part`` of ``k``
+    labels, in order -> (its bit, the bits of the candidates crossing it: those
+    that meet it with neither holding the other)."""
+    cands = _subsets_as_masks(k, 2, max_part)
+    bits = {m: 1 << idx for idx, m in enumerate(cands)}
+    return {p: (bits[p], sum(bits[q] for q in cands if p & q not in (0, p, q))) for p in cands}
+
+
+@lru_cache(maxsize=None)
+def split_bits(tree: Tree) -> tuple:
+    """``(own, crossing)``: the bits of the tree's splits, and of every split
+    crossing one of them (`_crossing_table`)."""
+    base, labels, _ = _frame(frozenset(tree.all_legs()), tree.rt)
+    table = _crossing_table(len(labels), len(labels) - len(base))
+    own = crossing = 0
+    for m in splits(tree):
+        bit, cross = table[m]
+        own |= bit
+        crossing |= cross
+    return own, crossing
+
+
+@lru_cache(maxsize=None)
 def path_edges(tree: Tree, v: int) -> tuple:
     """Edge ids on the path from the root down to vertex ``v``."""
     up = parent_edge_of(tree)
@@ -334,20 +358,22 @@ def _subsets_as_masks(k: int, min_size: int, max_size: int) -> list:
     return out
 
 
-def _laminar_families(candidates: list):
-    """All subsets of ``candidates`` that are pairwise nested or disjoint."""
-    n = len(candidates)
+def _laminar_families(table: dict):
+    """All subsets of a crossing table's candidates (`_crossing_table`) that
+    are pairwise nested or disjoint: a candidate joins when no split already
+    chosen crosses it."""
+    cands = list(table.items())
 
-    def rec(start: int, chosen: list):
+    def rec(start: int, chosen: list, crossing: int):
         yield tuple(chosen)
-        for k in range(start, n):
-            c = candidates[k]
-            if all((c & d) in (0, c, d) for d in chosen):
+        for k in range(start, len(cands)):
+            c, (bit, cross) = cands[k]
+            if not bit & crossing:
                 chosen.append(c)
-                yield from rec(k + 1, chosen)
+                yield from rec(k + 1, chosen, crossing | cross)
                 chosen.pop()
 
-    yield from rec(0, [])
+    yield from rec(0, [], 0)
 
 
 # (labels, rt, base, sorted split masks) -> its dual tree; the enumerators
@@ -395,8 +421,8 @@ def _build_from_laminar(labels: tuple, family: tuple, rt: bool, base: tuple) -> 
 
 def _trees_of_laminar(labels: tuple, max_part: int, rt: bool, base: tuple = ()) -> tuple:
     """Dual trees of the laminar families of 2..max_part-subsets of ``labels``."""
-    cands = _subsets_as_masks(len(labels), 2, max_part)
-    out = [_tree_from_laminar(labels, fam, rt, base) for fam in _laminar_families(cands)]
+    families = _laminar_families(_crossing_table(len(labels), max_part))
+    out = [_tree_from_laminar(labels, fam, rt, base) for fam in families]
     out.sort(key=Tree.sort_key)
     return tuple(out)
 
@@ -431,16 +457,31 @@ def enumerate_rt_graphs(n: int) -> tuple:
     return _trees_of_laminar(tuple(range(1, n + 1)), n, rt=True)
 
 
-def dimension_budget(tree: Tree, v: int) -> Optional[int]:
-    """Max total ψ-exponent at a vertex before its moduli factor dies; None = unbounded."""
-    if tree.rt and v == 0:
-        return None
-    return valence(tree, v) - 3
+@lru_cache(maxsize=None)
+def psi_budgets(tree: Tree) -> tuple:
+    """Each vertex's ψ budget: valence - 3, the dimension of its moduli factor,
+    which a nonzero term never exceeds and a top-degree integral meets
+    exactly; None at the genus root of a rational-tails graph."""
+    valences = [len(ls) for ls in tree.legs]
+    for edge in tree.edges:
+        for v in edge:
+            valences[v] += 1
+    return tuple(None if tree.rt and v == 0 else k - 3 for v, k in enumerate(valences))
+
+
+def psi_loads(tree: Tree, dec: Decoration) -> list:
+    """The total ψ-exponent ``dec`` puts on each vertex."""
+    load = [0] * tree.num_vertices()
+    for (eid, side), e in dec.half:
+        load[tree.edges[eid][side]] += e
+    for l, e in dec.leg:
+        load[vertex_of_leg(tree, l)] += e
+    return load
 
 
 def _vertex_choices(tree: Tree, v: int, cap: int, leg_bounds: Mapping) -> list:
     """All slot-exponent assignments at ``v`` of total degree <= cap."""
-    budget = dimension_budget(tree, v)
+    budget = psi_budgets(tree)[v]
     budget = cap if budget is None else min(budget, cap)
     slots = vertex_slots(tree, v)
     maxes = []
@@ -506,14 +547,9 @@ def enumerate_decorations(tree: Tree, degree_cap: int, leg_bounds: Optional[Mapp
 
 
 def overloaded(tree: Tree, dec: Decoration) -> bool:
-    """Whether ψ-exponents above valence - 3 at a rational vertex kill its
-    moduli factor; the genus root of a rational-tails graph is exempt."""
-    load = [0] * tree.num_vertices()
-    for (eid, side), e in dec.half:
-        load[tree.edges[eid][side]] += e
-    for l, e in dec.leg:
-        load[vertex_of_leg(tree, l)] += e
-    return any(load[v] > valence(tree, v) - 3 for v in range(int(tree.rt), tree.num_vertices()))
+    """Whether a vertex's ψ-load exceeds its budget (`psi_budgets`), which
+    kills its moduli factor."""
+    return any(b is not None and load > b for load, b in zip(psi_loads(tree, dec), psi_budgets(tree)))
 
 
 def coda_path(tree: Tree, n: int, I: frozenset) -> Optional[tuple]:
@@ -604,7 +640,7 @@ def _forget_plan(tree: Tree, leg: Label):
     """
     v = vertex_of_leg(tree, leg)
     moved = None
-    if dimension_budget(tree, v) == 0:
+    if psi_budgets(tree)[v] == 0:
         keep, edge = [s for s in vertex_slots(tree, v) if s != leg]
         if not isinstance(edge, tuple):
             raise InvalidArgument("no edge to contract at the vertex")

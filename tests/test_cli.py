@@ -148,6 +148,13 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "relations", "--g", "2", "--n", "2")
     assert code == 2
+    # fclass carries the genus as the symbol g and has no --g
+    code, out, _ = run_cli(capsys, "fclass", "--g", "2", "--n", "2")
+    assert (code, out) == (2, "")
+    # the truncated cycle reads no multiplicity
+    code, out, err = run_cli(capsys, "zcycle", "--n", "4", "--i", "2", "--j", "1", "--truncated", "--m", "2")
+    assert (code, out) == (2, "")
+    assert "--m" in err
     for option, value in (("--jobs", "0"), ("--jobs", "-2"), ("--time-budget", "-1"), ("--time-budget", "0")):
         code, out, err = run_cli(capsys, "verify", "closed-forms", "--max-n", "3", option, value)
         assert (code, out) == (2, "")

@@ -1,5 +1,6 @@
 """Source hygiene: no `rtails` module imports a name from a sibling and never
-uses it, and no private module-level name is left unread.
+uses it, no private module-level name is left unread, and only `trees`
+derives the ψ-budget and crossing tables.
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -36,6 +37,31 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_sibling_imports(path):
     assert unused_sibling_imports(path.read_text()) == []
+
+
+# the ψ-budget and crossing tables are derived in `trees` alone, from these
+STRATUM_TABLE_INPUTS = ("valence", "_subsets_as_masks")
+
+
+def stratum_table_inputs(source: str) -> list:
+    """The names of ``STRATUM_TABLE_INPUTS`` that ``source`` imports or reads."""
+    tree = ast.parse(source)
+    names = _reads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return sorted(names.intersection(STRATUM_TABLE_INPUTS))
+
+
+def test_the_check_sees_a_stratum_table_input():
+    source = "from .trees import valence as v, splits\nfrom . import trees\ntrees._subsets_as_masks(3, 2, 2)\n"
+    assert stratum_table_inputs(source) == ["_subsets_as_masks", "valence"]
+    assert stratum_table_inputs("valence = 3\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "trees.py"], ids=lambda p: p.name)
+def test_only_trees_derives_the_stratum_tables(path):
+    assert stratum_table_inputs(path.read_text()) == []
 
 
 def _reads(node) -> set:

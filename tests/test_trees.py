@@ -19,7 +19,6 @@ from rtails.trees import (
     child_edges_of,
     collide_term,
     decorations_of_degree,
-    dimension_budget,
     enumerate_decorations,
     enumerate_rt_graphs,
     enumerate_stable_trees,
@@ -29,6 +28,7 @@ from rtails.trees import (
     make_decoration,
     overloaded,
     parent_edge_of,
+    psi_budgets,
     pullback_terms,
     relabel,
     slot_vertex,
@@ -100,8 +100,9 @@ def _oracle_trees(labels, rt):
 
 
 def test_enumerate_trees0_counts():
-    # frozen from the oracle: 1, 4, 26 for n = 2, 3, 4
-    for n, expected in [(2, 1), (3, 4), (4, 26)]:
+    # frozen from the oracle: 1, 4, 26 for n = 2, 3, 4; and 2 752 for n = 6,
+    # Schröder's fourth problem on n leaves below the root h0 (OEIS A000311)
+    for n, expected in [(2, 1), (3, 4), (4, 26), (6, 2752)]:
         got = enumerate_trees0(n)
         oracle = _oracle_trees(list(range(1, n + 1)) + [H0], rt=False)
         assert len(oracle) == expected
@@ -112,6 +113,32 @@ def test_enumerate_trees0_matches_oracle_n5():
     got = enumerate_trees0(5)
     oracle = _oracle_trees([1, 2, 3, 4, 5, H0], rt=False)
     assert set(got) == oracle
+
+
+def _pairwise_families(k, max_part):
+    """The laminar families of the subsets of 2..max_part of k labels, by the
+    pairwise rule (any two chosen splits nested or disjoint), in the
+    enumerator's order: candidates by size, then mask."""
+    cands = sorted((m for m in range(1, 1 << k) if 2 <= m.bit_count() <= max_part), key=lambda m: (m.bit_count(), m))
+
+    def rec(start, chosen):
+        yield tuple(chosen)
+        for idx in range(start, len(cands)):
+            c = cands[idx]
+            if all(c & d in (0, c, d) for d in chosen):
+                chosen.append(c)
+                yield from rec(idx + 1, chosen)
+                chosen.pop()
+
+    yield from rec(0, [])
+
+
+def test_laminar_families_match_the_pairwise_rule():
+    # genus 0 on 3 to 7 legs (the labels after the base, all but one of them
+    # a side) and rational tails with n <= 5 (all n labels a side)
+    for k, max_part in [(k, k - 1) for k in range(2, 7)] + [(n, n) for n in range(1, 6)]:
+        got = list(trees._laminar_families(trees._crossing_table(k, max_part)))
+        assert got == list(_pairwise_families(k, max_part))
 
 
 def test_enumerate_rt_counts():
@@ -346,6 +373,11 @@ def test_decorations_respect_vertex_dimension():
         for (eid, side), e in d.half:
             v = one_edge.edges[eid][side]
             assert e <= valence(one_edge, v) - 3
+    assert psi_budgets(one_edge) == (1, 0)
+    # the genus root of a rational-tails graph bounds nothing
+    graph, _ = build_tree([[1], [2, 3]], [(0, 1)], rt_root=0)
+    assert psi_budgets(graph) == (None, 0)
+    assert not overloaded(graph, make_decoration({(0, 0): 4}, {1: 5}))
 
 
 def test_split_vertex_figure_case():
@@ -463,7 +495,7 @@ def _collide_rebuilt(tree, dec, i, j):
     v = vertex_of_leg(tree, i)
     if j not in tree.legs[v]:
         return None
-    if dimension_budget(tree, v) == 0:
+    if psi_budgets(tree)[v] == 0:
         return (-1, *_contracted(tree, dec, v, i, j, bump=1))
     if dec.leg_exp(i) or dec.leg_exp(j):
         return None
