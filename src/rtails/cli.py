@@ -2,10 +2,11 @@
 
 Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
 stderr) or ran over its time budget, 2 usage error (bad arguments, an option
-the command would not read, such as zcycle --m under --truncated, unreadable
-or malformed input, a verify grid with no tasks, a size above the largest
-measured: an --n or --max-n above MAX_N, or an fclass or relations --n, an
-fclass --multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
+the command would not read, such as zcycle --m under --truncated or a verify
+--max-n or --max-sum that the suite does not read, unreadable or malformed
+input, a verify grid with no tasks, a size above the largest measured: an --n
+or --max-n above MAX_N, or an fclass or relations --n, an fclass
+--multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
 (traceback on stderr).  All numeric output is exact ("p/q"); verification
 timings go to stderr so stdout is byte-identical across runs.
 """
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import sys
@@ -147,16 +149,15 @@ def cmd_zcycle(args) -> int:
 
 
 def cmd_fclass(args) -> int:
-    k = args.k
     if args.multiplicities:
         _at_most("--multiplicities sum", sum(args.multiplicities), MAX_SUM)
-        x = rtclasses.f_class_m(k, "g", args.multiplicities)
+        x = rtclasses.f_class_m(args.multiplicities)
     elif args.n is not None:
         _at_most("--n", args.n, MAX_SUM)
-        x = rtclasses.f_class(k, "g", args.n)
+        x = rtclasses.f_class(args.n)
     else:
         raise InvalidArgument("fclass needs --n or --multiplicities")
-    ksym = "k" if k in ("sym", "k") else str(k)
+    ksym = "k" if args.k in ("sym", "k") else str(args.k)
     if args.format == "json":
         _emit(serialize.dumps(serialize.rtclass_to_json(x, k=ksym)))
     else:
@@ -198,39 +199,40 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
-# suite -> (max_n, max_sum) -> its tasks, in the order they run and print
+# suite -> its tasks, in the order they run and print; each builder's
+# parameters are the sizes the suite reads (`max_n`, `max_sum`, or none)
 SUITES = {
-    "vanishing": lambda max_n, _: [
+    "vanishing": lambda max_n: [
         (name, (n, i, j))
         for n in range(3, max_n + 1)
         for i in range(1, n)
         for j in range(1, i)
         for name in ("vanishing_z", "vanishing_zt")
     ],
-    "recursion": lambda max_n, _: [
+    "recursion": lambda max_n: [
         (name, (n, i, j))
         for n in range(3, max_n + 1)
         for i in range(1, n)
         for j in range(i - n + 1, i)
         for name in ("recursion_all", "dect")
     ],
-    "decrec": lambda max_n, _: [("decrec", (n, i)) for n in range(3, max_n + 1) for i in range(1, n)],
-    "collide0": lambda max_n, _: [("collide0", (n, m)) for n in range(3, max_n + 1) for m in range(1, n)],
-    "closed-forms": lambda max_n, _: [("closed_forms", (n,)) for n in range(3, max_n + 1)],
-    "ei": lambda max_n, _: [
+    "decrec": lambda max_n: [("decrec", (n, i)) for n in range(3, max_n + 1) for i in range(1, n)],
+    "collide0": lambda max_n: [("collide0", (n, m)) for n in range(3, max_n + 1) for m in range(1, n)],
+    "closed-forms": lambda max_n: [("closed_forms", (n,)) for n in range(3, max_n + 1)],
+    "ei": lambda max_n: [
         ("ei_pushforward", (n, I, i))
         for n in range(3, max_n + 1)
         for r in range(1, n - 1)
         for I in itertools.combinations(range(1, n), r)
         for i in range(1, n)
     ],
-    "frec": lambda max_n, _: [("frec", (n,)) for n in range(2, max_n + 1)],
-    "collide-rt": lambda _, max_sum: [
+    "frec": lambda max_n: [("frec", (n,)) for n in range(2, max_n + 1)],
+    "collide-rt": lambda max_sum: [
         ("colliding_rt", (mults,)) for total in range(2, max_sum + 1) for mults in _compositions(total)
     ],
-    "logan": lambda *_: [("logan", (g,)) for g in (2, 3)],
-    "heavy": lambda *_: [("heavy", (a,)) for a in range(1, 7)] + [("heavy_pushforwards", ())],
-    "expansions": lambda max_n, _: [("expansions", ())]
+    "logan": lambda: [("logan", (g,)) for g in (2, 3)],
+    "heavy": lambda: [("heavy", (a,)) for a in range(1, 7)] + [("heavy_pushforwards", ())],
+    "expansions": lambda max_n: [("expansions", ())]
     + [("overdegree_drop", (n,)) for n in range(1, min(max_n, 4) + 1)],
 }
 
@@ -245,8 +247,8 @@ TASKS = {
     "collide0": lambda *p: cycles.verify_collide0(*p),
     "closed_forms": lambda *p: cycles.verify_closed_forms(*p),
     "ei_pushforward": lambda *p: cycles.verify_ei_pushforward(*p),
-    "frec": lambda n: rtclasses.verify_frec("k", "g", n),
-    "colliding_rt": lambda mults: rtclasses.verify_colliding_rt("k", "g", mults),
+    "frec": lambda n: rtclasses.verify_frec(n),
+    "colliding_rt": lambda mults: rtclasses.verify_colliding_rt(mults),
     "overdegree_drop": lambda n: rtclasses.verify_overdegree_drop(n),
     "logan": lambda g: rtclasses.verify_logan(g),
     "heavy": lambda a: rtclasses.verify_heavy(a),
@@ -255,10 +257,16 @@ TASKS = {
 }
 
 
+# a size that a suite reads and that the command line leaves unset
+DEFAULT_SIZE = 4
+
+
 def _grid(suite: str, max_n: int, max_sum: int) -> list:
+    """The tasks of ``suite``; a size that it does not read is passed over."""
     if suite not in SUITES:
         raise InvalidArgument(f"unknown suite {suite!r}")
-    return SUITES[suite](max_n, max_sum)
+    sizes = {"max_n": max_n, "max_sum": max_sum}
+    return SUITES[suite](**{name: sizes[name] for name in inspect.signature(SUITES[suite]).parameters})
 
 
 def run_task(task) -> cycles.VerificationReport:
@@ -273,11 +281,19 @@ def run_task(task) -> cycles.VerificationReport:
 
 def cmd_verify(args) -> int:
     t_start = time.perf_counter()
-    _at_most("--max-n", args.max_n, MAX_N)
-    _at_most("--max-sum", args.max_sum, MAX_SUM)
-    tasks = _grid(args.suite, args.max_n, args.max_sum)
+    read = inspect.signature(SUITES[args.suite]).parameters
+    sizes, shown = {}, []
+    for name, option, bound in (("max_n", "--max-n", MAX_N), ("max_sum", "--max-sum", MAX_SUM)):
+        value = getattr(args, name)
+        if name in read:
+            sizes[name] = DEFAULT_SIZE if value is None else value
+            _at_most(option, sizes[name], bound)
+            shown.append(f"{option} {sizes[name]}")
+        elif value is not None:
+            raise InvalidArgument(f"{option} is not read by the {args.suite} suite")
+    tasks = _grid(args.suite, sizes.get("max_n"), sizes.get("max_sum"))
     if not tasks:
-        raise InvalidArgument(f"suite {args.suite} has no tasks at --max-n {args.max_n} --max-sum {args.max_sum}")
+        raise InvalidArgument(f"suite {args.suite} has no tasks at {' '.join(shown)}")
     reports = []
     if args.jobs > 1:
         # imported here: multiprocessing would add its import time to every run
@@ -349,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("verify", help="run a verification suite")
     q.add_argument("suite", choices=tuple(SUITES))
-    q.add_argument("--max-n", type=int, default=4)
-    q.add_argument("--max-sum", type=int, default=4, help="bound on Σm for collide-rt")
+    q.add_argument("--max-n", type=int, help=f"largest n (default {DEFAULT_SIZE}); a suite that reads no n refuses it")
+    q.add_argument("--max-sum", type=int, help=f"bound on Σm (default {DEFAULT_SIZE}); only collide-rt reads it")
     q.add_argument("--fail-fast", action="store_true")
     q.add_argument("--jobs", type=_positive(int), default=1)
     q.add_argument(

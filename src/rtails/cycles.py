@@ -77,25 +77,22 @@ _z_cache: dict = {}
 
 def z_cycle(n: int, i: int, j: int, m: int = 1) -> Class0:
     """The degree-(n+m-2+j-i) cycle of the rooted D-polynomial."""
-    if n < 2 or i < 1 or m < 1:
-        raise InvalidArgument("z_cycle needs n >= 2, i >= 1, m >= 1")
-    key = (n, i, j, m, False)
-    if key not in _z_cache:
-        _z_cache[key] = _combine_blocks(n, i, j, m, truncated=False)
-    return _z_cache[key]
+    return _combine_blocks(n, i, j, m, truncated=False)
 
 
 def z_truncated(n: int, i: int, j: int) -> Class0:
     """Z^t: the same sum restricted by the truncation property at the root."""
-    key = (n, i, j, 1, True)
-    if key not in _z_cache:
-        _z_cache[key] = _combine_blocks(n, i, j, 1, truncated=True)
-    return _z_cache[key]
+    return _combine_blocks(n, i, j, 1, truncated=True)
 
 
 def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
     """Z or Z^t as the sum of the shared blocks of its degree, each scaled by
-    the half of the coefficient that reads i; frozen, since it is cached."""
+    the half of the coefficient that reads i; checked, then cached once built."""
+    if n < 2 or i < 1 or m < 1:
+        raise InvalidArgument("Z needs n >= 2, i >= 1, m >= 1")
+    cache_key = (n, i, j, m, truncated)
+    if cache_key in _z_cache:
+        return _z_cache[cache_key]
     out = zero(ambient0(n))
     degree = _z_degree(n, i, j, m)
     if 0 <= degree <= dim_of(out.ambient):
@@ -104,7 +101,7 @@ def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
             if factor:
                 # every term lives in one block only, so nothing cancels
                 out.terms.update(block.scale(factor).terms)
-    return out.freeze()
+    return _z_cache.setdefault(cache_key, out.freeze())
 
 
 _block_cache: dict = {}

@@ -50,6 +50,7 @@ from .trees import (
     psi_budgets,
     pullback_terms,
     relabel,
+    relabel_legs,
     vertex_of_leg,
     _carried,
     _plan,
@@ -161,12 +162,12 @@ def _formula_terms(weights: Mapping, cap, keep=None):
 _f_cache: dict = {}
 
 
-def f_class_m(k, g, mults) -> RtClass:
+def f_class_m(mults) -> RtClass:
     """The multiplicity graph-formula class; legs 1..n with weights ``mults``.
 
-    k and g ride along symbolically (the factored basis carries k, the genus
-    vertex is opaque).  Decorated graphs with a negative net tail exponent are
-    verified to sum to zero per root profile and dropped.
+    One class serves every k and g: k stays symbolic in the factored basis and
+    the genus vertex is opaque.  Decorated graphs with a negative net tail
+    exponent are verified to sum to zero per root profile and dropped.
     """
     mults = tuple(int(m) for m in mults)
     if not mults or any(m < 1 for m in mults):
@@ -192,11 +193,11 @@ def f_class_m(k, g, mults) -> RtClass:
     return out
 
 
-def f_class(k, g, n: int) -> RtClass:
-    """The unit-multiplicity graph formula (k and g are carried, not used)."""
+def f_class(n: int) -> RtClass:
+    """The unit-multiplicity graph formula."""
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    return f_class_m(k, g, (1,) * n)
+    return f_class_m((1,) * n)
 
 
 def over_degree_terms(n: int) -> RtClass:
@@ -402,21 +403,21 @@ def collide_rt(x: RtClass, leg_i, leg_j) -> RtClass:
 
 
 def relabel_rt(x: RtClass, mapping: Mapping) -> RtClass:
-    out = RtClass(frozenset(mapping.get(l, l) for l in x.legs))
+    out = RtClass(relabel_legs(x.legs, mapping))
     for (graph, dec, fact), coeff in x.terms.items():
         g2, d2 = relabel(graph, dec, mapping)
         out._add(g2, d2, _carry_fact(fact, g2, mapping), coeff)
     return out
 
 
-def e_class(k, g, n: int, I) -> RtClass:
+def e_class(n: int, I) -> RtClass:
     """γ_* of the heavy-multiplicity class: the coda-glued extra class.
 
     The node's root slot becomes the coda tail.
     """
     I = frozenset(I)
     mapping = coda_mapping(n, I)
-    base = f_class_m(k, g, (len(I),) + (1,) * (n - len(I) - 1))
+    base = f_class_m((len(I),) + (1,) * (n - len(I) - 1))
     out = RtClass(range(1, n + 1))
     image = {NODE: n}
     for (graph, dec, fact), coeff in relabel_rt(base, mapping).terms.items():
@@ -429,23 +430,23 @@ def e_class(k, g, n: int, I) -> RtClass:
 # identity checks
 
 
-def verify_frec(k, g, n: int) -> VerificationReport:
+def verify_frec(n: int) -> VerificationReport:
     """π* F_{n-1} · (kω_n - η) - Σ |I| E_I = F_n, per root profile."""
     if n < 2:
         raise InvalidArgument("n must be >= 2")
-    lhs = multiply_divisor(pullback_forget_rt(f_class(k, g, n - 1), n), n)
+    lhs = multiply_divisor(pullback_forget_rt(f_class(n - 1), n), n)
     for r in range(1, n):
         for I in itertools.combinations(range(1, n), r):
-            lhs = lhs - e_class(k, g, n, I).scale(len(I))
-    profile = _profile_witness(lhs - f_class(k, g, n))
+            lhs = lhs - e_class(n, I).scale(len(I))
+    profile = _profile_witness(lhs - f_class(n))
     return VerificationReport("frec", (n,), profile is None, profile)
 
 
-def verify_colliding_rt(k, g, mults) -> VerificationReport:
+def verify_colliding_rt(mults) -> VerificationReport:
     """Colliding consecutive legs carries the unit class onto the heavy one."""
     mults = tuple(int(m) for m in mults)
     total = sum(mults)
-    x = f_class(k, g, total)
+    x = f_class(total)
     # fold the legs left to right: collide (pos, pos+1) until each weight is met
     pos = 1
     for m in mults:
@@ -454,7 +455,7 @@ def verify_colliding_rt(k, g, mults) -> VerificationReport:
             mapping = {l: l - 1 for l in sorted(x.legs) if l >= pos + 2}
             x = relabel_rt(x, mapping)
         pos += 1
-    expected = f_class_m(k, g, mults)
+    expected = f_class_m(mults)
     profile = None
     if x == expected:
         witness = "termwise"
@@ -467,17 +468,17 @@ def verify_colliding_rt(k, g, mults) -> VerificationReport:
 def verify_expansions() -> VerificationReport:
     """The appendix consistency F_2 = (kω_1-η)(kω_2-η) - E_{1}, after building F_1..F_3."""
     for n in (1, 2, 3):
-        f_class("k", "g", n)
+        f_class(n)
     t, d = build_tree([[1, 2]], [], rt_root=0)
     smooth = RtClass({1, 2}, {(t, d, _fact_tuple({_leg_slot(1): 1, _leg_slot(2): 1})): 1})
-    ok = f_class("k", "g", 2) == smooth - e_class("k", "g", 2, {1})
+    ok = f_class(2) == smooth - e_class(2, {1})
     witness = None if ok else "F_2 vs (kω-η)^2 - E_1"
     return VerificationReport("expansions", (), ok, witness)
 
 
 def verify_logan(g: int) -> VerificationReport:
     """φ_* F^1_{g,g}: Σ ω_i - λ_1 - Σ_M C(|M|,2) δ_M over the boundary divisors."""
-    out = pushforward_phi(f_class(1, g, g), k=1, g=g)
+    out = pushforward_phi(f_class(g), k=1, g=g)
     expected = PushedClass()
     t, d = build_tree([list(range(1, g + 1))], [], rt_root=0)
     for i in range(1, g + 1):
@@ -500,14 +501,14 @@ def verify_heavy(a: int) -> VerificationReport:
 
 def verify_heavy_pushforwards() -> VerificationReport:
     """Both pushforwards of the weight-2 one-leg class against their closed forms."""
-    out = pushforward_point(f_class_m("k", "g", (2,)), g=None)
+    out = pushforward_point(f_class_m((2,)), g=None)
     expected = PushedClass()
     expected._add(("kappa", 1, "eta", 0), KPoly({2: 1, 1: 1}))
     expected._add(("kappa", 0, "eta", 1), KPoly({1: -2, 0: -1}))
     ok = out == expected
     if ok:
         t, d = build_tree([[1]], [], rt_root=0)
-        phi = pushforward_phi(f_class_m("k", "g", (2,)), k=2, g=2, rank_override=3)
+        phi = pushforward_phi(f_class_m((2,)), k=2, g=2, rank_override=3)
         ok = phi == PushedClass({(t, d, (), ()): KPoly.const(1)})
     return VerificationReport("heavy_pushforwards", (), ok, None if ok else "pushforward mismatch")
 
@@ -693,7 +694,7 @@ def heavy_point_expansion(a: int) -> PushedClass:
 def f_heavy_expanded(a: int) -> PushedClass:
     """The one-heavy-leg class expanded in (ψ, η) after the ω = ψ identification."""
     out = PushedClass()
-    for key, kc in _psi_eta_terms(f_class_m("k", "g", (a,))):
+    for key, kc in _psi_eta_terms(f_class_m((a,))):
         out._add(key, kc)
     return out
 
@@ -702,4 +703,4 @@ def emit_relation(g: int, n: int) -> RtClass:
     """The vanishing-regime class (k = 1, n > 2g-2), rendered by the caller."""
     if n <= 2 * g - 2:
         raise InvalidArgument("relations need n > 2g-2")
-    return f_class(1, g, n)
+    return f_class(n)

@@ -63,6 +63,7 @@ from .trees import (
     psi_loads,
     pullback_terms,
     relabel,
+    relabel_legs,
     sort_labels,
     split_bits,
     splits,
@@ -101,7 +102,8 @@ class FormalSum:
 
     __slots__ = ("terms", "_frozen")
 
-    def _space(self) -> tuple:
+    @staticmethod
+    def _space() -> tuple:
         return ()
 
     def freeze(self):
@@ -593,10 +595,10 @@ def collide_via_product(x: Class0, leg_i, leg_j) -> Class0:
 
 
 def relabel_class(x: Class0, mapping: Mapping) -> Class0:
-    """Rename legs.  Renaming keeps a term's degree and vertex loads and
-    refuses duplicate labels (`trees.relabel`), so the terms of x, already
-    checked, are copied without a new check."""
-    out = Class0(frozenset(mapping.get(l, l) for l in x.ambient))
+    """Rename legs.  Renaming keeps a term's degree and vertex loads, and a
+    merging mapping is refused up front (`trees.relabel_legs`), so the terms
+    of x, already checked, are copied without a new check."""
+    out = Class0(relabel_legs(x.ambient, mapping))
     for (tree, dec), coeff in x.terms.items():
         out._put(relabel(tree, dec, mapping), coeff)
     return out

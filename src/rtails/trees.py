@@ -739,6 +739,15 @@ def relabel(tree: Tree, dec: Decoration, mapping: Mapping):
     return new, Decoration(_carried(dec.half, slots), tuple(leg))
 
 
+def relabel_legs(legs: frozenset, mapping: Mapping) -> frozenset:
+    """The leg set after `relabel`; a mapping that merges two of ``legs`` is
+    refused here, so a class with no terms is refused as one with terms is."""
+    image = frozenset(mapping.get(l, l) for l in legs)
+    if len(image) != len(legs):
+        raise InvalidArgument("duplicate leg labels")
+    return image
+
+
 def graft(tree: Tree, dec: Decoration, at: Label, legs: Iterable[Label]):
     """Replace the leg ``at`` by an edge to a new vertex carrying ``legs``.
 

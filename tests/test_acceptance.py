@@ -186,11 +186,11 @@ def test_criterion_05_recursions():
 
 def test_criterion_06_f_class_expansions():
     with _Budget("6 graph-formula expansions n=1,2,3", 5):
-        x1 = f_class("k", "g", 1)
+        x1 = f_class(1)
         t, d = build_tree([[1]], [], rt_root=0)
         assert x1 == RtClass({1}, {(t, d, _fact_tuple({_leg_slot(1): 1})): Fraction(1)})
 
-        x2 = f_class("k", "g", 2)
+        x2 = f_class(2)
         expected2 = RtClass({1, 2})
         t, d = build_tree([[1, 2]], [], rt_root=0)
         expected2._add(t, d, {_leg_slot(1): 1, _leg_slot(2): 1}, 1)
@@ -198,7 +198,7 @@ def test_criterion_06_f_class_expansions():
         expected2._add(tc, dc, {_tail_slot({1, 2}): 1}, -1)
         assert x2 == expected2
 
-        x3 = f_class("k", "g", 3)
+        x3 = f_class(3)
         shape_coeffs = {}
         for (graph, dec, fact), coeff in x3.terms.items():
             shape = (
@@ -217,7 +217,7 @@ def test_criterion_07_heavy_point():
     with _Budget("7 heavy-point formulas", 10):
         for a in range(1, 7):
             # termwise e_b-expansion in the factored basis
-            x = f_class_m("k", "g", (a,))
+            x = f_class_m((a,))
             expected = RtClass({1})
             eb = [1] + [0] * (a - 1)
             for v in range(1, a):
@@ -244,11 +244,11 @@ def test_criterion_07_heavy_point():
                 exp_push._add(("kappa", b - 1, "eta", a - b), poly[b] * KPoly.const((-1) ** (a - b)))
             assert out == exp_push
         # eq for a=2 with κ0 = 2g-2 left symbolic, and the double-zero check
-        out2 = pushforward_point(f_class_m("k", "g", (2,)), g=None)
+        out2 = pushforward_point(f_class_m((2,)), g=None)
         assert out2.terms[("kappa", 1, "eta", 0)] == KPoly({2: 1, 1: 1})
         assert out2.terms[("kappa", 0, "eta", 1)] == KPoly({1: -2, 0: -1})
         t, d = build_tree([[1]], [], rt_root=0)
-        assert pushforward_phi(f_class_m("k", "g", (2,)), k=2, g=2, rank_override=3) == PushedClass(
+        assert pushforward_phi(f_class_m((2,)), k=2, g=2, rank_override=3) == PushedClass(
             {(t, d, (), ()): KPoly.const(1)}
         )
 
@@ -256,7 +256,7 @@ def test_criterion_07_heavy_point():
 def test_criterion_08_logan_divisor():
     with _Budget("8 Logan divisor pushforward g=2,3", 60):
         for g in (2, 3):
-            out = pushforward_phi(f_class(1, g, g), k=1, g=g)
+            out = pushforward_phi(f_class(g), k=1, g=g)
             expected = PushedClass()
             t, d = build_tree([list(range(1, g + 1))], [], rt_root=0)
             for i in range(1, g + 1):
@@ -273,7 +273,7 @@ def test_criterion_08_logan_divisor():
 def test_criterion_09_f_recursion():
     with _Budget("9 F-recursion n=2,3,4", 600):
         for n in (2, 3, 4):
-            assert verify_frec("k", "g", n).passed, n
+            assert verify_frec(n).passed, n
 
 
 def _compositions(total):
@@ -289,7 +289,7 @@ def test_criterion_10_colliding_rt():
     with _Budget("10 colliding on rational tails, all Σm <= 5", 600):
         for total in range(2, 6):
             for mults in _compositions(total):
-                rep = verify_colliding_rt("k", "g", mults)
+                rep = verify_colliding_rt(mults)
                 assert rep.passed, mults
 
 

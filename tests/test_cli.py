@@ -8,7 +8,7 @@ import multiprocessing
 
 import pytest
 
-from rtails import cycles, rtclasses, trees, weights
+from rtails import cli, cycles, rtclasses, trees, weights
 from rtails.cli import BRUTE_MAX_WEIGHTINGS, main, run_task
 from rtails.serialize import (
     class0_from_json,
@@ -71,7 +71,7 @@ def test_tree_json_roundtrip():
 def test_class_json_roundtrip():
     x = z_cycle(4, 2, 1)
     assert class0_from_json(class0_to_json(x)) == x
-    y = f_class("k", "g", 3)
+    y = f_class(3)
     assert rtclass_from_json(rtclass_to_json(y)) == y
 
 
@@ -159,6 +159,16 @@ def test_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", "closed-forms", "--max-n", "3", option, value)
         assert (code, out) == (2, "")
         assert option in err
+    # `verify` refuses a size that its suite does not read, and Zᵗ checks i
+    for argv, named in (
+        (("verify", "logan", "--max-n", "5"), "--max-n"),
+        (("verify", "vanishing", "--max-sum", "3"), "--max-sum"),
+        (("verify", "collide-rt", "--max-n", "4"), "--max-n"),
+        (("zcycle", "--n", "3", "--i", "0", "--j", "5", "--truncated"), "i >= 1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert named in err
     # `coeff` refuses an option that its context would not read
     path = tmp_path / "graph.json"
     for blob, argv, option in (
@@ -308,6 +318,29 @@ def test_empty_or_oversized_verify_grid_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and all(word in err for word in named)
+
+
+def test_verify_refuses_every_size_its_suite_does_not_read(capsys, monkeypatch):
+    def started(task):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, "run_task", started)
+    refused = set()
+    for suite in cli.SUITES:
+        for option in ("--max-n", "--max-sum"):
+            code, out, err = run_cli(capsys, "verify", suite, option, "3")
+            if code == 2:
+                assert out == "" and f"error: {option} is not read by the {suite} suite" in err
+                refused.add((suite, option))
+            else:
+                assert code == 3 and "the work started" in err
+    assert refused == {(suite, "--max-sum") for suite in cli.SUITES if suite != "collide-rt"} | {
+        (suite, "--max-n") for suite in ("collide-rt", "logan", "heavy")
+    }
+    # an empty grid names only the sizes its suite reads
+    for argv, unread in ((("vanishing", "--max-n", "2"), "--max-sum"), (("collide-rt", "--max-sum", "1"), "--max-n")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "") and "has no tasks" in err and unread not in err
 
 
 def test_oversized_subcommands_are_usage_errors_before_any_work(capsys, monkeypatch):

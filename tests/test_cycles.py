@@ -346,6 +346,23 @@ def test_cached_classes_are_frozen():
     assert z_cycle(4, 2, 1) == cycles._assemble_z(4, 2, 1, 1, False)
 
 
+def test_z_and_zt_check_their_arguments_before_the_cache(monkeypatch):
+    # Zᵗ once built and cached an empty class for i < 1
+    monkeypatch.setattr(cycles, "_z_cache", {})
+    for build, args in (
+        (z_truncated, (3, 0, 5)),
+        (z_truncated, (3, -2, -9)),
+        (z_truncated, (1, 1, 0)),
+        (z_cycle, (3, 0, 5)),
+        (z_cycle, (3, 2, 1, 0)),
+    ):
+        with pytest.raises(InvalidArgument):
+            build(*args)
+    assert cycles._z_cache == {}
+    z_truncated(3, 2, 1)
+    assert list(cycles._z_cache) == [(3, 2, 1, 1, True)]
+
+
 def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):
     monkeypatch.setattr(cycles, "_z_cache", {})
     monkeypatch.setattr(cycles, "_block_cache", {})

@@ -1,6 +1,6 @@
 """Source hygiene: no `rtails` module imports a name from a sibling and never
-uses it, no private module-level name is left unread, and only `trees`
-derives the ψ-budget and crossing tables.
+uses it, no private module-level name is left unread, every parameter is
+read, and only `trees` derives the ψ-budget and crossing tables.
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -113,3 +113,35 @@ def test_every_private_name_is_read():
     readers = [p.read_text() for folder in ("tests", "bench") for p in sorted((ROOT / folder).glob("*.py"))]
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(modules, readers) == []
+
+
+def unread_parameters(source: str) -> list:
+    """``function.parameter`` (``lambda@line.parameter`` for a lambda) for each
+    parameter of a ``def`` or ``lambda`` that its body never reads; a name
+    starting with ``_`` says it is unread on purpose and is exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [p for p in (args.vararg, args.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", f"lambda@{node.lineno}")
+        out += [f"{name}.{p.arg}" for p in params if not p.arg.startswith("_") and p.arg not in read]
+    return sorted(out)
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = (
+        "def f(k, g, n, *rest, _spare=0, **opts):\n"
+        "    def inner(m):\n        return n + m\n"
+        "    return inner(len(opts)).k\n"
+        "table = {'a': lambda max_n, _: max_n, 'b': lambda *_: 0, 'c': lambda x: 1}\n"
+    )
+    assert unread_parameters(source) == ["f.g", "f.k", "f.rest", "lambda@5.x"]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []

@@ -58,13 +58,13 @@ def _coda_graph(n, coda_legs, half=None, legexp=None):
 
 
 def test_f_class_n1():
-    x = f_class("k", "g", 1)
+    x = f_class(1)
     t, d, f = _root_only(1, {_leg_slot(1): 1})
     assert x == RtClass({1}, {(t, d, f): Fraction(1)})
 
 
 def test_f_class_n2():
-    x = f_class("k", "g", 2)
+    x = f_class(2)
     expected = RtClass({1, 2})
     t, d, f = _root_only(2, {_leg_slot(1): 1, _leg_slot(2): 1})
     expected._add(t, d, f, 1)
@@ -75,7 +75,7 @@ def test_f_class_n2():
 
 def test_f_class_n3_display():
     """The eight-term expansion with coefficients 1,-1,-3,-7,-2,-6,+3,+2."""
-    x = f_class("k", "g", 3)
+    x = f_class(3)
     expected = RtClass({1, 2, 3})
     # smooth term
     t, d, f = _root_only(3, {_leg_slot(l): 1 for l in (1, 2, 3)})
@@ -106,27 +106,27 @@ def test_f_class_n3_display():
 
 def test_f_class_degree_invariant():
     for n in (1, 2, 3, 4):
-        x = f_class("k", "g", n)
+        x = f_class(n)
         assert all(rt_term_degree(*key) == n for key in x.terms)
-    x = f_class_m("k", "g", (2, 3))
+    x = f_class_m((2, 3))
     assert all(rt_term_degree(*key) == 5 for key in x.terms)
 
 
 def test_e_class_matches_f2_coda_term():
     # the n=2 coda term of the display is exactly E_{{1}}
-    e = e_class("k", "g", 2, {1})
+    e = e_class(2, {1})
     tc, dc = _coda_graph(2, {1, 2})
     assert e == RtClass({1, 2}, {(tc, dc, _fact_tuple({_tail_slot({1, 2}): 1})): Fraction(1)})
     # consistency: F_2 = (kω1-η)(kω2-η) - E_{{1}} termwise
     expected = RtClass({1, 2})
     t, d, f = _root_only(2, {_leg_slot(1): 1, _leg_slot(2): 1})
     expected._add(t, d, f, 1)
-    assert f_class("k", "g", 2) == expected - e
+    assert f_class(2) == expected - e
 
 
 def test_e_class_full_coda():
     # γ_* of the one-heavy-leg class: (kω-η)^2 + ψ_{t0}(kω-η) on the coda
-    e = e_class("k", "g", 3, {1, 2})
+    e = e_class(3, {1, 2})
     for (graph, dec, fact), coeff in e.terms.items():
         assert set(graph.legs[1]) == {1, 2, 3}
     tc, dc = _coda_graph(3, {1, 2, 3})
@@ -137,7 +137,7 @@ def test_e_class_full_coda():
 
 
 def test_multiply_divisor_and_pullback():
-    x = f_class("k", "g", 1)
+    x = f_class(1)
     y = pullback_forget_rt(x, 2)
     # placements at the root and at no rational vertex (none exist), no corrections
     assert len(y.terms) == 1
@@ -230,7 +230,7 @@ FACT_MOVES = {
         {_term([[3], [1, 2]], [(0, 1)], {L(3): 1, T((1, 2)): 2}): 1},
     ),
     "e_class: the node's root slot becomes the coda tail": (
-        lambda: e_class("k", "g", 3, {1}),
+        lambda: e_class(3, {1}),
         {
             _term([[2], [1, 3]], [(0, 1)], {L(2): 1, T((1, 3)): 1}): 1,
             _term([[], [2], [1, 3]], [(0, 1), (1, 2)], {T((1, 2, 3)): 1}): -1,
@@ -247,20 +247,20 @@ def test_the_factored_monomial_follows_its_legs(case):
 
 def test_colliding_rt_small():
     for mults in [(2,), (2, 1), (1, 2), (1, 1, 1), (3,), (2, 2)]:
-        rep = verify_colliding_rt("k", "g", mults)
+        rep = verify_colliding_rt(mults)
         assert rep.passed, rep.line()
         assert rep.witness == "termwise"
 
 
 def test_frec_small():
-    assert verify_frec("k", "g", 2).passed
-    assert verify_frec("k", "g", 3).passed
+    assert verify_frec(2).passed
+    assert verify_frec(3).passed
 
 
 def test_frec_n5_with_formal_drops():
     # at n = 5 both sides involve graph-formula classes whose negative-exponent
     # profiles were verified to vanish and dropped; the recursion still closes
-    assert verify_frec("k", "g", 5).passed
+    assert verify_frec(5).passed
 
 
 def test_overdegree_drop_small():
@@ -273,7 +273,7 @@ def test_heavy_point_identities():
     for a in range(1, 7):
         assert f_heavy_expanded(a) == heavy_point_expansion(a)
     # the factored-form coefficients are the elementary symmetric values
-    x = f_class_m("k", "g", (3,))
+    x = f_class_m((3,))
     t, d, f = _root_only(1, {_leg_slot(1): 3})
     assert x.terms[(t, d, f)] == 1
     t, d, f = _root_only(1, {_leg_slot(1): 2}, legexp={1: 1})
@@ -284,14 +284,14 @@ def test_heavy_point_identities():
 
 def test_pushforward_point_formulas():
     # a = 2: k(k+1) κ1 - (2k+1)(2g-2) η  (κ0 evaluated with numeric g)
-    out = pushforward_point(f_class_m("k", "g", (2,)), g=None)
+    out = pushforward_point(f_class_m((2,)), g=None)
     expected = PushedClass()
     expected._add(("kappa", 1, "eta", 0), KPoly({2: 1, 1: 1}))
     expected._add(("kappa", 0, "eta", 1), KPoly({1: -2, 0: -1}))
     assert out == expected
     # the general e_b-formula for a <= 5
     for a in range(1, 6):
-        out = pushforward_point(f_class_m("k", "g", (a,)), g=None)
+        out = pushforward_point(f_class_m((a,)), g=None)
         expected = PushedClass()
         # Σ_b (-1)^{a-b} e_b(k..k+a-1) κ_{b-1} η^{a-b}
         poly = {0: KPoly.const(1)}
@@ -311,7 +311,7 @@ def test_pushforward_point_formulas():
 
 
 def test_pushforward_point_kappa0_numeric():
-    out = pushforward_point(f_class_m("k", "g", (1,)), g=3)
+    out = pushforward_point(f_class_m((1,)), g=3)
     expected = PushedClass()
     expected._add(("eta", 0), KPoly({1: 4}))  # k κ0 = k(2g-2)
     expected._add(("kappa... never", ), KPoly()) if False else None
@@ -321,11 +321,11 @@ def test_pushforward_point_kappa0_numeric():
 
 def test_pushforward_phi_heavy_double_zero():
     # φ_* F^2_{2,(2)} = φ_*(η^2) = 1 with rank (2k-1)(g-1) = 3
-    out = pushforward_phi(f_class_m("k", "g", (2,)), k=2, g=2, rank_override=3)
+    out = pushforward_phi(f_class_m((2,)), k=2, g=2, rank_override=3)
     t, d = build_tree([[1]], [], rt_root=0)
     assert out == PushedClass({(t, d, (), ()): KPoly.const(1)})
     with pytest.raises(InvalidArgument):
-        pushforward_phi(f_class_m("k", "g", (2,)), k=2, g=2)
+        pushforward_phi(f_class_m((2,)), k=2, g=2)
 
 
 def _logan_expected(g):
@@ -344,7 +344,7 @@ def _logan_expected(g):
 
 def test_pushforward_phi_logan():
     for g in (2, 3):
-        out = pushforward_phi(f_class(1, g, g), k=1, g=g)
+        out = pushforward_phi(f_class(g), k=1, g=g)
         assert out == _logan_expected(g)
 
 
@@ -414,7 +414,7 @@ def test_tensor_zero_test_matches_the_all_codimension_oracle(monkeypatch):
 
     monkeypatch.setattr(rtclasses, "_tensor_is_zero", recording)
     for n in (2, 3, 4):
-        assert verify_frec("k", "g", n).passed
+        assert verify_frec(n).passed
     monkeypatch.undo()
     assert seen
     nonvanishing = 0
@@ -470,7 +470,7 @@ def test_extract_tail_equals_the_build_tree_route(monkeypatch):
 
 
 def test_rt_sums_copy_checked_terms(monkeypatch):
-    x, y = f_class("k", "g", 3), e_class("k", "g", 3, {1})
+    x, y = f_class(3), e_class(3, {1})
     calls = []
     real = rtclasses._rt_term_is_zero
 
@@ -486,9 +486,9 @@ def test_rt_sums_copy_checked_terms(monkeypatch):
 
 def test_formal_sums_of_another_space_or_type_are_refused():
     with pytest.raises(InvalidArgument):
-        f_class("k", "g", 2) + f_class("k", "g", 3)
+        f_class(2) + f_class(3)
     with pytest.raises(InvalidArgument):
-        f_class("k", "g", 2) - e_class("k", "g", 3, {1})
+        f_class(2) - e_class(3, {1})
     point = push_tree(build_tree([[H0, 1, 2]], [])[0])
     with pytest.raises(InvalidArgument):
         point + push_tree(build_tree([[H0, 1, 2, 3]], [])[0])
@@ -500,8 +500,16 @@ def test_formal_sums_of_another_space_or_type_are_refused():
         PushedClass() - KPoly.const(1)
 
 
+def test_relabel_rt_refuses_a_merging_mapping():
+    # the empty class once became RtClass(n=2); a class with terms was refused
+    for x in (RtClass({1, 2, 3}), f_class(3)):
+        with pytest.raises(InvalidArgument, match="duplicate leg labels"):
+            rtclasses.relabel_rt(x, {1: 2})
+    assert rtclasses.relabel_rt(RtClass({1, 2, 3}), {1: 4}).legs == frozenset({2, 3, 4})
+
+
 def test_inexact_coefficients_are_refused():
-    x = f_class("k", "g", 2)
+    x = f_class(2)
     key = next(iter(x.terms))
     for refused in (
         lambda: x.scale(0.1),
@@ -532,11 +540,11 @@ def test_kpoly_and_pushed_class_cancellation_drops_keys():
 
 def test_cached_f_classes_equal_fresh_ones(monkeypatch):
     monkeypatch.setattr(rtclasses, "_f_cache", {})
-    assert verify_frec("k", "g", 3).passed
-    assert verify_colliding_rt("k", "g", (2, 1)).passed
+    assert verify_frec(3).passed
+    assert verify_colliding_rt((2, 1)).passed
     cached = dict(rtclasses._f_cache)
     assert set(cached) >= {(1, 1), (1, 1, 1), (2, 1)}
-    assert all(f_class_m("k", "g", mults) is x for mults, x in cached.items())
+    assert all(f_class_m(mults) is x for mults, x in cached.items())
     for x in cached.values():
         key = next(iter(x.terms))
         with pytest.raises(TypeError):  # cached classes are frozen
@@ -544,7 +552,7 @@ def test_cached_f_classes_equal_fresh_ones(monkeypatch):
         (x + x)._add(*key, 1)  # a sum is a fresh class
     for mults, x in cached.items():
         monkeypatch.setattr(rtclasses, "_f_cache", {})
-        assert f_class_m("k", "g", mults) == x
+        assert f_class_m(mults) == x
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +571,16 @@ def _add_smooth_term(monkeypatch, name, args, n):
 
 
 def test_frec_failure_names_the_root_profile(monkeypatch):
-    profile = _add_smooth_term(monkeypatch, "f_class", ("k", "g", 2), 2)
-    rep = verify_frec("k", "g", 2)
+    profile = _add_smooth_term(monkeypatch, "f_class", (2,), 2)
+    rep = verify_frec(2)
     assert (rep.passed, rep.witness) == (False, profile)
 
 
 def test_colliding_rt_failure_names_the_root_profile(monkeypatch):
     # the collided class no longer equals the heavy one termwise, so the
     # per-profile test runs and finds the extra term
-    profile = _add_smooth_term(monkeypatch, "f_class_m", ("k", "g", (2,)), 1)
-    rep = verify_colliding_rt("k", "g", (2,))
+    profile = _add_smooth_term(monkeypatch, "f_class_m", ((2,),), 1)
+    rep = verify_colliding_rt((2,))
     assert (rep.passed, rep.witness) == (False, profile)
 
 

@@ -597,6 +597,14 @@ def test_inexact_coefficients_are_refused():
     assert type(Class0(z.ambient, {(t, d): 2}).terms[(t, d)]) is Fraction
 
 
+
+def test_relabel_class_refuses_a_merging_mapping():
+    # the empty class once moved to {h0, 2, 3}; a class with terms was refused
+    for x in (Class0(ambient0(3)), z_cycle(3, 2, 1)):
+        with pytest.raises(InvalidArgument, match="duplicate leg labels"):
+            strata0.relabel_class(x, {1: 2})
+    assert strata0.relabel_class(Class0(ambient0(3)), {1: 4}).ambient == frozenset({H0, 2, 3, 4})
+
 # ---------------------------------------------------------------------------
 # the orbit route: one stratum per orbit of the legs a class is invariant under
 
