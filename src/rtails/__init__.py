@@ -14,7 +14,6 @@ from .trees import (  # noqa: F401
     enumerate_stable_trees,
     enumerate_trees0,
     make_decoration,
-    split_vertex,
 )
 from .weights import coeff_c, coeff_c_im, coeff_d, coeff_dp, enumerate_weightings  # noqa: F401
 from .strata0 import (  # noqa: F401

@@ -4,10 +4,10 @@ Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
 stderr) or ran over its time budget, 2 usage error (bad arguments, an option
 the command would not read, such as zcycle --m under --truncated or a verify
 --max-n or --max-sum that the suite does not read, unreadable or malformed
-input, a verify grid with no tasks, a size above the largest measured: an --n
-or --max-n above MAX_N, or an fclass or relations --n, an fclass
---multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
-(traceback on stderr).  All numeric output is exact ("p/q"); verification
+input, a verify grid with no tasks, relations --g below 1, a size above the
+largest measured: an --n or --max-n above MAX_N, or an fclass or relations
+--n, an fclass --multiplicities sum or a --max-sum above MAX_SUM), 3 internal
+error (traceback on stderr).  All numeric output is exact ("p/q"); verification
 timings go to stderr so stdout is byte-identical across runs.
 """
 
@@ -232,8 +232,7 @@ SUITES = {
     ],
     "logan": lambda: [("logan", (g,)) for g in (2, 3)],
     "heavy": lambda: [("heavy", (a,)) for a in range(1, 7)] + [("heavy_pushforwards", ())],
-    "expansions": lambda max_n: [("expansions", ())]
-    + [("overdegree_drop", (n,)) for n in range(1, min(max_n, 4) + 1)],
+    "expansions": lambda: [("expansions", ())] + [("overdegree_drop", (n,)) for n in range(1, 5)],
 }
 
 # task name -> verifier; each looks its function up at call time, so a

@@ -122,20 +122,18 @@ class RtClass(FormalSum):
 
 
 def _fact_for(graph: Tree, dec: Decoration, mults: Mapping) -> dict:
-    """Net factored exponents after the per-tail ω-cancellation."""
-    fact = {}
-    for l in graph.legs[0]:
-        fact[_leg_slot(l)] = mults[l] - dec.leg_exp(l)
-    half = dec.half_dict()
+    """Net factored exponents after the per-tail ω-cancellation: each leg adds
+    its weight less its ψ to the root slot it feeds (`_fact_key`), and each
+    edge takes one plus its two half-edge ψs from the tail it lies in."""
+    fact: dict = {}
     legexp = dec.leg_dict()
-    for e in child_edges_of(graph, 0):
-        region = beyond_legs(graph, e)
-        total = sum(mults[l] - legexp.get(l, 0) for l in region)
-        edges_in = [e2 for e2 in range(graph.num_edges()) if beyond_legs(graph, e2) <= region]
-        psi_on_tail = sum(
-            ex for (eid, _), ex in half.items() if eid in edges_in
-        )
-        fact[_tail_slot(region)] = total - len(edges_in) - psi_on_tail
+    for l in itertools.chain(*graph.legs):
+        key = _fact_key(graph, l)
+        fact[key] = fact.get(key, 0) + mults[l] - legexp.get(l, 0)
+    half = dec.half_dict()
+    for eid in range(graph.num_edges()):
+        key = _fact_key(graph, next(iter(beyond_legs(graph, eid))))
+        fact[key] -= 1 + half.get((eid, 0), 0) + half.get((eid, 1), 0)
     return fact
 
 
@@ -335,8 +333,7 @@ def _fact_key(graph: Tree, leg) -> tuple:
 @lru_cache(maxsize=None)
 def _root_slots(graph: Tree) -> frozenset:
     """Every root slot of ``graph``: the root's own legs and its tails."""
-    tails = {_tail_slot(beyond_legs(graph, e)) for e in child_edges_of(graph, 0)}
-    return frozenset(tails | {_leg_slot(l) for l in graph.legs[0]})
+    return frozenset(_fact_key(graph, l) for l in itertools.chain(*graph.legs))
 
 
 def _carry_fact(fact: tuple, graph: Tree, image: Optional[Mapping] = None) -> dict:
@@ -508,7 +505,7 @@ def verify_heavy_pushforwards() -> VerificationReport:
     ok = out == expected
     if ok:
         t, d = build_tree([[1]], [], rt_root=0)
-        phi = pushforward_phi(f_class_m((2,)), k=2, g=2, rank_override=3)
+        phi = pushforward_phi(f_class_m((2,)), k=2, g=2)
         ok = phi == PushedClass({(t, d, (), ()): KPoly.const(1)})
     return VerificationReport("heavy_pushforwards", (), ok, None if ok else "pushforward mismatch")
 
@@ -608,17 +605,17 @@ def _eta_reduce(p: int, r: int):
     return out
 
 
-def pushforward_phi(x: RtClass, k: int, g: int, rank_override: Optional[int] = None) -> PushedClass:
+def pushforward_phi(x: RtClass, k: int, g: int) -> PushedClass:
     """Push down the bundle: keep the (-η)^{r-1} coefficient after reduction.
 
-    The bundle rank r is g for k = 1; for k >= 2 it must be supplied (the
-    Riemann-Roch value (2k-1)(g-1) is the natural input).
+    The bundle rank r is Riemann-Roch's h^0(ω^k): g for k = 1, (2k-1)(g-1)
+    for k >= 2 and g >= 2, and 1 on genus 1, where ω is trivial.
     """
-    if not isinstance(k, int):
-        raise InvalidArgument("pushforward_phi needs a numeric k")
-    if k >= 2 and rank_override is None:
-        raise InvalidArgument("k >= 2 needs rank_override")
-    r = g if k == 1 else rank_override
+    if not isinstance(k, int) or not isinstance(g, int):
+        raise InvalidArgument("pushforward_phi needs a numeric k and g")
+    if k < 1 or g < 1:
+        raise InvalidArgument("pushforward_phi needs k >= 1 and g >= 1")
+    r = g if k == 1 else 1 if g == 1 else (2 * k - 1) * (g - 1)
     out = PushedClass()
     for (graph, dec, fact), coeff in x.terms.items():
         slots = list(fact)
@@ -663,10 +660,12 @@ def pushforward_point(x: RtClass, g: Optional[int] = None) -> PushedClass:
     """Push a single-leg class down the point-forgetting map via κ-classes.
 
     The coefficients are polynomials in the symbol k.  κ_0 evaluates to
-    2g - 2 when g is numeric.
+    2g - 2 when g is numeric; the root has positive genus, so g >= 1.
     """
     if len(x.legs) != 1:
         raise InvalidArgument("pushforward_point needs a single-leg class")
+    if g is not None and g < 1:
+        raise InvalidArgument("pushforward_point needs g >= 1")
     out = PushedClass()
     for (a, t), kc in _psi_eta_terms(x):
         if a == 0:
@@ -700,7 +699,9 @@ def f_heavy_expanded(a: int) -> PushedClass:
 
 
 def emit_relation(g: int, n: int) -> RtClass:
-    """The vanishing-regime class (k = 1, n > 2g-2), rendered by the caller."""
+    """The vanishing-regime class (k = 1, g >= 1, n > 2g-2), rendered by the caller."""
+    if g < 1:
+        raise InvalidArgument("relations need g >= 1: the root has positive genus")
     if n <= 2 * g - 2:
         raise InvalidArgument("relations need n > 2g-2")
     return f_class(n)

@@ -226,14 +226,6 @@ def child_edges_of(tree: Tree, v: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def valence(tree: Tree, v: int) -> int:
-    deg = len(tree.legs[v]) + len(child_edges_of(tree, v))
-    if v != 0:
-        deg += 1
-    return deg
-
-
-@lru_cache(maxsize=None)
 def beyond_legs(tree: Tree, eid: int) -> frozenset:
     """Legs in the subtree on the child side of edge ``eid``."""
     _, child = tree.edges[eid]
@@ -311,13 +303,6 @@ def vertex_slots(tree: Tree, v: int) -> list:
     for eid in child_edges_of(tree, v):
         slots.append((eid, 0))
     return slots
-
-
-def slot_vertex(tree: Tree, slot) -> int:
-    if isinstance(slot, tuple) and len(slot) == 2 and isinstance(slot[0], int) and slot[1] in (0, 1):
-        eid, side = slot
-        return tree.edges[eid][side]
-    return vertex_of_leg(tree, slot)
 
 
 def capacity(tree: Tree, head, leg_weights: Optional[Mapping] = None) -> int:
@@ -662,18 +647,16 @@ def _attach_plan(tree: Tree, v: int, new_leg: Label):
 
 
 @lru_cache(maxsize=None)
-def _split_plan(tree: Tree, slot, leg: Label):
-    """Splitting ``slot`` and ``leg`` off their vertex onto a new trivalent
-    vertex: ``(new tree, slot map, residual slot)``, the residual slot being
-    the new edge's side at the old vertex.  ``leg`` moves when the vertex
-    has it; otherwise it is new."""
-    v = slot_vertex(tree, slot)
+def _split_plan(tree: Tree, v: int, slot, leg: Label):
+    """Splitting ``slot`` of vertex ``v`` and the new ``leg`` off onto a new
+    trivalent vertex: ``(new tree, slot map, residual slot)``, the residual
+    slot being the new edge's side at ``v``."""
     if isinstance(slot, tuple) and slot[1] == 1:
         # the head above v: the new vertex goes above it, and v heads the new edge
-        cut, side = beyond_legs(tree, slot[0]) - {leg}, 1
+        cut, side = beyond_legs(tree, slot[0]), 1
     else:
         cut, side = (beyond_legs(tree, slot[0]) if isinstance(slot, tuple) else {slot}) | {leg}, 0
-    new, slots = _plan(tree, {}, () if leg in tree.legs[v] else (leg,), v, (cut,))
+    new, slots = _plan(tree, {}, (leg,), v, (cut,))
     return new, slots, slots[(tree.num_edges(), side)]
 
 
@@ -684,48 +667,6 @@ def _graft_plan(tree: Tree, at: Label, legs: tuple):
     exponent of ``at`` lands."""
     new, slots = _plan(tree, {at: None}, legs, vertex_of_leg(tree, at), (legs,))
     return new, slots, slots[(tree.num_edges(), 0)]
-
-
-def _split_term(tree: Tree, dec: Decoration, slot, leg: Label):
-    """Split ``slot`` and ``leg`` off their vertex (`_split_plan`); the
-    slot's ψ-exponent drops by one onto the new edge's side at the old
-    vertex.  Returns ``(tree, dec)``, or None (zero marker) when it is 0."""
-    d = dec.half_exp(slot) if isinstance(slot, tuple) else dec.leg_exp(slot)
-    if not d:
-        return None
-    new, slots, residual = _split_plan(tree, slot, leg)
-    half = _carried(dec.half, slots, skip=slot)
-    if d > 1:
-        half = tuple(sorted(half + ((residual, d - 1),)))
-    return new, Decoration(half, tuple((l, e) for l, e in dec.leg if l != slot))
-
-
-def split_vertex(tree: Tree, dec: Decoration, leg_n: Label, mode: str, tail_eid: Optional[int] = None):
-    """The pull-back splitting at the vertex of ``leg_n``.
-
-    mode "circ" transports the slot pointing toward the root (the leg h0 at
-    the root vertex, else the head above); mode "tail" transports the tail of
-    the child edge ``tail_eid``.  ``leg_n`` moves with the slot.  Returns
-    ``(tree, dec)``, or None (the zero marker) when the transported exponent
-    is zero.
-    """
-    v = vertex_of_leg(tree, leg_n)
-    if valence(tree, v) < 4:
-        raise InvalidArgument("split_vertex needs valence >= 4")
-    if mode == "circ":
-        if v == 0:
-            if tree.rt:
-                raise InvalidArgument("no upward slot at the genus root")
-            slot: object = H0
-        else:
-            slot = (parent_edge_of(tree)[v], 1)
-    elif mode == "tail":
-        if tail_eid is None or tail_eid not in child_edges_of(tree, v):
-            raise InvalidArgument("tail mode needs a child edge of the split vertex")
-        slot = (tail_eid, 0)
-    else:
-        raise InvalidArgument(f"unknown mode {mode!r}")
-    return _split_term(tree, dec, slot, leg_n)
 
 
 def relabel(tree: Tree, dec: Decoration, mapping: Mapping):
@@ -809,13 +750,19 @@ def pullback_terms(tree: Tree, dec: Decoration, new_leg: Label):
     """The terms ``(sign, tree, dec)`` of pulling back along forgetting ``new_leg``.
 
     Per vertex: the leg attached there, minus one splitting per decorated
-    slot at that vertex (the ψ-comparison corrections).  The new trees come
-    from one plan per (tree, vertex or slot, new_leg).
+    slot at that vertex (the ψ-comparison corrections), whose exponent drops
+    by one onto the new edge's side there.  The new trees come from one plan
+    per (tree, vertex or slot, new_leg).
     """
     exps = {**dict(dec.half), **dict(dec.leg)}
     for v in range(tree.num_vertices()):
         new, slots = _attach_plan(tree, v, new_leg)
         yield (1, new, Decoration(_carried(dec.half, slots), dec.leg))
         for slot in vertex_slots(tree, v):
-            if exps.get(slot):
-                yield (-1, *_split_term(tree, dec, slot, new_leg))
+            d = exps.get(slot)
+            if d:
+                new, slots, residual = _split_plan(tree, v, slot, new_leg)
+                half = _carried(dec.half, slots, skip=slot)
+                if d > 1:
+                    half = tuple(sorted(half + ((residual, d - 1),)))
+                yield (-1, new, Decoration(half, tuple((l, e) for l, e in dec.leg if l != slot)))

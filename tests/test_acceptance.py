@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 
+from rtails import cli
 from rtails.trees import (
     H0,
     build_tree,
@@ -32,16 +33,7 @@ from rtails.strata0 import (
     pushforward_forget,
     zero,
 )
-from rtails.cycles import (
-    closed_form_z_top,
-    verify_collide0,
-    verify_decrec,
-    verify_dect,
-    verify_ei_pushforward,
-    verify_recursion_all,
-    verify_vanishing,
-    z_cycle,
-)
+from rtails.cycles import closed_form_z_top, z_cycle
 from rtails.rtclasses import (
     KPoly,
     PushedClass,
@@ -55,8 +47,6 @@ from rtails.rtclasses import (
     heavy_point_expansion,
     pushforward_phi,
     pushforward_point,
-    verify_colliding_rt,
-    verify_frec,
 )
 
 
@@ -76,6 +66,13 @@ class _Budget:
         if exc_type is None:
             assert took < self.seconds, f"{self.name} exceeded its {self.seconds}s budget ({took:.1f}s)"
         return False
+
+
+def _run_grid(suite: str, max_n=None, max_sum=None) -> None:
+    """Every task of ``rtails verify <suite>`` at these sizes passes (`cli._grid`, `cli.run_task`)."""
+    for task in cli._grid(suite, max_n, max_sum):
+        rep = cli.run_task(task)
+        assert rep.passed, rep.line()
 
 
 def test_criterion_01_coefficient_anchors():
@@ -137,8 +134,7 @@ def test_criterion_02_worked_z_cycles():
 
 def test_criterion_03a_vanishing_to_n5():
     with _Budget("3a vanishing theorem n=3..5", 120):
-        for rep in verify_vanishing(5):
-            assert rep.passed, rep.line()
+        _run_grid("vanishing", max_n=5)
 
 
 def test_criterion_03b_vanishing_n6():
@@ -170,18 +166,8 @@ def test_criterion_04_closed_form():
 
 def test_criterion_05_recursions():
     with _Budget("5 recursion, dect, decrec, collide0, ei suites n<=5", 600):
-        for n in (3, 4, 5):
-            for i in range(1, n):
-                for j in range(i - n + 1, i):
-                    assert verify_recursion_all(n, i, j).passed, (n, i, j)
-                    assert verify_dect(n, i, j).passed, (n, i, j)
-                assert verify_decrec(n, i).passed, (n, i)
-            for m in range(1, n):
-                assert verify_collide0(n, m).passed, (n, m)
-            for r in range(1, n - 1):
-                for I in itertools.combinations(range(1, n), r):
-                    for i in range(1, n):
-                        assert verify_ei_pushforward(n, I, i).passed, (n, I, i)
+        for suite in ("recursion", "decrec", "collide0", "ei"):
+            _run_grid(suite, max_n=5)
 
 
 def test_criterion_06_f_class_expansions():
@@ -248,7 +234,7 @@ def test_criterion_07_heavy_point():
         assert out2.terms[("kappa", 1, "eta", 0)] == KPoly({2: 1, 1: 1})
         assert out2.terms[("kappa", 0, "eta", 1)] == KPoly({1: -2, 0: -1})
         t, d = build_tree([[1]], [], rt_root=0)
-        assert pushforward_phi(f_class_m((2,)), k=2, g=2, rank_override=3) == PushedClass(
+        assert pushforward_phi(f_class_m((2,)), k=2, g=2) == PushedClass(
             {(t, d, (), ()): KPoly.const(1)}
         )
 
@@ -272,25 +258,12 @@ def test_criterion_08_logan_divisor():
 
 def test_criterion_09_f_recursion():
     with _Budget("9 F-recursion n=2,3,4", 600):
-        for n in (2, 3, 4):
-            assert verify_frec(n).passed, n
-
-
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+        _run_grid("frec", max_n=4)
 
 
 def test_criterion_10_colliding_rt():
     with _Budget("10 colliding on rational tails, all Σm <= 5", 600):
-        for total in range(2, 6):
-            for mults in _compositions(total):
-                rep = verify_colliding_rt(mults)
-                assert rep.passed, mults
+        _run_grid("collide-rt", max_sum=5)
 
 
 def test_criterion_11_property_suites():

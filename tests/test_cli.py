@@ -159,11 +159,15 @@ def test_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", "closed-forms", "--max-n", "3", option, value)
         assert (code, out) == (2, "")
         assert option in err
-    # `verify` refuses a size that its suite does not read, and Zᵗ checks i
+    # `verify` refuses a size that its suite does not read, `relations` a
+    # genus below 1, and Zᵗ checks i
     for argv, named in (
         (("verify", "logan", "--max-n", "5"), "--max-n"),
         (("verify", "vanishing", "--max-sum", "3"), "--max-sum"),
         (("verify", "collide-rt", "--max-n", "4"), "--max-n"),
+        (("verify", "expansions", "--max-n", "5"), "--max-n"),
+        (("relations", "--g", "0", "--n", "2"), "g >= 1"),
+        (("relations", "--g", "-5", "--n", "1"), "g >= 1"),
         (("zcycle", "--n", "3", "--i", "0", "--j", "5", "--truncated"), "i >= 1"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -335,7 +339,7 @@ def test_verify_refuses_every_size_its_suite_does_not_read(capsys, monkeypatch):
             else:
                 assert code == 3 and "the work started" in err
     assert refused == {(suite, "--max-sum") for suite in cli.SUITES if suite != "collide-rt"} | {
-        (suite, "--max-n") for suite in ("collide-rt", "logan", "heavy")
+        (suite, "--max-n") for suite in ("collide-rt", "logan", "heavy", "expansions")
     }
     # an empty grid names only the sizes its suite reads
     for argv, unread in ((("vanishing", "--max-n", "2"), "--max-sum"), (("collide-rt", "--max-sum", "1"), "--max-n")):

@@ -1,6 +1,7 @@
 """Source hygiene: no `rtails` module imports a name from a sibling and never
-uses it, no private module-level name is left unread, every parameter is
-read, and only `trees` derives the ψ-budget and crossing tables.
+uses it, no private module-level name is left unread, every public function
+of `trees` is read, every parameter is read, and only `trees` derives the
+ψ-budget and crossing tables.
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -113,6 +114,45 @@ def test_every_private_name_is_read():
     readers = [p.read_text() for folder in ("tests", "bench") for p in sorted((ROOT / folder).glob("*.py"))]
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(modules, readers) == []
+
+
+def unread_public_names(source: str, readers=()) -> list:
+    """Each public module-level ``def`` or ``class`` of ``source`` that no
+    statement reads, in ``source`` outside its own definition or in
+    ``readers``; importing a name is not reading it, reading its alias is."""
+    body = ast.parse(source).body
+    reads = [_reads(node) for node in body]
+    for reader in map(ast.parse, readers):
+        names = _reads(reader)
+        for node in ast.walk(reader):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names if alias.asname in names)
+        reads.append(names)
+    return sorted(
+        node.name
+        for k, node in enumerate(body)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and not any(node.name in r for j, r in enumerate(reads) if j != k)
+    )
+
+
+def test_the_check_sees_an_unread_public_name():
+    source = (
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Exported:\n    pass\n"
+        "def _private():\n    pass\n"
+        "def by_sibling():\n    return used()\n"
+    )
+    sibling = "from .trees import Exported, by_sibling as b\nb()\n"
+    assert unread_public_names(source, [sibling]) == ["Exported", "recursive"]
+
+
+def test_every_trees_function_is_read():
+    # each move of the foundation layer has one entry; `__init__`'s
+    # re-exports are imports, not reads
+    readers = [p.read_text() for p in MODULES if p.name != "trees.py"]
+    assert unread_public_names((SRC / "trees.py").read_text(), readers) == []
 
 
 def unread_parameters(source: str) -> list:

@@ -317,15 +317,21 @@ def test_pushforward_point_kappa0_numeric():
     expected._add(("kappa... never", ), KPoly()) if False else None
     assert out.terms[("eta", 0)] == KPoly({1: 4})
     assert ("eta", 1) not in out.terms  # -η picks up no ψ and dies
+    # the root has positive genus: κ0 = 2g - 2 is never below 0
+    for g in (0, -4):
+        with pytest.raises(InvalidArgument):
+            pushforward_point(f_class_m((1,)), g=g)
 
 
 def test_pushforward_phi_heavy_double_zero():
     # φ_* F^2_{2,(2)} = φ_*(η^2) = 1 with rank (2k-1)(g-1) = 3
-    out = pushforward_phi(f_class_m((2,)), k=2, g=2, rank_override=3)
+    out = pushforward_phi(f_class_m((2,)), k=2, g=2)
     t, d = build_tree([[1]], [], rt_root=0)
     assert out == PushedClass({(t, d, (), ()): KPoly.const(1)})
-    with pytest.raises(InvalidArgument):
-        pushforward_phi(f_class_m((2,)), k=2, g=2)
+    # a genus or a k below 1 is refused, not read as a bundle of rank <= 0
+    for k, g in ((1, 0), (1, -1), (2, 0), (0, 2), ("k", 2)):
+        with pytest.raises(InvalidArgument):
+            pushforward_phi(f_class(2), k=k, g=g)
 
 
 def _logan_expected(g):
@@ -353,6 +359,10 @@ def test_emit_relation_regimes():
     assert x.terms
     with pytest.raises(InvalidArgument):
         emit_relation(2, 2)
+    # the root has positive genus, so n > 2g - 2 alone admits no g < 1
+    for g, n in ((0, 2), (-5, 1)):
+        with pytest.raises(InvalidArgument):
+            emit_relation(g, n)
 
 
 def _all_codim_is_zero(profile, bucket):

@@ -21,7 +21,6 @@ from rtails.trees import (
     make_decoration,
     relabel,
     splits,
-    valence,
     vertex_of_leg,
 )
 from rtails.strata0 import (
@@ -393,7 +392,7 @@ def _integrate_term_by_fractions(tree, dec, ambient):
         load[vertex_of_leg(tree, l)].append(e)
     total = Fraction(1)
     for v, exps in enumerate(load):
-        k = valence(tree, v)
+        k = len(tree.legs[v]) + sum(v in edge for edge in tree.edges)
         if sum(exps) != k - 3:
             return Fraction(0)
         total *= Fraction(math.factorial(k - 3), math.prod(math.factorial(e) for e in exps))

@@ -27,14 +27,10 @@ from rtails.trees import (
     label_key,
     make_decoration,
     overloaded,
-    parent_edge_of,
     psi_budgets,
     pullback_terms,
     relabel,
-    slot_vertex,
     sort_labels,
-    split_vertex,
-    valence,
     vertex_of_leg,
     vertex_slots,
 )
@@ -365,6 +361,11 @@ def test_decorations_of_degree_match_brute_force():
         decorations_of_degree(tree, -1)
 
 
+def _valence(tree, v):
+    """Legs plus edges at ``v``, counted from the tree data."""
+    return len(tree.legs[v]) + sum(v in edge for edge in tree.edges)
+
+
 def test_decorations_respect_vertex_dimension():
     one_edge, _ = build_tree([[1, 2, H0], [3, 4]], [(0, 1)])
     # each vertex factor is 3-pointed: no decoration survives beyond degree 0
@@ -372,7 +373,7 @@ def test_decorations_respect_vertex_dimension():
     for d in enumerate_decorations(one_edge, 3):
         for (eid, side), e in d.half:
             v = one_edge.edges[eid][side]
-            assert e <= valence(one_edge, v) - 3
+            assert e <= _valence(one_edge, v) - 3
     assert psi_budgets(one_edge) == (1, 0)
     # the genus root of a rational-tails graph bounds nothing
     graph, _ = build_tree([[1], [2, 3]], [(0, 1)], rt_root=0)
@@ -380,46 +381,26 @@ def test_decorations_respect_vertex_dimension():
     assert not overloaded(graph, make_decoration({(0, 0): 4}, {1: 5}))
 
 
-def test_split_vertex_figure_case():
-    # chain: root(h0, a) - v_n(n, b, c) - w(d, e) with psi on the head toward
-    # v_n and psi on the tail toward w, mirroring the pull-back figure.
-    legs = [[H0, 1], ["n", 2, 3], [4, 5]]
-    edges = [(0, 1), (1, 2)]
-    t, dec = build_tree(
-        legs,
-        edges,
-        half_exp={(0, 1): 1, (1, 0): 1},
-    )
-    up = parent_edge_of(t)[vertex_of_leg(t, "n")]
+def test_pullback_splits_the_figure_case():
+    # chain: root(h0, 1) - v(2, 3) - w(4, 5) with psi on the head toward v and
+    # psi on the tail toward w, mirroring the pull-back figure: forgetting n
+    # pulls back to n attached at each vertex, less each decorated slot of v
+    # split off with n onto a new trivalent vertex
+    t, dec = build_tree([[H0, 1], [2, 3], [4, 5]], [(0, 1), (1, 2)], half_exp={(0, 1): 1, (1, 0): 1})
+    terms = list(pullback_terms(t, dec, "n"))
+    assert [sign for sign, _, _ in terms] == [1, 1, -1, -1, 1]
+    assert terms[1][1:] == build_tree([[H0, 1], [2, 3, "n"], [4, 5]], [(0, 1), (1, 2)], half_exp={(0, 1): 1, (1, 0): 1})
+    # the head above v: n on a new vertex between the root and v; the
+    # transported exponent drops to zero and the tail psi survives
+    circ = build_tree([[H0, 1], ["n"], [2, 3], [4, 5]], [(0, 1), (1, 2), (2, 3)], half_exp={(2, 0): 1})
+    # the tail toward w: n on a new vertex between v and w
+    tail = build_tree([[H0, 1], [2, 3], ["n"], [4, 5]], [(0, 1), (1, 2), (2, 3)], half_exp={(0, 1): 1})
+    assert terms[2:4] == [(-1, *circ), (-1, *tail)]
+    for _, tree, _ in terms[2:4]:
+        assert _valence(tree, vertex_of_leg(tree, "n")) == 3
 
-    circ = split_vertex(t, dec, "n", "circ")
-    assert circ is not None
-    tc, dc = circ
-    assert tc.num_edges() == 3
-    # the transported head exponent dropped to zero, the tail psi survives
-    assert dc.degree() == 1
-    vn = vertex_of_leg(tc, "n")
-    assert valence(tc, vn) == 3
-
-    tail_eid = [e for e in child_edges_of(t, vertex_of_leg(t, "n"))][0]
-    tl = split_vertex(t, dec, "n", "tail", tail_eid=tail_eid)
-    assert tl is not None
-    tt, dt = tl
-    assert tt.num_edges() == 3
-    assert dt.degree() == 1
-    assert valence(tt, vertex_of_leg(tt, "n")) == 3
-    # the two splittings give different trees
-    assert tt != tc
-
-    # zero-exponent slot: zero marker
-    bare = make_decoration()
-    assert split_vertex(t, bare, "n", "circ") is None
-    assert split_vertex(t, bare, "n", "tail", tail_eid=tail_eid) is None
-
-    # valence < 4 is rejected
-    t2, d2 = build_tree([[H0, 1], ["n", 2]], [(0, 1)], half_exp={(0, 1): 1})
-    with pytest.raises(InvalidArgument):
-        split_vertex(t2, d2, "n", "circ")
+    # an undecorated term splits nothing: every term is an attachment
+    assert [sign for sign, _, _ in pullback_terms(t, make_decoration(), "n")] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +446,15 @@ def _detached(tree, dec, label):
     return build_tree(legs, list(tree.edges), rt_root=_rt_root(tree), half_exp=dec.half_dict(), leg_exp=leg)
 
 
-def _split_rebuilt(tree, dec, slot, leg):
-    """`build_tree` of ``tree`` with ``slot`` and ``leg`` (moved when the slot's
-    vertex has it, else new) on a new vertex joined to the slot's vertex; the
-    slot's exponent less one lands on the new edge's side at the old vertex."""
+def _split_rebuilt(tree, dec, v, slot, leg):
+    """`build_tree` of ``tree`` with ``slot`` of vertex ``v`` and the new
+    ``leg`` on a new vertex joined to ``v``; the slot's exponent less one
+    lands on the new edge's side at ``v``."""
     d = dec.half_exp(slot) if isinstance(slot, tuple) else dec.leg_exp(slot)
     if not d:
         return None
-    v, nv = slot_vertex(tree, slot), tree.num_vertices()
+    nv = tree.num_vertices()
     legs = [list(ls) for ls in tree.legs] + [[leg]]
-    if leg in legs[v]:
-        legs[v].remove(leg)
     edges = [list(p) for p in tree.edges]
     half, legexp = dec.half_dict(), dec.leg_dict()
     if isinstance(slot, tuple):
@@ -519,7 +498,7 @@ def _pullback_rebuilt(tree, dec, new_leg):
         legs[v].append(new_leg)
         out.append((1, *build_tree(legs, list(tree.edges), rt_root=_rt_root(tree), half_exp=dec.half_dict(), leg_exp=dec.leg_dict())))
         for slot in vertex_slots(tree, v):
-            split = _split_rebuilt(tree, dec, slot, new_leg)
+            split = _split_rebuilt(tree, dec, v, slot, new_leg)
             if split is not None:
                 out.append((-1, *split))
     return out
@@ -608,28 +587,6 @@ def test_pullback_terms_equal_the_build_tree_route():
     assert outputs > 10000
 
 
-def test_split_vertex_equals_the_build_tree_route():
-    # both modes at every leg of a vertex of valence >= 4 (the leg moves with
-    # the slot); h0 cannot move with itself
-    cases = nonzero = 0
-    for tree, dec in _differential_terms():
-        for leg in tree.all_legs():
-            v = vertex_of_leg(tree, leg)
-            if valence(tree, v) < 4:
-                continue
-            moves = [("tail", (eid, 0), eid) for eid in child_edges_of(tree, v)]
-            if v:
-                moves.append(("circ", (parent_edge_of(tree)[v], 1), None))
-            elif not tree.rt and leg != H0:
-                moves.append(("circ", H0, None))
-            for mode, slot, eid in moves:
-                got = split_vertex(tree, dec, leg, mode, tail_eid=eid)
-                assert got == _split_rebuilt(tree, dec, slot, leg)
-                cases += 1
-                nonzero += got is not None
-    assert cases > 5000 and nonzero > 1000
-
-
 def test_pushforward_forget_equals_the_build_tree_route():
     # every term without ψ on the forgotten leg, on every genus-0 tree of the
     # differential with four legs or more: the string rule at valence >= 4,
@@ -645,7 +602,7 @@ def test_pushforward_forget_equals_the_build_tree_route():
                 continue
             v = vertex_of_leg(tree, leg)
             want = []
-            if valence(tree, v) >= 4:
+            if _valence(tree, v) >= 4:
                 seen["string"] += 1
                 for slot in vertex_slots(tree, v):
                     half, legexp = dec.half_dict(), dec.leg_dict()
