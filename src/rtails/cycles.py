@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
 from .trees import (
@@ -332,16 +333,69 @@ def collide_first_legs(x: Class0, steps: int) -> Class0:
 
 
 def verify_collide0(n: int, m_target: int) -> VerificationReport:
-    """Colliding the first m points carries Z(n,i,j) onto Z^m(n-m+1,i,j)."""
+    """Colliding the first m points carries Z(n,i,j) onto Z^m(n-m+1,i,j).
+
+    Both sides are sums of the blocks of their degree scaled by
+    ``rooted_factor(key, i)`` (`_z_blocks`), and `collide_first_legs` is
+    linear: it sends each term to at most one term, with a sign.  So each
+    block of Z(n, ·, ·) is collided once per chain step (`_collided_blocks`,
+    shared by every m), and each (i, j) only combines the integer rows of
+    one table per degree (`_collide0_rows`).  The (i, j) order, the diffs
+    and their zero tests are the per-class route's, so the report is too.
+    """
     if not 1 <= m_target < n:
         raise InvalidArgument("need 1 <= m < n")
-    n_small = n - m_target + 1
-    diffs = (
-        ((i, j), collide_first_legs(z_cycle(n, i, j), m_target - 1) - z_cycle(n_small, i, j, m_target))
-        for i in range(1, n)
-        for j in range(i - n + 1, i)
-    )
+    amb = ambient0(n - m_target + 1)
+    tables: dict = {}
+
+    def diff(i: int, j: int) -> Class0:
+        degree = _z_degree(n, i, j)
+        if degree not in tables:
+            tables[degree] = _collide0_rows(n, m_target, degree)
+        keys, rows, common = tables[degree]
+        factors = [rooted_factor(key, i) for key in keys]
+        out = zero(amb)
+        for term, pairs in rows.items():
+            total = sum(factors[column] * num for column, num in pairs)
+            if total:
+                out.terms[term] = Fraction(total, common)
+        return out
+
+    diffs = (((i, j), diff(i, j)) for i in range(1, n) for j in range(i - n + 1, i))
     return _report_first("collide0", (n, m_target), diffs)
+
+
+_collided_cache: dict = {}
+
+
+def _collided_blocks(n: int, degree: int, steps: int) -> dict:
+    """The blocks of Z(n, ·, ·) in one degree with the first legs collided
+    ``steps`` times; each entry is built from the one a step shorter."""
+    if steps == 0:
+        return _z_blocks(n, 1, degree)
+    cache_key = (n, degree, steps)
+    if cache_key not in _collided_cache:
+        shorter = _collided_blocks(n, degree, steps - 1)
+        _collided_cache[cache_key] = {key: collide_first_legs(block, 1).freeze() for key, block in shorter.items()}
+    return _collided_cache[cache_key]
+
+
+def _collide0_rows(n: int, m: int, degree: int) -> tuple:
+    """One degree of collide0's diff as an integer table: ``(keys, rows,
+    common)``.  The columns are the collided Z(n) blocks, then the negated
+    Z^m(n-m+1) blocks, with their `rooted_split` keys; ``rows`` maps each
+    term to its (column, numerator) pairs over the common denominator."""
+    n_small = n - m + 1
+    sides = [(1, _collided_blocks(n, degree, m - 1))]
+    if degree <= dim_of(ambient0(n_small)):
+        sides.append((-1, _z_blocks(n_small, m, degree)))
+    columns = [(sign, key, block) for sign, blocks in sides for key, block in blocks.items()]
+    common = lcm(*(c.denominator for _, _, block in columns for c in block.terms.values()))
+    rows: dict = {}
+    for column, (sign, _, block) in enumerate(columns):
+        for term, coeff in block.terms.items():
+            rows.setdefault(term, []).append((column, sign * coeff.numerator * (common // coeff.denominator)))
+    return [key for _, key, _ in columns], rows, common
 
 
 def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:

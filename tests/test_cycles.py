@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rtails import cycles
+from rtails import cli, cycles
 from rtails.trees import H0, InvalidArgument, build_tree
 from rtails.strata0 import Class0, is_zero, push_tree, strata_family, zero, zero_witness
 from rtails.weights import rooted_factor
 from rtails.cycles import (
     ambient0,
     closed_form_z_top,
+    collide_first_legs,
     dec_polynomial,
     e_cycle,
     verify_closed_forms,
@@ -28,6 +34,8 @@ from rtails.cycles import (
     z_cycle,
     z_truncated,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _amb(n):
@@ -261,8 +269,16 @@ def test_decrec_failure_names_j_and_stratum(monkeypatch):
 
 
 def test_collide0_failure_names_i_j_and_stratum(monkeypatch):
-    extra = _psi_h0(3, 1)  # Z^2(3, 1, -1) has degree 1; (i, j) = (1, -2) still passes
-    _add_to(monkeypatch, "z_cycle", (3, 1, -1, 2), extra)
+    # the route reads the degree-1 blocks of Z^2(3, ·, ·); doubling one adds
+    # it once more, and the blocks stay disjoint
+    key = (0, 3, None)
+    blocks = dict(cycles._z_blocks(3, 2, 1))
+    extra = blocks[key]
+    blocks[key] = extra.scale(2).freeze()
+    monkeypatch.setattr(cycles, "_block_cache", {(3, 2, 1): blocks})
+    # Z^2(3, 1, -1) has degree 1, and the block's factor there is nonzero;
+    # (i, j) = (1, -2) still passes
+    assert rooted_factor(key, 1) != 0 and zero_witness(extra) is not None
     rep = verify_collide0(4, 2)
     assert (rep.passed, rep.witness) == (False, (1, -1, zero_witness(extra)))
 
@@ -376,6 +392,108 @@ def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):
     monkeypatch.setattr(cycles, "decorations_of_degree", recording)
     assert all(rep.passed for rep in verify_vanishing(5))
     assert calls and len(calls) == len(set(calls))
+
+
+def test_blocks_of_a_degree_are_disjoint():
+    # `_combine_blocks` and the collide0 table add blocks with `dict.update`
+    # and per-term rows: a term held by two blocks would be overwritten
+    for n in range(2, 7):
+        for m in range(1, 8 - n):
+            for degree in range(n - 1):
+                seen = set()
+                for block in cycles._z_blocks(n, m, degree).values():
+                    assert seen.isdisjoint(block.terms), (n, m, degree)
+                    seen.update(block.terms)
+
+
+# ---------------------------------------------------------------------------
+# collide0 in one pass per block: the per-class route is the oracle
+
+
+def _per_class_diffs(n, m):
+    """The diffs of `verify_collide0` class by class: collide each Z(n, i, j)
+    and subtract Z^m(n-m+1, i, j)."""
+    return [
+        ((i, j), collide_first_legs(z_cycle(n, i, j), m - 1) - z_cycle(n - m + 1, i, j, m))
+        for i in range(1, n)
+        for j in range(i - n + 1, i)
+    ]
+
+
+def _block_pass_diffs(monkeypatch, n, m):
+    """Every (label, diff) pair that `verify_collide0(n, m)` hands to its zero
+    test, with no early stop."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cycles, "_report_first", lambda identity, params, labelled: seen.extend(labelled))
+        verify_collide0(n, m)
+    return seen
+
+
+def _assert_routes_agree(monkeypatch, n, m) -> str:
+    """The two routes give the same diff at every (i, j) and the same report;
+    returns its line."""
+    oracle = _per_class_diffs(n, m)
+    assert _block_pass_diffs(monkeypatch, n, m) == oracle, (n, m)
+    line = verify_collide0(n, m).line()
+    assert line == cycles._report_first("collide0", (n, m), oracle).line(), (n, m)
+    return line
+
+
+def test_collide0_block_pass_equals_the_per_class_route(monkeypatch):
+    for n in range(3, 6):
+        for m in range(1, n):
+            assert _assert_routes_agree(monkeypatch, n, m).startswith("pass ")
+
+
+@pytest.mark.parametrize("n, m, degree, fails", [(4, 1, 2, False), (4, 1, 1, True), (3, 2, 1, True), (3, 3, 1, True)])
+def test_collide0_routes_agree_with_a_block_doubled(monkeypatch, n, m, degree, fails):
+    # a Z(4) block feeds the left side of every collide0(4, ·) and both sides
+    # of collide0(4, 1), where it cancels; in the top degree it collides to 0,
+    # so doubling it fails nothing.  A Z^m(3) block feeds collide0(m + 2, m).
+    # The diffs are compared at every (i, j), so a factor read at the wrong i
+    # shows even where the first failure does not move
+    tasks = [(n, mt) for mt in range(1, n)] if m == 1 else [(n + m - 1, m)]
+    real = cycles._z_blocks(n, m, degree)
+    failed = 0
+    for key in sorted(real, key=repr):
+        with monkeypatch.context() as patch:
+            patch.setattr(cycles, "_block_cache", {(n, m, degree): {**real, key: real[key].scale(2).freeze()}})
+            patch.setattr(cycles, "_collided_cache", {})
+            patch.setattr(cycles, "_z_cache", {})
+            for task in tasks:
+                failed += _assert_routes_agree(monkeypatch, *task).startswith("FAIL")
+    assert bool(failed) == fails
+
+
+def _collide_calls(tasks):
+    """``collide`` calls made running ``tasks`` in order in a new interpreter,
+    and the sorted verdict lines."""
+    code = (
+        "import json\n"
+        "from rtails import cli, cycles\n"
+        "real, calls = cycles.collide, [0]\n"
+        "def counting(*args):\n"
+        "    calls[0] += 1\n"
+        "    return real(*args)\n"
+        "cycles.collide = counting\n"
+        f"lines = sorted(cli.run_task(task).line() for task in {tasks!r})\n"
+        "print(json.dumps([calls[0], lines]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout)
+
+
+def test_collide0_collides_each_block_once_per_step():
+    # every chain step of every block is collided once, whichever m of the
+    # grid asks first: no prefix is collided twice
+    tasks = cli._grid("collide0", 5, 0)
+    expected = sum(len(cycles._z_blocks(n, 1, degree)) * (n - 2) for n in range(3, 6) for degree in range(n - 1))
+    forward, backward = _collide_calls(tasks), _collide_calls(tasks[::-1])
+    assert forward == backward
+    assert forward[0] == expected
+    assert all(line.startswith("pass ") for line in forward[1])
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def test_pushforward_point_kappa0_numeric():
     out = pushforward_point(f_class_m((1,)), g=3)
     expected = PushedClass()
     expected._add(("eta", 0), KPoly({1: 4}))  # k κ0 = k(2g-2)
-    expected._add(("kappa... never", ), KPoly()) if False else None
+    assert out == expected
     assert out.terms[("eta", 0)] == KPoly({1: 4})
     assert ("eta", 1) not in out.terms  # -η picks up no ψ and dies
     # the root has positive genus: κ0 = 2g - 2 is never below 0
