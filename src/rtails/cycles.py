@@ -73,9 +73,6 @@ def _z_degree(n: int, i: int, j: int, m: int = 1) -> int:
     return n + m - 2 + j - i
 
 
-_z_cache: dict = {}
-
-
 def z_cycle(n: int, i: int, j: int, m: int = 1) -> Class0:
     """The degree-(n+m-2+j-i) cycle of the rooted D-polynomial."""
     return _combine_blocks(n, i, j, m, truncated=False)
@@ -88,12 +85,9 @@ def z_truncated(n: int, i: int, j: int) -> Class0:
 
 def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
     """Z or Z^t as the sum of the shared blocks of its degree, each scaled by
-    the half of the coefficient that reads i; checked, then cached once built."""
+    the half of the coefficient that reads i: a fresh class on every call."""
     if n < 2 or i < 1 or m < 1:
         raise InvalidArgument("Z needs n >= 2, i >= 1, m >= 1")
-    cache_key = (n, i, j, m, truncated)
-    if cache_key in _z_cache:
-        return _z_cache[cache_key]
     out = zero(ambient0(n))
     degree = _z_degree(n, i, j, m)
     if 0 <= degree <= dim_of(out.ambient):
@@ -102,7 +96,7 @@ def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
             if factor:
                 # every term lives in one block only, so nothing cancels
                 out.terms.update(block.scale(factor).terms)
-    return _z_cache.setdefault(cache_key, out.freeze())
+    return out
 
 
 _block_cache: dict = {}
@@ -210,6 +204,8 @@ def e_cycle(n: int, I, i: int, j: int) -> Class0:
     I = frozenset(I)
     if not I or not I <= set(range(1, n)):
         raise InvalidArgument("I must be a non-empty subset of 1..n-1")
+    if i < 1:
+        raise InvalidArgument("i must be >= 1")
     amb = ambient0(n)
     degree = n - 1 + j - i
     out = zero(amb)

@@ -155,6 +155,10 @@ def test_e_cycle_base_cases():
     assert e_cycle(4, {1, 2}, 3, 1).terms == {}
     with pytest.raises(InvalidArgument):
         e_cycle(3, set(), 1, 0)
+    # i < 1 is refused up front, also where the degree leaves nothing to build
+    for i, j in ((0, 0), (0, -1)):
+        with pytest.raises(InvalidArgument):
+            e_cycle(3, {1}, i, j)
 
 
 def test_recursion_a_small():
@@ -228,19 +232,6 @@ def test_truncation_support():
                 for tree, _ in diff.terms:
                     assert set(tree.legs[0]) == {H0, n}
                     assert len(child_edges_of(tree, 0)) == 1
-
-
-def test_cached_z_cycles_equal_fresh_ones(monkeypatch):
-    monkeypatch.setattr(cycles, "_z_cache", {})
-    assert verify_recursion_a(4, 2, 1).passed
-    assert verify_decrec(4, 2).passed
-    assert verify_collide0(4, 2).passed
-    assert all(rep.passed for rep in verify_vanishing(4))
-    cached = dict(cycles._z_cache)
-    assert any(key[-1] for key in cached) and any(not key[-1] for key in cached)
-    for (n, i, j, m, truncated), x in cached.items():
-        assert (z_truncated(n, i, j) if truncated else z_cycle(n, i, j, m)) is x
-        assert cycles._assemble_z(n, i, j, m, truncated) == x
 
 
 # ---------------------------------------------------------------------------
@@ -344,27 +335,34 @@ def test_grouped_z_equals_the_termwise_oracle(monkeypatch):
 
 
 def test_cached_classes_are_frozen():
-    z = z_cycle(4, 2, 1)
-    t, d = next(iter(z.terms))
-    with pytest.raises(TypeError):
-        z._add(t, d, Fraction(1))
-    with pytest.raises(TypeError):
-        z._put((t, d), Fraction(1))
-    with pytest.raises(TypeError):
-        z_truncated(4, 2, 1)._add(t, d, Fraction(1))
-    for block in cycles._z_blocks(4, 1, 1).values():
+    # the blocks and the collided blocks are cached, so they are frozen
+    cached = [*cycles._z_blocks(4, 1, 1).values(), *cycles._collided_blocks(4, 1, 2).values()]
+    assert len(cached) > 2
+    t, d = next(iter(z_cycle(4, 2, 1).terms))
+    for block in cached:
         with pytest.raises(TypeError):
             block._add(t, d, Fraction(1))
-    assert z_cycle(4, 2, 1) == cycles._assemble_z(4, 2, 1, 1, False)
-    # sums, multiples and ψ-products are fresh, mutable classes
-    for fresh in (z + z, z - z, z.scale(2), z.mul_psi(H0)):
+        with pytest.raises(TypeError):
+            block._put((t, d), Fraction(1))
+    # sums, multiples and ψ-products of a frozen block are fresh, mutable classes
+    block = cached[0]
+    for fresh in (block + block, block - block, block.scale(2), block.mul_psi(H0)):
         fresh._add(t, d, Fraction(1))
-    assert z_cycle(4, 2, 1) == cycles._assemble_z(4, 2, 1, 1, False)
+    # Z and Zᵗ are summed from them on each call: fresh, mutable classes, so
+    # changing one leaves the blocks and the next call as they were
+    for build, truncated in ((z_cycle, False), (z_truncated, True)):
+        z = build(4, 2, 1)
+        assert z is not build(4, 2, 1)
+        z._add(t, d, Fraction(1))
+        z._put((t, d), Fraction(1))
+        z.terms.clear()
+        assert build(4, 2, 1) == cycles._assemble_z(4, 2, 1, 1, truncated)
 
 
 def test_z_and_zt_check_their_arguments_before_the_cache(monkeypatch):
-    # Zᵗ once built and cached an empty class for i < 1
-    monkeypatch.setattr(cycles, "_z_cache", {})
+    # Zᵗ once built and cached an empty class for i < 1; a refused call
+    # builds no block either
+    monkeypatch.setattr(cycles, "_block_cache", {})
     for build, args in (
         (z_truncated, (3, 0, 5)),
         (z_truncated, (3, -2, -9)),
@@ -374,13 +372,12 @@ def test_z_and_zt_check_their_arguments_before_the_cache(monkeypatch):
     ):
         with pytest.raises(InvalidArgument):
             build(*args)
-    assert cycles._z_cache == {}
+    assert cycles._block_cache == {}
     z_truncated(3, 2, 1)
-    assert list(cycles._z_cache) == [(3, 2, 1, 1, True)]
+    assert list(cycles._block_cache) == [(3, 1, 1)]
 
 
 def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):
-    monkeypatch.setattr(cycles, "_z_cache", {})
     monkeypatch.setattr(cycles, "_block_cache", {})
     calls = []
     real = cycles.decorations_of_degree
@@ -395,8 +392,8 @@ def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):
 
 
 def test_blocks_of_a_degree_are_disjoint():
-    # `_combine_blocks` and the collide0 table add blocks with `dict.update`
-    # and per-term rows: a term held by two blocks would be overwritten
+    # `_combine_blocks` merges the blocks with `dict.update`: a term held by
+    # two blocks would be overwritten (the collide0 table sums its rows)
     for n in range(2, 7):
         for m in range(1, 8 - n):
             for degree in range(n - 1):
@@ -460,7 +457,6 @@ def test_collide0_routes_agree_with_a_block_doubled(monkeypatch, n, m, degree, f
         with monkeypatch.context() as patch:
             patch.setattr(cycles, "_block_cache", {(n, m, degree): {**real, key: real[key].scale(2).freeze()}})
             patch.setattr(cycles, "_collided_cache", {})
-            patch.setattr(cycles, "_z_cache", {})
             for task in tasks:
                 failed += _assert_routes_agree(monkeypatch, *task).startswith("FAIL")
     assert bool(failed) == fails
@@ -480,6 +476,11 @@ def _collide_calls(tasks):
         f"lines = sorted(cli.run_task(task).line() for task in {tasks!r})\n"
         "print(json.dumps([calls[0], lines]))\n"
     )
+    return _run_fresh(code)
+
+
+def _run_fresh(code):
+    """What ``code`` prints as JSON, run in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
     return json.loads(out.stdout)
@@ -494,6 +495,25 @@ def test_collide0_collides_each_block_once_per_step():
     assert forward == backward
     assert forward[0] == expected
     assert all(line.startswith("pass ") for line in forward[1])
+
+
+def test_the_vanishing_grid_keeps_only_its_blocks():
+    # Z and Zᵗ are summed from the blocks on each call, so once the grid is
+    # done the only classes left on its ambient are the cached blocks
+    code = (
+        "import gc, json\n"
+        "from rtails import cli, cycles\n"
+        "from rtails.strata0 import Class0\n"
+        "lines = [cli.run_task(task).line() for task in cli._grid('vanishing', 5, 0)]\n"
+        "gc.collect()\n"
+        "amb = cycles.ambient0(5)\n"
+        "live = {id(x) for x in gc.get_objects() if isinstance(x, Class0) and x.ambient == amb}\n"
+        "blocks = {id(b) for key, bs in cycles._block_cache.items() if key[0] == 5 for b in bs.values()}\n"
+        "print(json.dumps([len(live), len(blocks), live == blocks, lines]))\n"
+    )
+    live, blocks, same, lines = _run_fresh(code)
+    assert all(line.startswith("pass ") for line in lines) and len(lines) == 20
+    assert blocks and (live, same) == (blocks, True)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +555,6 @@ def test_an_uncertified_block_falls_back_to_the_full_route(monkeypatch):
     blocks[(0, 3, None)] = (blocks[(0, 3, None)] + psi(1) + psi(2) - psi(3).scale(2) + psi(4)).freeze()
     blocks[(1, 3, None)] = (blocks[(1, 3, None)] - psi(H0).scale(Fraction(1, 3))).freeze()
     monkeypatch.setattr(cycles, "_block_cache", {(4, 1, 1): blocks})
-    monkeypatch.setattr(cycles, "_z_cache", {})
     cycles._z_symmetry.cache_clear()
     try:
         assert z_cycle(4, 3, 1) - real == lopsided.scale(3)
