@@ -15,7 +15,7 @@ from .trees import (  # noqa: F401
     enumerate_trees0,
     make_decoration,
 )
-from .weights import coeff_c, coeff_c_im, coeff_d, coeff_dp, enumerate_weightings  # noqa: F401
+from .weights import coeff_c, coeff_c_im, coeff_d, coefficient, enumerate_weightings  # noqa: F401
 from .strata0 import (  # noqa: F401
     Class0,
     collide,

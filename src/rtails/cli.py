@@ -2,12 +2,14 @@
 
 Exit codes: 0 success / all checks pass, 1 a verification failed (witness on
 stderr) or ran over its time budget, 2 usage error (bad arguments, an option
-the command would not read, such as zcycle --m under --truncated or a verify
---max-n or --max-sum that the suite does not read, unreadable or malformed
-input, a verify grid with no tasks, relations --g below 1, a size above the
-largest measured: an --n or --max-n above MAX_N, or an fclass or relations
---n, an fclass --multiplicities sum or a --max-sum above MAX_SUM), 3 internal
-error (traceback on stderr).  All numeric output is exact ("p/q"); verification
+the command would not read, such as zcycle --m under --truncated, fclass --n
+with --multiplicities, a coeff option that the graph's coefficient does not
+read or a verify --max-n or --max-sum that the suite does not read, coeff leg
+weights below 1 or on no leg, unreadable or malformed input, a verify grid
+with no tasks, relations --g below 1, a size above the largest measured: an
+--n or --max-n above MAX_N, or an fclass or relations --n, an fclass
+--multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
+(traceback on stderr).  All numeric output is exact ("p/q"); verification
 timings go to stderr so stdout is byte-identical across runs.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import inspect
 import itertools
 import json
@@ -108,28 +109,16 @@ BRUTE_MAX_WEIGHTINGS = 100_000
 
 def cmd_coeff(args) -> int:
     tree, dec = serialize.tree_from_json(_read_json(args.graph))
-    if args.coda:
-        if args.i is None:
-            raise InvalidArgument("--coda needs --i")
-        I = frozenset(args.coda)
-        context, unread = {"context": "i-coda", "i": args.i, "I": I}, ("m", "multiplicities")
-        coeff = functools.partial(weights.coeff_d, tree, dec, args.i, I)
-    elif args.i is not None:
-        m = 1 if args.m is None else args.m
-        context, unread = {"context": "i-rooted", "i": args.i, "m": m}, ("multiplicities",)
-        coeff = functools.partial(weights.coeff_c_im, tree, dec, args.i, m)
-    else:
-        mults = {idx + 1: v for idx, v in enumerate(args.multiplicities)} if args.multiplicities else None
-        context, unread = {"mults": mults}, ("m",)
-        coeff = functools.partial(weights.coeff_c, tree, dec, mults)
-    for option in unread:
-        if getattr(args, option) is not None:
-            raise InvalidArgument(f"--{option} is not read by the {context.get('context', 'plain')} coefficient")
-    count = weights.coeff_dp(tree, dec, **context).weighting_count
-    if args.brute and count > BRUTE_MAX_WEIGHTINGS:
-        raise InvalidArgument(f"--brute would list {count} weightings (limit {BRUTE_MAX_WEIGHTINGS})")
-    _emit(str(coeff(method="brute" if args.brute else "dp")))
-    _emit(f"weightings: {count}")
+    mults = None if args.multiplicities is None else dict(enumerate(args.multiplicities, 1))
+    I = None if args.coda is None else frozenset(args.coda)
+    params = {"i": args.i, "m": args.m, "I": I, "mults": mults}
+    report = weights.coefficient(tree, dec, **params)
+    if args.brute:
+        if report.weighting_count > BRUTE_MAX_WEIGHTINGS:
+            raise InvalidArgument(f"--brute would list {report.weighting_count} weightings (limit {BRUTE_MAX_WEIGHTINGS})")
+        report = weights.coefficient(tree, dec, method="brute", **params)
+    _emit(str(report.coefficient))
+    _emit(f"weightings: {report.weighting_count}")
     return 0
 
 
@@ -150,6 +139,8 @@ def cmd_zcycle(args) -> int:
 
 def cmd_fclass(args) -> int:
     if args.multiplicities:
+        if args.n is not None:
+            raise InvalidArgument("--n is not read with --multiplicities, which sets the legs")
         _at_most("--multiplicities sum", sum(args.multiplicities), MAX_SUM)
         x = rtclasses.f_class_m(args.multiplicities)
     elif args.n is not None:
@@ -335,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("coeff", help="weighting coefficient of a decorated graph")
     q.add_argument("--graph", required=True, help="JSON file or - for stdin")
     q.add_argument("--i", type=int)
-    q.add_argument("--m", type=int, help="multiplicity of leg i under --i (default 1)")
-    q.add_argument("--coda", type=_int_list, help="comma-separated I for the coda coefficient")
-    q.add_argument("--multiplicities", type=_int_list)
+    q.add_argument("--m", type=int, help="multiplicity of leg 1 of a rooted tree, without --coda (default 1)")
+    q.add_argument("--coda", type=_int_list, help="comma-separated I for the coda coefficient of a rooted tree")
+    q.add_argument("--multiplicities", type=_int_list, help="weights of legs 1, 2, ... of a rational-tails graph")
     q.add_argument("--brute", action="store_true", help="use the brute-force oracle")
     q.set_defaults(fn=cmd_coeff)
 

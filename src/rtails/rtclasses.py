@@ -45,7 +45,7 @@ from .trees import (
     enumerate_rt_graphs,
     graft,
     label_key,
-    overloaded as _rt_term_is_zero,  # `RtClass._add` looks it up under this name
+    overloaded,
     path_edges,
     psi_budgets,
     pullback_terms,
@@ -97,7 +97,7 @@ class RtClass(FormalSum):
     def _add(self, graph: Tree, dec: Decoration, fact, coeff) -> None:
         self._check_mutable()
         coeff = exact(coeff)
-        if not coeff or _rt_term_is_zero(graph, dec):
+        if not coeff or overloaded(graph, dec):
             return
         if frozenset(l for ls in graph.legs for l in ls) != self.legs:
             raise InvalidArgument("term legs do not match the class")

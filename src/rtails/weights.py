@@ -6,13 +6,14 @@ carry strictly increasing chains below the top value of their mate head, and
 weighted legs carry strictly increasing chains below the leg weight.  The
 coefficient of a decorated tree is the sum of the products of all values.
 
-Three contexts share the machinery:
+Three contexts share the machinery, and the inputs name the one in use:
 
-* plain: rational-tails graphs (genus root), optional leg multiplicities;
-* i-rooted: rooted rational trees, the top value at h0 pinned to i, leg 1
-  weighted m;
-* i-coda: the i-rooted context restricted to decorated codas, with the head
-  over the coda pinned to |I| and path heads capped one lower.
+* plain: a rational-tails graph (genus root), optional leg multiplicities;
+* i-coda: a rooted rational tree given I, restricted to decorated codas,
+  with the top value at h0 pinned to i, the head over the coda pinned to
+  |I| and path heads capped one lower;
+* i-rooted: any other rooted rational tree, the top value at h0 pinned to
+  i, leg 1 weighted m.
 
 The chains attached to different edges never share a variable, so a
 context's layout is a plain list of independent blocks, every cap and pinned
@@ -24,9 +25,10 @@ top already applied:
   tail and its top is i;
 * leg blocks ``(label, bound, d)``: a strict chain of length d in 1..bound.
 
-`_layout` builds the layout of every context and applies i in one place,
-`_i_blocks`.  `_evaluate` reads no i and knows no context: the DP multiplies
-the block sums, and the brute oracle lists every weighting.
+`_layout` builds the layout of every context, refuses a parameter that its
+context does not read, and applies i in one place, `_i_blocks`.  `_evaluate`
+reads no i and knows no context: the DP multiplies the block sums, and the
+brute oracle lists every weighting.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .trees import (
 class CoeffReport:
     coefficient: Fraction
     weighting_count: int
-    method: str
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def _rooted_frame(tree: Tree, m: int) -> tuple:
     (`_capacities` and capacity - 1 of h0, with leg 1 weighted m, and the
     edge Z^t caps at i).  That edge is the one child edge of a root vertex
     that carries exactly h0 and the last leg n; None on every other tree.
-    `capacity` rejects m < 1 and a rational-tails graph, which has no h0."""
+    `capacity` rejects m < 1."""
     cap0 = capacity(tree, H0, {1: m}) - 1
     n = sum(map(len, tree.legs)) - 1
     kids = child_edges_of(tree, 0)
@@ -216,7 +217,7 @@ def _coda(tree: Tree, dec: Decoration, I: frozenset) -> tuple:
 
     Raises when (tree, dec) is not a decorated coda for I.
     """
-    caps, cap0, _ = _rooted_frame(tree, 1)  # first: it rejects a rational-tails graph
+    caps, cap0, _ = _rooted_frame(tree, 1)
     if not I:
         raise InvalidArgument("I must be non-empty")
     labels = set(tree.all_legs()) - {H0}
@@ -260,20 +261,37 @@ def _i_blocks(key: tuple, i: int, truncated: bool = False, eid=None, pin: Option
     return blocks
 
 
-def _layout(tree: Tree, dec: Decoration, context: str, *, i=None, m: int = 1, I=None, mults=None, truncated: bool = False) -> list:
-    """The finished blocks of (tree, dec) in a context."""
+def _layout(tree: Tree, dec: Decoration, *, i=None, m=None, I=None, mults=None, truncated: bool = False) -> list:
+    """The finished blocks of (tree, dec) in the context that the inputs name.
+
+    A rational-tails graph is plain and reads ``mults``; a rooted tree is
+    i-coda when ``I`` is given, and reads ``i`` and ``I``; any other rooted
+    tree is i-rooted, and reads ``i``, ``m`` (default 1) and ``truncated``.
+    A parameter that is given (not None, or True for ``truncated``) but not
+    read is refused, and so is a leg weight that is not an integer >= 1 on
+    a leg of the graph.
+    """
+    if tree.rt:
+        context, read = "plain", {"mults"}
+    elif I is not None:
+        context, read = "i-coda", {"i", "I"}
+    else:
+        context, read = "i-rooted", {"i", "m", "truncated"}
+    for name, value in (("i", i), ("m", m), ("I", I), ("mults", mults), ("truncated", truncated or None)):
+        if value is not None and name not in read:
+            raise InvalidArgument(f"{name} is not read by the {context} coefficient")
     if context == "plain":
-        if not tree.rt:
-            raise InvalidArgument("the plain context expects a rational-tails graph; a rooted tree needs i")
+        legs = set().union(*tree.legs)
+        for label, weight in (mults or {}).items():
+            if label not in legs or not isinstance(weight, int) or weight < 1:
+                raise InvalidArgument(f"leg weights must be integers >= 1 on legs of the graph, not {weight!r} on {label!r}")
         return _blocks(dec, _capacities(tree, mults), mults)
-    if context not in ("i-rooted", "i-coda"):
-        raise InvalidArgument(f"unknown context {context!r}")
     if i is None:
-        raise InvalidArgument(f"the {context} context needs i")
+        raise InvalidArgument(f"the {context} coefficient needs i")
     if context == "i-rooted":
-        blocks, key, eid = _rooted(tree, dec, m)
+        blocks, key, eid = _rooted(tree, dec, 1 if m is None else m)
         return blocks + _i_blocks(key, i, truncated, eid)
-    blocks, key, pin = _coda(tree, dec, frozenset(I or ()))
+    blocks, key, pin = _coda(tree, dec, frozenset(I))
     return blocks + _i_blocks(key, i, pin=pin)
 
 
@@ -281,35 +299,26 @@ def _layout(tree: Tree, dec: Decoration, context: str, *, i=None, m: int = 1, I=
 # public contexts
 
 
-def enumerate_weightings(
-    tree: Tree,
-    dec: Decoration,
-    *,
-    context: str = "plain",
-    i: Optional[int] = None,
-    m: int = 1,
-    I=None,
-    mults: Optional[Mapping] = None,
-) -> tuple:
-    """The complete finite set of weightings in the requested context."""
-    return tuple(_weightings(_layout(tree, dec, context, i=i, m=m, I=I, mults=mults)))
+def enumerate_weightings(tree: Tree, dec: Decoration, **params) -> tuple:
+    """The complete finite set of weightings; ``params`` as for `coefficient`."""
+    return tuple(_weightings(_layout(tree, dec, **params)))
 
 
 def coeff_c(tree: Tree, dec: Decoration, mults: Optional[Mapping] = None, method: str = "dp") -> int:
     """c_{Γ,ψ}: the weighting-product sum for a rational-tails graph."""
-    return _evaluate(_layout(tree, dec, "plain", mults=mults), method)[0]
+    return _evaluate(_layout(tree, dec, mults=mults), method)[0]
 
 
 def coeff_c_im(tree: Tree, dec: Decoration, i: int, m: int, method: str = "dp") -> int:
     """c^{i,m}_{T,ψ} for a rooted rational tree; 0 outside the nonempty range."""
-    return _evaluate(_layout(tree, dec, "i-rooted", i=i, m=m), method)[0]
+    return _evaluate(_layout(tree, dec, i=i, m=m), method)[0]
 
 
 def coeff_c_im_truncated(tree: Tree, dec: Decoration, i: int, m: int = 1, method: str = "dp") -> int:
     """The truncated-cycle variant of c^{i,m}: when h0, the leg n, and a tail
     share a trivalent root vertex, only weightings whose subtree head top is
     <= i are counted."""
-    return _evaluate(_layout(tree, dec, "i-rooted", i=i, m=m, truncated=True), method)[0]
+    return _evaluate(_layout(tree, dec, i=i, m=m, truncated=True), method)[0]
 
 
 def rooted_split(tree: Tree, dec: Decoration, m: int = 1) -> tuple:
@@ -330,21 +339,19 @@ def rooted_factor(key: tuple, i: int, truncated: bool = False) -> int:
     return _evaluate(_i_blocks(key, i, truncated), "dp")[0]
 
 
-def _coda_coefficient(total: int, I) -> Fraction:
-    """d^i from the coda weighting sum: divided by |I|, which leaves an integer."""
-    d = Fraction(total, len(frozenset(I)))
-    if d.denominator != 1:
-        raise ArithmeticError(f"d^i is not an integer: {d}")
-    return d
-
-
 def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> Fraction:
     """d^i_{T,ψ} for a decorated coda: the weighting sum divided by |I|."""
-    return _coda_coefficient(_evaluate(_layout(tree, dec, "i-coda", i=i, I=I), method)[0], I)
+    return coefficient(tree, dec, i=i, I=I, method=method).coefficient
 
 
-def coeff_dp(tree: Tree, dec: Decoration, *, context: str = "plain", i=None, m: int = 1, I=None, mults=None) -> CoeffReport:
-    """Chain-factorized evaluation; same value as the brute sum, method tag dp."""
-    total, count = _evaluate(_layout(tree, dec, context, i=i, m=m, I=I, mults=mults), "dp")
-    coeff = _coda_coefficient(total, I) if context == "i-coda" else Fraction(total)
-    return CoeffReport(coeff, count, "dp")
+def coefficient(tree: Tree, dec: Decoration, *, method: str = "dp", **params) -> CoeffReport:
+    """c_{Γ,ψ}, c^{i,m} or d^i, whichever ``params`` (i, m, I, mults,
+    truncated; see `_layout`) name, with its weighting count, by the DP or by
+    listing every weighting.  d^i is the coda weighting sum divided by |I|,
+    which leaves an integer."""
+    total, count = _evaluate(_layout(tree, dec, **params), method)
+    I = params.get("I")
+    coeff = Fraction(total, 1 if I is None else len(frozenset(I)))
+    if coeff.denominator != 1:
+        raise ArithmeticError(f"d^i is not an integer: {coeff}")
+    return CoeffReport(coeff, count)

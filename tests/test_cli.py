@@ -49,6 +49,14 @@ ROOTED = {
     "exp_leg": {},
 }
 
+# the genus root carrying leg 4 -> {1, 2, 3}, ψ on the head
+ROOT_LEG = {
+    "vertices": [{"genus": "g", "legs": [4]}, {"genus": 0, "legs": [1, 2, 3]}],
+    "edges": [[1, 0]],
+    "exp_half": {"0+": 1},
+    "exp_leg": {},
+}
+
 # the coda {1, 3} for I = {1} below the root {h0, 2}, read by `coeff --i 1 --coda 1`
 CODA = {
     "vertices": [{"genus": 0, "legs": ["h0", 2]}, {"genus": 0, "legs": [1, 3]}],
@@ -173,18 +181,32 @@ def test_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert named in err
-    # `coeff` refuses an option that its context would not read
+    # fclass reads --n only without --multiplicities, which fix the legs
+    code, out, err = run_cli(capsys, "fclass", "--n", "9", "--multiplicities", "1,1")
+    assert (code, out) == (2, "")
+    assert "--n" in err
+    # `coeff` refuses an option that the graph's coefficient would not read,
+    # naming the parameter it would set, and a leg weight below 1 or on a leg
+    # the graph lacks; leg 4 of ROOT_LEG sits on the genus root, below no edge
     path = tmp_path / "graph.json"
-    for blob, argv, option in (
-        (CHAIN_42, ("--m", "3"), "--m"),
-        (ROOTED, ("--i", "2", "--multiplicities", "2,1,1,1"), "--multiplicities"),
-        (CODA, ("--i", "1", "--coda", "1", "--multiplicities", "2,1,1"), "--multiplicities"),
-        (CODA, ("--i", "1", "--coda", "1", "--m", "2"), "--m"),
+    for blob, argv, named in (
+        (CHAIN_42, ("--m", "3"), "m is not read"),
+        (CHAIN_42, ("--i", "1"), "i is not read"),
+        (CHAIN_42, ("--coda", "1"), "I is not read"),
+        (ROOTED, ("--i", "2", "--multiplicities", "2,1,1,1"), "mults is not read"),
+        (CODA, ("--i", "1", "--coda", "1", "--multiplicities", "2,1,1"), "mults is not read"),
+        (CODA, ("--i", "1", "--coda", "1", "--m", "2"), "m is not read"),
+        (CODA, ("--coda", "1"), "needs i"),
+        (ROOT_LEG, ("--multiplicities", "1,1,1,0"), "not 0 on 4"),
+        (ROOT_LEG, ("--multiplicities", "1,1,1,-3"), "not -3 on 4"),
+        (ROOT_LEG, ("--multiplicities", "1,1,1,1,7,9"), "not 7 on 5"),
     ):
         path.write_text(json.dumps(blob))
         code, out, err = run_cli(capsys, "coeff", "--graph", str(path), *argv)
         assert (code, out) == (2, "")
-        assert option in err
+        assert named in err
+    path.write_text(json.dumps(ROOT_LEG))
+    assert run_cli(capsys, "coeff", "--graph", str(path), "--multiplicities", "1,1,1") == (0, "7\nweightings: 3\n", "")
     # i < 1 is a usage error in the coda context too, not the value 0
     path.write_text(json.dumps(CODA))
     for argv in (("--i", "0"), ("--i", "0", "--coda", "1")):
@@ -254,7 +276,7 @@ def test_coeff_counts_by_dp_and_guards_brute(tmp_path, capsys):
     path = tmp_path / "chain10.json"
     path.write_text(json.dumps(blob))
     tree, dec = tree_from_json(blob)
-    report = weights.coeff_dp(tree, dec)
+    report = weights.coefficient(tree, dec)
     assert report.weighting_count > BRUTE_MAX_WEIGHTINGS
     code, out, _ = run_cli(capsys, "coeff", "--graph", str(path))
     assert code == 0

@@ -68,6 +68,7 @@ CLI_COMMANDS = {
     "coeff-rooted-m2": ["coeff", "--graph", "@rooted-leg", "--i", "2", "--m", "2"],
     "coeff-rooted-m2-brute": ["coeff", "--graph", "@rooted-leg", "--i", "2", "--m", "2", "--brute"],
     "coeff-coda-i1": ["coeff", "--graph", "@coda", "--i", "1", "--coda", "1"],
+    "coeff-coda-i1-brute": ["coeff", "--graph", "@coda", "--i", "1", "--coda", "1", "--brute"],
 }
 
 

@@ -482,16 +482,18 @@ def test_extract_tail_equals_the_build_tree_route(monkeypatch):
 def test_rt_sums_copy_checked_terms(monkeypatch):
     x, y = f_class(3), e_class(3, {1})
     calls = []
-    real = rtclasses._rt_term_is_zero
+    real = rtclasses.overloaded
 
     def counting(graph, dec):
         calls.append(graph)
         return real(graph, dec)
 
-    monkeypatch.setattr(rtclasses, "_rt_term_is_zero", counting)
+    monkeypatch.setattr(rtclasses, "overloaded", counting)
     total = x + y
     assert (total - y) == x and x.scale(2) - x == x
     assert calls == []
+    RtClass(x.legs, x.terms)  # a new class checks each term it is given
+    assert len(calls) == len(x.terms)
 
 
 def test_formal_sums_of_another_space_or_type_are_refused():

@@ -21,7 +21,7 @@ from rtails.weights import (
     coeff_c_im,
     coeff_c_im_truncated,
     coeff_d,
-    coeff_dp,
+    coefficient,
     enumerate_weightings,
     rooted_factor,
     rooted_split,
@@ -69,15 +69,15 @@ def test_intro_coefficients():
     assert coeff_c(g3, d3) == 42
     assert coeff_c(g3, d3, method="brute") == 42
     # the chain factorization: 6 x 7 over the two independent edges
-    rep = coeff_dp(g3, d3)
-    assert rep.coefficient == 42 and rep.method == "dp"
+    rep = coefficient(g3, d3)
+    assert rep.coefficient == 42 and rep == coefficient(g3, d3, method="brute")
 
 
 def test_rooted_examples():
     t, _ = build_tree([[1, 2, 3, H0]], [])
     psi_h0 = make_decoration(leg_exp={H0: 1})
     # i exceeding the h0 capacity gives the empty set
-    assert enumerate_weightings(t, psi_h0, context="i-rooted", i=3, m=1) == ()
+    assert enumerate_weightings(t, psi_h0, i=3, m=1) == ()
     assert coeff_c_im(t, psi_h0, i=3, m=1) == 0
     # the psi_h0 coefficient of Z(3,2,1)
     assert coeff_c_im(t, psi_h0, i=2, m=1) == 6
@@ -103,10 +103,10 @@ def test_every_entry_point_refuses_i_below_one_and_an_unknown_method():
     psi_h0 = make_decoration(leg_exp={H0: 1})
     coda, _ = build_tree([[2, H0], [1, 3]], [(0, 1)])
     trivial = make_decoration()
-    for tree, dec, context in ((t, psi_h0, {"context": "i-rooted", "m": 1}), (coda, trivial, {"context": "i-coda", "I": {1}})):
-        for entry in (coeff_dp, enumerate_weightings):
-            with pytest.raises(InvalidArgument):
-                entry(tree, dec, i=0, **context)
+    for tree, dec, params in ((t, psi_h0, {"m": 1}), (coda, trivial, {"I": {1}})):
+        for entry in (coefficient, enumerate_weightings):
+            with pytest.raises(InvalidArgument, match="i must be >= 1"):
+                entry(tree, dec, i=0, **params)
     with pytest.raises(InvalidArgument):
         coeff_d(coda, trivial, 0, {1})
     with pytest.raises(InvalidArgument):
@@ -121,6 +121,48 @@ def test_every_entry_point_refuses_i_below_one_and_an_unknown_method():
         assert coeff(*args, method="brute") == coeff(*args, method="dp")
         with pytest.raises(InvalidArgument):
             coeff(*args, method="bogus")
+    with pytest.raises(InvalidArgument):
+        coefficient(g, dec, method="bogus")
+
+
+def test_every_entry_refuses_a_parameter_its_context_does_not_read():
+    # the graph names the context; a given parameter that it does not read,
+    # falsy or not, is refused by name
+    rooted, _ = build_tree([[1, 2, 3, H0]], [])
+    coda, _ = build_tree([[2, H0], [1, 3]], [(0, 1)])
+    g, dec = _single_edge_graph(head_exp=1)
+    trivial = make_decoration()
+    for tree, dec_, read, unread in (
+        (coda, trivial, {"i": 1, "I": {1}}, {"m": 0}),
+        (coda, trivial, {"i": 1, "I": {1}}, {"m": 1}),
+        (coda, trivial, {"i": 1, "I": {1}}, {"mults": {}}),
+        (coda, trivial, {"i": 1, "I": {1}}, {"truncated": True}),
+        (rooted, trivial, {"i": 1, "m": 1}, {"mults": {}}),
+        (g, dec, {}, {"i": 1}),
+        (g, dec, {"mults": {1: 2}}, {"m": 1}),
+        (g, dec, {}, {"I": set()}),
+        (g, dec, {}, {"truncated": True}),
+    ):
+        (name,) = unread
+        for entry in (coefficient, enumerate_weightings):
+            entry(tree, dec_, **read)
+            with pytest.raises(InvalidArgument, match=rf"^{name} is not read by the"):
+                entry(tree, dec_, **read, **unread)
+    for entry in (coefficient, enumerate_weightings):
+        with pytest.raises(InvalidArgument, match="needs i"):
+            entry(coda, trivial, I={1})
+
+
+def test_leg_weights_must_be_integers_at_least_one_on_legs_of_the_graph():
+    # root{4} -> {1, 2, 3}: leg 4 sits on the genus root, below no edge
+    g, dec = build_tree([[4], [1, 2, 3]], [(0, 1)], rt_root=0, half_exp={(0, 1): 1}, leg_exp={4: 1})
+    assert coeff_c(g, dec) == coeff_c(g, dec, {4: 1}) == 0
+    assert coeff_c(g, dec, {4: 2}) == 7
+    assert coeff_c(g, dec, {1: 1, 2: 1, 4: 3}) == 7 * 3
+    for mults in ({4: 0}, {4: -1}, {9: 5}, {1: 1, 2: 1, 3: 1, 4: 1, 5: 7}, {4: 1.5}):
+        for entry in (coeff_c, coefficient, enumerate_weightings):
+            with pytest.raises(InvalidArgument, match="leg"):
+                entry(g, dec, mults=mults)
 
 
 def test_coda_examples():
@@ -147,7 +189,7 @@ def test_coda_examples():
 
 def test_coda_weightings_pin_head_value():
     t, _ = build_tree([[3, H0], [1, 2, 4]], [(0, 1)])
-    ws = enumerate_weightings(t, make_decoration(), context="i-coda", i=1, I={1, 2})
+    ws = enumerate_weightings(t, make_decoration(), i=1, I={1, 2})
     assert ws
     assert all(w[((0, 1), 0)] == 2 for w in ws)
 
@@ -195,7 +237,7 @@ def test_monotonicity_in_capacity():
 
 def test_coeff_dp_reports():
     g, dec = _single_edge_graph(head_exp=1)
-    rep = coeff_dp(g, dec)
+    rep = coefficient(g, dec)
     assert rep.coefficient == Fraction(7)
     assert rep.weighting_count == 3
 
@@ -203,12 +245,12 @@ def test_coeff_dp_reports():
 def test_dp_count_equals_listed_weightings():
     # `rtails coeff` prints the DP count; the brute enumerator lists the set,
     # and its product sum (over |I| for a coda) is the DP value
-    def agree(tree, dec, **context):
-        report = coeff_dp(tree, dec, **context)
-        ws = enumerate_weightings(tree, dec, **context)
+    def agree(tree, dec, **params):
+        report = coefficient(tree, dec, **params)
+        ws = enumerate_weightings(tree, dec, **params)
         assert report.weighting_count == len(ws)
         total = Fraction(sum(weight_product(w) for w in ws))
-        assert report.coefficient == (total / len(context["I"]) if "I" in context else total)
+        assert report.coefficient == (total / len(params["I"]) if "I" in params else total)
         return report.weighting_count
 
     codas = 0
@@ -217,12 +259,12 @@ def test_dp_count_equals_listed_weightings():
             for dec in enumerate_decorations(t, 2, leg_bounds={1: 2}):
                 for i in range(1, n + 1):
                     for m in (1, 2):
-                        agree(t, dec, context="i-rooted", i=i, m=m)
+                        agree(t, dec, i=i, m=m)
                 for r in range(1, n):
                     for I in itertools.combinations(range(1, n), r):
                         for i in range(1, n):
                             try:
-                                codas += agree(t, dec, context="i-coda", i=i, I=I) > 0
+                                codas += agree(t, dec, i=i, I=I) > 0
                             except InvalidArgument:
                                 pass  # (t, dec) is not a decorated coda for I
     assert codas > 20
