@@ -110,8 +110,7 @@ BRUTE_MAX_WEIGHTINGS = 100_000
 def cmd_coeff(args) -> int:
     tree, dec = serialize.tree_from_json(_read_json(args.graph))
     mults = None if args.multiplicities is None else dict(enumerate(args.multiplicities, 1))
-    I = None if args.coda is None else frozenset(args.coda)
-    params = {"i": args.i, "m": args.m, "I": I, "mults": mults}
+    params = {"i": args.i, "m": args.m, "I": args.coda, "mults": mults}
     report = weights.coefficient(tree, dec, **params)
     if args.brute:
         if report.weighting_count > BRUTE_MAX_WEIGHTINGS:

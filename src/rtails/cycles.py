@@ -21,6 +21,7 @@ from typing import Optional
 from .trees import (
     H0,
     InvalidArgument,
+    Tree,
     build_tree,
     coda_path,
     decorations_of_degree,
@@ -40,7 +41,7 @@ from .strata0 import (
     zero,
     zero_witness,
 )
-from .weights import coeff_c_im, coeff_c_im_truncated, coeff_d, rooted_factor, rooted_split
+from .weights import coeff_d, rooted_factor, rooted_split
 
 
 @dataclass(frozen=True)
@@ -102,29 +103,49 @@ def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
 _block_cache: dict = {}
 
 
+def _shape(tree: Tree, n: int) -> tuple:
+    """The part of a rooted tree on legs 1..n that Z's blocks read: its edges
+    and, per vertex, its legs with every label but h0, 1 and n masked.
+
+    `decorations_of_degree` decorates only h0, leg 1 and the half-edges, and
+    `rooted_split` reads leg weights (leg 1 weighs m) and whether the root
+    carries exactly {h0, n}.  The mask (None) keeps the leg order, since
+    h0 < 1 < the others < n.
+    """
+    keep = {H0: H0, 1: 1, n: n}.get
+    return tree.edges, tuple([tuple(map(keep, legs)) for legs in tree.legs])
+
+
 def _z_blocks(n: int, m: int, degree: int) -> dict:
     """The support of Z^m(n, ·, ·) in one degree, grouped for every (i, j).
 
-    Each (tree, decoration) is enumerated once and carries its sign times the
-    i-free half of its coefficient (`weights.rooted_split`); the terms are
-    grouped by the key that the half reading i depends on, one frozen
-    `Class0` per key.  Z and Z^t of this degree share the blocks.
+    Each decorated shape (`_shape`) is listed once, with its sign times the
+    i-free half of its coefficient (`weights.rooted_split`); every tree of
+    that shape adds its terms, grouped by the key that the half reading i
+    depends on, one frozen `Class0` per key.  Z and Z^t of this degree share
+    the blocks.
     """
     cache_key = (n, m, degree)
     if cache_key not in _block_cache:
         amb = ambient0(n)
         blocks: dict = {}
+        listed: dict = {}
         for tree in enumerate_trees0(n):
             psi_budget = degree - tree.num_edges()
             if psi_budget < 0:
                 continue
-            sign = (-1) ** (1 + tree.num_edges())
-            for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
-                free, key = rooted_split(tree, dec, m)
-                if free:
-                    if key not in blocks:
-                        blocks[key] = zero(amb)
-                    blocks[key]._add(tree, dec, Fraction(sign * free))
+            shape = _shape(tree, n)
+            if shape not in listed:
+                sign = (-1) ** (1 + tree.num_edges())
+                listed[shape] = terms = []
+                for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
+                    free, key = rooted_split(tree, dec, m)
+                    if free:
+                        terms.append((dec, Fraction(sign * free), key))
+            for dec, coeff, key in listed[shape]:
+                if key not in blocks:
+                    blocks[key] = zero(amb)
+                blocks[key]._add(tree, dec, coeff)
         _block_cache[cache_key] = {key: block.freeze() for key, block in blocks.items()}
     return _block_cache[cache_key]
 
@@ -142,29 +163,6 @@ def _z_symmetry(n: int, m: int, degree: int) -> frozenset:
     legs = frozenset(range(1 if m == 1 else 2, n))
     blocks = _z_blocks(n, m, degree).values()
     return legs if all(is_invariant(block, legs) for block in blocks) else frozenset()
-
-
-def _assemble_z(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
-    """Z or Z^t term by term, one coefficient per (tree, decoration): the
-    oracle of the grouped route."""
-    amb = ambient0(n)
-    degree = _z_degree(n, i, j, m)
-    out = zero(amb)
-    if degree < 0 or degree > dim_of(amb):
-        return out
-    for tree in enumerate_trees0(n):
-        psi_budget = degree - tree.num_edges()
-        if psi_budget < 0:
-            continue
-        sign = (-1) ** (1 + tree.num_edges())
-        for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
-            if truncated:
-                c = coeff_c_im_truncated(tree, dec, i, m)
-            else:
-                c = coeff_c_im(tree, dec, i, m)
-            if c:
-                out._add(tree, dec, Fraction(sign * c))
-    return out
 
 
 @dataclass(frozen=True)

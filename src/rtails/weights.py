@@ -269,7 +269,7 @@ def _layout(tree: Tree, dec: Decoration, *, i=None, m=None, I=None, mults=None, 
     tree is i-rooted, and reads ``i``, ``m`` (default 1) and ``truncated``.
     A parameter that is given (not None, or True for ``truncated``) but not
     read is refused, and so is a leg weight that is not an integer >= 1 on
-    a leg of the graph.
+    a leg of the graph, and an ``I`` that lists a member twice.
     """
     if tree.rt:
         context, read = "plain", {"mults"}
@@ -291,7 +291,10 @@ def _layout(tree: Tree, dec: Decoration, *, i=None, m=None, I=None, mults=None, 
     if context == "i-rooted":
         blocks, key, eid = _rooted(tree, dec, 1 if m is None else m)
         return blocks + _i_blocks(key, i, truncated, eid)
-    blocks, key, pin = _coda(tree, dec, frozenset(I))
+    members = tuple(I)
+    if len(set(members)) != len(members):
+        raise InvalidArgument(f"I repeats a member: {list(members)}")
+    blocks, key, pin = _coda(tree, dec, frozenset(members))
     return blocks + _i_blocks(key, i, pin=pin)
 
 

@@ -186,7 +186,8 @@ def test_usage_errors(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "--n" in err
     # `coeff` refuses an option that the graph's coefficient would not read,
-    # naming the parameter it would set, and a leg weight below 1 or on a leg
+    # naming the parameter it would set, a repeated coda member (flattened,
+    # 1,1 would read as the coda {1}), and a leg weight below 1 or on a leg
     # the graph lacks; leg 4 of ROOT_LEG sits on the genus root, below no edge
     path = tmp_path / "graph.json"
     for blob, argv, named in (
@@ -197,6 +198,7 @@ def test_usage_errors(tmp_path, capsys):
         (CODA, ("--i", "1", "--coda", "1", "--multiplicities", "2,1,1"), "mults is not read"),
         (CODA, ("--i", "1", "--coda", "1", "--m", "2"), "m is not read"),
         (CODA, ("--coda", "1"), "needs i"),
+        (CODA, ("--i", "1", "--coda", "1,1"), "I repeats a member: [1, 1]"),
         (ROOT_LEG, ("--multiplicities", "1,1,1,0"), "not 0 on 4"),
         (ROOT_LEG, ("--multiplicities", "1,1,1,-3"), "not -3 on 4"),
         (ROOT_LEG, ("--multiplicities", "1,1,1,1,7,9"), "not 7 on 5"),

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from rtails import cli, cycles
-from rtails.trees import H0, InvalidArgument, build_tree
-from rtails.strata0 import Class0, is_zero, push_tree, strata_family, zero, zero_witness
-from rtails.weights import rooted_factor
+from rtails.trees import H0, InvalidArgument, build_tree, decorations_of_degree, enumerate_trees0
+from rtails.strata0 import Class0, dim_of, is_zero, push_tree, strata_family, zero, zero_witness
+from rtails.weights import coeff_c_im, coeff_c_im_truncated, rooted_factor, rooted_split
 from rtails.cycles import (
     ambient0,
     closed_form_z_top,
@@ -316,22 +316,75 @@ def _box(n_max):
                         yield n, i, j, m, True
 
 
-def test_grouped_z_equals_the_termwise_oracle(monkeypatch):
-    # the oracle enumerates the same decorations for every i of a degree;
-    # they are listed once here, so the test pays for its coefficients only
-    listed = {}
-    real = cycles.decorations_of_degree
+def _assemble_z(n, i, j, m, truncated, decorations=decorations_of_degree):
+    """Z or Z^t term by term, one coefficient per (tree, decoration): the
+    oracle of the grouped route."""
+    amb = ambient0(n)
+    degree = n + m - 2 + j - i
+    out = zero(amb)
+    if degree < 0 or degree > dim_of(amb):
+        return out
+    coeff = coeff_c_im_truncated if truncated else coeff_c_im
+    for tree in enumerate_trees0(n):
+        psi_budget = degree - tree.num_edges()
+        if psi_budget < 0:
+            continue
+        sign = (-1) ** (1 + tree.num_edges())
+        for dec in decorations(tree, psi_budget, {1: m}):
+            c = coeff(tree, dec, i, m)
+            if c:
+                out._add(tree, dec, Fraction(sign * c))
+    return out
 
-    def listed_once(tree, degree, leg_bounds=None):
-        key = (tree, degree, tuple(sorted((leg_bounds or {}).items())))
+
+def _grouped_mismatches(n_max):
+    """The (n, i, j, m, truncated) of `_box` whose grouped Z or Z^t differs
+    from the termwise oracle, lazily."""
+    # the oracle enumerates the same decorations for every i of a degree;
+    # they are listed once here, so the check pays for its coefficients only
+    listed = {}
+
+    def listed_once(tree, degree, leg_bounds):
+        key = (tree, degree, tuple(sorted(leg_bounds.items())))
         if key not in listed:
-            listed[key] = real(tree, degree, leg_bounds)
+            listed[key] = decorations_of_degree(tree, degree, leg_bounds)
         return listed[key]
 
-    monkeypatch.setattr(cycles, "decorations_of_degree", listed_once)
-    for n, i, j, m, truncated in _box(6):
+    for n, i, j, m, truncated in _box(n_max):
         x = z_truncated(n, i, j) if truncated else z_cycle(n, i, j, m)
-        assert x == cycles._assemble_z(n, i, j, m, truncated), (n, i, j, m, truncated)
+        if x != _assemble_z(n, i, j, m, truncated, listed_once):
+            yield n, i, j, m, truncated
+
+
+def test_grouped_z_equals_the_termwise_oracle():
+    assert next(_grouped_mismatches(6), None) is None
+
+
+def test_a_shape_key_blind_to_leg_n_fails_the_oracle(monkeypatch):
+    # Z^t caps the edge below a root that carries exactly {h0, n}: a key that
+    # masks n as well lets the trees with {h0, n} and {h0, k} at the root
+    # share their coefficients
+    real = cycles._shape
+    monkeypatch.setattr(cycles, "_shape", lambda tree, n: real(tree, n + 1))
+    monkeypatch.setattr(cycles, "_block_cache", {})
+    n, i, j, m, truncated = next(_grouped_mismatches(6))
+    assert truncated and m == 1
+
+
+def test_trees_of_one_shape_share_decorations_and_coefficient_halves():
+    # the blocks list each decorated shape once, for every tree of the shape
+    shapes = {}
+    for n in range(2, 7):
+        shapes[n] = firsts = {}
+        for tree in enumerate_trees0(n):
+            first = firsts.setdefault(cycles._shape(tree, n), tree)
+            for m in range(1, 8 - n):
+                for budget in range(n - 1 - tree.num_edges()):
+                    decs = decorations_of_degree(tree, budget, {1: m})
+                    assert decs == decorations_of_degree(first, budget, {1: m}), (tree, first, budget, m)
+                    for dec in decs:
+                        assert rooted_split(tree, dec, m) == rooted_split(first, dec, m), (tree, first, dec, m)
+    assert (len(shapes[6]), len(enumerate_trees0(6))) == (287, 2752)
 
 
 def test_cached_classes_are_frozen():
@@ -356,7 +409,7 @@ def test_cached_classes_are_frozen():
         z._add(t, d, Fraction(1))
         z._put((t, d), Fraction(1))
         z.terms.clear()
-        assert build(4, 2, 1) == cycles._assemble_z(4, 2, 1, 1, truncated)
+        assert build(4, 2, 1) == _assemble_z(4, 2, 1, 1, truncated)
 
 
 def test_z_and_zt_check_their_arguments_before_the_cache(monkeypatch):
@@ -462,19 +515,20 @@ def test_collide0_routes_agree_with_a_block_doubled(monkeypatch, n, m, degree, f
     assert bool(failed) == fails
 
 
-def _collide_calls(tasks):
-    """``collide`` calls made running ``tasks`` in order in a new interpreter,
-    and the sorted verdict lines."""
+def _count_calls(name, tasks):
+    """Calls to ``cycles.<name>`` made running ``tasks`` in order in a new
+    interpreter, the sorted verdict lines and the sorted (n, m, degree) of the
+    Z blocks built."""
     code = (
         "import json\n"
         "from rtails import cli, cycles\n"
-        "real, calls = cycles.collide, [0]\n"
+        f"real, calls = cycles.{name}, [0]\n"
         "def counting(*args):\n"
         "    calls[0] += 1\n"
         "    return real(*args)\n"
-        "cycles.collide = counting\n"
+        f"cycles.{name} = counting\n"
         f"lines = sorted(cli.run_task(task).line() for task in {tasks!r})\n"
-        "print(json.dumps([calls[0], lines]))\n"
+        "print(json.dumps([calls[0], lines, sorted(cycles._block_cache)]))\n"
     )
     return _run_fresh(code)
 
@@ -491,10 +545,30 @@ def test_collide0_collides_each_block_once_per_step():
     # grid asks first: no prefix is collided twice
     tasks = cli._grid("collide0", 5, 0)
     expected = sum(len(cycles._z_blocks(n, 1, degree)) * (n - 2) for n in range(3, 6) for degree in range(n - 1))
-    forward, backward = _collide_calls(tasks), _collide_calls(tasks[::-1])
+    forward, backward = _count_calls("collide", tasks), _count_calls("collide", tasks[::-1])
     assert forward == backward
     assert forward[0] == expected
     assert all(line.startswith("pass ") for line in forward[1])
+
+
+@pytest.mark.parametrize("suite", ["vanishing", "collide0"])
+def test_blocks_split_each_decorated_shape_once(suite):
+    # `rooted_split` runs once per decoration of the first tree of each
+    # shape, whichever task of the grid asks first, not once per labelled tree
+    tasks = cli._grid(suite, 5, 0)
+    forward, backward = _count_calls("rooted_split", tasks), _count_calls("rooted_split", tasks[::-1])
+    assert forward == backward
+    calls, lines, built = forward
+    assert all(line.startswith("pass ") for line in lines)
+    shapes = per_tree = 0
+    for n, m, degree in built:
+        firsts = {}
+        for tree in enumerate_trees0(n):
+            if tree.num_edges() <= degree:
+                decorated = len(decorations_of_degree(tree, degree - tree.num_edges(), {1: m}))
+                shapes += decorated * (firsts.setdefault(cycles._shape(tree, n), tree) is tree)
+                per_tree += decorated
+    assert calls == shapes < per_tree
 
 
 def test_the_vanishing_grid_keeps_only_its_blocks():

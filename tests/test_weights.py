@@ -153,6 +153,19 @@ def test_every_entry_refuses_a_parameter_its_context_does_not_read():
             entry(coda, trivial, I={1})
 
 
+def test_a_coda_member_listed_twice_is_refused():
+    # flattened, I = (1, 1) would read as the coda {1}, with |I| = 1
+    coda, _ = build_tree([[2, H0], [1, 3]], [(0, 1)])
+    trivial = make_decoration()
+    assert coeff_d(coda, trivial, 1, (1,)) == coeff_d(coda, trivial, 1, {1}) == 1
+    for I in ((1, 1), [1, 1], (1, 2, 1)):
+        with pytest.raises(InvalidArgument, match="I repeats a member"):
+            coeff_d(coda, trivial, 1, I)
+        for entry in (coefficient, enumerate_weightings):
+            with pytest.raises(InvalidArgument, match="I repeats a member"):
+                entry(coda, trivial, i=1, I=I)
+
+
 def test_leg_weights_must_be_integers_at_least_one_on_legs_of_the_graph():
     # root{4} -> {1, 2, 3}: leg 4 sits on the genus root, below no edge
     g, dec = build_tree([[4], [1, 2, 3]], [(0, 1)], rt_root=0, half_exp={(0, 1): 1}, leg_exp={4: 1})
