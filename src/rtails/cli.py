@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--j", type=int, required=True)
-    q.add_argument("--m", type=int, help="multiplicity of leg i (default 1); not read under --truncated")
+    q.add_argument("--m", type=int, help="multiplicity of leg 1 (default 1); not read under --truncated")
     q.add_argument("--truncated", action="store_true")
     q.add_argument("--format", choices=("json", "latex"), default="latex")
     q.set_defaults(fn=cmd_zcycle)

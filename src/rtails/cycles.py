@@ -23,6 +23,7 @@ from .trees import (
     InvalidArgument,
     Tree,
     build_tree,
+    coda_members,
     coda_path,
     decorations_of_degree,
     enumerate_trees0,
@@ -192,14 +193,20 @@ def dec_polynomial(n: int, i: int, m: int = 1) -> DecPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _codas(n: int, I: frozenset) -> tuple:
-    """Every coda tree for I on legs 1..n, with its root-to-coda path."""
-    return tuple((tree, path) for tree in enumerate_trees0(n) if (path := coda_path(tree, n, I)) is not None)
+def _codas(n: int) -> dict:
+    """Every coda tree on legs 1..n with its root-to-coda path, grouped by
+    its I (`trees.coda_path`), in one scan of the trees."""
+    out: dict = {}
+    for tree in enumerate_trees0(n):
+        coda = coda_path(tree, n)
+        if coda is not None:
+            out.setdefault(coda[0], []).append((tree, coda[1]))
+    return {I: tuple(trees) for I, trees in out.items()}
 
 
 def e_cycle(n: int, I, i: int, j: int) -> Class0:
     """E_I(i,j): the coda cycle of degree n-1+j-i."""
-    I = frozenset(I)
+    I = coda_members(I)
     if not I or not I <= set(range(1, n)):
         raise InvalidArgument("I must be a non-empty subset of 1..n-1")
     if i < 1:
@@ -209,7 +216,7 @@ def e_cycle(n: int, I, i: int, j: int) -> Class0:
     out = zero(amb)
     if degree < 0 or degree > dim_of(amb):
         return out
-    for tree, path in _codas(n, I):
+    for tree, path in _codas(n).get(I, ()):
         psi_budget = degree - tree.num_edges()
         # the one-vertex coda (empty path) carries no ψ
         if psi_budget < 0 or (not path and psi_budget):
@@ -394,7 +401,7 @@ def _collide0_rows(n: int, m: int, degree: int) -> tuple:
 
 def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
     """E_I^i(D) = γ_* Dec^{i,m}(D), termwise per D-coefficient."""
-    I = frozenset(I)
+    I = coda_members(I)
     m = len(I)
     if not I or not I <= set(range(1, n)) or m > n - 2:
         raise InvalidArgument("need a non-empty I inside 1..n-1 with |I| <= n-2")

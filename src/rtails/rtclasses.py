@@ -40,6 +40,7 @@ from .trees import (
     build_tree,
     child_edges_of,
     coda_mapping,
+    coda_members,
     collide_term,
     enumerate_decorations,
     enumerate_rt_graphs,
@@ -55,7 +56,7 @@ from .trees import (
     _carried,
     _plan,
 )
-from .strata0 import FormalSum, dim_of, exact, pair_term, strata_family, term_degree
+from .strata0 import FormalSum, dim_of, exact, pair_term, strata_family, term_degree, _moved
 from .weights import coeff_c
 from .cycles import VerificationReport
 
@@ -157,6 +158,15 @@ def _formula_terms(weights: Mapping, cap, keep=None):
                 yield graph, dec, _fact_for(graph, dec, weights), sign * c
 
 
+def _multiplicities(mults) -> tuple:
+    """``mults`` as a tuple, refused unless each is an integer >= 1, the
+    rule for leg weights."""
+    mults = tuple(mults)
+    if not mults or not all(isinstance(m, int) and m >= 1 for m in mults):
+        raise InvalidArgument(f"multiplicities must be integers >= 1, not {list(mults)}")
+    return mults
+
+
 _f_cache: dict = {}
 
 
@@ -167,9 +177,7 @@ def f_class_m(mults) -> RtClass:
     the genus vertex is opaque.  Decorated graphs with a negative net tail
     exponent are verified to sum to zero per root profile and dropped.
     """
-    mults = tuple(int(m) for m in mults)
-    if not mults or any(m < 1 for m in mults):
-        raise InvalidArgument("multiplicities must be positive")
+    mults = _multiplicities(mults)
     if mults in _f_cache:
         return _f_cache[mults]
     n = len(mults)
@@ -357,13 +365,9 @@ def multiply_divisor(x: RtClass, leg) -> RtClass:
     """Multiply by (kω_leg - η): a factored bump at the leg's root slot."""
     if leg not in x.legs:
         raise InvalidArgument(f"no leg {leg!r}")
-    out = RtClass(x.legs)
-    for (graph, dec, fact), coeff in x.terms.items():
-        fd = dict(fact)
-        slot = _fact_key(graph, leg)
-        fd[slot] = fd.get(slot, 0) + 1
-        out._add(graph, dec, fd, coeff)
-    return out
+    # the new factor starts at the leg's own slot and lands where that leg feeds
+    bump = ((_leg_slot(leg), 1),)
+    return _moved(x, x.legs, lambda graph, dec: [(1, graph, dec)], lambda fact, graph: _carry_fact(fact + bump, graph))
 
 
 def pullback_forget_rt(x: RtClass, new_leg) -> RtClass:
@@ -374,11 +378,7 @@ def pullback_forget_rt(x: RtClass, new_leg) -> RtClass:
     """
     if new_leg in x.legs:
         raise InvalidArgument(f"leg {new_leg!r} already present")
-    out = RtClass(x.legs | {new_leg})
-    for (graph, dec, fact), coeff in x.terms.items():
-        for sign, g2, d2 in pullback_terms(graph, dec, new_leg):
-            out._add(g2, d2, _carry_fact(fact, g2), coeff if sign > 0 else -coeff)
-    return out
+    return _moved(x, x.legs | {new_leg}, lambda graph, dec: pullback_terms(graph, dec, new_leg), _carry_fact)
 
 
 def collide_rt(x: RtClass, leg_i, leg_j) -> RtClass:
@@ -389,22 +389,21 @@ def collide_rt(x: RtClass, leg_i, leg_j) -> RtClass:
     """
     if leg_i == leg_j or leg_i not in x.legs or leg_j not in x.legs:
         raise InvalidArgument("collide needs two distinct present legs")
-    out = RtClass(x.legs - {leg_j})
-    image = {leg_j: leg_i}
-    for (graph, dec, fact), coeff in x.terms.items():
-        term = collide_term(graph, dec, leg_i, leg_j)
-        if term is not None:
-            sign, g2, d2 = term
-            out._add(g2, d2, _carry_fact(fact, g2, image), coeff if sign > 0 else -coeff)
-    return out
+    return _moved(
+        x,
+        x.legs - {leg_j},
+        lambda graph, dec: filter(None, [collide_term(graph, dec, leg_i, leg_j)]),
+        lambda fact, graph: _carry_fact(fact, graph, {leg_j: leg_i}),
+    )
 
 
 def relabel_rt(x: RtClass, mapping: Mapping) -> RtClass:
-    out = RtClass(relabel_legs(x.legs, mapping))
-    for (graph, dec, fact), coeff in x.terms.items():
-        g2, d2 = relabel(graph, dec, mapping)
-        out._add(g2, d2, _carry_fact(fact, g2, mapping), coeff)
-    return out
+    return _moved(
+        x,
+        relabel_legs(x.legs, mapping),
+        lambda graph, dec: [(1, *relabel(graph, dec, mapping))],
+        lambda fact, graph: _carry_fact(fact, graph, mapping),
+    )
 
 
 def e_class(n: int, I) -> RtClass:
@@ -412,15 +411,15 @@ def e_class(n: int, I) -> RtClass:
 
     The node's root slot becomes the coda tail.
     """
-    I = frozenset(I)
+    I = coda_members(I)
     mapping = coda_mapping(n, I)
     base = f_class_m((len(I),) + (1,) * (n - len(I) - 1))
-    out = RtClass(range(1, n + 1))
-    image = {NODE: n}
-    for (graph, dec, fact), coeff in relabel_rt(base, mapping).terms.items():
-        g2, d2 = graft(graph, dec, NODE, I | {n})
-        out._add(g2, d2, _carry_fact(fact, g2, image), coeff)
-    return out
+    return _moved(
+        relabel_rt(base, mapping),
+        range(1, n + 1),
+        lambda graph, dec: [(1, *graft(graph, dec, NODE, I | {n}))],
+        lambda fact, graph: _carry_fact(fact, graph, {NODE: n}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +440,7 @@ def verify_frec(n: int) -> VerificationReport:
 
 def verify_colliding_rt(mults) -> VerificationReport:
     """Colliding consecutive legs carries the unit class onto the heavy one."""
-    mults = tuple(int(m) for m in mults)
+    mults = _multiplicities(mults)
     total = sum(mults)
     x = f_class(total)
     # fold the legs left to right: collide (pos, pos+1) until each weight is met

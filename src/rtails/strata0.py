@@ -53,6 +53,7 @@ from .trees import (
     Tree,
     build_tree,
     coda_mapping,
+    coda_members,
     collide_term,
     enumerate_stable_trees,
     graft,
@@ -157,6 +158,21 @@ class FormalSum:
         return type(other) is type(self) and self._space() == other._space() and self.terms == other.terms
 
 
+def _moved(x: FormalSum, legs, images, carry=None):
+    """A class of x's type on ``legs``, built term by term by one move.
+
+    ``images(tree, dec)`` yields a term's signed images ``(sign, tree, dec)``,
+    by a per-term rule of `trees`; each enters through the new class's own
+    ``_add``, which checks it.  The rest of a term's key, an `RtClass`
+    monomial, follows the move through ``carry(fact, new tree)``.
+    """
+    out = type(x)(legs)
+    for (tree, dec, *rest), coeff in x.terms.items():
+        for sign, t2, d2 in images(tree, dec):
+            out._add(t2, d2, *[carry(fact, t2) for fact in rest], coeff if sign > 0 else -coeff)
+    return out
+
+
 class Class0(FormalSum):
     """Formal sum of decorated strata on the moduli space with the given legs."""
 
@@ -190,12 +206,13 @@ class Class0(FormalSum):
 
     def mul_psi(self, leg, power: int = 1) -> "Class0":
         """Multiply by ψ_leg^power (the ψ-class at a marked point)."""
-        out = Class0(self.ambient)
-        for (tree, dec), coeff in self.terms.items():
+
+        def times_psi(tree: Tree, dec: Decoration):
             legexp = dec.leg_dict()
             legexp[leg] = legexp.get(leg, 0) + power
-            out._add(tree, make_decoration(dec.half_dict(), legexp), coeff)
-        return out
+            yield 1, tree, make_decoration(dec.half_dict(), legexp)
+
+        return _moved(self, self.ambient, times_psi)
 
 
 def dim_of(ambient: frozenset) -> int:
@@ -368,15 +385,15 @@ def _pair_refined(dec: Decoration, ambient: frozenset, ref: _Refinement) -> int:
 def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
     """Excess-intersection product with an undecorated boundary stratum."""
     _check_tree(stratum, x.ambient)
-    out = Class0(x.ambient)
-    for (tree, dec), coeff in x.terms.items():
+
+    def excess(tree: Tree, dec: Decoration):
         ref = _refine(tree, stratum, x.ambient)
-        if ref is None:
-            continue
-        signed = coeff * (-1) ** len(ref.shared)
-        for d2 in _excess_decorations(dec, ref):
-            out._add(ref.gamma, d2, signed)
-    return out
+        if ref is not None:
+            sign = (-1) ** len(ref.shared)
+            for d2 in _excess_decorations(dec, ref):
+                yield sign, ref.gamma, d2
+
+    return _moved(x, x.ambient, excess)
 
 
 def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) -> int:
@@ -491,11 +508,7 @@ def pullback_forget(x: Class0, new_leg) -> Class0:
     """Pull back along the map forgetting ``new_leg`` (`trees.pullback_terms`)."""
     if new_leg in x.ambient:
         raise InvalidArgument(f"leg {new_leg!r} already present")
-    out = Class0(x.ambient | {new_leg})
-    for (tree, dec), coeff in x.terms.items():
-        for sign, t2, d2 in pullback_terms(tree, dec, new_leg):
-            out._add(t2, d2, coeff if sign > 0 else -coeff)
-    return out
+    return _moved(x, x.ambient | {new_leg}, lambda tree, dec: pullback_terms(tree, dec, new_leg))
 
 
 def _eliminate_leg_psi(x: Class0, leg) -> Class0:
@@ -571,13 +584,7 @@ def collide(x: Class0, leg_i, leg_j) -> Class0:
         raise InvalidArgument("cannot collide a leg with itself")
     if leg_i not in x.ambient or leg_j not in x.ambient:
         raise InvalidArgument("legs must sit in the ambient")
-    out = Class0(x.ambient - {leg_j})
-    for (tree, dec), coeff in x.terms.items():
-        term = collide_term(tree, dec, leg_i, leg_j)
-        if term is not None:
-            sign, t2, d2 = term
-            out._add(t2, d2, coeff if sign > 0 else -coeff)
-    return out
+    return _moved(x, x.ambient - {leg_j}, lambda tree, dec: filter(None, [collide_term(tree, dec, leg_i, leg_j)]))
 
 
 def collide_via_product(x: Class0, leg_i, leg_j) -> Class0:
@@ -616,14 +623,11 @@ def glue_push_gamma(x: Class0, I, n: int) -> Class0:
     node, its remaining legs are relabeled order-preservingly onto
     {1..n-1} - I, and the output lives on {1..n, h0}.
     """
-    I = frozenset(I)
+    I = coda_members(I)
     mapping = coda_mapping(n, I)
     if x.ambient != ambient0(n - len(I)):
         raise InvalidArgument("class lives on the wrong space for this coda")
-    out = Class0(ambient0(n))
-    for (tree, dec), coeff in relabel_class(x, mapping).terms.items():
-        out._add(*graft(tree, dec, NODE, I | {n}), coeff)
-    return out
+    return _moved(relabel_class(x, mapping), ambient0(n), lambda tree, dec: [(1, *graft(tree, dec, NODE, I | {n}))])
 
 
 def glue_push_sigma0(x: Class0, n: int) -> Class0:
@@ -632,7 +636,4 @@ def glue_push_sigma0(x: Class0, n: int) -> Class0:
         raise InvalidArgument("sigma0 needs the root leg h0")
     if x.ambient != ambient0(n - 1):
         raise InvalidArgument("class lives on the wrong space for sigma0")
-    out = Class0(ambient0(n))
-    for (tree, dec), coeff in x.terms.items():
-        out._add(*graft(tree, dec, H0, (H0, n)), coeff)
-    return out
+    return _moved(x, ambient0(n), lambda tree, dec: [(1, *graft(tree, dec, H0, (H0, n)))])

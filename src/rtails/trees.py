@@ -102,7 +102,7 @@ def make_decoration(half_exp: Optional[Mapping] = None, leg_exp: Optional[Mappin
     leg = tuple(sorted(((l, e) for l, e in (leg_exp or {}).items() if e), key=lambda t: label_key(t[0])))
     for _, e in itertools.chain(half, leg):
         if e < 0:
-            raise ValueError("negative psi exponent")
+            raise InvalidArgument("negative psi exponent")
     return Decoration(half, leg)
 
 
@@ -537,17 +537,14 @@ def overloaded(tree: Tree, dec: Decoration) -> bool:
     return any(b is not None and load > b for load, b in zip(psi_loads(tree, dec), psi_budgets(tree)))
 
 
-def coda_path(tree: Tree, n: int, I: frozenset) -> Optional[tuple]:
-    """The root-to-coda path edges when ``tree`` is a coda for I, else None:
-    the vertex of leg n is external with the legs I ∪ {n}, or it is the only
-    vertex (an empty path) and I = {1..n-1}."""
+def coda_path(tree: Tree, n: int) -> Optional[tuple]:
+    """``(I, path)`` when ``tree`` is a coda, else None: the vertex of leg n
+    is external, I is its other legs and ``path`` the root-to-coda edges; on
+    the one-vertex tree the path is empty and I is every leg but h0 and n."""
     v_n = vertex_of_leg(tree, n)
     if child_edges_of(tree, v_n):
         return None
-    path = path_edges(tree, v_n)
-    if path:
-        return path if set(tree.legs[v_n]) == I | {n} else None
-    return path if I == set(range(1, n)) else None
+    return frozenset(tree.legs[v_n]) - {H0, n}, path_edges(tree, v_n)
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +703,21 @@ def graft(tree: Tree, dec: Decoration, at: Label, legs: Iterable[Label]):
 NODE = "@node"
 
 
-def coda_mapping(n: int, I: frozenset) -> dict:
+def coda_members(I: Iterable[Label]) -> frozenset:
+    """The coda legs I as a set; an I that lists a member twice is refused."""
+    members = tuple(I)
+    if len(set(members)) != len(members):
+        raise InvalidArgument(f"I repeats a member: {list(members)}")
+    return frozenset(members)
+
+
+def coda_mapping(n: int, I: Iterable[Label]) -> dict:
     """Relabeling that frees the coda legs I ∪ {n} on a space with n - |I| legs.
 
     Leg 1 becomes the gluing leg `NODE`; legs 2..n-|I| go order-preservingly
     onto {1..n-1} - I.
     """
+    I = coda_members(I)
     if not I or not I <= set(range(1, n)):
         raise InvalidArgument("I must be a non-empty subset of 1..n-1")
     mapping = dict(zip(range(2, n - len(I) + 1), sorted(set(range(1, n)) - I)))

@@ -47,6 +47,7 @@ from .trees import (
     Tree,
     capacity,
     child_edges_of,
+    coda_members,
     coda_path,
 )
 
@@ -224,9 +225,10 @@ def _coda(tree: Tree, dec: Decoration, I: frozenset) -> tuple:
     n = len(labels)
     if labels != set(range(1, n + 1)) or not I <= (labels - {n}):
         raise InvalidArgument("coda context expects legs 1..n and I inside 1..n-1")
-    path = coda_path(tree, n, I)
-    if path is None:
+    coda = coda_path(tree, n)
+    if coda is None or coda[0] != I:
         raise InvalidArgument(f"not a coda for I = {sorted(I)}")
+    path = coda[1]
     if not path:
         # one-vertex coda (I = {1..n-1}): only with the trivial decoration;
         # h0 plays the part of the coda head, so its top is pinned to |I| too
@@ -291,10 +293,7 @@ def _layout(tree: Tree, dec: Decoration, *, i=None, m=None, I=None, mults=None, 
     if context == "i-rooted":
         blocks, key, eid = _rooted(tree, dec, 1 if m is None else m)
         return blocks + _i_blocks(key, i, truncated, eid)
-    members = tuple(I)
-    if len(set(members)) != len(members):
-        raise InvalidArgument(f"I repeats a member: {list(members)}")
-    blocks, key, pin = _coda(tree, dec, frozenset(members))
+    blocks, key, pin = _coda(tree, dec, coda_members(I))
     return blocks + _i_blocks(key, i, pin=pin)
 
 

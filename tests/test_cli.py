@@ -217,6 +217,12 @@ def test_usage_errors(tmp_path, capsys):
         assert "i must be >= 1" in err
 
 
+def test_zcycle_help_puts_the_multiplicity_on_leg_1(capsys):
+    code, out, _ = run_cli(capsys, "zcycle", "--help")
+    assert code == 0
+    assert "multiplicity of leg 1 (default 1)" in " ".join(out.split())
+
+
 def test_relations_emit(capsys):
     code, out, _ = run_cli(capsys, "relations", "--g", "2", "--n", "3", "--format", "json")
     assert code == 0

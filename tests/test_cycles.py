@@ -13,7 +13,16 @@ from pathlib import Path
 import pytest
 
 from rtails import cli, cycles
-from rtails.trees import H0, InvalidArgument, build_tree, decorations_of_degree, enumerate_trees0
+from rtails.trees import (
+    H0,
+    InvalidArgument,
+    build_tree,
+    child_edges_of,
+    decorations_of_degree,
+    enumerate_trees0,
+    path_edges,
+    vertex_of_leg,
+)
 from rtails.strata0 import Class0, dim_of, is_zero, push_tree, strata_family, zero, zero_witness
 from rtails.weights import coeff_c_im, coeff_c_im_truncated, rooted_factor, rooted_split
 from rtails.cycles import (
@@ -159,6 +168,37 @@ def test_e_cycle_base_cases():
     for i, j in ((0, 0), (0, -1)):
         with pytest.raises(InvalidArgument):
             e_cycle(3, {1}, i, j)
+
+
+def test_coda_entries_refuse_a_repeated_member():
+    for refused in (lambda: e_cycle(4, (1, 1), 2, 1), lambda: verify_ei_pushforward(4, (1, 1), 2)):
+        with pytest.raises(InvalidArgument, match="I repeats a member"):
+            refused()
+    assert e_cycle(4, (1,), 2, 1) == e_cycle(4, [1], 2, 1) == e_cycle(4, {1}, 2, 1)
+    assert verify_ei_pushforward(4, (1,), 2).line() == "pass ei_pushforward(4, (1,), 2)"
+
+
+def _coda_path_for(tree, n, I):
+    """The per-I coda predicate: the root-to-coda path edges when ``tree`` is
+    a coda for I, else None (the vertex of leg n is external with the legs
+    I ∪ {n}, or it is the only vertex and I = {1..n-1})."""
+    v_n = vertex_of_leg(tree, n)
+    if child_edges_of(tree, v_n):
+        return None
+    path = path_edges(tree, v_n)
+    if path:
+        return path if set(tree.legs[v_n]) == I | {n} else None
+    return path if I == set(range(1, n)) else None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_grouped_coda_scan_equals_the_per_i_scans(n):
+    codas = cycles._codas(n)
+    subsets = [frozenset(c) for r in range(1, n) for c in itertools.combinations(range(1, n), r)]
+    assert set(codas) <= set(subsets)
+    for I in subsets:
+        per_i = tuple((tree, path) for tree in enumerate_trees0(n) if (path := _coda_path_for(tree, n, I)) is not None)
+        assert codas.get(I, ()) == per_i
 
 
 def test_recursion_a_small():

@@ -136,6 +136,23 @@ def test_e_class_full_coda():
     assert len(e.terms) == 2
 
 
+def test_e_class_refuses_a_repeated_coda_member():
+    with pytest.raises(InvalidArgument, match="I repeats a member"):
+        e_class(3, (1, 1))
+    assert e_class(3, (1,)) == e_class(3, [1]) == e_class(3, {1})
+
+
+def test_multiplicities_must_be_integers_at_least_one(monkeypatch):
+    for mults in ((2.9,), (1.5, 1), (0, 2), (2, -1), ("2",), ()):
+        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+            f_class_m(mults)
+    # the colliding check refuses them before it builds the unit class
+    monkeypatch.setattr(rtclasses, "f_class", lambda n: pytest.fail("f_class was built"))
+    for mults in ((1.5, 1), (0, 2), (2.0,)):
+        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+            verify_colliding_rt(mults)
+
+
 def test_multiply_divisor_and_pullback():
     x = f_class(1)
     y = pullback_forget_rt(x, 2)

@@ -270,6 +270,23 @@ def test_glue_push_gamma():
     assert tree == expected
 
 
+def test_glue_push_gamma_refuses_a_repeated_coda_member():
+    x = one_vertex([1, 2, 3, H0])
+    with pytest.raises(InvalidArgument, match="I repeats a member"):
+        glue_push_gamma(x, (2, 2), 4)
+    # any iterable names I
+    assert glue_push_gamma(x, (2,), 4) == glue_push_gamma(x, [2], 4) == glue_push_gamma(x, {2}, 4)
+
+
+def test_a_negative_psi_exponent_is_an_invalid_argument():
+    tree, _ = build_tree([[1, 2, 3, H0]], [])
+    with pytest.raises(InvalidArgument, match="negative psi exponent"):
+        push_tree(tree).mul_psi(1, -1)
+    with pytest.raises(InvalidArgument, match="negative psi exponent"):
+        make_decoration(leg_exp={1: -1})
+    assert push_tree(tree).mul_psi(1, 1).mul_psi(1, -1) == push_tree(tree)
+
+
 def test_glue_push_sigma0():
     x = one_vertex([1, 2, H0], {H0: 0})
     y = glue_push_sigma0(x, 3)

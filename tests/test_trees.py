@@ -529,6 +529,15 @@ def test_collide_term_equals_the_build_tree_route():
     assert outputs > 5000
 
 
+def test_coda_mapping_takes_any_iterable_and_refuses_a_repeated_member():
+    expected = {1: trees.NODE, 2: 2, 3: 3}
+    assert trees.coda_mapping(4, (1,)) == trees.coda_mapping(4, [1]) == trees.coda_mapping(4, {1}) == expected
+    with pytest.raises(InvalidArgument, match=r"I repeats a member: \[1, 1\]"):
+        trees.coda_mapping(4, (1, 1))
+    with pytest.raises(InvalidArgument, match="non-empty subset"):
+        trees.coda_mapping(4, (4,))
+
+
 def test_collide_term_without_an_edge_raises():
     # the three-leg one-vertex tree: the trivalent vertex has no edge to contract
     with pytest.raises(InvalidArgument):
