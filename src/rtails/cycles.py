@@ -39,8 +39,10 @@ from .strata0 import (
     is_invariant,
     pullback_forget,
     relabel_class,
+    term_is_zero,
     zero,
     zero_witness,
+    _check_tree,
 )
 from .weights import coeff_d, rooted_factor, rooted_split
 
@@ -125,6 +127,11 @@ def _z_blocks(n: int, m: int, degree: int) -> dict:
     that shape adds its terms, grouped by the key that the half reading i
     depends on, one frozen `Class0` per key.  Z and Z^t of this degree share
     the blocks.
+
+    Whether a term vanishes (`term_is_zero`) reads its degree, fixed here,
+    and the ψ-budgets, which are the shape's, so a listed decoration is
+    checked on the shape's first tree; each tree's own legs are checked once
+    (`_check_tree`), and its terms go straight into the blocks.
     """
     cache_key = (n, m, degree)
     if cache_key not in _block_cache:
@@ -135,18 +142,19 @@ def _z_blocks(n: int, m: int, degree: int) -> dict:
             psi_budget = degree - tree.num_edges()
             if psi_budget < 0:
                 continue
+            _check_tree(tree, amb)
             shape = _shape(tree, n)
             if shape not in listed:
                 sign = (-1) ** (1 + tree.num_edges())
                 listed[shape] = terms = []
                 for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
                     free, key = rooted_split(tree, dec, m)
-                    if free:
+                    if free and not term_is_zero(tree, dec, amb):
                         terms.append((dec, Fraction(sign * free), key))
             for dec, coeff, key in listed[shape]:
                 if key not in blocks:
                     blocks[key] = zero(amb)
-                blocks[key]._add(tree, dec, coeff)
+                blocks[key].terms[tree, dec] = coeff
         _block_cache[cache_key] = {key: block.freeze() for key, block in blocks.items()}
     return _block_cache[cache_key]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Mapping, Optional
 
 from .trees import (
@@ -52,6 +52,7 @@ from .trees import (
     pullback_terms,
     relabel,
     relabel_legs,
+    split_bits,
     vertex_of_leg,
     _carried,
     _plan,
@@ -138,24 +139,60 @@ def _fact_for(graph: Tree, dec: Decoration, mults: Mapping) -> dict:
     return fact
 
 
+def _root_slot_order(graph: Tree) -> tuple:
+    """Every root slot of ``graph`` by position: the root's own legs in leg
+    order, then the tails in the order of their root edges."""
+    tails = (_tail_slot(beyond_legs(graph, e)) for e in child_edges_of(graph, 0))
+    return (*map(_leg_slot, graph.legs[0]), *tails)
+
+
+def _weighted_shape(graph: Tree, weights: Mapping) -> tuple:
+    """The part of a rational-tails graph that its decorations, `coeff_c` and
+    factored exponents read: its edges and, per vertex, its legs' weights in
+    leg order."""
+    return graph.edges, tuple([tuple([weights[l] for l in legs]) for legs in graph.legs])
+
+
 def _formula_terms(weights: Mapping, cap, keep=None):
     """The graph-formula terms ``(graph, dec, fact, coeff)`` with leg weights ``weights``.
 
     Each rt graph is decorated up to ``cap(graph)`` (skipped when negative);
     decorations failing ``keep(graph, dec)`` are skipped before their
     coefficient is computed.  The sign is (-1)^|E|.
+
+    ``cap``, ``keep``, the decorations, the coefficient and the factored
+    exponents read only the weighted shape (`_weighted_shape`), so the first
+    graph of a shape lists them once, each leg exponent keyed by its position
+    ``(vertex, index)`` and each factored exponent by its root slot's
+    position (`_root_slot_order`); every graph of the shape puts its own
+    labels back in those positions and re-sorts, so the terms and their
+    order are those of a per-graph listing.
     """
+    listed: dict = {}
     for graph in enumerate_rt_graphs(len(weights)):
-        budget = cap(graph)
-        if budget < 0:
-            continue
-        sign = (-1) ** graph.num_edges()
-        for dec in enumerate_decorations(graph, budget, weights):
-            if keep is not None and not keep(graph, dec):
-                continue
-            c = coeff_c(graph, dec, weights)
-            if c:
-                yield graph, dec, _fact_for(graph, dec, weights), sign * c
+        shape = _weighted_shape(graph, weights)
+        slots = _root_slot_order(graph)
+        if shape not in listed:
+            listed[shape] = terms = []
+            budget = cap(graph)
+            if budget >= 0:
+                sign = (-1) ** graph.num_edges()
+                position = {l: (v, idx) for v, legs in enumerate(graph.legs) for idx, l in enumerate(legs)}
+                for dec in enumerate_decorations(graph, budget, weights):
+                    if keep is not None and not keep(graph, dec):
+                        continue
+                    c = coeff_c(graph, dec, weights)
+                    if c:
+                        fact = _fact_for(graph, dec, weights)
+                        legs = tuple([(position[l], e) for l, e in dec.leg])
+                        terms.append((dec.half, legs, tuple([fact[key] for key in slots]), sign * c))
+        decorated = []
+        for half, legs, exponents, coeff in listed[shape]:
+            leg = sorted([(graph.legs[v][idx], e) for (v, idx), e in legs], key=lambda t: label_key(t[0]))
+            decorated.append((Decoration(half, tuple(leg)), exponents, coeff))
+        decorated.sort(key=lambda t: t[0].sort_key())
+        for dec, exponents, coeff in decorated:
+            yield graph, dec, dict(zip(slots, exponents)), coeff
 
 
 def _multiplicities(mults) -> tuple:
@@ -288,6 +325,12 @@ def _tensor_is_zero(profile, bucket: dict) -> bool:
     so each multidegree is paired against those tuples alone.  Sound and
     complete because each factor's pairing is perfect and strata span.
     Coefficients are summed as integer numerators over the bucket's lcm.
+
+    Each distinct tail content is paired once, with the strata of its family
+    laminar to it (one AND on the split bits); its nonzero values are its
+    support.  A term adds its numerator times the product of its tails'
+    values to each tuple of strata in the product of their supports, which
+    is the sum over every tuple with the zero pairings left out.
     """
     bucket = {k: c for k, c in bucket.items() if c}
     if not bucket:
@@ -298,18 +341,29 @@ def _tensor_is_zero(profile, bucket: dict) -> bool:
     for contents, coeff in bucket.items():
         degrees = tuple(term_degree(tree, dec) for tree, dec in contents)
         by_degree.setdefault(degrees, []).append((contents, coeff.numerator * (common // coeff.denominator)))
+    # a tail's degree fixes its family, so its support serves every degree group
+    supports: dict = {}
     for degrees, items in by_degree.items():
         families = [strata_family(amb, dim_of(amb) - d) for amb, d in zip(ambients, degrees)]
-        for strata in itertools.product(*families):
-            total = 0
-            for contents, num in items:
-                for (tree, dec), S, amb in zip(contents, strata, ambients):
-                    num *= pair_term(tree, dec, S, amb)
-                    if not num:
-                        break
-                total += num
-            if total:
-                return False
+        owns = [[split_bits(S)[0] for S in family] for family in families]
+        totals: dict = {}
+        for contents, num in items:
+            factors = []
+            for t, (tree, dec) in enumerate(contents):
+                if (t, tree, dec) not in supports:
+                    crossing, amb = split_bits(tree)[1], ambients[t]
+                    values = (
+                        (s, pair_term(tree, dec, S, amb))
+                        for s, (S, own) in enumerate(zip(families[t], owns[t]))
+                        if not crossing & own
+                    )
+                    supports[t, tree, dec] = [(s, value) for s, value in values if value]
+                factors.append(supports[t, tree, dec])
+            for picks in itertools.product(*factors):
+                strata = tuple(s for s, _ in picks)
+                totals[strata] = totals.get(strata, 0) + num * prod(value for _, value in picks)
+        if any(totals.values()):
+            return False
     return True
 
 
@@ -341,7 +395,7 @@ def _fact_key(graph: Tree, leg) -> tuple:
 @lru_cache(maxsize=None)
 def _root_slots(graph: Tree) -> frozenset:
     """Every root slot of ``graph``: the root's own legs and its tails."""
-    return frozenset(_fact_key(graph, l) for l in itertools.chain(*graph.legs))
+    return frozenset(_root_slot_order(graph))
 
 
 def _carry_fact(fact: tuple, graph: Tree, image: Optional[Mapping] = None) -> dict:

@@ -350,10 +350,12 @@ def coefficient(tree: Tree, dec: Decoration, *, method: str = "dp", **params) ->
     """c_{Γ,ψ}, c^{i,m} or d^i, whichever ``params`` (i, m, I, mults,
     truncated; see `_layout`) name, with its weighting count, by the DP or by
     listing every weighting.  d^i is the coda weighting sum divided by |I|,
-    which leaves an integer."""
-    total, count = _evaluate(_layout(tree, dec, **params), method)
+    which leaves an integer.  I is read once, so any iterable serves."""
     I = params.get("I")
-    coeff = Fraction(total, 1 if I is None else len(frozenset(I)))
+    if I is not None:
+        I = params["I"] = coda_members(I)
+    total, count = _evaluate(_layout(tree, dec, **params), method)
+    coeff = Fraction(total, 1 if I is None else len(I))
     if coeff.denominator != 1:
         raise ArithmeticError(f"d^i is not an integer: {coeff}")
     return CoeffReport(coeff, count)

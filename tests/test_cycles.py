@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rtails import cli, cycles
+from rtails import cli, cycles, strata0
 from rtails.trees import (
     H0,
     InvalidArgument,
@@ -23,7 +23,7 @@ from rtails.trees import (
     path_edges,
     vertex_of_leg,
 )
-from rtails.strata0 import Class0, dim_of, is_zero, push_tree, strata_family, zero, zero_witness
+from rtails.strata0 import Class0, dim_of, is_zero, push_tree, strata_family, term_is_zero, zero, zero_witness
 from rtails.weights import coeff_c_im, coeff_c_im_truncated, rooted_factor, rooted_split
 from rtails.cycles import (
     ambient0,
@@ -411,11 +411,12 @@ def test_a_shape_key_blind_to_leg_n_fails_the_oracle(monkeypatch):
     assert truncated and m == 1
 
 
-def test_trees_of_one_shape_share_decorations_and_coefficient_halves():
-    # the blocks list each decorated shape once, for every tree of the shape
+def test_trees_of_one_shape_share_decorations_coefficient_halves_and_zero_verdicts():
+    # the blocks list and check each decorated shape once, for every tree of the shape
     shapes = {}
     for n in range(2, 7):
         shapes[n] = firsts = {}
+        amb = ambient0(n)
         for tree in enumerate_trees0(n):
             first = firsts.setdefault(cycles._shape(tree, n), tree)
             for m in range(1, 8 - n):
@@ -424,7 +425,36 @@ def test_trees_of_one_shape_share_decorations_and_coefficient_halves():
                     assert decs == decorations_of_degree(first, budget, {1: m}), (tree, first, budget, m)
                     for dec in decs:
                         assert rooted_split(tree, dec, m) == rooted_split(first, dec, m), (tree, first, dec, m)
+                        assert term_is_zero(tree, dec, amb) == term_is_zero(first, dec, amb), (tree, first, dec)
     assert (len(shapes[6]), len(enumerate_trees0(6))) == (287, 2752)
+
+
+def test_blocks_check_each_decorated_shape_once(monkeypatch):
+    # whether a term vanishes is asked of the first tree of its shape, once per
+    # listed decoration, not once per labelled term
+    calls = []
+
+    def counting(tree, dec, ambient):
+        calls.append((tree, dec))
+        return term_is_zero(tree, dec, ambient)
+
+    for module in (cycles, strata0):
+        monkeypatch.setattr(module, "term_is_zero", counting, raising=False)
+    checked = terms = 0
+    for n in range(2, 7):
+        firsts = {}
+        for tree in enumerate_trees0(n):
+            firsts.setdefault(cycles._shape(tree, n), tree)
+        for m in range(1, 8 - n):
+            for degree in range(n - 1):
+                monkeypatch.setattr(cycles, "_block_cache", {})
+                calls.clear()
+                blocks = cycles._z_blocks(n, m, degree)
+                assert len(calls) == len(set(calls)), (n, m, degree)
+                assert all(firsts[cycles._shape(tree, n)] is tree for tree, _ in calls), (n, m, degree)
+                checked += len(calls)
+                terms += sum(len(block.terms) for block in blocks.values())
+    assert 5 * checked < terms
 
 
 def test_cached_classes_are_frozen():

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from rtails import rtclasses, trees
-from rtails.strata0 import pair_term, push_tree, strata_family
+from rtails import cli, rtclasses, trees
+from rtails.strata0 import dim_of, pair_term, push_tree, strata_family, term_degree
 from rtails.trees import (
     H0,
     InvalidArgument,
@@ -19,6 +20,7 @@ from rtails.trees import (
     enumerate_rt_graphs,
     vertex_of_leg,
 )
+from rtails.weights import coeff_c
 from rtails.rtclasses import (
     KPoly,
     PushedClass,
@@ -382,6 +384,92 @@ def test_emit_relation_regimes():
             emit_relation(g, n)
 
 
+# ---------------------------------------------------------------------------
+# the graph formula per weighted shape: the per-graph listing is the oracle
+
+
+def _formula_terms_per_graph(weights, cap, keep=None):
+    """The graph-formula terms with every graph decorated and weighed on its
+    own: the oracle of the per-shape listing."""
+    for graph in enumerate_rt_graphs(len(weights)):
+        budget = cap(graph)
+        if budget < 0:
+            continue
+        sign = (-1) ** graph.num_edges()
+        for dec in enumerate_decorations(graph, budget, weights):
+            if keep is not None and not keep(graph, dec):
+                continue
+            c = coeff_c(graph, dec, weights)
+            if c:
+                yield graph, dec, rtclasses._fact_for(graph, dec, weights), sign * c
+
+
+def _formula_mismatches(max_total):
+    """The multiplicities of total <= ``max_total`` whose graph-formula terms,
+    in order, differ from the per-graph oracle's, lazily."""
+    for total in range(1, max_total + 1):
+
+        def cap(graph):
+            return total - graph.num_edges()
+
+        for mults in cli._compositions(total):
+            weights = {l: w for l, w in enumerate(mults, 1)}
+            if list(rtclasses._formula_terms(weights, cap)) != list(_formula_terms_per_graph(weights, cap)):
+                yield mults
+
+
+def test_the_shape_listing_equals_the_per_graph_oracle(monkeypatch):
+    # the same terms in the same order, so `_add` and `_profile_witness` see
+    # what a per-graph listing gives them
+    assert next(_formula_mismatches(6), None) is None
+    shared = {n: list(over_degree_terms(n).terms.items()) for n in range(1, 6)}
+    monkeypatch.setattr(rtclasses, "_formula_terms", _formula_terms_per_graph)
+    assert {n: list(over_degree_terms(n).terms.items()) for n in range(1, 6)} == shared
+    assert shared[5]
+
+
+def test_graphs_of_one_weighted_shape_share_decorations_coefficients_and_exponents():
+    # by position: a leg's (vertex, index), a factored exponent's root slot
+    def positional(graph, dec):
+        where = {l: (v, k) for v, legs in enumerate(graph.legs) for k, l in enumerate(legs)}
+        return dec.half, sorted((where[l], e) for l, e in dec.leg)
+
+    def weighed(graph, dec, weights):
+        fact = rtclasses._fact_for(graph, dec, weights)
+        return coeff_c(graph, dec, weights), [fact[key] for key in rtclasses._root_slot_order(graph)]
+
+    graphs = 0
+    for total in range(1, 6):
+        for mults in cli._compositions(total):
+            weights = {l: w for l, w in enumerate(mults, 1)}
+            firsts = {}
+            for graph in enumerate_rt_graphs(len(mults)):
+                first = firsts.setdefault(rtclasses._weighted_shape(graph, weights), graph)
+                budget = total - graph.num_edges()
+                if first is graph or budget < 0:
+                    continue
+                decs = enumerate_decorations(graph, budget, weights)
+                first_decs = enumerate_decorations(first, budget, weights)
+                assert sorted(positional(graph, d) for d in decs) == sorted(positional(first, d) for d in first_decs)
+                by_position = {repr(positional(first, d)): weighed(first, d, weights) for d in first_decs}
+                for dec in decs:
+                    assert weighed(graph, dec, weights) == by_position[repr(positional(graph, dec))]
+                graphs += 1
+            if mults == (1,) * 5:
+                assert (len(firsts), len(enumerate_rt_graphs(5))) == (28, 472)
+    assert graphs > 500
+
+
+def test_a_shape_key_blind_to_leg_weights_fails_the_oracle(monkeypatch):
+    # per-vertex leg counts alone let legs of different weights share their
+    # decorations, coefficients and factored exponents
+    right = f_class_m((1, 1, 2))
+    monkeypatch.setattr(rtclasses, "_weighted_shape", lambda graph, _weights: (graph.edges, tuple(map(len, graph.legs))))
+    monkeypatch.setattr(rtclasses, "_f_cache", {})
+    assert next(_formula_mismatches(4)) == (1, 1, 2)
+    assert f_class_m((1, 1, 2)) != right
+
+
 def _all_codim_is_zero(profile, bucket):
     """The tensor zero test pairing every tuple of strata of every codimension."""
     bucket = {k: c for k, c in bucket.items() if c}
@@ -458,6 +546,103 @@ def test_tensor_zero_test_matches_the_all_codimension_oracle(monkeypatch):
     assert real(profile, vanishing) and _all_codim_is_zero(profile, vanishing)
     for bucket in perturbed:
         assert not real(profile, bucket) and not _all_codim_is_zero(profile, bucket)
+
+
+def _product_loop_is_zero(profile, bucket):
+    """The tensor zero test summing every term over every tuple of strata of
+    its multidegree: the oracle of the sum over the tails' supports."""
+    bucket = {k: c for k, c in bucket.items() if c}
+    if not bucket:
+        return True
+    ambients = [frozenset(legs) | {H0} for legs, _, _ in profile[1]]
+    common = lcm(*(c.denominator for c in bucket.values()))
+    by_degree = {}
+    for contents, coeff in bucket.items():
+        degrees = tuple(term_degree(tree, dec) for tree, dec in contents)
+        by_degree.setdefault(degrees, []).append((contents, coeff.numerator * (common // coeff.denominator)))
+    for degrees, items in by_degree.items():
+        families = [strata_family(amb, dim_of(amb) - d) for amb, d in zip(ambients, degrees)]
+        for strata in itertools.product(*families):
+            total = 0
+            for contents, num in items:
+                for (tree, dec), S, amb in zip(contents, strata, ambients):
+                    num *= pair_term(tree, dec, S, amb)
+                    if not num:
+                        break
+                total += num
+            if total:
+                return False
+    return True
+
+
+def _cancelling_buckets():
+    """Two buckets over a tail on M_{0,4} and a tail on M_{0,5}, each ψ of the
+    small tail's first leg times D_{pq} - D_{pr} on the big tail {p, q, r, s},
+    with the big tail second and then first.
+
+    D_{pq} - D_{pr} is not zero (its pairing with D_{pq} is -1), but its
+    pairings with all ten boundary divisors sum to zero, since swapping q
+    and r fixes their sum: the sum runs per tuple of strata, not per stratum
+    of one tail.
+    """
+    out = []
+    for small, big in (((1, 2, 3), (4, 5, 6, 7)), ((5, 6, 7), (1, 2, 3, 4))):
+        p, q, r, s = big
+        psi = build_tree([[H0, *small]], [], leg_exp={small[0]: 1})
+        d_pq = build_tree([[H0, r, s], [p, q]], [(0, 1)])
+        d_pr = build_tree([[H0, q, s], [p, r]], [(0, 1)])
+        profile = ((), tuple((legs, 0, 0) for legs in sorted([small, big])))
+        contents = (lambda d: (d, psi)) if big < small else (lambda d: (psi, d))
+        out.append((profile, {contents(d_pq): Fraction(1), contents(d_pr): Fraction(-1)}))
+    return out
+
+
+def test_the_support_sum_equals_the_product_loop_oracle(monkeypatch):
+    # every root profile of verify_frec(n)'s diff, of its lhs and of f_class(n),
+    # n <= 5, as is and with one of its first three entries bumped by one
+    seen, diffs = [], {}
+    real = rtclasses._profile_witness
+    monkeypatch.setattr(rtclasses, "_profile_witness", lambda x: seen.append(x) or real(x))
+    for n in range(2, 6):
+        assert verify_frec(n).passed
+        diffs[n] = seen[-1]  # its last zero test is the diff's
+    monkeypatch.undo()
+    verdicts, tails = [], 0
+    for n in range(2, 6):
+        f = f_class(n)
+        for x in (diffs[n], diffs[n] + f, f):
+            for profile, bucket in rtclasses._profile_groups(x).items():
+                tails = max(tails, len(profile[1]))
+                for key in [None, *list(bucket)[:3]]:
+                    bumped = bucket if key is None else {**bucket, key: bucket[key] + 1}
+                    verdicts.append(rtclasses._tensor_is_zero(profile, bumped))
+                    assert verdicts[-1] == _product_loop_is_zero(profile, bumped), (n, profile, key)
+    assert len(verdicts) == 1328 and verdicts.count(False) == 1164 and tails >= 2
+    profile, vanishing, perturbed = _two_tail_buckets()
+    assert rtclasses._tensor_is_zero(profile, vanishing) and _product_loop_is_zero(profile, vanishing)
+    for bucket in perturbed:
+        assert not rtclasses._tensor_is_zero(profile, bucket) and not _product_loop_is_zero(profile, bucket)
+    for profile, bucket in _cancelling_buckets():
+        assert not rtclasses._tensor_is_zero(profile, bucket) and not _product_loop_is_zero(profile, bucket)
+
+
+def test_the_tensor_zero_test_pairs_each_tail_with_its_laminar_strata_once(monkeypatch):
+    # each distinct content is paired once with each stratum of its family
+    # that no split of it crosses; D_{45} crosses D_{46} on M_{0,5}
+    for profile, bucket in [_two_tail_buckets()[:2], *_cancelling_buckets()]:
+        calls = []
+        monkeypatch.setattr(rtclasses, "pair_term", lambda *args: calls.append(args) or pair_term(*args))
+        rtclasses._tensor_is_zero(profile, bucket)
+        ambients = [frozenset(legs) | {H0} for legs, _, _ in profile[1]]
+        pairs = {
+            (tree, dec, S, amb)
+            for contents in bucket
+            for (tree, dec), amb in zip(contents, ambients)
+            for S in strata_family(amb, dim_of(amb) - term_degree(tree, dec))
+        }
+        laminar = {pair for pair in pairs if not trees.split_bits(pair[0])[1] & trees.split_bits(pair[2])[0]}
+        assert sorted(map(repr, calls)) == sorted(map(repr, laminar))
+    assert len(laminar) < len(pairs)
 
 
 def _tail_rebuilt(graph, dec, root_edge):

@@ -166,6 +166,17 @@ def test_a_coda_member_listed_twice_is_refused():
                 entry(coda, trivial, i=1, I=I)
 
 
+def test_a_one_shot_coda_is_read_once():
+    # I is read for the layout and again for the divisor |I|: a one-shot
+    # iterable read twice would come back empty the second time
+    coda, _ = build_tree([[2, H0], [1, 3]], [(0, 1)])
+    trivial = make_decoration()
+    assert coeff_d(coda, trivial, 1, iter([1])) == 1
+    assert coefficient(coda, trivial, i=1, I=iter([1])).coefficient == 1
+    with pytest.raises(InvalidArgument, match="I repeats a member"):
+        coeff_d(coda, trivial, 1, iter([1, 1]))
+
+
 def test_leg_weights_must_be_integers_at_least_one_on_legs_of_the_graph():
     # root{4} -> {1, 2, 3}: leg 4 sits on the genus root, below no edge
     g, dec = build_tree([[4], [1, 2, 3]], [(0, 1)], rt_root=0, half_exp={(0, 1): 1}, leg_exp={4: 1})
