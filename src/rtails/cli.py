@@ -6,9 +6,10 @@ the command would not read, such as zcycle --m under --truncated, fclass --n
 with --multiplicities, a coeff option that the graph's coefficient does not
 read or a verify --max-n or --max-sum that the suite does not read, coeff leg
 weights below 1 or on no leg, unreadable or malformed input, a verify grid
-with no tasks, relations --g below 1, a size above the largest measured: an
---n or --max-n above MAX_N, or an fclass or relations --n, an fclass
---multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
+with no tasks, relations --g below 1, a verify --jobs above MAX_JOBS, a size
+above the largest measured: an --n or --max-n above MAX_N, a pair class or
+stratum with more than MAX_N + 1 legs, or an fclass or relations --n, an
+fclass --multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
 (traceback on stderr).  All numeric output is exact ("p/q"); verification
 timings go to stderr so stdout is byte-identical across runs.
 """
@@ -72,6 +73,9 @@ def _positive(kind):
 # Σm = 6 (about 25 s and 116 MiB) and `fclass --n 6` (6 s, 101 MiB)
 MAX_N = 7
 MAX_SUM = 6
+
+# the most `verify --jobs` workers; a pool starts them all, each with cold caches
+MAX_JOBS = 8
 
 
 def _at_most(option: str, value: int, bound: int) -> None:
@@ -158,6 +162,8 @@ def cmd_fclass(args) -> int:
 def cmd_pair(args) -> int:
     x = serialize.class0_from_json(_read_json(args.klass))
     stratum, dec = serialize.tree_from_json(_read_json(args.stratum))
+    # the n = MAX_N suites pair on MAX_N + 1 legs
+    _at_most("the leg count", max(len(x.ambient), len(stratum.all_legs())), MAX_N + 1)
     if dec.degree():
         raise InvalidArgument("the test stratum must be undecorated")
     _emit(str(strata0.pair(x, stratum)))
@@ -270,6 +276,8 @@ def run_task(task) -> cycles.VerificationReport:
 
 def cmd_verify(args) -> int:
     t_start = time.perf_counter()
+    if args.jobs > MAX_JOBS:
+        raise InvalidArgument(f"--jobs {args.jobs} is above {MAX_JOBS}")
     read = inspect.signature(SUITES[args.suite]).parameters
     sizes, shown = {}, []
     for name, option, bound in (("max_n", "--max-n", MAX_N), ("max_sum", "--max-sum", MAX_SUM)):
@@ -284,10 +292,11 @@ def cmd_verify(args) -> int:
     if not tasks:
         raise InvalidArgument(f"suite {args.suite} has no tasks at {' '.join(shown)}")
     reports = []
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks))  # a pool starts all of its workers at once
+    if workers > 1:
         # imported here: multiprocessing would add its import time to every run
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         for rep in (pool.map if pool else map)(run_task, tasks):
             reports.append(rep)
             if args.fail_fast and not rep.passed:
@@ -357,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-n", type=int, help=f"largest n (default {DEFAULT_SIZE}); a suite that reads no n refuses it")
     q.add_argument("--max-sum", type=int, help=f"bound on Σm (default {DEFAULT_SIZE}); only collide-rt reads it")
     q.add_argument("--fail-fast", action="store_true")
-    q.add_argument("--jobs", type=_positive(int), default=1)
+    q.add_argument("--jobs", type=_positive(int), default=1, help=f"worker processes, at most {MAX_JOBS}")
     q.add_argument(
         "--time-budget",
         type=_positive(float),

@@ -32,13 +32,12 @@ from .trees import (
 from .strata0 import (
     Class0,
     ambient0,
-    collide,
     dim_of,
+    fold,
     glue_push_gamma,
     glue_push_sigma0,
     is_invariant,
     pullback_forget,
-    relabel_class,
     term_is_zero,
     zero,
     zero_witness,
@@ -333,11 +332,9 @@ def verify_vanishing_cycle(n: int, i: int, j: int, truncated: bool = False) -> V
 
 
 def collide_first_legs(x: Class0, steps: int) -> Class0:
-    """Collide legs 1 and 2, relabel down, repeated ``steps`` times."""
+    """Collide leg 2 into leg 1 and renumber down (`fold`), ``steps`` times."""
     for _ in range(steps):
-        x = collide(x, 1, 2)
-        mapping = {k: k - 1 for k in sorted(l for l in x.ambient if isinstance(l, int) and l >= 3)}
-        x = relabel_class(x, mapping)
+        x = fold(x, 1)
     return x
 
 

@@ -7,8 +7,10 @@ carry, besides the ψ-decoration, a factored root monomial: exponents of
 exponent after cancelling against the legs' divisor factors sits on the edge).
 k stays symbolic inside the factored basis; coefficients are rationals.
 
-Collide and pullback run the per-term rules of `trees` that `Class0` runs;
-through every move the monomial follows its legs (`_carry_fact`).
+Pullback, collide, the chain step `fold` and the coda gluing are the moves
+of `strata0`, shared with `Class0`.  A move hands `RtClass._follow` its leg
+image, and each exponent goes to the root slot that the image of its slot's
+first leg feeds in the new graph.
 
 The graph formula can produce decorated graphs whose net tail exponent is
 negative while the total degree is fine; such a bracket is not a cycle, but
@@ -32,7 +34,6 @@ from typing import Mapping, Optional
 
 from .trees import (
     H0,
-    NODE,
     Decoration,
     InvalidArgument,
     Tree,
@@ -41,15 +42,12 @@ from .trees import (
     child_edges_of,
     coda_mapping,
     coda_members,
-    collide_term,
     enumerate_decorations,
     enumerate_rt_graphs,
-    graft,
     label_key,
     overloaded,
     path_edges,
     psi_budgets,
-    pullback_terms,
     relabel,
     relabel_legs,
     split_bits,
@@ -58,6 +56,7 @@ from .trees import (
     _plan,
 )
 from .strata0 import FormalSum, dim_of, exact, pair_term, strata_family, term_degree, _moved
+from .strata0 import collide, fold, glue_push_gamma, pullback_forget  # the moves of both class types
 from .weights import coeff_c
 from .cycles import VerificationReport
 
@@ -78,20 +77,13 @@ def rt_term_degree(graph: Tree, dec: Decoration, fact: tuple) -> int:
     return graph.num_edges() + dec.degree() + sum(e for _, e in fact)
 
 
-def _check_fact_keys(graph: Tree, fact: tuple) -> None:
-    slots = _root_slots(graph)
-    for key, _ in fact:
-        if key not in slots:
-            raise InvalidArgument(f"factored slot {key!r} is not a root slot")
-
-
 class RtClass(FormalSum):
     """Formal sum of rational-tails terms with factored root monomials."""
 
-    __slots__ = ("legs",)
+    __slots__ = ("ambient",)
 
-    def __init__(self, legs, terms: Optional[Mapping] = None):
-        self.legs = frozenset(legs)
+    def __init__(self, ambient, terms: Optional[Mapping] = None):
+        self.ambient = frozenset(ambient)
         self.terms = {}
         for (graph, dec, fact), coeff in (terms or {}).items():
             self._add(graph, dec, fact, coeff)
@@ -101,14 +93,31 @@ class RtClass(FormalSum):
         coeff = exact(coeff)
         if not coeff or overloaded(graph, dec):
             return
-        if frozenset(l for ls in graph.legs for l in ls) != self.legs:
+        if frozenset(l for ls in graph.legs for l in ls) != self.ambient:
             raise InvalidArgument("term legs do not match the class")
         fact = _fact_tuple(dict(fact))
-        _check_fact_keys(graph, fact)
+        if not _root_slots(graph).issuperset(key for key, _ in fact):
+            raise InvalidArgument(f"a factored slot of {fact!r} is not a root slot")
         self._put((graph, dec, fact), coeff)
 
     def _space(self) -> tuple:
-        return (self.legs,)
+        return (self.ambient,)
+
+    @staticmethod
+    def _follow(fact: tuple, graph: Tree, image: Optional[Mapping]) -> dict:
+        """A factored monomial after a move whose output graph is ``graph``.
+
+        Each exponent follows the first leg of its slot, renamed by ``image``,
+        to the root slot that leg feeds in ``graph``; slots that merge add
+        their exponents.  No move splits a root slot, so the first leg speaks
+        for all.
+        """
+        out: dict = {}
+        for (kind, payload), e in fact:
+            leg = payload if kind == "leg" else payload[0]
+            key = _fact_key(graph, image.get(leg, leg) if image else leg)
+            out[key] = out.get(key, 0) + e
+        return out
 
     @staticmethod
     def _sort_key(key) -> tuple:
@@ -116,7 +125,7 @@ class RtClass(FormalSum):
         return (graph.sort_key(), dec.sort_key(), tuple((k[0], str(k[1]), e) for k, e in fact))
 
     def __repr__(self) -> str:
-        return f"RtClass(n={len(self.legs)}, {len(self.terms)} terms)"
+        return f"RtClass(n={len(self.ambient)}, {len(self.terms)} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -398,82 +407,35 @@ def _root_slots(graph: Tree) -> frozenset:
     return frozenset(_root_slot_order(graph))
 
 
-def _carry_fact(fact: tuple, graph: Tree, image: Optional[Mapping] = None) -> dict:
-    """Move a factored monomial through a move whose output graph is ``graph``.
-
-    Each exponent follows the first leg of its slot, renamed by ``image``, to
-    the root slot that leg feeds in ``graph``; slots that merge add their
-    exponents.  No move splits a root slot, so the first leg speaks for all.
-    """
-    out: dict = {}
-    for (kind, payload), e in fact:
-        leg = payload if kind == "leg" else payload[0]
-        if image:
-            leg = image.get(leg, leg)
-        key = _fact_key(graph, leg)
-        out[key] = out.get(key, 0) + e
-    return out
-
-
 def multiply_divisor(x: RtClass, leg) -> RtClass:
     """Multiply by (kω_leg - η): a factored bump at the leg's root slot."""
-    if leg not in x.legs:
+    if leg not in x.ambient:
         raise InvalidArgument(f"no leg {leg!r}")
     # the new factor starts at the leg's own slot and lands where that leg feeds
     bump = ((_leg_slot(leg), 1),)
-    return _moved(x, x.legs, lambda graph, dec: [(1, graph, dec)], lambda fact, graph: _carry_fact(fact + bump, graph))
+    out = RtClass(x.ambient)
+    for (graph, dec, fact), coeff in x.terms.items():
+        out._add(graph, dec, RtClass._follow(fact + bump, graph, None), coeff)
+    return out
 
 
-def pullback_forget_rt(x: RtClass, new_leg) -> RtClass:
-    """Pull back along the bundle map forgetting ``new_leg`` (`trees.pullback_terms`).
-
-    The fact key of the tail that receives ``new_leg`` grows by it; a
-    decorated root leg split off with it becomes a two-leg tail.
-    """
-    if new_leg in x.legs:
-        raise InvalidArgument(f"leg {new_leg!r} already present")
-    return _moved(x, x.legs | {new_leg}, lambda graph, dec: pullback_terms(graph, dec, new_leg), _carry_fact)
-
-
-def collide_rt(x: RtClass, leg_i, leg_j) -> RtClass:
-    """Collide two legs (`trees.collide_term`): multiply by the {i,j} divisor and forget ``leg_j``.
-
-    ``leg_j``'s root slot, or the two-leg tail that collapses, folds onto
-    ``leg_i``'s slot.
-    """
-    if leg_i == leg_j or leg_i not in x.legs or leg_j not in x.legs:
-        raise InvalidArgument("collide needs two distinct present legs")
-    return _moved(
-        x,
-        x.legs - {leg_j},
-        lambda graph, dec: filter(None, [collide_term(graph, dec, leg_i, leg_j)]),
-        lambda fact, graph: _carry_fact(fact, graph, {leg_j: leg_i}),
-    )
+# the `strata0` moves under their rational-tails names, which `bench/tracer.py` still lists
+pullback_forget_rt = pullback_forget
+collide_rt = collide
 
 
 def relabel_rt(x: RtClass, mapping: Mapping) -> RtClass:
-    return _moved(
-        x,
-        relabel_legs(x.legs, mapping),
-        lambda graph, dec: [(1, *relabel(graph, dec, mapping))],
-        lambda fact, graph: _carry_fact(fact, graph, mapping),
-    )
+    """Rename legs, each monomial slot with its first leg; a mapping that
+    merges two legs is refused (`trees.relabel_legs`)."""
+    return _moved(x, relabel_legs(x.ambient, mapping), lambda graph, dec: [(1, *relabel(graph, dec, mapping))], mapping)
 
 
 def e_class(n: int, I) -> RtClass:
-    """γ_* of the heavy-multiplicity class: the coda-glued extra class.
-
-    The node's root slot becomes the coda tail.
-    """
+    """γ_* of the heavy-multiplicity class: the coda-glued extra class
+    (`strata0.glue_push_gamma`), whose node slot becomes the coda tail."""
     I = coda_members(I)
-    mapping = coda_mapping(n, I)
-    base = f_class_m((len(I),) + (1,) * (n - len(I) - 1))
-    return _moved(
-        relabel_rt(base, mapping),
-        range(1, n + 1),
-        lambda graph, dec: [(1, *graft(graph, dec, NODE, I | {n}))],
-        lambda fact, graph: _carry_fact(fact, graph, {NODE: n}),
-    )
+    coda_mapping(n, I)  # a bad I is refused before the base class is built
+    return glue_push_gamma(f_class_m((len(I),) + (1,) * (n - len(I) - 1)), I, n)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +446,7 @@ def verify_frec(n: int) -> VerificationReport:
     """π* F_{n-1} · (kω_n - η) - Σ |I| E_I = F_n, per root profile."""
     if n < 2:
         raise InvalidArgument("n must be >= 2")
-    lhs = multiply_divisor(pullback_forget_rt(f_class(n - 1), n), n)
+    lhs = multiply_divisor(pullback_forget(f_class(n - 1), n), n)
     for r in range(1, n):
         for I in itertools.combinations(range(1, n), r):
             lhs = lhs - e_class(n, I).scale(len(I))
@@ -497,14 +459,10 @@ def verify_colliding_rt(mults) -> VerificationReport:
     mults = _multiplicities(mults)
     total = sum(mults)
     x = f_class(total)
-    # fold the legs left to right: collide (pos, pos+1) until each weight is met
-    pos = 1
-    for m in mults:
+    # fold the legs left to right until each weight is met
+    for pos, m in enumerate(mults, 1):
         for _ in range(m - 1):
-            x = collide_rt(x, pos, pos + 1)
-            mapping = {l: l - 1 for l in sorted(x.legs) if l >= pos + 2}
-            x = relabel_rt(x, mapping)
-        pos += 1
+            x = fold(x, pos)
     expected = f_class_m(mults)
     profile = None
     if x == expected:
@@ -697,7 +655,7 @@ def _psi_eta_terms(x: RtClass):
 
     A term c ψ^d (kψ - η)^b contributes c C(b,t) (-1)^t k^{b-t} ψ^{b-t+d} η^t.
     """
-    (leg,) = x.legs
+    (leg,) = x.ambient
     for (graph, dec, fact), coeff in x.terms.items():
         if graph.num_edges():
             raise InvalidArgument("single-leg classes are supported on the smooth locus only")
@@ -715,7 +673,7 @@ def pushforward_point(x: RtClass, g: Optional[int] = None) -> PushedClass:
     The coefficients are polynomials in the symbol k.  κ_0 evaluates to
     2g - 2 when g is numeric; the root has positive genus, so g >= 1.
     """
-    if len(x.legs) != 1:
+    if len(x.ambient) != 1:
         raise InvalidArgument("pushforward_point needs a single-leg class")
     if g is not None and g < 1:
         raise InvalidArgument("pushforward_point needs g >= 1")

@@ -157,7 +157,7 @@ def _fact_in(blob: dict) -> dict:
 
 def rtclass_to_json(x: RtClass, k="k") -> dict:
     terms = [_term_to_json(key, coeff) for key, coeff in x.items()]
-    return {"k": k, "legs": sorted(_label_out(l) for l in x.legs), "terms": terms}
+    return {"k": k, "legs": sorted(_label_out(l) for l in x.ambient), "terms": terms}
 
 
 @_reads_json

@@ -10,6 +10,11 @@ Terms are keyed by the canonical (tree, decoration) encoding; coefficients are
 `Fraction`s.  Terms whose decoration kills a vertex's moduli factor, and terms
 of degree above the ambient dimension, are dropped on construction.
 
+Each move is written once, `_moved` builds its output term by term, and
+`pullback_forget`, `collide`, `fold` and `glue_push_gamma` serve an `RtClass`
+too: its graphs follow the same `trees` rules, and its monomial follows the
+move's leg image through `RtClass._follow`.
+
 Products with undecorated strata use the excess-intersection formula: the leg
 splits of the two trees must form a laminar family (otherwise the product is
 empty), the common refinement is the unique minimal joint degeneration, and
@@ -158,18 +163,18 @@ class FormalSum:
         return type(other) is type(self) and self._space() == other._space() and self.terms == other.terms
 
 
-def _moved(x: FormalSum, legs, images, carry=None):
-    """A class of x's type on ``legs``, built term by term by one move.
+def _moved(x: FormalSum, ambient, images, image: Optional[Mapping] = None):
+    """A class of x's type on ``ambient``, built term by term by one move.
 
     ``images(tree, dec)`` yields a term's signed images ``(sign, tree, dec)``,
     by a per-term rule of `trees`; each enters through the new class's own
     ``_add``, which checks it.  The rest of a term's key, an `RtClass`
-    monomial, follows the move through ``carry(fact, new tree)``.
+    monomial, follows the move's leg ``image`` (`RtClass._follow`).
     """
-    out = type(x)(legs)
+    out = type(x)(ambient)
     for (tree, dec, *rest), coeff in x.terms.items():
         for sign, t2, d2 in images(tree, dec):
-            out._add(t2, d2, *[carry(fact, t2) for fact in rest], coeff if sign > 0 else -coeff)
+            out._add(t2, d2, *[x._follow(fact, t2, image) for fact in rest], coeff if sign > 0 else -coeff)
     return out
 
 
@@ -504,7 +509,7 @@ def is_zero(x: Class0) -> bool:
 # forgetful maps
 
 
-def pullback_forget(x: Class0, new_leg) -> Class0:
+def pullback_forget(x: FormalSum, new_leg) -> FormalSum:
     """Pull back along the map forgetting ``new_leg`` (`trees.pullback_terms`)."""
     if new_leg in x.ambient:
         raise InvalidArgument(f"leg {new_leg!r} already present")
@@ -575,16 +580,31 @@ def pushforward_forget(x: Class0, leg) -> Class0:
     return out
 
 
-def collide(x: Class0, leg_i, leg_j) -> Class0:
-    """Multiply with the {i,j} boundary divisor and forget ``leg_j``.
+def collide(x: FormalSum, leg_i, leg_j) -> FormalSum:
+    """Multiply with the {i,j} boundary divisor and forget ``leg_j`` (`trees.collide_term`)."""
+    return _collided(x, leg_i, leg_j, {})
 
-    Implemented by the direct rule `trees.collide_term`.
-    """
+
+def fold(x: FormalSum, leg: int) -> FormalSum:
+    """Collide ``leg + 1`` into ``leg`` and renumber the integer legs above
+    it down by one: one step of a colliding chain, in one pass."""
+    return _collided(x, leg, leg + 1, {l: l - 1 for l in x.ambient if isinstance(l, int) and l > leg + 1})
+
+
+def _collided(x: FormalSum, leg_i, leg_j, mapping: Mapping) -> FormalSum:
+    """`collide`, each image then renamed by ``mapping`` (`trees.relabel`)."""
     if leg_i == leg_j:
         raise InvalidArgument("cannot collide a leg with itself")
     if leg_i not in x.ambient or leg_j not in x.ambient:
         raise InvalidArgument("legs must sit in the ambient")
-    return _moved(x, x.ambient - {leg_j}, lambda tree, dec: filter(None, [collide_term(tree, dec, leg_i, leg_j)]))
+
+    def images(tree: Tree, dec: Decoration):
+        term = collide_term(tree, dec, leg_i, leg_j)
+        if term is not None:
+            yield (term[0], *relabel(*term[1:], mapping)) if mapping else term
+
+    image = {**mapping, leg_j: mapping.get(leg_i, leg_i)}
+    return _moved(x, relabel_legs(x.ambient - {leg_j}, mapping), images, image)
 
 
 def collide_via_product(x: Class0, leg_i, leg_j) -> Class0:
@@ -616,18 +636,25 @@ def ambient0(n: int) -> frozenset:
     return frozenset(range(1, n + 1)) | {H0}
 
 
-def glue_push_gamma(x: Class0, I, n: int) -> Class0:
+def glue_push_gamma(x: FormalSum, I, n: int) -> FormalSum:
     """Attach the coda vertex with legs I ∪ {n} at the first marked point.
 
-    ``x`` lives on the space with legs {1..n-m, h0}; its leg 1 becomes the
-    node, its remaining legs are relabeled order-preservingly onto
-    {1..n-1} - I, and the output lives on {1..n, h0}.
+    ``x`` is a `Class0` on the legs {1..n-m, h0} or an `RtClass` on
+    {1..n-m}; its leg 1 becomes the node, its remaining legs are relabeled
+    order-preservingly onto {1..n-1} - I, and the output lives on {1..n},
+    with h0 for a `Class0`.  Each term is relabelled and grafted in one
+    pass; an `RtClass` monomial slot of leg 1 becomes the coda tail.
     """
     I = coda_members(I)
     mapping = coda_mapping(n, I)
-    if x.ambient != ambient0(n - len(I)):
+    root = frozenset([H0]) if isinstance(x, Class0) else frozenset()
+    if x.ambient != root | frozenset(range(1, n - len(I) + 1)):
         raise InvalidArgument("class lives on the wrong space for this coda")
-    return _moved(relabel_class(x, mapping), ambient0(n), lambda tree, dec: [(1, *graft(tree, dec, NODE, I | {n}))])
+
+    def glued(tree: Tree, dec: Decoration):
+        return [(1, *graft(*relabel(tree, dec, mapping), NODE, I | {n}))]
+
+    return _moved(x, root | frozenset(range(1, n + 1)), glued, {**mapping, 1: n})
 
 
 def glue_push_sigma0(x: Class0, n: int) -> Class0:

@@ -149,6 +149,32 @@ def test_pair_refuses_a_rational_tails_stratum(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_pair_refuses_more_legs_than_the_largest_measured_before_any_pairing(tmp_path, capsys, monkeypatch):
+    def started(*args):
+        raise AssertionError("the pairing started")
+
+    monkeypatch.setattr(cli.strata0, "pair", started)
+
+    def one_vertex(n):
+        return build_tree([[H0, *range(1, n + 1)]], [])[0]
+
+    def run_pair(class_n, stratum_n):
+        klass, stratum = tmp_path / "class.json", tmp_path / "stratum.json"
+        klass.write_text(json.dumps(class0_to_json(push_tree(one_vertex(class_n)))))
+        stratum.write_text(json.dumps(tree_to_json(one_vertex(stratum_n))))
+        return run_cli(capsys, "pair", "--klass", str(klass), "--stratum", str(stratum))
+
+    # 9 legs (h0 and 1..8) are one more than the n = MAX_N ambient
+    assert cli.MAX_N + 1 == 8
+    for class_n, stratum_n in ((8, 8), (7, 8), (8, 7)):
+        code, out, err = run_pair(class_n, stratum_n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "leg count 9 is above 8" in err
+    # at the bound the pairing starts, and meets the stand-in
+    code, out, err = run_pair(7, 7)
+    assert code == 3 and "the pairing started" in err
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "zcycle", "--n", "4")
     assert code == 2
@@ -244,6 +270,45 @@ def test_verify_parallel_matches_serial(capsys):
     _, out1, _ = run_cli(capsys, "verify", "collide0", "--max-n", "4")
     _, out2, _ = run_cli(capsys, "verify", "collide0", "--max-n", "4", "--jobs", "2")
     assert out1 == out2
+
+
+def test_verify_jobs_start_no_more_workers_than_tasks_and_no_more_than_max_jobs(capsys, monkeypatch):
+    # a stand-in pool records its size and runs the tasks in this process
+    import concurrent.futures
+
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers <= cli.MAX_JOBS, "a pool was built for a refused --jobs"
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = run_cli(capsys, "verify", "collide0", "--max-n", "3")[:2]
+    # collide0 --max-n 3 has two tasks: a pool of two, not of MAX_JOBS
+    assert run_cli(capsys, "verify", "collide0", "--max-n", "3", "--jobs", str(cli.MAX_JOBS))[:2] == serial
+    assert built == [2]
+    # frec --max-n 2 has one task: no pool
+    assert run_cli(capsys, "verify", "frec", "--max-n", "2", "--jobs", "4")[:2] == (0, "pass frec(2,)\n")
+    assert built == [2]
+
+    def started(task):
+        raise AssertionError("a task started")
+
+    monkeypatch.setattr(cli, "run_task", started)
+    code, out, err = run_cli(capsys, "verify", "collide0", "--max-n", "3", "--jobs", str(cli.MAX_JOBS + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"--jobs {cli.MAX_JOBS + 1} is above {cli.MAX_JOBS}" in err
+    assert built == [2]
 
 
 @pytest.mark.skipif(

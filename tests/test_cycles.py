@@ -15,11 +15,14 @@ import pytest
 from rtails import cli, cycles, strata0
 from rtails.trees import (
     H0,
+    NODE,
     InvalidArgument,
     build_tree,
     child_edges_of,
+    coda_mapping,
     decorations_of_degree,
     enumerate_trees0,
+    graft,
     path_edges,
     vertex_of_leg,
 )
@@ -585,6 +588,64 @@ def test_collide0_routes_agree_with_a_block_doubled(monkeypatch, n, m, degree, f
     assert bool(failed) == fails
 
 
+# ---------------------------------------------------------------------------
+# the one-pass moves: their two-pass routes are the oracles
+
+
+def _collide_then_renumber(x, leg):
+    """`fold` in two passes: collide ``leg + 1`` into ``leg``, then relabel
+    the legs above it down by one."""
+    y = strata0.collide(x, leg, leg + 1)
+    return strata0.relabel_class(y, {l: l - 1 for l in y.ambient if isinstance(l, int) and l > leg + 1})
+
+
+def test_fold_equals_collide_then_relabel_on_every_z_block():
+    nonzero = 0
+    for n in range(3, 6):
+        for degree in range(n - 1):
+            for block in cycles._z_blocks(n, 1, degree).values():
+                for leg in range(1, n):
+                    folded = strata0.fold(block, leg)
+                    assert folded == _collide_then_renumber(block, leg), (n, degree, leg)
+                    assert folded.ambient == ambient0(n - 1)
+                    nonzero += bool(folded.terms)
+    assert nonzero > 40
+
+
+def _relabel_then_graft(x, I, n):
+    """`glue_push_gamma` in two passes: relabel by `coda_mapping`, then graft the coda."""
+    relabelled = strata0.relabel_class(x, coda_mapping(n, I))
+    return strata0._moved(relabelled, ambient0(n), lambda tree, dec: [(1, *graft(tree, dec, NODE, set(I) | {n}))])
+
+
+def test_glue_push_gamma_equals_relabel_then_graft_on_every_ei_input():
+    nonzero = 0
+    for _, (n, I, i) in cli._grid("ei", 5, 0):
+        for j in range(i - n + 1, i):
+            x = z_cycle(n - len(I), i, j, len(I))
+            glued = strata0.glue_push_gamma(x, I, n)
+            assert glued == _relabel_then_graft(x, I, n), (n, I, i, j)
+            nonzero += bool(glued.terms)
+    assert nonzero > 50
+
+
+def test_a_chain_step_and_a_coda_gluing_build_one_class(monkeypatch):
+    block = next(b for b in cycles._z_blocks(5, 1, 2).values() if b.terms)
+    x = z_cycle(3, 1, 0, 2)
+    built = []
+    real = Class0.__init__
+
+    def counting(self, *args):
+        built.append(len(args[0]))
+        real(self, *args)
+
+    monkeypatch.setattr(Class0, "__init__", counting)
+    collide_first_legs(block, 2)
+    assert built == [5, 4]  # one class per step, on 5 then 4 legs
+    strata0.glue_push_gamma(x, {1}, 4)
+    assert built == [5, 4, 5]
+
+
 def _count_calls(name, tasks):
     """Calls to ``cycles.<name>`` made running ``tasks`` in order in a new
     interpreter, the sorted verdict lines and the sorted (n, m, degree) of the
@@ -611,11 +672,11 @@ def _run_fresh(code):
 
 
 def test_collide0_collides_each_block_once_per_step():
-    # every chain step of every block is collided once, whichever m of the
+    # every chain step of every block is one `fold`, whichever m of the
     # grid asks first: no prefix is collided twice
     tasks = cli._grid("collide0", 5, 0)
     expected = sum(len(cycles._z_blocks(n, 1, degree)) * (n - 2) for n in range(3, 6) for degree in range(n - 1))
-    forward, backward = _count_calls("collide", tasks), _count_calls("collide", tasks[::-1])
+    forward, backward = _count_calls("fold", tasks), _count_calls("fold", tasks[::-1])
     assert forward == backward
     assert forward[0] == expected
     assert all(line.startswith("pass ") for line in forward[1])

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from rtails import cli, rtclasses, trees
+from rtails import cli, rtclasses, strata0, trees
 from rtails.strata0 import dim_of, pair_term, push_tree, strata_family, term_degree
 from rtails.trees import (
     H0,
@@ -262,6 +262,79 @@ FACT_MOVES = {
 def test_the_factored_monomial_follows_its_legs(case):
     move, expected = FACT_MOVES[case]
     assert move().terms == expected
+
+
+def test_the_rational_tails_moves_are_the_genus0_moves():
+    assert collide_rt is strata0.collide and pullback_forget_rt is strata0.pullback_forget
+
+
+def test_fold_equals_collide_then_relabel_on_f_classes():
+    for n in range(2, 6):
+        x = f_class(n)
+        for leg in range(1, n):
+            y = collide_rt(x, leg, leg + 1)
+            oracle = rtclasses.relabel_rt(y, {l: l - 1 for l in y.ambient if l > leg + 1})
+            folded = strata0.fold(x, leg)
+            assert folded == oracle and folded.terms, (n, leg)
+            assert folded.ambient == frozenset(range(1, n))
+
+
+def _e_class_two_pass(n, I):
+    """`e_class` as it was built before `glue_push_gamma` served it: relabel
+    the heavy class by `coda_mapping`, then graft the coda at the node."""
+    base = f_class_m((len(I),) + (1,) * (n - len(I) - 1))
+    relabelled = rtclasses.relabel_rt(base, trees.coda_mapping(n, I))
+    graft = lambda graph, dec: [(1, *trees.graft(graph, dec, trees.NODE, set(I) | {n}))]  # noqa: E731
+    return strata0._moved(relabelled, range(1, n + 1), graft, {trees.NODE: n})
+
+
+def test_e_class_equals_relabel_then_graft_for_every_coda():
+    for n in range(2, 6):
+        for r in range(1, n):
+            for I in itertools.combinations(range(1, n), r):
+                e = e_class(n, I)
+                assert e == _e_class_two_pass(n, I) and e.terms, (n, I)
+
+
+def test_e_class_refuses_a_bad_coda_before_building_its_base(monkeypatch):
+    monkeypatch.setattr(rtclasses, "f_class_m", lambda mults: pytest.fail("the base class was built"))
+    for I in ((), (3,), (0, 1)):
+        with pytest.raises(InvalidArgument, match="non-empty subset"):
+            e_class(3, I)
+
+
+def test_the_shared_moves_keep_every_refusal_for_both_class_types():
+    # the coda gluing needs {1..n-|I|} on an RtClass and also h0 on a Class0
+    assert strata0.glue_push_gamma(f_class(2), {1}, 3) == e_class(3, {1})
+    for x, n in ((f_class(3), 3), (f_class(1), 3), (push_tree(build_tree([[1, 2, 3]], [])[0]), 4)):
+        with pytest.raises(InvalidArgument, match="wrong space for this coda"):
+            strata0.glue_push_gamma(x, {1}, n)
+    for move, match in (
+        (lambda: collide_rt(f_class(3), 1, 1), "with itself"),
+        (lambda: collide_rt(f_class(3), 1, 4), "sit in the ambient"),
+        (lambda: strata0.fold(f_class(3), 3), "sit in the ambient"),
+        (lambda: pullback_forget_rt(f_class(3), 2), "already present"),
+    ):
+        with pytest.raises(InvalidArgument, match=match):
+            move()
+
+
+def test_a_chain_step_and_a_coda_gluing_build_one_class(monkeypatch):
+    # warm caches: the unit and heavy classes are built before counting
+    assert verify_colliding_rt((2, 2)).witness == "termwise"
+    e_class(3, {1})
+    built = []
+    real = RtClass.__init__
+
+    def counting(self, *args):
+        built.append(len(args[0]))
+        real(self, *args)
+
+    monkeypatch.setattr(RtClass, "__init__", counting)
+    assert verify_colliding_rt((2, 2)).passed
+    assert built == [3, 2]  # one class per chain step
+    e_class(3, {1})
+    assert built == [3, 2, 3]
 
 
 def test_colliding_rt_small():
@@ -694,7 +767,7 @@ def test_rt_sums_copy_checked_terms(monkeypatch):
     total = x + y
     assert (total - y) == x and x.scale(2) - x == x
     assert calls == []
-    RtClass(x.legs, x.terms)  # a new class checks each term it is given
+    RtClass(x.ambient, x.terms)  # a new class checks each term it is given
     assert len(calls) == len(x.terms)
 
 
@@ -719,7 +792,7 @@ def test_relabel_rt_refuses_a_merging_mapping():
     for x in (RtClass({1, 2, 3}), f_class(3)):
         with pytest.raises(InvalidArgument, match="duplicate leg labels"):
             rtclasses.relabel_rt(x, {1: 2})
-    assert rtclasses.relabel_rt(RtClass({1, 2, 3}), {1: 4}).legs == frozenset({2, 3, 4})
+    assert rtclasses.relabel_rt(RtClass({1, 2, 3}), {1: 4}).ambient == frozenset({2, 3, 4})
 
 
 def test_inexact_coefficients_are_refused():
@@ -727,13 +800,13 @@ def test_inexact_coefficients_are_refused():
     key = next(iter(x.terms))
     for refused in (
         lambda: x.scale(0.1),
-        lambda: RtClass(x.legs, {key: 0.5}),
+        lambda: RtClass(x.ambient, {key: 0.5}),
         lambda: KPoly({0: 0.5}),
         lambda: KPoly.const(1) * 0.5,
     ):
         with pytest.raises(InvalidArgument):
             refused()
-    assert RtClass(x.legs, {key: Fraction(1, 2)}) == RtClass(x.legs, {key: 1}).scale(Fraction(1, 2))
+    assert RtClass(x.ambient, {key: Fraction(1, 2)}) == RtClass(x.ambient, {key: 1}).scale(Fraction(1, 2))
     assert KPoly({0: 2}) == KPoly.const(Fraction(2))
 
 
