@@ -136,7 +136,7 @@ def cmd_zcycle(args) -> int:
     if args.format == "json":
         _emit(serialize.dumps(serialize.class0_to_json(x)))
     else:
-        _emit(serialize.class0_to_latex(x))
+        _emit(serialize.class_to_latex(x))
     return 0
 
 
@@ -155,7 +155,7 @@ def cmd_fclass(args) -> int:
     if args.format == "json":
         _emit(serialize.dumps(serialize.rtclass_to_json(x, k=ksym)))
     else:
-        _emit(serialize.rtclass_to_latex(x, k=ksym))
+        _emit(serialize.class_to_latex(x, k=ksym))
     return 0
 
 
@@ -178,7 +178,7 @@ def cmd_relations(args) -> int:
         blob["relation"] = f"F^1_(g={args.g},n={args.n}) = 0 over rational tails"
         _emit(serialize.dumps(blob))
     else:
-        _emit("0 = " + serialize.rtclass_to_latex(x, k="1"))
+        _emit("0 = " + serialize.class_to_latex(x, k="1"))
     return 0
 
 

@@ -7,10 +7,10 @@ carry, besides the ψ-decoration, a factored root monomial: exponents of
 exponent after cancelling against the legs' divisor factors sits on the edge).
 k stays symbolic inside the factored basis; coefficients are rationals.
 
-Pullback, collide, the chain step `fold` and the coda gluing are the moves
-of `strata0`, shared with `Class0`.  A move hands `RtClass._follow` its leg
-image, and each exponent goes to the root slot that the image of its slot's
-first leg feeds in the new graph.
+Pullback, collide, the chain step `fold`, relabelling and the coda gluing
+are the moves of `strata0`, shared with `Class0`.  A move hands
+`RtClass._follow` its leg image, and each exponent goes to the root slot that
+the image of its slot's first leg feeds in the new graph.
 
 The graph formula can produce decorated graphs whose net tail exponent is
 negative while the total degree is fine; such a bracket is not a cycle, but
@@ -48,15 +48,13 @@ from .trees import (
     overloaded,
     path_edges,
     psi_budgets,
-    relabel,
-    relabel_legs,
     split_bits,
     vertex_of_leg,
     _carried,
     _plan,
 )
-from .strata0 import FormalSum, dim_of, exact, pair_term, strata_family, term_degree, _moved
-from .strata0 import collide, fold, glue_push_gamma, pullback_forget  # the moves of both class types
+from .strata0 import FormalSum, dim_of, exact, pair_term, strata_family, term_degree, _check_tree
+from .strata0 import collide, fold, glue_push_gamma, pullback_forget, relabel_class  # the moves of both class types
 from .weights import coeff_c
 from .cycles import VerificationReport
 
@@ -91,10 +89,10 @@ class RtClass(FormalSum):
     def _add(self, graph: Tree, dec: Decoration, fact, coeff) -> None:
         self._check_mutable()
         coeff = exact(coeff)
+        if coeff:
+            _check_tree(graph, self.ambient, rt=True)  # before the load, as in `Class0`
         if not coeff or overloaded(graph, dec):
             return
-        if frozenset(l for ls in graph.legs for l in ls) != self.ambient:
-            raise InvalidArgument("term legs do not match the class")
         fact = _fact_tuple(dict(fact))
         if not _root_slots(graph).issuperset(key for key, _ in fact):
             raise InvalidArgument(f"a factored slot of {fact!r} is not a root slot")
@@ -104,8 +102,9 @@ class RtClass(FormalSum):
         return (self.ambient,)
 
     @staticmethod
-    def _follow(fact: tuple, graph: Tree, image: Optional[Mapping]) -> dict:
-        """A factored monomial after a move whose output graph is ``graph``.
+    def _follow(fact: tuple, graph: Tree, image: Optional[Mapping]) -> tuple:
+        """A factored monomial after a move whose output graph is ``graph``,
+        normalised (`_fact_tuple`).
 
         Each exponent follows the first leg of its slot, renamed by ``image``,
         to the root slot that leg feeds in ``graph``; slots that merge add
@@ -117,7 +116,7 @@ class RtClass(FormalSum):
             leg = payload if kind == "leg" else payload[0]
             key = _fact_key(graph, image.get(leg, leg) if image else leg)
             out[key] = out.get(key, 0) + e
-        return out
+        return _fact_tuple(out)
 
     @staticmethod
     def _sort_key(key) -> tuple:
@@ -422,12 +421,7 @@ def multiply_divisor(x: RtClass, leg) -> RtClass:
 # the `strata0` moves under their rational-tails names, which `bench/tracer.py` still lists
 pullback_forget_rt = pullback_forget
 collide_rt = collide
-
-
-def relabel_rt(x: RtClass, mapping: Mapping) -> RtClass:
-    """Rename legs, each monomial slot with its first leg; a mapping that
-    merges two legs is refused (`trees.relabel_legs`)."""
-    return _moved(x, relabel_legs(x.ambient, mapping), lambda graph, dec: [(1, *relabel(graph, dec, mapping))], mapping)
+relabel_rt = relabel_class
 
 
 def e_class(n: int, I) -> RtClass:

@@ -30,8 +30,9 @@ def _label_out(l):
 
 
 def _label_in(l):
-    if isinstance(l, int):
-        return l
+    """A leg label read from JSON: an integer, or a string (of digits: the integer)."""
+    if isinstance(l, bool) or not isinstance(l, (int, str)):
+        raise InvalidArgument(f"leg label {l!r} is not an integer or a string")
     if isinstance(l, str) and l.lstrip("-").isdigit():
         return int(l)
     return l
@@ -201,15 +202,6 @@ def _coeff_latex(c: Fraction, first: bool) -> str:
     return f"{sign}{s}"
 
 
-def class0_to_latex(x: Class0) -> str:
-    if not x.terms:
-        return "0"
-    bits = []
-    for idx, ((tree, dec), coeff) in enumerate(x.items()):
-        bits.append(_coeff_latex(coeff, idx == 0) + "\\,\\xi_*" + tree_to_latex(tree, dec))
-    return " ".join(bits)
-
-
 def _fact_latex(fact, k="k") -> str:
     out = []
     for (kind, payload), e in fact:
@@ -221,15 +213,17 @@ def _fact_latex(fact, k="k") -> str:
     return "".join(out)
 
 
-def rtclass_to_latex(x: RtClass, k="k") -> str:
+def class_to_latex(x, k="k") -> str:
+    """A `Class0` or an `RtClass`, term by term; a term's factored monomial,
+    when it has one, follows its graph."""
     if not x.terms:
         return "0"
     bits = []
-    for idx, ((graph, dec, fact), coeff) in enumerate(x.items()):
+    for idx, ((graph, dec, *fact), coeff) in enumerate(x.items()):
         bits.append(
             _coeff_latex(coeff, idx == 0)
             + "\\,\\xi_*"
             + tree_to_latex(graph, dec)
-            + _fact_latex(fact, k=k)
+            + "".join(_fact_latex(f, k=k) for f in fact)
         )
     return " ".join(bits)

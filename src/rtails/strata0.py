@@ -11,9 +11,11 @@ Terms are keyed by the canonical (tree, decoration) encoding; coefficients are
 of degree above the ambient dimension, are dropped on construction.
 
 Each move is written once, `_moved` builds its output term by term, and
-`pullback_forget`, `collide`, `fold` and `glue_push_gamma` serve an `RtClass`
-too: its graphs follow the same `trees` rules, and its monomial follows the
-move's leg image through `RtClass._follow`.
+`pullback_forget`, `collide`, `fold`, `relabel_class` and `glue_push_gamma`
+serve an `RtClass` too: its graphs follow the same `trees` rules, and its
+monomial follows the move's leg image through `RtClass._follow`.  One check,
+`_check_tree`, refuses a term whose graph is of the other class type or
+whose legs are not the class's.
 
 Products with undecorated strata use the excess-intersection formula: the leg
 splits of the two trees must form a laminar family (otherwise the product is
@@ -61,6 +63,7 @@ from .trees import (
     coda_members,
     collide_term,
     enumerate_stable_trees,
+    forget_terms,
     graft,
     label_key,
     make_decoration,
@@ -74,10 +77,6 @@ from .trees import (
     split_bits,
     splits,
     term_sort_key,
-    vertex_of_leg,
-    vertex_slots,
-    _carried,
-    _forget_plan,
     _frame,
     _tree_from_laminar,
 )
@@ -228,10 +227,12 @@ def term_degree(tree: Tree, dec: Decoration) -> int:
     return tree.num_edges() + dec.degree()
 
 
-def _check_tree(tree: Tree, ambient: frozenset) -> None:
-    """Refuse a tree that is no genus-0 stratum of ``ambient``."""
-    if tree.rt:
-        raise InvalidArgument("a genus-0 class has no rational-tails graph")
+def _check_tree(tree: Tree, ambient: frozenset, rt: bool = False) -> None:
+    """Refuse a tree that is no stratum of ``ambient``: a genus-0 tree, or a
+    rational-tails graph when ``rt``."""
+    if tree.rt != rt:
+        kind = "a rational-tails class needs a genus vertex" if rt else "a genus-0 class has no rational-tails graph"
+        raise InvalidArgument(kind)
     if frozenset(l for ls in tree.legs for l in ls) != ambient:
         raise InvalidArgument("tree legs do not match the ambient")
 
@@ -387,18 +388,20 @@ def _pair_refined(dec: Decoration, ambient: frozenset, ref: _Refinement) -> int:
     return value
 
 
+def _excess_terms(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset):
+    """The terms ``(sign, tree, dec)`` of the product of (tree, dec) with an
+    undecorated stratum; none when the two are not laminar."""
+    ref = _refine(tree, stratum, ambient)
+    if ref is not None:
+        sign = (-1) ** len(ref.shared)
+        for d2 in _excess_decorations(dec, ref):
+            yield sign, ref.gamma, d2
+
+
 def product_with_stratum(x: Class0, stratum: Tree) -> Class0:
     """Excess-intersection product with an undecorated boundary stratum."""
     _check_tree(stratum, x.ambient)
-
-    def excess(tree: Tree, dec: Decoration):
-        ref = _refine(tree, stratum, x.ambient)
-        if ref is not None:
-            sign = (-1) ** len(ref.shared)
-            for d2 in _excess_decorations(dec, ref):
-                yield sign, ref.gamma, d2
-
-    return _moved(x, x.ambient, excess)
+    return _moved(x, x.ambient, lambda tree, dec: _excess_terms(tree, dec, stratum, x.ambient))
 
 
 def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) -> int:
@@ -517,67 +520,34 @@ def pullback_forget(x: FormalSum, new_leg) -> FormalSum:
 
 
 def _eliminate_leg_psi(x: Class0, leg) -> Class0:
-    """Rewrite every ψ_leg factor via ψ_leg = Σ δ_M (M containing leg, not a, b)."""
+    """Rewrite every ψ_leg factor via ψ_leg = Σ δ_M (M containing leg, not a, b),
+    one pass per power of ψ_leg: the excess product adds no ψ_leg."""
     ambient = x.ambient
-    others = sort_labels(ambient - {leg})
-    a, b = others[0], others[1]
-    pool = sort_labels(ambient - {leg, a, b})
-    divisors = []
-    for r in range(1, len(pool) + 1):
-        for extra in itertools.combinations(pool, r):
-            part = set(extra) | {leg}
-            if len(part) <= len(ambient) - 2:
-                tree, _ = build_tree([sorted(ambient - part, key=label_key), sorted(part, key=label_key)], [(0, 1)])
-                divisors.append(tree)
-    current = x
-    while True:
-        pending = Class0(ambient)
-        done = Class0(ambient)
-        for (tree, dec), coeff in current.terms.items():
-            if dec.leg_exp(leg):
-                legexp = dec.leg_dict()
-                legexp[leg] -= 1
-                reduced = Class0(ambient, {(tree, make_decoration(dec.half_dict(), legexp)): coeff})
-                for div in divisors:
-                    pending += product_with_stratum(reduced, div)
-            else:
-                done._add(tree, dec, coeff)
-        if not pending.terms:
-            return done
-        current = done + pending
+    a, b = sort_labels(ambient - {leg})[:2]
+    divisors = [S for S in strata_family(ambient, 1) if any(leg in M and not {a, b} & set(M) for M in S.legs)]
+
+    def lowered(tree: Tree, dec: Decoration):
+        legexp = dec.leg_dict()
+        if not legexp.get(leg):
+            yield 1, tree, dec
+            return
+        legexp[leg] -= 1
+        reduced = make_decoration(dec.half_dict(), legexp)
+        for div in divisors:
+            yield from _excess_terms(tree, reduced, div, ambient)
+
+    for _ in range(max((dec.leg_exp(leg) for _, dec in x.terms), default=0)):
+        x = _moved(x, ambient, lowered)
+    return x
 
 
 def pushforward_forget(x: Class0, leg) -> Class0:
-    """Push forward along the map forgetting ``leg``; degree drops by one."""
+    """Push forward along the map forgetting ``leg`` (`trees.forget_terms`); degree drops by one."""
     if leg not in x.ambient:
         raise InvalidArgument(f"no leg {leg!r}")
     if len(x.ambient) < 4:
         raise InvalidArgument("cannot forget below three legs")
-    ambient2 = x.ambient - {leg}
-    flat = _eliminate_leg_psi(x, leg)
-    out = Class0(ambient2)
-    for (tree, dec), coeff in flat.terms.items():
-        new, slots, moved = _forget_plan(tree, leg)
-        half = _carried(dec.half, slots)
-        v = vertex_of_leg(tree, leg)
-        if psi_budgets(tree)[v]:
-            # string rule: lower one decorated slot at v by one (ψ_leg is gone)
-            for slot in vertex_slots(tree, v):
-                lowered, legexp = dict(half), dec.leg_dict()
-                store, key = (lowered, slots[slot]) if isinstance(slot, tuple) else (legexp, slot)
-                if store.get(key):
-                    store[key] -= 1
-                    out._add(new, make_decoration(lowered, legexp), coeff)
-        else:
-            # decorated slots at a trivalent vertex are already zero in normal
-            # form; the leg left over takes the far exponent, or the edge left
-            # over merges with the contracted one (`_forget_plan`)
-            leg_exp = dec.leg_dict()
-            if moved is not None:
-                far, keep = moved
-                leg_exp[keep] = dec.half_exp(far)
-            out._add(new, make_decoration(dict(half), leg_exp), coeff)
-    return out
+    return _moved(_eliminate_leg_psi(x, leg), x.ambient - {leg}, lambda tree, dec: forget_terms(tree, dec, leg))
 
 
 def collide(x: FormalSum, leg_i, leg_j) -> FormalSum:
@@ -588,6 +558,8 @@ def collide(x: FormalSum, leg_i, leg_j) -> FormalSum:
 def fold(x: FormalSum, leg: int) -> FormalSum:
     """Collide ``leg + 1`` into ``leg`` and renumber the integer legs above
     it down by one: one step of a colliding chain, in one pass."""
+    if isinstance(leg, bool) or not isinstance(leg, int):
+        raise InvalidArgument(f"cannot fold at {leg!r}: a chain steps over integer legs")
     return _collided(x, leg, leg + 1, {l: l - 1 for l in x.ambient if isinstance(l, int) and l > leg + 1})
 
 
@@ -621,13 +593,15 @@ def collide_via_product(x: Class0, leg_i, leg_j) -> Class0:
 # gluing pushforwards
 
 
-def relabel_class(x: Class0, mapping: Mapping) -> Class0:
-    """Rename legs.  Renaming keeps a term's degree and vertex loads, and a
-    merging mapping is refused up front (`trees.relabel_legs`), so the terms
-    of x, already checked, are copied without a new check."""
-    out = Class0(relabel_legs(x.ambient, mapping))
-    for (tree, dec), coeff in x.terms.items():
-        out._put(relabel(tree, dec, mapping), coeff)
+def relabel_class(x: FormalSum, mapping: Mapping) -> FormalSum:
+    """Rename legs (`trees.relabel`); an `RtClass` monomial follows them
+    (`RtClass._follow`).  Renaming keeps a term's degree and vertex loads,
+    and a merging mapping is refused up front (`trees.relabel_legs`), so the
+    terms of x, already checked, are copied without a new check."""
+    out = type(x)(relabel_legs(x.ambient, mapping))
+    for (tree, dec, *rest), coeff in x.terms.items():
+        t2, d2 = relabel(tree, dec, mapping)
+        out._put((t2, d2, *[x._follow(fact, t2, mapping) for fact in rest]), coeff)
     return out
 
 

@@ -752,6 +752,32 @@ def collide_term(tree: Tree, dec: Decoration, i: Label, j: Label):
     return (-1, new, Decoration(_carried(dec.half, slots), tuple(leg)))
 
 
+def forget_terms(tree: Tree, dec: Decoration, leg: Label):
+    """The terms ``(sign, tree, dec)`` of pushing forward along forgetting
+    ``leg``, for a decoration without ψ_leg; the new tree is that of
+    `_forget_plan`."""
+    new, slots, moved = _forget_plan(tree, leg)
+    half = _carried(dec.half, slots)
+    v = vertex_of_leg(tree, leg)
+    if psi_budgets(tree)[v]:
+        # string rule: lower one decorated slot at v by one (ψ_leg is gone)
+        for slot in vertex_slots(tree, v):
+            lowered, legexp = dict(half), dec.leg_dict()
+            store, key = (lowered, slots[slot]) if isinstance(slot, tuple) else (legexp, slot)
+            if store.get(key):
+                store[key] -= 1
+                yield 1, new, make_decoration(lowered, legexp)
+    else:
+        # decorated slots at a trivalent vertex are already zero in normal
+        # form; the leg left over takes the far exponent, or the edge left
+        # over merges with the contracted one (`_forget_plan`)
+        legexp = dec.leg_dict()
+        if moved is not None:
+            far, keep = moved
+            legexp[keep] = dec.half_exp(far)
+        yield 1, new, make_decoration(dict(half), legexp)
+
+
 def pullback_terms(tree: Tree, dec: Decoration, new_leg: Label):
     """The terms ``(sign, tree, dec)`` of pulling back along forgetting ``new_leg``.
 

@@ -66,6 +66,11 @@ CODA = {
 }
 
 
+def _one_vertex(legs):
+    """A rational-tails graph with one genus vertex carrying ``legs``."""
+    return {"vertices": [{"genus": "g", "legs": legs}], "edges": [], "exp_half": {}, "exp_leg": {}}
+
+
 def test_tree_json_roundtrip():
     for blob_tree in [
         build_tree([[1, 2, H0], [3, 4]], [(0, 1)], half_exp={(0, 1): 2}),
@@ -228,6 +233,9 @@ def test_usage_errors(tmp_path, capsys):
         (ROOT_LEG, ("--multiplicities", "1,1,1,0"), "not 0 on 4"),
         (ROOT_LEG, ("--multiplicities", "1,1,1,-3"), "not -3 on 4"),
         (ROOT_LEG, ("--multiplicities", "1,1,1,1,7,9"), "not 7 on 5"),
+        # a leg label is an integer or a string: true and 1.0 once read as leg 1
+        (_one_vertex([True, 2, 3]), ("--multiplicities", "2,1,1"), "leg label True is not"),
+        (_one_vertex([1.0, 2, 3]), ("--multiplicities", "2,1,1"), "leg label 1.0 is not"),
     ):
         path.write_text(json.dumps(blob))
         code, out, err = run_cli(capsys, "coeff", "--graph", str(path), *argv)

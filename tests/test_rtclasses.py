@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
-from rtails import cli, rtclasses, strata0, trees
+from rtails import cli, rtclasses, serialize, strata0, trees
 from rtails.strata0 import dim_of, pair_term, push_tree, strata_family, term_degree
 from rtails.trees import (
     H0,
@@ -264,8 +266,56 @@ def test_the_factored_monomial_follows_its_legs(case):
     assert move().terms == expected
 
 
-def test_the_rational_tails_moves_are_the_genus0_moves():
+def test_rt_move_names_are_the_strata0_moves():
     assert collide_rt is strata0.collide and pullback_forget_rt is strata0.pullback_forget
+    assert rtclasses.relabel_rt is strata0.relabel_class
+    # the aliases are kept only because the benchmark tracer wraps them by
+    # name; once its LAYERS names none of them, they can be deleted
+    source = (Path(__file__).resolve().parent.parent / "bench" / "tracer.py").read_text()
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    named = {name for spec in layers.values() for name in spec.get("rtclasses", ())}
+    assert {"collide_rt", "pullback_forget_rt", "relabel_rt"} <= named, "LAYERS dropped an alias: delete it from rtclasses"
+
+
+def _relabel_two_pass(x, mapping):
+    """`relabel_rt` as it was before `relabel_class` served both class types:
+    one `_moved` pass whose terms each enter through `RtClass._add`."""
+    image = lambda graph, dec: [(1, *trees.relabel(graph, dec, mapping))]  # noqa: E731
+    return strata0._moved(x, trees.relabel_legs(x.ambient, mapping), image, mapping)
+
+
+def test_relabel_class_on_rt_classes_equals_the_moved_route():
+    classes = [f_class(n) for n in range(1, 6)]
+    classes += [e_class(n, I) for n in range(2, 6) for r in range(1, n) for I in itertools.combinations(range(1, n), r)]
+    for x in classes:
+        legs = sorted(x.ambient)
+        shift = {l: l + 1 for l in legs}
+        swap = {legs[0]: legs[-1], legs[-1]: legs[0]}
+        cycle = dict(zip(legs, legs[1:] + legs[:1]))
+        for mapping in (shift, swap, cycle):
+            got, oracle = strata0.relabel_class(x, mapping), _relabel_two_pass(x, mapping)
+            assert type(got) is RtClass and got.ambient == oracle.ambient, (x, mapping)
+            assert got.terms == oracle.terms and got.terms, (x, mapping)
+
+
+def test_rational_tails_classes_refuse_a_graph_with_no_genus_vertex():
+    # the mirror of `test_genus0_classes_refuse_rational_tails_graphs`:
+    # pulling back along h0 turns every rational-tails graph into a rooted tree
+    point, dec = build_tree([[1, 2, 3]], [])
+    blob = {"k": "k", "legs": [1, 2, 3], "terms": serialize.class0_to_json(push_tree(point))["terms"]}
+    overloaded = build_tree([[1, 2, 3]], [], leg_exp={1: 1})  # refused, not dropped as a zero term
+    for refused in (
+        lambda: strata0.pullback_forget(f_class(2), H0),
+        lambda: RtClass({1, 2, 3}, {(point, dec, ()): 1}),
+        lambda: RtClass({1, 2, 3}, {(*overloaded, ()): 1}),
+        lambda: serialize.rtclass_from_json(blob),
+    ):
+        with pytest.raises(InvalidArgument, match="needs a genus vertex"):
+            refused()
 
 
 def test_fold_equals_collide_then_relabel_on_f_classes():
@@ -313,6 +363,9 @@ def test_the_shared_moves_keep_every_refusal_for_both_class_types():
         (lambda: collide_rt(f_class(3), 1, 1), "with itself"),
         (lambda: collide_rt(f_class(3), 1, 4), "sit in the ambient"),
         (lambda: strata0.fold(f_class(3), 3), "sit in the ambient"),
+        # `fold` renumbers the integer legs above its leg; h0 once raised TypeError
+        (lambda: strata0.fold(f_class(3), H0), "integer legs"),
+        (lambda: strata0.fold(push_tree(build_tree([[H0, 1, 2, 3]], [])[0]), H0), "integer legs"),
         (lambda: pullback_forget_rt(f_class(3), 2), "already present"),
     ):
         with pytest.raises(InvalidArgument, match=match):
