@@ -91,15 +91,9 @@ def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
     the half of the coefficient that reads i: a fresh class on every call."""
     if n < 2 or i < 1 or m < 1:
         raise InvalidArgument("Z needs n >= 2, i >= 1, m >= 1")
-    out = zero(ambient0(n))
     degree = _z_degree(n, i, j, m)
-    if 0 <= degree <= dim_of(out.ambient):
-        for key, block in _z_blocks(n, m, degree).items():
-            factor = rooted_factor(key, i, truncated)
-            if factor:
-                # every term lives in one block only, so nothing cancels
-                out.terms.update(block.scale(factor).terms)
-    return out
+    blocks = _z_blocks(n, m, degree).items() if 0 <= degree <= dim_of(ambient0(n)) else ()
+    return zero(ambient0(n)).plus((rooted_factor(key, i, truncated), block) for key, block in blocks)
 
 
 _block_cache: dict = {}
@@ -153,7 +147,7 @@ def _z_blocks(n: int, m: int, degree: int) -> dict:
             for dec, coeff, key in listed[shape]:
                 if key not in blocks:
                     blocks[key] = zero(amb)
-                blocks[key].terms[tree, dec] = coeff
+                blocks[key]._put((tree, dec), coeff)
         _block_cache[cache_key] = {key: block.freeze() for key, block in blocks.items()}
     return _block_cache[cache_key]
 
@@ -243,17 +237,13 @@ def e_cycle(n: int, I, i: int, j: int) -> Class0:
 
 
 def _recursion_lhs(n: int, i: int, j: int) -> Class0:
-    lhs = pullback_forget(z_cycle(n - 1, i, j + 1), n)
-    for I in _nonempty_subsets(n - 1):
-        e = e_cycle(n, I, i, j)
-        if e.terms:
-            lhs = lhs - e.scale(len(I))
-    return lhs
+    """π*Z(n-1, i, j+1) - Σ_I |I|·E_I(i, j)."""
+    pulled = pullback_forget(z_cycle(n - 1, i, j + 1), n)
+    return pulled.plus((-len(I), e_cycle(n, I, i, j)) for I in _nonempty_subsets(n - 1))
 
 
 def _nonempty_subsets(k: int):
-    for r in range(1, k + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(1, k + 1), r))
+    return (frozenset(c) for r in range(1, k + 1) for c in itertools.combinations(range(1, k + 1), r))
 
 
 def _verify_recursion(identity: str, n: int, i: int, j: int) -> VerificationReport:
@@ -275,20 +265,16 @@ def verify_recursion_all(n: int, i: int, j: int) -> VerificationReport:
     return _verify_recursion("recursion_all", n, i, j)
 
 
-def _plus_sigma0_terms(diff: Class0, n: int, i: int, j: int, factor: int) -> Class0:
-    """diff + factor · Σ_{i+ > i} σ0_*(Z(n-1, i+, j+)) with j+ - i+ = j - i."""
-    for ip in range(i + 1, n - 1):
-        corr = z_cycle(n - 1, ip, j - i + ip)
-        if corr.terms:
-            diff = diff + glue_push_sigma0(corr, n).scale(factor)
-    return diff
+def _plus_sigma0_terms(n: int, i: int, j: int, factor: int):
+    """factor · Σ_{i+ > i} σ0_*(Z(n-1, i+, j+)) with j+ - i+ = j - i, as summands of a `plus`."""
+    return ((factor, glue_push_sigma0(z_cycle(n - 1, ip, j - i + ip), n)) for ip in range(i + 1, n - 1))
 
 
 def verify_dect(n: int, i: int, j: int) -> VerificationReport:
     """Z = Z^t - sum_{i+ > i} i sigma0_*(Z(n-1, i+, j+)) with j+ - i+ = j - i."""
     if i < 1:
         raise InvalidArgument("i must be >= 1")
-    diff = _plus_sigma0_terms(z_cycle(n, i, j) - z_truncated(n, i, j), n, i, j, i)
+    diff = z_cycle(n, i, j).plus(itertools.chain([(-1, z_truncated(n, i, j))], _plus_sigma0_terms(n, i, j, i)))
     return _report_first("dect", (n, i, j), [((), diff)])
 
 
@@ -297,7 +283,7 @@ def verify_decrec(n: int, i: int) -> VerificationReport:
     if n < 3 or i < 1:
         raise InvalidArgument("verify_decrec needs n >= 3, i >= 1")
     diffs = (
-        ((j,), _plus_sigma0_terms(_recursion_lhs(n, i, j) - z_cycle(n, i, j), n, i, j, -i))
+        ((j,), _recursion_lhs(n, i, j).plus(itertools.chain([(-1, z_cycle(n, i, j))], _plus_sigma0_terms(n, i, j, -i))))
         for j in range(i - n + 1, i)
     )
     return _report_first("decrec", (n, i), diffs)
@@ -364,7 +350,7 @@ def verify_collide0(n: int, m_target: int) -> VerificationReport:
         for term, pairs in rows.items():
             total = sum(factors[column] * num for column, num in pairs)
             if total:
-                out.terms[term] = Fraction(total, common)
+                out._put(term, Fraction(total, common))
         return out
 
     diffs = (((i, j), diff(i, j)) for i in range(1, n) for j in range(i - n + 1, i))
@@ -443,9 +429,9 @@ def verify_closed_forms(n: int) -> VerificationReport:
     j_recursion = (
         (
             (j,),
-            z_cycle(n, n - 1, j)
-            - z_cycle(n, n - 2, j - 1).scale(Fraction(n - 1, n - 2))
-            - z_cycle(n, n - 1, j - 1).mul_psi(H0).scale(n - 1),
+            z_cycle(n, n - 1, j).plus(
+                [(-Fraction(n - 1, n - 2), z_cycle(n, n - 2, j - 1)), (1 - n, z_cycle(n, n - 1, j - 1).mul_psi(H0))]
+            ),
         )
         for j in range(2, n - 1)
     )

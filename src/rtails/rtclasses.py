@@ -56,7 +56,7 @@ from .trees import (
 from .strata0 import FormalSum, dim_of, exact, pair_term, strata_family, term_degree, _check_tree
 from .strata0 import collide, fold, glue_push_gamma, pullback_forget, relabel_class  # the moves of both class types
 from .weights import coeff_c
-from .cycles import VerificationReport
+from .cycles import VerificationReport, _nonempty_subsets
 
 
 def _leg_slot(label):
@@ -84,7 +84,7 @@ class RtClass(FormalSum):
         self.ambient = frozenset(ambient)
         self.terms = {}
         for (graph, dec, fact), coeff in (terms or {}).items():
-            self._add(graph, dec, fact, coeff)
+            self._add(graph, dec, _fact_tuple(dict(fact)), coeff)
 
     def _add(self, graph: Tree, dec: Decoration, fact, coeff) -> None:
         self._check_mutable()
@@ -93,7 +93,8 @@ class RtClass(FormalSum):
             _check_tree(graph, self.ambient, rt=True)  # before the load, as in `Class0`
         if not coeff or overloaded(graph, dec):
             return
-        fact = _fact_tuple(dict(fact))
+        if not isinstance(fact, tuple):  # a tuple comes normalised, as `_follow` returns it
+            fact = _fact_tuple(fact)
         if not _root_slots(graph).issuperset(key for key, _ in fact):
             raise InvalidArgument(f"a factored slot of {fact!r} is not a root slot")
         self._put((graph, dec, fact), coeff)
@@ -440,11 +441,8 @@ def verify_frec(n: int) -> VerificationReport:
     """π* F_{n-1} · (kω_n - η) - Σ |I| E_I = F_n, per root profile."""
     if n < 2:
         raise InvalidArgument("n must be >= 2")
-    lhs = multiply_divisor(pullback_forget(f_class(n - 1), n), n)
-    for r in range(1, n):
-        for I in itertools.combinations(range(1, n), r):
-            lhs = lhs - e_class(n, I).scale(len(I))
-    profile = _profile_witness(lhs - f_class(n))
+    summands = itertools.chain(((-len(I), e_class(n, I)) for I in _nonempty_subsets(n - 1)), [(-1, f_class(n))])
+    profile = _profile_witness(multiply_divisor(pullback_forget(f_class(n - 1), n), n).plus(summands))
     return VerificationReport("frec", (n,), profile is None, profile)
 
 
@@ -530,7 +528,9 @@ class KPoly(FormalSum):
     def __init__(self, c=None):
         self.terms = {}
         for d, v in dict(c or {}).items():
-            self._put(int(d), exact(v))
+            if type(d) is not int or d < 0:
+                raise InvalidArgument(f"a power of k must be an integer >= 0, not {d!r}")
+            self._put(d, exact(v))
 
     @staticmethod
     def _sort_key(d: int) -> int:

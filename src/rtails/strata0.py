@@ -77,6 +77,7 @@ from .trees import (
     split_bits,
     splits,
     term_sort_key,
+    _build_from_laminar,
     _frame,
     _tree_from_laminar,
 )
@@ -94,12 +95,13 @@ def exact(coeff) -> Fraction:
 class FormalSum:
     """An exact finite linear combination: term key -> nonzero coefficient.
 
-    ``_put`` is the one place a coefficient is added into ``terms`` and a
-    cancelled key dropped.  Subclasses check a new term in their own ``_add``
-    before they ``_put`` it; sums and multiples copy terms that are already
-    checked.  A subclass supplies ``_space()``, the constructor arguments
-    that fix where the sum lives (two summands must agree on them), and
-    ``_sort_key(key)``, the canonical order of ``items()``.
+    ``_put`` is the one writer of ``terms``: it adds a coefficient and drops
+    a cancelled key.  Subclasses check a new term in their own ``_add`` before
+    they ``_put`` it; ``plus`` is the one way to sum (sums, differences and
+    multiples call it) and puts terms that are already checked.  A subclass
+    supplies ``_space()``, the constructor arguments that fix where the sum
+    lives (two summands must agree on them), and ``_sort_key(key)``, the
+    canonical order of ``items()``.
 
     A cached sum is frozen: ``_put`` and ``_add`` then raise, while sums,
     multiples and products still return fresh sums.
@@ -129,34 +131,31 @@ class FormalSum:
         else:
             self.terms.pop(key, None)
 
-    def _empty(self):
-        return type(self)(*self._space())
-
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
 
-    def _combined(self, other: "FormalSum", sign: int):
-        """self + sign * other."""
-        if type(other) is not type(self) or other._space() != self._space():
-            raise InvalidArgument(f"cannot add {other!r} to {self!r}")
-        out = self._empty()
+    def plus(self, pairs: Iterable):
+        """self + Σ factor·y over the ``(factor, y)`` pairs, in one pass; each
+        y must have self's type and space, and is built when a lazy sum reaches it."""
+        out = type(self)(*self._space())
         out.terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out._put(key, coeff if sign > 0 else -coeff)
+        for factor, y in pairs:
+            if type(y) is not type(self) or y._space() != self._space():
+                raise InvalidArgument(f"cannot add {y!r} to {self!r}")
+            factor = exact(factor)
+            if factor:
+                for key, coeff in y.terms.items():
+                    out._put(key, coeff * factor)
         return out
 
     def __add__(self, other):
-        return self._combined(other, 1)
+        return self.plus([(1, other)])
 
     def __sub__(self, other):
-        return self._combined(other, -1)
+        return self.plus([(-1, other)])
 
     def scale(self, factor):
-        factor = exact(factor)
-        out = self._empty()
-        if factor:
-            out.terms = {k: c * factor for k, c in self.terms.items()}
-        return out
+        return type(self)(*self._space()).plus([(factor, self)])
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._space() == other._space() and self.terms == other.terms
@@ -519,12 +518,23 @@ def pullback_forget(x: FormalSum, new_leg) -> FormalSum:
     return _moved(x, x.ambient | {new_leg}, lambda tree, dec: pullback_terms(tree, dec, new_leg))
 
 
-def _eliminate_leg_psi(x: Class0, leg) -> Class0:
-    """Rewrite every ψ_leg factor via ψ_leg = Σ δ_M (M containing leg, not a, b),
-    one pass per power of ψ_leg: the excess product adds no ψ_leg."""
-    ambient = x.ambient
+def _psi_divisors(ambient: frozenset, leg) -> list:
+    """The divisors D_M with ψ_leg = Σ D_M: M holds ``leg`` and another leg,
+    but not the two smallest other legs.  Each is built from its split mask,
+    the side without the base label (`trees._frame`), outside the tree cache."""
+    base, labels, bit = _frame(ambient, rt=False)
     a, b = sort_labels(ambient - {leg})[:2]
-    divisors = [S for S in strata_family(ambient, 1) if any(leg in M and not {a, b} & set(M) for M in S.legs)]
+    free = [bit[l] for l in labels if l not in (leg, a, b)]
+    flip = (1 << len(labels)) - 1 if leg in base else 0  # the base is in M: take the other side
+    masks = (flip ^ (bit.get(leg, 0) | sum(C)) for r in range(1, len(free) + 1) for C in itertools.combinations(free, r))
+    return [_build_from_laminar(labels, (mask,), False, base) for mask in masks]
+
+
+def _eliminate_leg_psi(x: Class0, leg) -> Class0:
+    """Rewrite every ψ_leg factor via ψ_leg = Σ δ_M (`_psi_divisors`), one
+    pass per power of ψ_leg: the excess product adds no ψ_leg."""
+    ambient = x.ambient
+    divisors = _psi_divisors(ambient, leg)
 
     def lowered(tree: Tree, dec: Decoration):
         legexp = dec.leg_dict()

@@ -101,6 +101,8 @@ def make_decoration(half_exp: Optional[Mapping] = None, leg_exp: Optional[Mappin
     half = tuple(sorted((slot, e) for slot, e in (half_exp or {}).items() if e))
     leg = tuple(sorted(((l, e) for l, e in (leg_exp or {}).items() if e), key=lambda t: label_key(t[0])))
     for _, e in itertools.chain(half, leg):
+        if type(e) is not int:
+            raise InvalidArgument(f"psi exponent {e!r} is not an integer")
         if e < 0:
             raise InvalidArgument("negative psi exponent")
     return Decoration(half, leg)

@@ -518,8 +518,8 @@ def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):
 
 
 def test_blocks_of_a_degree_are_disjoint():
-    # `_combine_blocks` merges the blocks with `dict.update`: a term held by
-    # two blocks would be overwritten (the collide0 table sums its rows)
+    # `_z_blocks` lists each decorated tree once, under the one key its
+    # coefficient's i-reading half depends on
     for n in range(2, 7):
         for m in range(1, 8 - n):
             for degree in range(n - 1):

@@ -1,7 +1,7 @@
 """Source hygiene: no `rtails` module imports a name from a sibling and never
 uses it, no private module-level name is left unread, every public function
-of `trees` is read, every parameter is read, and only `trees` derives the
-ψ-budget and crossing tables.
+of `trees` is read, every parameter is read, only `trees` derives the
+ψ-budget and crossing tables, and only `FormalSum` writes a sum's ``terms``.
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -185,3 +185,88 @@ def test_the_check_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+# the dict methods that change a ``terms`` in place
+TERMS_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear")
+
+
+def _is_terms(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _starts_a_sum(node: ast.Assign) -> bool:
+    """Whether ``node`` is ``self.terms = {}``."""
+    target = node.targets[0]
+    return (
+        len(node.targets) == 1
+        and _is_terms(target)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+        and isinstance(node.value, ast.Dict)
+        and not node.value.keys
+    )
+
+
+def terms_writers(source: str) -> list:
+    """The lines of statements outside ``class FormalSum`` that write a
+    ``terms`` attribute: assign or delete it or one of its items, or call a
+    method of ``TERMS_MUTATORS`` on it.  ``self.terms = {}`` in an
+    ``__init__`` starts a sum and is allowed."""
+    lines = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "FormalSum":
+                continue
+            if function == "__init__" and isinstance(child, ast.Assign) and _starts_a_sum(child):
+                continue
+            stored = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            if (
+                (stored and _is_terms(child))
+                or (stored and isinstance(child, ast.Subscript) and _is_terms(child.value))
+                or (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in TERMS_MUTATORS
+                    and _is_terms(child.func.value)
+                )
+            ):
+                lines.append(child.lineno)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), None)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_terms_writer():
+    source = (
+        "class FormalSum:\n"
+        "    def _put(self, key, coeff):\n"
+        "        self.terms[key] = coeff\n"
+        "class Sum(FormalSum):\n"
+        "    def __init__(self):\n"
+        "        self.terms = {}\n"
+        "    def f(self, x, key):\n"
+        "        x.terms = dict(self.terms)\n"
+        "        x.terms[key] = 1\n"
+        "        x.terms[key] += 1\n"
+        "        del x.terms[key]\n"
+        "        x.terms.update({})\n"
+        "        return x.terms.get(key), self.terms[key]\n"
+        "def g(blocks, key):\n"
+        "    blocks[key].terms = {}\n"
+        "    blocks[key].terms.setdefault(key, 1)\n"
+        "    for k in list(blocks[key].terms):\n"
+        "        blocks[key].terms.pop(k)\n"
+        "def __init__(self):\n"
+        "    self.terms = {1: 2}\n"
+    )
+    assert terms_writers(source) == [8, 9, 10, 11, 12, 15, 16, 18, 20]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_formal_sum_writes_terms(path):
+    # `FormalSum._put` is the one writer: a term goes in checked, and a
+    # cancelled key goes out
+    assert terms_writers(path.read_text()) == []

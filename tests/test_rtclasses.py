@@ -819,6 +819,7 @@ def test_rt_sums_copy_checked_terms(monkeypatch):
     monkeypatch.setattr(rtclasses, "overloaded", counting)
     total = x + y
     assert (total - y) == x and x.scale(2) - x == x
+    assert x.plus([(2, y), (-1, x), (-2, y)]) == RtClass(x.ambient)
     assert calls == []
     RtClass(x.ambient, x.terms)  # a new class checks each term it is given
     assert len(calls) == len(x.terms)
@@ -838,6 +839,29 @@ def test_formal_sums_of_another_space_or_type_are_refused():
         KPoly.const(1) + PushedClass()
     with pytest.raises(InvalidArgument):
         PushedClass() - KPoly.const(1)
+    # each summand of one `plus` is checked, the later ones too
+    with pytest.raises(InvalidArgument):
+        f_class(2).plus([(1, f_class(2)), (1, f_class(3))])
+
+
+def test_plus_is_the_chain_of_sums():
+    x, ys = f_class(3), [e_class(3, I) for I in ({1}, {2}, {1, 2})]
+    factors = [Fraction(-1), 2, Fraction(3, 2)]
+    chained = x
+    for factor, y in zip(factors, ys):
+        chained = chained + y.scale(factor)
+    assert x.plus(zip(factors, ys)) == chained
+    assert x.plus([(0, ys[0])]) == x and x.plus([]) == x
+    # a sum is a new class: a frozen summand stays as it was
+    assert f_class(3).plus([(-1, x)]) == RtClass(x.ambient) and f_class(3) == x
+
+
+def test_a_power_of_k_must_be_an_integer_at_least_zero():
+    # `int(d)` once turned k^1.5 into k
+    for power in (1.5, Fraction(1), -1, True, "1"):
+        with pytest.raises(InvalidArgument, match="power of k"):
+            KPoly({power: 1})
+    assert KPoly({2: 1, 0: 3}).terms == {2: 1, 0: 3}
 
 
 def test_relabel_rt_refuses_a_merging_mapping():
@@ -928,3 +952,23 @@ def test_overdegree_drop_failure_names_the_root_profile(monkeypatch):
     profile = _add_smooth_term(monkeypatch, "over_degree_terms", (2,), 2)
     rep = verify_overdegree_drop(2)
     assert (rep.passed, rep.witness) == (False, profile)
+
+
+def test_a_fold_normalises_each_moved_monomial_once(monkeypatch):
+    x = f_class(4)
+    counts = {"fact": 0, "images": 0}
+    real_fact, real_follow = rtclasses._fact_tuple, RtClass._follow
+
+    def counting_fact(fact):
+        counts["fact"] += 1
+        return real_fact(fact)
+
+    def counting_follow(fact, graph, image):
+        counts["images"] += 1
+        return real_follow(fact, graph, image)
+
+    monkeypatch.setattr(rtclasses, "_fact_tuple", counting_fact)
+    monkeypatch.setattr(RtClass, "_follow", staticmethod(counting_follow))
+    folded = strata0.fold(x, 1)
+    assert folded.terms and counts["images"] > 0
+    assert counts["fact"] <= counts["images"]

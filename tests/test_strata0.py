@@ -199,6 +199,23 @@ def test_pushforward_examples():
     assert pushforward_forget(one_vertex([1, 2, 3, 4]), 4).terms == {}
 
 
+def test_psi_divisors_are_the_divisors_that_the_filter_kept():
+    # the list built from split masks against the old filter of every
+    # codimension-1 stratum: M holds the leg and neither a nor b
+    cases = 0
+    for n in range(4, 8):
+        for ambient in (frozenset(range(1, n + 1)), frozenset(range(1, n)) | {H0}):
+            for leg in ambient:
+                a, b = trees.sort_labels(ambient - {leg})[:2]
+                kept = [
+                    S for S in strata_family(ambient, 1) if any(leg in M and not {a, b} & set(M) for M in S.legs)
+                ]
+                listed = strata0._psi_divisors(ambient, leg)
+                assert len(listed) == len(set(listed)) and set(listed) == set(kept), (ambient, leg)
+                cases += 1
+    assert cases == 2 * (4 + 5 + 6 + 7)
+
+
 def test_dilaton_equation():
     rng = random.Random(11)
     for n in (4, 5, 6):
@@ -285,6 +302,21 @@ def test_a_negative_psi_exponent_is_an_invalid_argument():
     with pytest.raises(InvalidArgument, match="negative psi exponent"):
         make_decoration(leg_exp={1: -1})
     assert push_tree(tree).mul_psi(1, 1).mul_psi(1, -1) == push_tree(tree)
+
+
+def test_a_psi_exponent_must_be_an_integer():
+    # two half-powers once stored ψ_1^1.0, on which `integrate` raised TypeError
+    tree, _ = build_tree([[1, 2, 3, H0]], [])
+    with pytest.raises(InvalidArgument, match="not an integer"):
+        push_tree(tree).mul_psi(1, 0.5)
+    for exponent in (0.5, 1.0, True, Fraction(1)):
+        with pytest.raises(InvalidArgument, match="not an integer"):
+            make_decoration(leg_exp={1: exponent})
+        with pytest.raises(InvalidArgument, match="not an integer"):
+            make_decoration(half_exp={(0, 0): exponent})
+        with pytest.raises(InvalidArgument, match="not an integer"):
+            build_tree([[1, 2, 3, H0]], [], leg_exp={H0: exponent})
+    assert integrate(push_tree(tree).mul_psi(1, 1)) == 1
 
 
 def test_glue_push_sigma0():
