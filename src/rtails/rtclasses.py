@@ -232,12 +232,13 @@ def f_class_m(mults) -> RtClass:
     out = RtClass(range(1, n + 1))
     formal = RtClass(range(1, n + 1))
     for graph, dec, fact, coeff in _formula_terms(weights, lambda graph: total_degree - graph.num_edges()):
-        if rt_term_degree(graph, dec, _fact_tuple(fact)) != total_degree:
+        normal = _fact_tuple(fact)  # normalised once: `_add` keeps a tuple as it is
+        if rt_term_degree(graph, dec, normal) != total_degree:
             raise ArithmeticError("graph formula degree bookkeeping broke")
         if min(fact.values(), default=0) < 0:
-            formal._add(graph, dec, fact, coeff)
+            formal._add(graph, dec, normal, coeff)
         else:
-            out._add(graph, dec, fact, coeff)
+            out._add(graph, dec, normal, coeff)
     profile = _profile_witness(formal)
     if profile is not None:
         raise ArithmeticError(f"f_class_m{mults} negative exponents: profile {profile} does not vanish")
@@ -296,7 +297,7 @@ def _tail_plan(graph: Tree, root_edge: int):
     other leg is forgotten and h0 lands at the head of the root edge, so the
     edges outside the tail, the root edge among them, drop."""
     legs = beyond_legs(graph, root_edge)
-    forgotten = {l: None for ls in graph.legs for l in ls if l not in legs}
+    forgotten = frozenset(l for ls in graph.legs for l in ls if l not in legs)
     return (*_plan(graph, forgotten, (H0,), graph.edges[root_edge][1]), legs)
 
 

@@ -73,6 +73,7 @@ from .trees import (
     pullback_terms,
     relabel,
     relabel_legs,
+    renaming,
     sort_labels,
     split_bits,
     splits,
@@ -208,7 +209,15 @@ class Class0(FormalSum):
         return {term_degree(t, d) for t, d in self.terms}
 
     def mul_psi(self, leg, power: int = 1) -> "Class0":
-        """Multiply by ψ_leg^power (the ψ-class at a marked point)."""
+        """Multiply by ψ_leg^power (the ψ-class at a marked point); a power
+        that is not an `int` ≥ 0 (a bool included) and a leg outside the
+        ambient are refused, with terms or without."""
+        if type(power) is not int:
+            raise InvalidArgument(f"psi exponent {power!r} is not an integer")
+        if power < 0:
+            raise InvalidArgument("negative psi exponent")
+        if leg not in self.ambient:
+            raise InvalidArgument(f"no leg {leg!r}")
 
         def times_psi(tree: Tree, dec: Decoration):
             legexp = dec.leg_dict()
@@ -452,13 +461,22 @@ def _orbit_firsts(ambient: frozenset, codim: int, legs: frozenset) -> tuple:
 
 def is_invariant(x: Class0, legs) -> bool:
     """Whether every permutation of ``legs`` fixes x: checked exactly for one
-    transposition and the full cycle of the legs, which generate them all."""
+    transposition and the full cycle of the legs, which generate them all.
+    A renaming is a bijection on terms, so it fixes x when it keeps the
+    ambient and sends each term to a term of x with the same coefficient;
+    the check stops at the first that it does not, and builds no class."""
     order = sort_labels(legs)
     if len(order) < 2:
         return True
     swap = {order[0]: order[1], order[1]: order[0]}
     cycle = dict(zip(order, order[1:] + order[:1]))
-    return all(relabel_class(x, g) == x for g in (swap, cycle))
+    for g in (swap, cycle):
+        if relabel_legs(x.ambient, g) != x.ambient:
+            return False
+        rename = renaming(x.ambient, False, g)
+        if any(x.terms.get(relabel(tree, dec, rename)) != coeff for (tree, dec), coeff in x.terms.items()):
+            return False
+    return True
 
 
 def zero_witness(x: Class0, legs: Iterable = frozenset()) -> Optional[Tree]:
@@ -474,16 +492,17 @@ def zero_witness(x: Class0, legs: Iterable = frozenset()) -> Optional[Tree]:
         raise InvalidArgument(f"cannot permute {sort_labels(legs)!r}: only ambient legs other than {base!r} move")
     if not x.terms:
         return None
-    degs = x.degrees()
-    if len(degs) > 1:
-        raise InvalidArgument("zero test needs a homogeneous class")
     ambient = x.ambient
-    codim = dim_of(ambient) - degs.pop()
     # integer numerators over the common denominator: same zero pattern
     common = lcm(*(c.denominator for c in x.terms.values()))
+    degrees: set = set()
     by_tree: dict = {}
     for (tree, dec), coeff in x.terms.items():
+        degrees.add(term_degree(tree, dec))
         by_tree.setdefault(tree, []).append((dec, coeff.numerator * (common // coeff.denominator)))
+    if len(degrees) > 1:
+        raise InvalidArgument("zero test needs a homogeneous class")
+    codim = dim_of(ambient) - degrees.pop()
     rows = [(tree, split_bits(tree)[1], items) for tree, items in by_tree.items()]
     for stratum in _orbit_firsts(ambient, codim, legs) if legs else strata_family(ambient, codim):
         own = split_bits(stratum)[0]
@@ -580,10 +599,12 @@ def _collided(x: FormalSum, leg_i, leg_j, mapping: Mapping) -> FormalSum:
     if leg_i not in x.ambient or leg_j not in x.ambient:
         raise InvalidArgument("legs must sit in the ambient")
 
+    rename = renaming(x.ambient - {leg_j}, not isinstance(x, Class0), mapping) if mapping else None
+
     def images(tree: Tree, dec: Decoration):
         term = collide_term(tree, dec, leg_i, leg_j)
         if term is not None:
-            yield (term[0], *relabel(*term[1:], mapping)) if mapping else term
+            yield (term[0], *relabel(*term[1:], rename)) if rename else term
 
     image = {**mapping, leg_j: mapping.get(leg_i, leg_i)}
     return _moved(x, relabel_legs(x.ambient - {leg_j}, mapping), images, image)
@@ -609,8 +630,9 @@ def relabel_class(x: FormalSum, mapping: Mapping) -> FormalSum:
     and a merging mapping is refused up front (`trees.relabel_legs`), so the
     terms of x, already checked, are copied without a new check."""
     out = type(x)(relabel_legs(x.ambient, mapping))
+    rename = renaming(x.ambient, not isinstance(x, Class0), mapping)
     for (tree, dec, *rest), coeff in x.terms.items():
-        t2, d2 = relabel(tree, dec, mapping)
+        t2, d2 = relabel(tree, dec, rename)
         out._put((t2, d2, *[x._follow(fact, t2, mapping) for fact in rest]), coeff)
     return out
 
@@ -635,8 +657,10 @@ def glue_push_gamma(x: FormalSum, I, n: int) -> FormalSum:
     if x.ambient != root | frozenset(range(1, n - len(I) + 1)):
         raise InvalidArgument("class lives on the wrong space for this coda")
 
+    rename = renaming(x.ambient, not isinstance(x, Class0), mapping)
+
     def glued(tree: Tree, dec: Decoration):
-        return [(1, *graft(*relabel(tree, dec, mapping), NODE, I | {n}))]
+        return [(1, *graft(*relabel(tree, dec, rename), NODE, I | {n}))]
 
     return _moved(x, root | frozenset(range(1, n + 1)), glued, {**mapping, 1: n})
 

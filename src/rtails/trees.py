@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Label = Union[int, str]
 
@@ -253,7 +253,7 @@ def _frame(legs: frozenset, rt: bool) -> tuple:
 def splits(tree: Tree) -> tuple:
     """Each edge's split, in edge order: the bitmask of the legs beyond it,
     bit k standing for label k of the frame (`_frame`)."""
-    bit = _frame(frozenset(tree.all_legs()), tree.rt)[2]
+    bit = _frame(frozenset(itertools.chain.from_iterable(tree.legs)), tree.rt)[2]
     masks = [sum(bit.get(l, 0) for l in ls) for ls in tree.legs]
     # a child's index is above its parent's, so this adds each subtree bottom up
     for p, c in reversed(tree.edges):
@@ -551,23 +551,25 @@ def coda_path(tree: Tree, n: int) -> Optional[tuple]:
 
 # ---------------------------------------------------------------------------
 # moves: a stable tree is fixed by its legs and the splits its edges cut off,
-# so every move edits the split family, and each (tree, move) is canonicalised
-# once (`_plan`); decorations follow by slot lookups
+# so every move edits the split family.  A rename maps each split by a bit
+# table built once per (leg set, mapping) (`renaming`); every other move is
+# canonicalised once per (tree, move) (`_plan`); decorations follow by slot
+# lookups
 
 
-def _plan(old: Tree, image: Mapping, extra: tuple = (), at: int = 0, added: tuple = ()):
+def _plan(old: Tree, gone: frozenset, extra: tuple = (), at: int = 0, added: tuple = ()):
     """The tree a move makes of ``old``, and its slot map: ``(new tree, slots)``.
 
-    ``image`` renames legs, or forgets those it sends to None; the others
-    stay.  The ``extra`` legs are new and land on vertex ``at``'s side of
-    every old edge.  ``added`` lists the legs on one side of each new edge;
-    the slot map numbers the k-th new edge ``old.num_edges() + k``, with
-    that side as its head.  Each edge keeps its split under these edits.  A
-    split that no longer cuts off two legs a side (the genus root of a
-    rational-tails graph needs none) drops: that edge was contracted, and
-    its slots get no image.  Edges whose splits coincide merge: the vertex
-    between them was contracted, and no exponent may sit there.  Adding h0
-    to a rational-tails graph cuts off a rooted tree.
+    The ``gone`` legs are forgotten; the others stay.  The ``extra`` legs
+    are new and land on vertex ``at``'s side of every old edge.  ``added``
+    lists the legs on one side of each new edge; the slot map numbers the
+    k-th new edge ``old.num_edges() + k``, with that side as its head.  Each
+    edge keeps its split under these edits.  A split that no longer cuts
+    off two legs a side (the genus root of a rational-tails graph needs
+    none) drops: that edge was contracted, and its slots get no image.
+    Edges whose splits coincide merge: the vertex between them was
+    contracted, and no exponent may sit there.  Adding h0 to a
+    rational-tails graph cuts off a rooted tree.
 
     The new tree comes from the enumerator's split-keyed cache
     (`_laminar_trees`), so each family is canonicalised once, and each slot
@@ -575,8 +577,7 @@ def _plan(old: Tree, image: Mapping, extra: tuple = (), at: int = 0, added: tupl
     without its smallest label, so there a split may flip; a rational-tails
     root stays the root, so there none does.
     """
-    legs = [image.get(l, l) for ls in old.legs for l in ls] + list(extra)
-    legs = [l for l in legs if l is not None]
+    legs = [l for ls in old.legs for l in ls if l not in gone] + list(extra)
     if len(set(legs)) != len(legs):
         raise InvalidArgument("duplicate leg labels")
     rt = old.rt and H0 not in extra
@@ -590,7 +591,7 @@ def _plan(old: Tree, image: Mapping, extra: tuple = (), at: int = 0, added: tupl
         return (full ^ mask if flip else mask), flip
 
     sides = [
-        split([image.get(l, l) for l in beyond_legs(old, e)] + (list(extra) if e in on_path else []))
+        split([l for l in beyond_legs(old, e) if l not in gone] + (list(extra) if e in on_path else []))
         for e in range(old.num_edges())
     ] + [split(side) for side in added]
     most = len(labels) - 1 if base else len(labels)
@@ -630,19 +631,13 @@ def _forget_plan(tree: Tree, leg: Label):
             raise InvalidArgument("no edge to contract at the vertex")
         if not isinstance(keep, tuple):
             moved = ((edge[0], 1 - edge[1]), keep)
-    return (*_plan(tree, {leg: None}), moved)
-
-
-@lru_cache(maxsize=None)
-def _relabel_plan(tree: Tree, images: tuple):
-    """Renaming the legs of ``tree``, in `Tree.legs` order, to ``images``: ``(new tree, slot map)``."""
-    return _plan(tree, dict(zip((l for ls in tree.legs for l in ls), images)))
+    return (*_plan(tree, frozenset([leg])), moved)
 
 
 @lru_cache(maxsize=None)
 def _attach_plan(tree: Tree, v: int, new_leg: Label):
     """Attaching ``new_leg`` at ``v``: ``(new tree, slot map)``."""
-    return _plan(tree, {}, (new_leg,), v)
+    return _plan(tree, frozenset(), (new_leg,), v)
 
 
 @lru_cache(maxsize=None)
@@ -655,7 +650,7 @@ def _split_plan(tree: Tree, v: int, slot, leg: Label):
         cut, side = beyond_legs(tree, slot[0]), 1
     else:
         cut, side = (beyond_legs(tree, slot[0]) if isinstance(slot, tuple) else {slot}) | {leg}, 0
-    new, slots = _plan(tree, {}, (leg,), v, (cut,))
+    new, slots = _plan(tree, frozenset(), (leg,), v, (cut,))
     return new, slots, slots[(tree.num_edges(), side)]
 
 
@@ -664,19 +659,70 @@ def _graft_plan(tree: Tree, at: Label, legs: tuple):
     """Grafting ``legs`` at the leg ``at``: ``(new tree, slot map, at slot)``,
     the at slot being the new edge's side at the old vertex, where the
     exponent of ``at`` lands."""
-    new, slots = _plan(tree, {at: None}, legs, vertex_of_leg(tree, at), (legs,))
+    new, slots = _plan(tree, frozenset([at]), legs, vertex_of_leg(tree, at), (legs,))
     return new, slots, slots[(tree.num_edges(), 0)]
 
 
-def relabel(tree: Tree, dec: Decoration, mapping: Mapping):
-    """Rename legs; labels absent from the mapping stay fixed.
+class Renaming(NamedTuple):
+    """How `relabel` renames the trees on one leg set: the new frame
+    (`_frame`), each old split mask's new mask (``image``, indexed by the old
+    mask), the old bits whose labels become the new base (``to_base``: a
+    split holding one keeps its other side, so its two slots swap), and each
+    old label's new label."""
 
-    The new tree and its slot map come from one plan per (tree, images of
-    its legs) (`_relabel_plan`); the decoration follows by lookups.
+    labels: tuple
+    base: tuple
+    image: tuple
+    to_base: int
+    leg_of: dict
+
+
+def renaming(legs: frozenset, rt: bool, mapping: Mapping) -> Renaming:
+    """The `Renaming` of the trees on ``legs`` (rational-tails graphs when
+    ``rt``) by ``mapping``; labels absent from it stay.  It is the same for
+    every term of a class, so it is built once per (legs, rt, mapping).  A
+    mapping that merges two legs is refused (`relabel_legs`)."""
+    return _renaming(frozenset(legs), rt, tuple(mapping.items()))
+
+
+@lru_cache(maxsize=None)
+def _renaming(legs: frozenset, rt: bool, pairs: tuple) -> Renaming:
+    """Each old bit goes to its label's bit in the new frame, and a mask to
+    the union of its bits' images, complemented when it holds the new base."""
+    mapping = dict(pairs)
+    leg_of = {l: mapping.get(l, l) for l in legs}
+    labels = _frame(legs, rt)[1]
+    base, new_labels, bit = _frame(relabel_legs(legs, mapping), rt)
+    into = [bit.get(leg_of[l], 0) for l in labels]  # 0: the new base
+    to_base = sum(1 << k for k, l in enumerate(labels) if leg_of[l] in base)
+    full = (1 << len(new_labels)) - 1
+    image = [0]
+    for mask in range(1, 1 << len(labels)):
+        low = mask & -mask
+        image.append(image[mask ^ low] | into[low.bit_length() - 1])
+    image = tuple(full ^ m if mask & to_base else m for mask, m in enumerate(image))
+    return Renaming(new_labels, base, image, to_base, leg_of)
+
+
+def relabel(tree: Tree, dec: Decoration, rename: Renaming):
+    """Rename the legs of a term by a `Renaming` built for its legs.
+
+    Each split of the tree (`splits`) goes through the renaming's table, the
+    new tree is looked up by its splits (`_laminar_trees`), and each
+    half-edge exponent follows its edge's split.
     """
-    new, slots = _relabel_plan(tree, tuple(mapping.get(l, l) for ls in tree.legs for l in ls))
-    leg = sorted(((mapping.get(l, l), e) for l, e in dec.leg), key=lambda t: label_key(t[0]))
-    return new, Decoration(_carried(dec.half, slots), tuple(leg))
+    labels, base, image, to_base, leg_of = rename
+    old = splits(tree)
+    family = tuple([image[m] for m in old])
+    new = _tree_from_laminar(labels, family, tree.rt, base)
+    half = dec.half
+    if half:
+        edge = splits(new).index
+        half = tuple(sorted(((edge(family[e]), side ^ (old[e] & to_base > 0)), x) for (e, side), x in half))
+    leg = tuple([(leg_of[l], x) for l, x in dec.leg])
+    if len(leg) > 1:
+        leg = tuple(sorted(leg, key=lambda t: label_key(t[0])))
+    return new, Decoration(half, leg)
 
 
 def relabel_legs(legs: frozenset, mapping: Mapping) -> frozenset:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rtails import cli, cycles, strata0
+from rtails import cli, cycles, strata0, trees
 from rtails.trees import (
     H0,
     NODE,
@@ -731,6 +731,28 @@ def test_z_symmetry_certifies_every_block():
         for degree in range(n - 1):
             assert cycles._z_symmetry(n, 1, degree) == frozenset(range(1, n)), (n, degree)
     assert cycles._z_symmetry(5, 2, 2) == frozenset({2, 3, 4})
+
+
+def test_relabelling_the_z_blocks_grows_no_cache_per_tree():
+    # a rename is one table per (leg set, mapping): relabelling every term of
+    # the n <= 5 blocks under a swap and a cycle stores nothing per tree
+    caches = {name: f for name, f in vars(trees).items() if hasattr(f, "cache_info")}
+    for f in caches.values():
+        f.cache_clear()
+    blocks = [(n, block) for n in range(3, 6) for degree in range(n - 1) for block in cycles._z_blocks(n, 1, degree).values()]
+    every = {tree for _, block in blocks for tree, _ in block.terms}
+    for tree in every:
+        trees.splits(tree)  # each tree's split masks, which every pairing reads too
+
+    def sizes():
+        return {**{name: f.cache_info().currsize for name, f in caches.items()}, "_laminar_trees": len(trees._laminar_trees)}
+
+    before = sizes()
+    for n, block in blocks:
+        swap, cycle = {1: 2, 2: 1}, {l: l % (n - 1) + 1 for l in range(1, n)}
+        assert strata0.relabel_class(block, swap) == block == strata0.relabel_class(block, cycle)
+    grown = {name: size - before[name] for name, size in sizes().items() if size - before[name] >= len(every)}
+    assert len(every) > 100 and grown == {}
 
 
 def test_the_orbit_route_gives_the_full_route_witness():

@@ -284,7 +284,8 @@ def test_rt_move_names_are_the_strata0_moves():
 def _relabel_two_pass(x, mapping):
     """`relabel_rt` as it was before `relabel_class` served both class types:
     one `_moved` pass whose terms each enter through `RtClass._add`."""
-    image = lambda graph, dec: [(1, *trees.relabel(graph, dec, mapping))]  # noqa: E731
+    rename = trees.renaming(x.ambient, True, mapping)
+    image = lambda graph, dec: [(1, *trees.relabel(graph, dec, rename))]  # noqa: E731
     return strata0._moved(x, trees.relabel_legs(x.ambient, mapping), image, mapping)
 
 
@@ -972,3 +973,24 @@ def test_a_fold_normalises_each_moved_monomial_once(monkeypatch):
     folded = strata0.fold(x, 1)
     assert folded.terms and counts["images"] > 0
     assert counts["fact"] <= counts["images"]
+
+
+def test_the_graph_formula_normalises_each_monomial_once(monkeypatch):
+    # f_class_m once normalised each monomial for its degree check and again in `_add`
+    counts = {"fact": 0, "terms": 0}
+    real_fact, real_terms = rtclasses._fact_tuple, rtclasses._formula_terms
+
+    def counting_fact(fact):
+        counts["fact"] += 1
+        return real_fact(fact)
+
+    def counting_terms(*args):
+        for term in real_terms(*args):
+            counts["terms"] += 1
+            yield term
+
+    monkeypatch.setattr(rtclasses, "_f_cache", {})
+    monkeypatch.setattr(rtclasses, "_fact_tuple", counting_fact)
+    monkeypatch.setattr(rtclasses, "_formula_terms", counting_terms)
+    assert rtclasses.f_class_m((2, 1, 1)).terms
+    assert counts["fact"] == counts["terms"] > 0

@@ -20,6 +20,7 @@ from rtails.trees import (
     enumerate_trees0,
     make_decoration,
     relabel,
+    renaming,
     splits,
     vertex_of_leg,
 )
@@ -127,8 +128,9 @@ def test_pair_degree_mismatch_raises():
         pair(push_tree(dM), point)
     # the zero test refuses inhomogeneous input
     mixed = push_tree(dM) + one_vertex(labels, {1: 2})
-    with pytest.raises(InvalidArgument):
-        is_zero(mixed)
+    for refused in (lambda: is_zero(mixed), lambda: zero_witness(mixed, {3, 4})):
+        with pytest.raises(InvalidArgument, match="zero test needs a homogeneous class"):
+            refused()
 
 
 def test_is_zero_divisor_identities():
@@ -301,7 +303,9 @@ def test_a_negative_psi_exponent_is_an_invalid_argument():
         push_tree(tree).mul_psi(1, -1)
     with pytest.raises(InvalidArgument, match="negative psi exponent"):
         make_decoration(leg_exp={1: -1})
-    assert push_tree(tree).mul_psi(1, 1).mul_psi(1, -1) == push_tree(tree)
+    # a negative power is refused even where it would only lower an exponent
+    with pytest.raises(InvalidArgument, match="negative psi exponent"):
+        push_tree(tree).mul_psi(1, 1).mul_psi(1, -1)
 
 
 def test_a_psi_exponent_must_be_an_integer():
@@ -317,6 +321,21 @@ def test_a_psi_exponent_must_be_an_integer():
         with pytest.raises(InvalidArgument, match="not an integer"):
             build_tree([[1, 2, 3, H0]], [], leg_exp={H0: exponent})
     assert integrate(push_tree(tree).mul_psi(1, 1)) == 1
+
+
+def test_mul_psi_refuses_a_bad_power_or_leg_with_terms_or_without():
+    # a bool power once became ψ_1, ψ_1·ψ_1^-1 the point class, and the
+    # empty class took any leg and any power
+    tree, _ = build_tree([[1, 2, 3, H0]], [])
+    psi1 = push_tree(tree, make_decoration(leg_exp={1: 1}))
+    for x in (push_tree(tree), psi1, Class0(tree.all_legs())):
+        for power, message in ((True, "not an integer"), (False, "not an integer"), (0.5, "not an integer"), (-1, "negative")):
+            with pytest.raises(InvalidArgument, match=message):
+                x.mul_psi(1, power)
+        for leg in (99, -1, 0.5, 4):
+            with pytest.raises(InvalidArgument, match="no leg"):
+                x.mul_psi(leg)
+    assert psi1.mul_psi(1, 0) == psi1 and push_tree(tree).mul_psi(1) == psi1
 
 
 def test_glue_push_sigma0():
@@ -666,7 +685,7 @@ def _brute_orbit_firsts(ambient, codim, legs):
         if S not in seen:
             firsts.append(S)
             for images in itertools.permutations(order):
-                seen.add(relabel(S, make_decoration(), dict(zip(order, images)))[0])
+                seen.add(relabel(S, make_decoration(), renaming(ambient, False, dict(zip(order, images))))[0])
     return tuple(firsts)
 
 
@@ -697,8 +716,16 @@ def test_is_invariant_checks_the_whole_symmetric_group():
     assert is_invariant(psi1, {2, 3, 4})
     assert not is_invariant(psi1, {1, 2, 3, 4})
     assert is_invariant(psi1, {1}) and is_invariant(psi1, ())
+    # legs off the ambient: a renaming of them alone fixes x, and one that
+    # moves an ambient leg off it changes the space, terms or none
+    assert is_invariant(psi1, {8, 9}) and not is_invariant(psi1, {4, 9}) and not is_invariant(psi1 - psi1, {4, 9})
     # ψ_2 + ψ_3 is fixed by the swap of 2 and 3, the one transposition checked
     # on {2, 3, 4}; the cycle of 2, 3, 4 moves it
     lopsided = one_vertex((H0, 1, 2, 3, 4), {2: 1}) + one_vertex((H0, 1, 2, 3, 4), {3: 1})
     assert not is_invariant(lopsided, {2, 3, 4})
     assert is_invariant(lopsided, {2, 3})
+    # ψ_2 + 2ψ_3: the swap sends each term to a term of the class, whose
+    # coefficient differs
+    uneven = one_vertex((H0, 1, 2, 3, 4), {2: 1}) + one_vertex((H0, 1, 2, 3, 4), {3: 1}).scale(2)
+    assert not is_invariant(uneven, {2, 3}) and not is_invariant(uneven, {2, 3, 4})
+    assert is_invariant(uneven.scale(0), {2, 3})

@@ -30,6 +30,7 @@ from rtails.trees import (
     psi_budgets,
     pullback_terms,
     relabel,
+    renaming,
     sort_labels,
     vertex_of_leg,
     vertex_slots,
@@ -578,9 +579,9 @@ def test_relabel_equals_the_build_tree_route():
                 want = _relabel_rebuilt(tree, dec, mapping)
             except InvalidArgument:
                 with pytest.raises(InvalidArgument):
-                    relabel(tree, dec, mapping)
+                    renaming(frozenset(tree.all_legs()), tree.rt, mapping)
                 continue
-            assert relabel(tree, dec, mapping) == want
+            assert relabel(tree, dec, renaming(frozenset(tree.all_legs()), tree.rt, mapping)) == want
             cases += 1
     assert cases > 20000
 
@@ -664,7 +665,7 @@ def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
     assert len(x.terms) == 5
     # an empty tree cache and empty plan caches: each move's tree is a miss once
     monkeypatch.setattr(trees, "_laminar_trees", {})
-    for plan in (trees._forget_plan, trees._relabel_plan, trees._graft_plan):
+    for plan in (trees._forget_plan, trees._graft_plan):
         plan.cache_clear()
     for fresh in (True, False):
         before = len(trees._laminar_trees)
