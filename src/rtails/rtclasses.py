@@ -205,10 +205,10 @@ def _formula_terms(weights: Mapping, cap, keep=None):
 
 
 def _multiplicities(mults) -> tuple:
-    """``mults`` as a tuple, refused unless each is an integer >= 1, the
-    rule for leg weights."""
+    """``mults`` as a tuple, refused unless each is an integer >= 1 (not a
+    bool), the rule for leg weights."""
     mults = tuple(mults)
-    if not mults or not all(isinstance(m, int) and m >= 1 for m in mults):
+    if not mults or not all(type(m) is int and m >= 1 for m in mults):
         raise InvalidArgument(f"multiplicities must be integers >= 1, not {list(mults)}")
     return mults
 
@@ -447,15 +447,31 @@ def verify_frec(n: int) -> VerificationReport:
     return VerificationReport("frec", (n,), profile is None, profile)
 
 
+_chain_cache: dict = {}
+
+
+def _folded(weights: tuple) -> RtClass:
+    """The unit class with its legs folded left to right until each reaches
+    its weight in ``weights``, frozen and cached per chain state.
+
+    The state's last fold raised its rightmost weight above 1, so it is one
+    fold of the state with that weight lowered by one and a 1 inserted after
+    it; the all-ones state is `f_class`.  Every composition shares the
+    states on its way, and the folds run in the order of a left-to-right loop.
+    """
+    if weights not in _chain_cache:
+        p = max((pos for pos, w in enumerate(weights) if w > 1), default=None)
+        if p is None:
+            return f_class(len(weights))
+        shorter = (*weights[:p], weights[p] - 1, 1, *weights[p + 1:])
+        _chain_cache[weights] = fold(_folded(shorter), p + 1).freeze()
+    return _chain_cache[weights]
+
+
 def verify_colliding_rt(mults) -> VerificationReport:
     """Colliding consecutive legs carries the unit class onto the heavy one."""
     mults = _multiplicities(mults)
-    total = sum(mults)
-    x = f_class(total)
-    # fold the legs left to right until each weight is met
-    for pos, m in enumerate(mults, 1):
-        for _ in range(m - 1):
-            x = fold(x, pos)
+    x = _folded(mults)
     expected = f_class_m(mults)
     profile = None
     if x == expected:

@@ -19,7 +19,7 @@ tail, closer to the root) and side 1 at the child (the head).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -41,18 +41,30 @@ def sort_labels(labels: Iterable[Label]) -> tuple:
     return tuple(sorted(labels, key=label_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree:
     """A canonical stable labeled tree.
 
     ``legs[v]`` is the sorted tuple of leg labels at vertex ``v``; ``edges``
     are ``(parent, child)`` pairs; ``rt`` is True when vertex 0 is a
-    positive-genus root (rational-tails variant).
+    positive-genus root (rational-tails variant).  The hash is computed once,
+    when the tree is built, and equals ``hash((legs, edges, rt))``.
     """
 
     legs: tuple
     edges: tuple
     rt: bool = False
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.legs, self.edges, self.rt)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # only the fields: a process with another string-hash seed rehashes
+        return (Tree, (self.legs, self.edges, self.rt))
 
     def num_vertices(self) -> int:
         return len(self.legs)
@@ -71,12 +83,23 @@ class Tree:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decoration:
-    """ψ-exponents on half-edge slots and legs; only nonzero entries stored."""
+    """ψ-exponents on half-edge slots and legs; only nonzero entries stored.
+    The hash is stored as `Tree`'s is, equal to ``hash((half, leg))``."""
 
     half: tuple = ()
     leg: tuple = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.half, self.leg)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Decoration, (self.half, self.leg))
 
     def half_dict(self) -> dict:
         return dict(self.half)

@@ -285,7 +285,7 @@ def _layout(tree: Tree, dec: Decoration, *, i=None, m=None, I=None, mults=None, 
     if context == "plain":
         legs = set().union(*tree.legs)
         for label, weight in (mults or {}).items():
-            if label not in legs or not isinstance(weight, int) or weight < 1:
+            if label not in legs or type(weight) is not int or weight < 1:
                 raise InvalidArgument(f"leg weights must be integers >= 1 on legs of the graph, not {weight!r} on {label!r}")
         return _blocks(dec, _capacities(tree, mults), mults)
     if i is None:

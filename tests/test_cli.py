@@ -280,6 +280,13 @@ def test_verify_parallel_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_verify_collide_rt_under_jobs_matches_serial(capsys):
+    # the workers send back reports only, and each builds its own trees and hashes
+    serial = run_cli(capsys, "verify", "collide-rt", "--max-sum", "4", "--jobs", "1")[:2]
+    assert serial[0] == 0 and serial[1].count("pass colliding_rt") == 14
+    assert run_cli(capsys, "verify", "collide-rt", "--max-sum", "4", "--jobs", "2")[:2] == serial
+
+
 def test_verify_jobs_start_no_more_workers_than_tasks_and_no_more_than_max_jobs(capsys, monkeypatch):
     # a stand-in pool records its size and runs the tasks in this process
     import concurrent.futures

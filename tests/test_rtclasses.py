@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import ast
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -48,6 +52,9 @@ from rtails.rtclasses import (
     _leg_slot,
     _tail_slot,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _root_only(n, fact, legexp=None):
@@ -155,6 +162,79 @@ def test_multiplicities_must_be_integers_at_least_one(monkeypatch):
     for mults in ((1.5, 1), (0, 2), (2.0,)):
         with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
             verify_colliding_rt(mults)
+
+
+def test_a_bool_multiplicity_is_refused(monkeypatch):
+    # True == 1, so a bool would share the cache entries of the integer weights
+    monkeypatch.setattr(rtclasses, "_f_cache", {})
+    monkeypatch.setattr(rtclasses, "_chain_cache", {})
+    for mults in ((True, 1), (2, False), (True,)):
+        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+            f_class_m(mults)
+        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+            verify_colliding_rt(mults)
+    assert rtclasses._f_cache == rtclasses._chain_cache == {}
+
+
+def _colliding_loop(mults):
+    """The unit class folded left to right until each leg meets its weight:
+    the uncached route of the colliding check."""
+    x = f_class(sum(mults))
+    for pos, m in enumerate(mults, 1):
+        for _ in range(m - 1):
+            x = strata0.fold(x, pos)
+    return x
+
+
+def test_each_chain_state_equals_the_left_to_right_loop_and_is_frozen(monkeypatch):
+    monkeypatch.setattr(rtclasses, "_chain_cache", {})
+    for total in range(1, 6):
+        for mults in cli._compositions(total):
+            x = rtclasses._folded(mults)
+            assert x.terms and x == _colliding_loop(mults), mults
+            assert x is rtclasses._chain_cache.get(mults, f_class(total))  # the all-ones state is F
+            with pytest.raises(TypeError):  # a cached state is frozen
+                x._add(*next(iter(x.terms)), 1)
+
+
+def _chain_states(mults):
+    """The states that the left-to-right loop passes after each fold."""
+    state = [1] * sum(mults)
+    for pos, m in enumerate(mults):
+        for _ in range(m - 1):
+            state[pos : pos + 2] = [state[pos] + 1]
+            yield tuple(state)
+
+
+def _count_folds(tasks):
+    """Calls to ``rtclasses.fold`` made running ``tasks`` in order in a new
+    interpreter, and the sorted verdict lines."""
+    code = (
+        "import json\n"
+        "from rtails import cli, rtclasses\n"
+        "real, calls = rtclasses.fold, [0]\n"
+        "def counting(*args):\n"
+        "    calls[0] += 1\n"
+        "    return real(*args)\n"
+        "rtclasses.fold = counting\n"
+        f"lines = sorted(cli.run_task(task).line() for task in {tasks!r})\n"
+        "print(json.dumps([calls[0], lines]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout)
+
+
+def test_collide_rt_folds_each_chain_state_once():
+    # every composition of the grid shares the states on its way, whichever
+    # one the grid asks first: 26 folds, where folding each from scratch took 49
+    tasks = cli._grid("collide-rt", 0, 5)
+    states = {state for _, (mults,) in tasks for state in _chain_states(mults)}
+    forward, backward = _count_folds(tasks), _count_folds(tasks[::-1])
+    assert forward == backward
+    assert forward[0] == len(states) == 26
+    assert sum(sum(mults) - len(mults) for _, (mults,) in tasks) == 49
+    assert all(line.startswith("pass ") for line in forward[1])
 
 
 def test_multiply_divisor_and_pullback():
@@ -385,6 +465,7 @@ def test_a_chain_step_and_a_coda_gluing_build_one_class(monkeypatch):
         real(self, *args)
 
     monkeypatch.setattr(RtClass, "__init__", counting)
+    monkeypatch.setattr(rtclasses, "_chain_cache", {})  # the chain states are folded again
     assert verify_colliding_rt((2, 2)).passed
     assert built == [3, 2]  # one class per chain step
     e_class(3, {1})

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -678,3 +683,38 @@ def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
         assert len(trees._laminar_trees) - before == 5 * fresh
         assert contracted.terms and merged.terms and forgotten.terms
         assert len(relabelled.terms) == len(contracted.terms) and len(grafted.terms) == len(x.terms)
+
+
+# ---------------------------------------------------------------------------
+# the stored hash
+
+
+def test_a_stored_hash_equals_the_hash_of_the_fields():
+    for tree in (*enumerate_trees0(5), *enumerate_rt_graphs(4)):
+        assert hash(tree) == hash((tree.legs, tree.edges, tree.rt))
+        for dec in decorations_of_degree(tree, 1, {}):
+            assert hash(dec) == hash((dec.half, dec.leg))
+    assert hash(Decoration()) == hash(((), ()))
+    assert not hasattr(Tree((((H0, 1, 2),)), ()), "__dict__")  # slots: no per-instance dict
+
+
+def test_a_pickled_tree_takes_the_hash_of_the_loading_process():
+    # h0 is a string, so the hash of a tree or decoration carrying it
+    # depends on the string-hash seed; a pickle carries the fields alone
+    tree, dec = build_tree([[H0, 3], [1, 2]], [(0, 1)], half_exp={(0, 1): 1}, leg_exp={H0: 2})
+    code = (
+        "import pickle, sys\n"
+        "from rtails.trees import H0, build_tree\n"
+        "term = build_tree([[H0, 3], [1, 2]], [(0, 1)], half_exp={(0, 1): 1}, leg_exp={H0: 2})\n"
+        "print(repr([hash(term[0]), pickle.dumps(term)]))\n"
+    )
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    foreign_hash, blob = eval(out.stdout)
+    assert foreign_hash != hash(tree)  # the seeds differ, and so do the hashes
+    loaded_tree, loaded_dec = pickle.loads(blob)
+    assert (loaded_tree, loaded_dec) == (tree, dec)
+    assert (hash(loaded_tree), hash(loaded_dec)) == (hash(tree), hash(dec))
+    assert {tree: 1}[loaded_tree] == 1 and {dec: 1}[loaded_dec] == 1

@@ -187,6 +187,11 @@ def test_leg_weights_must_be_integers_at_least_one_on_legs_of_the_graph():
         for entry in (coeff_c, coefficient, enumerate_weightings):
             with pytest.raises(InvalidArgument, match="leg"):
                 entry(g, dec, mults=mults)
+    # a bool is no weight, though True == 1
+    for mults in ({4: True}, {1: True, 2: 1}, {1: 1, 4: False}):
+        for entry in (coeff_c, coefficient, enumerate_weightings):
+            with pytest.raises(InvalidArgument, match="leg weights must be integers >= 1"):
+                entry(g, dec, mults=mults)
 
 
 def test_coda_examples():
