@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
 from .trees import (
@@ -86,9 +85,18 @@ def z_truncated(n: int, i: int, j: int) -> Class0:
     return _combine_blocks(n, i, j, 1, truncated=True)
 
 
+def _integers(**params) -> None:
+    """Refuse a size or index that is not an `int`: a bool would share cache
+    entries with 0 and 1, and a float would miss every rule that reads it."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise InvalidArgument(f"{name} must be an integer, not {value!r}")
+
+
 def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
     """Z or Z^t as the sum of the shared blocks of its degree, each scaled by
     the half of the coefficient that reads i: a fresh class on every call."""
+    _integers(n=n, i=i, j=j, m=m)
     if n < 2 or i < 1 or m < 1:
         raise InvalidArgument("Z needs n >= 2, i >= 1, m >= 1")
     degree = _z_degree(n, i, j, m)
@@ -143,7 +151,7 @@ def _z_blocks(n: int, m: int, degree: int) -> dict:
                 for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
                     free, key = rooted_split(tree, dec, m)
                     if free and not term_is_zero(tree, dec, amb):
-                        terms.append((dec, Fraction(sign * free), key))
+                        terms.append((dec, sign * free, key))
             for dec, coeff, key in listed[shape]:
                 if key not in blocks:
                     blocks[key] = zero(amb)
@@ -207,6 +215,7 @@ def _codas(n: int) -> dict:
 
 def e_cycle(n: int, I, i: int, j: int) -> Class0:
     """E_I(i,j): the coda cycle of degree n-1+j-i."""
+    _integers(n=n, i=i, j=j)
     I = coda_members(I)
     if not I or not I <= set(range(1, n)):
         raise InvalidArgument("I must be a non-empty subset of 1..n-1")
@@ -228,7 +237,7 @@ def e_cycle(n: int, I, i: int, j: int) -> Class0:
                 continue  # the coda head stays undecorated
             d = coeff_d(tree, dec, i, I)
             if d:
-                out._add(tree, dec, Fraction(sign) * d)
+                out._add(tree, dec, sign * d)
     return out
 
 
@@ -331,27 +340,21 @@ def verify_collide0(n: int, m_target: int) -> VerificationReport:
     ``rooted_factor(key, i)`` (`_z_blocks`), and `collide_first_legs` is
     linear: it sends each term to at most one term, with a sign.  So each
     block of Z(n, ·, ·) is collided once per chain step (`_collided_blocks`,
-    shared by every m), and each (i, j) only combines the integer rows of
-    one table per degree (`_collide0_rows`).  The (i, j) order, the diffs
+    shared by every m), and each (i, j) diff is one `plus` of those less the
+    Z^m(n-m+1) blocks, each at its factor at i.  The (i, j) order, the diffs
     and their zero tests are the per-class route's, so the report is too.
     """
+    _integers(n=n, m=m_target)
     if not 1 <= m_target < n:
         raise InvalidArgument("need 1 <= m < n")
     amb = ambient0(n - m_target + 1)
-    tables: dict = {}
 
     def diff(i: int, j: int) -> Class0:
         degree = _z_degree(n, i, j)
-        if degree not in tables:
-            tables[degree] = _collide0_rows(n, m_target, degree)
-        keys, rows, common = tables[degree]
-        factors = [rooted_factor(key, i) for key in keys]
-        out = zero(amb)
-        for term, pairs in rows.items():
-            total = sum(factors[column] * num for column, num in pairs)
-            if total:
-                out._put(term, Fraction(total, common))
-        return out
+        sides = [(1, _collided_blocks(n, degree, m_target - 1))]
+        if degree <= dim_of(amb):
+            sides.append((-1, _z_blocks(n - m_target + 1, m_target, degree)))
+        return zero(amb).plus((sign * rooted_factor(key, i), block) for sign, blocks in sides for key, block in blocks.items())
 
     diffs = (((i, j), diff(i, j)) for i in range(1, n) for j in range(i - n + 1, i))
     return _report_first("collide0", (n, m_target), diffs)
@@ -370,24 +373,6 @@ def _collided_blocks(n: int, degree: int, steps: int) -> dict:
         shorter = _collided_blocks(n, degree, steps - 1)
         _collided_cache[cache_key] = {key: collide_first_legs(block, 1).freeze() for key, block in shorter.items()}
     return _collided_cache[cache_key]
-
-
-def _collide0_rows(n: int, m: int, degree: int) -> tuple:
-    """One degree of collide0's diff as an integer table: ``(keys, rows,
-    common)``.  The columns are the collided Z(n) blocks, then the negated
-    Z^m(n-m+1) blocks, with their `rooted_split` keys; ``rows`` maps each
-    term to its (column, numerator) pairs over the common denominator."""
-    n_small = n - m + 1
-    sides = [(1, _collided_blocks(n, degree, m - 1))]
-    if degree <= dim_of(ambient0(n_small)):
-        sides.append((-1, _z_blocks(n_small, m, degree)))
-    columns = [(sign, key, block) for sign, blocks in sides for key, block in blocks.items()]
-    common = lcm(*(c.denominator for _, _, block in columns for c in block.terms.values()))
-    rows: dict = {}
-    for column, (sign, _, block) in enumerate(columns):
-        for term, coeff in block.terms.items():
-            rows.setdefault(term, []).append((column, sign * coeff.numerator * (common // coeff.denominator)))
-    return [key for _, key, _ in columns], rows, common
 
 
 def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
@@ -409,9 +394,9 @@ def closed_form_z_top(n: int) -> Class0:
     amb = ambient0(n)
     out = zero(amb)
     top, _ = build_tree([sorted(amb, key=str)], [])
-    out._add(top, make_decoration(leg_exp={H0: 1}), -Fraction((n - 1) * n * (n - 1), 2))
+    out._add(top, make_decoration(leg_exp={H0: 1}), -((n - 1) * n * (n - 1) // 2))
     for r in range(2, n):
-        coeff = Fraction((n - 1) * r * (r - 1), 2)
+        coeff = (n - 1) * r * (r - 1) // 2
         for M in itertools.combinations(range(1, n + 1), r):
             t, _ = build_tree([sorted(amb - set(M), key=str), sorted(M)], [(0, 1)])
             out._add(t, make_decoration(), coeff)

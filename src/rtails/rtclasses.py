@@ -321,9 +321,8 @@ def _profile_groups(x: RtClass) -> dict:
     groups: dict = {}
     for (graph, dec, fact), coeff in x.terms.items():
         profile, contents = root_profile(graph, dec, fact)
-        groups.setdefault(profile, {})
-        bucket = groups[profile]
-        bucket[contents] = bucket.get(contents, Fraction(0)) + coeff
+        bucket = groups.setdefault(profile, {})
+        bucket[contents] = bucket.get(contents, 0) + coeff
     return groups
 
 

@@ -5,9 +5,10 @@ The JSON tree schema lists vertices with genus (0 or "g") and legs, edges as
 (edge index, head/tail side) and by leg label.  Classes wrap terms with exact
 "p/q" coefficient strings.  Emission is canonical: parse(emit(x)) == x and two
 emissions of equal objects are byte-identical.  Reading malformed input
-(a missing key, a value of the wrong shape, a ψ-exponent that is not a
-non-negative integer, a coefficient that is not a rational) raises
-`InvalidArgument`.
+(a missing key, a value of the wrong shape, a genus other than 0 or "g", a
+factored slot that is neither a leg nor a tail, a ψ-exponent that is not a
+non-negative integer, a coefficient that is not an integer or a rational
+string) raises `InvalidArgument`.
 
 The latex emitter renders graphs as adjacency lists with exponents, not
 pictures: vertices with their legs, edges parent->child, ψ-exponents by slot,
@@ -80,10 +81,13 @@ def tree_from_json(blob: dict):
     legs_by_vertex = [[_label_in(l) for l in v.get("legs", [])] for v in vertices]
     rt_root = None
     for idx, v in enumerate(vertices):
-        if v.get("genus", 0) != 0:
+        genus = v.get("genus", 0)
+        if genus == "g":
             if rt_root is not None:
                 raise InvalidArgument("at most one positive-genus vertex")
             rt_root = idx
+        elif type(genus) is not int or genus:
+            raise InvalidArgument(f"vertex genus {genus!r} is neither 0 nor \"g\"")
     pairs = []
     for head, tail in blob.get("edges", []):
         pairs.append((tail, head))
@@ -118,7 +122,10 @@ def _term_from_json(item: dict, factored: bool) -> tuple:
         tree_blob["exp_leg"] = item["decoration"].get("exp_leg", {})
     tree, dec = tree_from_json(tree_blob)
     fact = (_fact_in(item.get("factored", {})),) if factored else ()
-    return (tree, dec, *fact, Fraction(item["coeff"]))
+    coeff = item["coeff"]  # a JSON float is no exact value, and a bool no number
+    if type(coeff) is not int and not isinstance(coeff, str):
+        raise InvalidArgument(f"coefficient {coeff!r} is not an integer or a rational string")
+    return (tree, dec, *fact, coeff if type(coeff) is int else Fraction(coeff))
 
 
 def class0_to_json(x: Class0) -> dict:
@@ -151,6 +158,8 @@ def _fact_in(blob: dict) -> dict:
         kind, payload = key.split(":", 1)
         if kind == "leg":
             fact[("leg", _label_in(payload))] = _exponent(e)
+        elif kind != "tail":
+            raise InvalidArgument(f"factored slot {key!r} is neither a leg nor a tail")
         else:
             fact[("tail", tuple(sorted((_label_in(l) for l in payload.split(",")), key=label_key)))] = _exponent(e)
     return fact

@@ -6,9 +6,10 @@ cancel, compare); `Class0` here and `RtClass`, `PushedClass` and `KPoly` in
 
 A `Class0` is an exact formal sum of ψ-decorated boundary-strata pushforwards
 on the moduli space of stable rational curves determined by its leg set.
-Terms are keyed by the canonical (tree, decoration) encoding; coefficients are
-`Fraction`s.  Terms whose decoration kills a vertex's moduli factor, and terms
-of degree above the ambient dimension, are dropped on construction.
+Terms are keyed by the canonical (tree, decoration) encoding; a coefficient
+is an `int` while it is one, else a `Fraction` (`exact`).  Terms whose
+decoration kills a vertex's moduli factor, and terms of degree above the
+ambient dimension, are dropped on construction.
 
 Each move is written once, `_moved` builds its output term by term, and
 `pullback_forget`, `collide`, `fold`, `relabel_class` and `glue_push_gamma`
@@ -84,9 +85,9 @@ from .trees import (
 )
 
 
-def exact(coeff) -> Fraction:
-    """``coeff`` as a `Fraction`; a float or other inexact number is refused."""
-    if isinstance(coeff, Fraction):
+def exact(coeff):
+    """``coeff`` as an `int` (not a bool) or else a `Fraction`; a float or other inexact number is refused."""
+    if type(coeff) is int or type(coeff) is Fraction:
         return coeff
     if not isinstance(coeff, numbers.Rational):
         raise InvalidArgument(f"coefficient {coeff!r} is not an exact rational")
@@ -94,12 +95,12 @@ def exact(coeff) -> Fraction:
 
 
 class FormalSum:
-    """An exact finite linear combination: term key -> nonzero coefficient.
+    """An exact finite linear combination: term key -> nonzero `exact` coefficient.
 
-    ``_put`` is the one writer of ``terms``: it adds a coefficient and drops
-    a cancelled key.  Subclasses check a new term in their own ``_add`` before
-    they ``_put`` it; ``plus`` is the one way to sum (sums, differences and
-    multiples call it) and puts terms that are already checked.  A subclass
+    ``_put`` adds a coefficient and drops a cancelled key.  Subclasses check
+    a new term in their own ``_add`` before they ``_put`` it; ``plus`` is the
+    one way to sum (sums, differences and multiples call it) and adds terms
+    that are already checked straight into its fresh output.  A subclass
     supplies ``_space()``, the constructor arguments that fix where the sum
     lives (two summands must agree on them), and ``_sort_key(key)``, the
     canonical order of ``items()``.
@@ -139,14 +140,19 @@ class FormalSum:
         """self + Σ factor·y over the ``(factor, y)`` pairs, in one pass; each
         y must have self's type and space, and is built when a lazy sum reaches it."""
         out = type(self)(*self._space())
-        out.terms = dict(self.terms)
+        terms = out.terms = dict(self.terms)
         for factor, y in pairs:
             if type(y) is not type(self) or y._space() != self._space():
                 raise InvalidArgument(f"cannot add {y!r} to {self!r}")
             factor = exact(factor)
             if factor:
                 for key, coeff in y.terms.items():
-                    out._put(key, coeff * factor)
+                    old = terms.get(key)
+                    new = coeff * factor if old is None else old + coeff * factor
+                    if new:
+                        terms[key] = new
+                    else:
+                        del terms[key]
         return out
 
     def __add__(self, other):
@@ -190,7 +196,7 @@ class Class0(FormalSum):
         for (tree, dec), coeff in (terms or {}).items():
             self._add(tree, dec, exact(coeff))
 
-    def _add(self, tree: Tree, dec: Decoration, coeff: Fraction) -> None:
+    def _add(self, tree: Tree, dec: Decoration, coeff) -> None:
         self._check_mutable()
         if coeff and not term_is_zero(tree, dec, self.ambient):
             self._put((tree, dec), coeff)
@@ -257,7 +263,7 @@ def zero(ambient) -> Class0:
 def push_tree(tree: Tree, dec: Decoration = Decoration()) -> Class0:
     """The single-term class of a decorated stratum pushforward."""
     out = Class0(frozenset(tree.all_legs()))
-    out._add(tree, dec, Fraction(1))
+    out._add(tree, dec, 1)
     return out
 
 

@@ -606,7 +606,7 @@ def _plan(old: Tree, gone: frozenset, extra: tuple = (), at: int = 0, added: tup
     rt = old.rt and H0 not in extra
     base, labels, bit = _frame(frozenset(legs), rt)
     full = (1 << len(labels)) - 1
-    on_path = path_edges(old, at)
+    on_path = path_edges(old, at) if extra else ()
 
     def split(side) -> tuple:
         mask = sum(bit.get(l, 0) for l in side)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 from typing import Mapping, Optional
@@ -54,7 +53,7 @@ from .trees import (
 
 @dataclass(frozen=True)
 class CoeffReport:
-    coefficient: Fraction
+    coefficient: int
     weighting_count: int
 
 
@@ -341,7 +340,7 @@ def rooted_factor(key: tuple, i: int, truncated: bool = False) -> int:
     return _evaluate(_i_blocks(key, i, truncated), "dp")[0]
 
 
-def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> Fraction:
+def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> int:
     """d^i_{T,ψ} for a decorated coda: the weighting sum divided by |I|."""
     return coefficient(tree, dec, i=i, I=I, method=method).coefficient
 
@@ -350,12 +349,13 @@ def coefficient(tree: Tree, dec: Decoration, *, method: str = "dp", **params) ->
     """c_{Γ,ψ}, c^{i,m} or d^i, whichever ``params`` (i, m, I, mults,
     truncated; see `_layout`) name, with its weighting count, by the DP or by
     listing every weighting.  d^i is the coda weighting sum divided by |I|,
-    which leaves an integer.  I is read once, so any iterable serves."""
+    which leaves an integer, so every coefficient is an `int`.  I is read
+    once, so any iterable serves."""
     I = params.get("I")
     if I is not None:
         I = params["I"] = coda_members(I)
     total, count = _evaluate(_layout(tree, dec, **params), method)
-    coeff = Fraction(total, 1 if I is None else len(I))
-    if coeff.denominator != 1:
-        raise ArithmeticError(f"d^i is not an integer: {coeff}")
+    coeff, rest = divmod(total, 1 if I is None else len(I))
+    if rest:
+        raise ArithmeticError(f"d^i is not an integer: {total}/{len(I)}")
     return CoeffReport(coeff, count)

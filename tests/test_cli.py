@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from rtails.serialize import (
     tree_to_json,
 )
 from rtails.strata0 import push_tree
-from rtails.trees import H0, build_tree
+from rtails.trees import H0, InvalidArgument, build_tree
 from rtails.cycles import z_cycle
 from rtails.rtclasses import f_class
 
@@ -385,6 +386,53 @@ def test_malformed_graph_input_is_a_usage_error(tmp_path, capsys):
     assert run_cli(capsys, "coeff", "--graph", str(path))[0] == 2
     assert run_cli(capsys, "fclass", "--k", "x", "--n", "2")[0] == 2
     assert run_cli(capsys, "coeff", "--graph", str(path), "--multiplicities", "1,a")[0] == 2
+
+
+def test_a_float_or_bool_json_coefficient_is_refused(tmp_path, capsys):
+    # "coeff": 0.1 once read as 3602879701896397/36028797018963968 and true as 1
+    x, y = z_cycle(3, 2, 1), f_class(2)
+    tree, _ = build_tree([[1, 2, 3, H0]], [])
+    stratum = tmp_path / "stratum.json"
+    stratum.write_text(json.dumps(tree_to_json(tree)))
+    for bad in (0.1, 1.0, True, None):
+        blob, rt_blob = class0_to_json(x), rtclass_to_json(y)
+        blob["terms"][0]["coeff"] = rt_blob["terms"][0]["coeff"] = bad
+        with pytest.raises(InvalidArgument, match="coefficient"):
+            class0_from_json(blob)
+        with pytest.raises(InvalidArgument, match="coefficient"):
+            rtclass_from_json(rt_blob)
+        klass = tmp_path / "class.json"
+        klass.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "pair", "--klass", str(klass), "--stratum", str(stratum))
+        assert (code, out) == (2, "") and err.startswith("error: ") and "Traceback" not in err
+    # "p/q" strings and JSON integers are read exactly, an integer as an int
+    blob = class0_to_json(x)
+    key = next(iter(x.items()))[0]
+    for good, value in (("-3/4", Fraction(-3, 4)), (7, 7), ("7", 7)):
+        blob["terms"][0]["coeff"] = good
+        assert class0_from_json(blob).terms[key] == value
+    blob["terms"][0]["coeff"] = 7
+    assert type(class0_from_json(blob).terms[key]) is int
+
+
+def test_an_unknown_json_genus_or_factored_slot_is_refused():
+    # a genus "0" or 7 once became the genus vertex, and a slot "bogus:1,2"
+    # once loaded as the tail {1, 2}
+    for genus in ("0", 7, 1, True, None):
+        blob = {**CHAIN_42, "vertices": [{**CHAIN_42["vertices"][0], "genus": genus}, *CHAIN_42["vertices"][1:]]}
+        with pytest.raises(InvalidArgument, match="genus"):
+            tree_from_json(blob)
+    assert tree_from_json(CHAIN_42)[0].rt and not tree_from_json(ROOTED)[0].rt
+    y = f_class(3)
+    blob = rtclass_to_json(y)
+    factored = [term for term in blob["terms"] if term.get("factored")]
+    assert factored and all(key.split(":")[0] in ("leg", "tail") for term in factored for key in term["factored"])
+    assert rtclass_from_json(blob) == y
+    term = factored[0]
+    key = next(iter(term["factored"]))
+    term["factored"] = {"bogus:" + key.split(":", 1)[1]: term["factored"][key]}
+    with pytest.raises(InvalidArgument, match="neither a leg nor a tail"):
+        rtclass_from_json(blob)
 
 
 def test_internal_error_exits_3_with_a_traceback(capsys, monkeypatch):

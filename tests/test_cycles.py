@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rtails import cli, cycles, strata0, trees
+from rtails import cli, cycles, rtclasses, strata0, trees
 from rtails.trees import (
     H0,
     NODE,
@@ -501,6 +501,58 @@ def test_z_and_zt_check_their_arguments_before_the_cache(monkeypatch):
     assert cycles._block_cache == {}
     z_truncated(3, 2, 1)
     assert list(cycles._block_cache) == [(3, 1, 1)]
+
+
+def test_z_family_refuses_a_size_or_index_that_is_no_int_before_any_cache(monkeypatch):
+    # a float i or m once returned an empty class, a float j or a float in
+    # e_cycle or collide0 raised TypeError, and a bool i was read as 1
+    monkeypatch.setattr(cycles, "_block_cache", {})
+    monkeypatch.setattr(cycles, "_collided_cache", {})
+    codas = cycles._codas.cache_info()
+    for refused in (
+        lambda: z_cycle(3, 1.5, 1),
+        lambda: z_cycle(3, 1, 1, 1.5),
+        lambda: z_cycle(5, 2, 0.5),
+        lambda: z_cycle(3, True, 0),
+        lambda: z_cycle(3.0, 2, 1),
+        lambda: z_truncated(3, 2, Fraction(1)),
+        lambda: e_cycle(4, {1}, 1.5, 0),
+        lambda: e_cycle(4, {1}, 2, False),
+        lambda: e_cycle(4.0, {1}, 2, 0),
+        lambda: verify_collide0(4, 1.5),
+        lambda: verify_collide0(4.0, 2),
+        lambda: verify_collide0(4, True),
+    ):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            refused()
+    assert cycles._block_cache == {} and cycles._collided_cache == {}
+    assert cycles._codas.cache_info() == codas
+
+
+def test_every_z_family_coefficient_is_an_int():
+    # every coefficient counts weightings, and d^i divides exactly, so no
+    # coefficient of Z, Zᵗ, E or F is a Fraction; a division makes one
+    def ints(x):
+        return x.terms and all(type(c) is int for c in x.terms.values())
+
+    for n in range(2, 6):
+        for m in range(1, 7 - n):
+            for degree in range(n + m - 1):
+                assert all(ints(block) for block in cycles._z_blocks(n, m, degree).values()), (n, m, degree)
+        for i in range(1, n + 1):
+            for j in range(i - n + 1, i + 1):
+                for z in (z_cycle(n, i, j), z_truncated(n, i, j)):
+                    assert not z.terms or ints(z), (n, i, j)
+                for I in cycles._nonempty_subsets(n - 1):
+                    e = e_cycle(n, I, i, j)
+                    assert not e.terms or ints(e), (n, I, i, j)
+    for k in range(1, 6):
+        for mults in itertools.product(range(1, 7 - k), repeat=k):
+            assert sum(mults) > 5 or ints(rtclasses.f_class_m(mults)), mults
+    z = z_cycle(4, 3, 1)
+    assert all(type(c) is Fraction for c in z.scale(Fraction(1, 2)).terms.values())
+    with pytest.raises(InvalidArgument):
+        z.scale(0.5)
 
 
 def test_vanishing_enumerates_each_decoration_set_once(monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene: no `rtails` module imports a name from a sibling and never
 uses it, no private module-level name is left unread, every public function
 of `trees` is read, every parameter is read, only `trees` derives the
-ψ-budget and crossing tables, and only `FormalSum` writes a sum's ``terms``.
+ψ-budget and crossing tables, only `FormalSum` writes a sum's ``terms``, and
+no module divides with ``/``.
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -267,6 +268,27 @@ def test_the_check_sees_a_terms_writer():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_formal_sum_writes_terms(path):
-    # `FormalSum._put` is the one writer: a term goes in checked, and a
-    # cancelled key goes out
+    # `FormalSum._put` and `FormalSum.plus` are the writers: a term goes in
+    # checked, and a cancelled key goes out
     assert terms_writers(path.read_text()) == []
+
+
+def true_divisions(source: str) -> list:
+    """The lines of ``source`` that divide with ``/`` or ``/=``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def test_the_check_sees_a_true_division():
+    source = "a = 1 / 2\nb = a // 2\nb /= 3\nc = f'{a / b}'\nd = '1/2'\ne = Fraction(1, 2)\n"
+    assert true_divisions(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_true_division(path):
+    # a coefficient stays an `int` while it is one, so ``c / k`` would make
+    # a float of it: an exact quotient is ``//`` or a `Fraction`
+    assert true_divisions(path.read_text()) == []

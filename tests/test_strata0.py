@@ -658,10 +658,12 @@ def test_inexact_coefficients_are_refused():
     ):
         with pytest.raises(InvalidArgument):
             refused()
-    # exact rationals of every kind stay welcome, and are stored as Fractions
-    assert z.scale(Fraction(1, 10)).terms == {key: c / 10 for key, c in z.terms.items()}
+    # exact rationals of every kind stay welcome: an int is stored as it is,
+    # any other rational as a Fraction
+    assert z.scale(Fraction(1, 10)).terms == {key: Fraction(c, 10) for key, c in z.terms.items()}
     assert from_terms(z.ambient, [(t, d, 2)]) == Class0(z.ambient, {(t, d): Fraction(2)})
-    assert type(Class0(z.ambient, {(t, d): 2}).terms[(t, d)]) is Fraction
+    assert type(Class0(z.ambient, {(t, d): 2}).terms[(t, d)]) is int
+    assert type(Class0(z.ambient, {(t, d): Fraction(1, 2)}).terms[(t, d)]) is Fraction
 
 
 

@@ -685,6 +685,20 @@ def test_move_plans_canonicalise_once_per_tree_and_move(monkeypatch):
         assert len(relabelled.terms) == len(contracted.terms) and len(grafted.terms) == len(x.terms)
 
 
+def test_a_plan_that_adds_no_leg_reads_no_path():
+    # forgetting a leg adds none, so it needs no root path (`path_edges`)
+    # to place one; attaching a leg reads the path to its vertex
+    tree, _ = build_tree([[H0, 3, 4], [1, 2]], [(0, 1)])
+    trees._forget_plan.cache_clear()
+    trees._attach_plan.cache_clear()
+    trees.path_edges.cache_clear()
+    for leg in (1, 3):  # a trivalent vertex contracts, the root stays
+        trees._forget_plan(tree, leg)
+    assert trees.path_edges.cache_info().currsize == 0
+    trees._attach_plan(tree, 1, 5)
+    assert trees.path_edges.cache_info().currsize == 1
+
+
 # ---------------------------------------------------------------------------
 # the stored hash
 
