@@ -8,8 +8,9 @@ read or a verify --max-n or --max-sum that the suite does not read, coeff leg
 weights below 1 or on no leg, unreadable or malformed input, a verify grid
 with no tasks, relations --g below 1, a verify --jobs above MAX_JOBS, a size
 above the largest measured: an --n or --max-n above MAX_N, a pair class or
-stratum with more than MAX_N + 1 legs, or an fclass or relations --n, an
-fclass --multiplicities sum or a --max-sum above MAX_SUM), 3 internal error
+stratum with more than MAX_N + 1 legs, or an fclass or relations --n, a
+verify frec --max-n, an fclass --multiplicities sum or a --max-sum above
+MAX_SUM), 3 internal error
 (traceback on stderr).  All numeric output is exact ("p/q"); verification
 timings go to stderr so stdout is byte-identical across runs.
 """
@@ -72,6 +73,10 @@ def _positive(kind):
 # Σm = 6 (about 25 s and 116 MiB) and `fclass --n 6` (6 s, 101 MiB)
 MAX_N = 7
 MAX_SUM = 6
+
+# a suite whose sizes MAX_SUM bounds: frec builds F(n) on n legs, as
+# `fclass --n` does, and `verify frec --max-n 7` peaked at 2 376 MiB
+SUITE_BOUND = {"frec": MAX_SUM}
 
 # the most `verify --jobs` workers; a pool starts them all, each with cold caches
 MAX_JOBS = 8
@@ -285,7 +290,7 @@ def cmd_verify(args) -> int:
         value = getattr(args, name)
         if name in read:
             sizes[name] = DEFAULT_SIZE if value is None else value
-            _at_most(option, sizes[name], bound)
+            _at_most(option, sizes[name], SUITE_BOUND.get(args.suite, bound))
             shown.append(f"{option} {sizes[name]}")
         elif value is not None:
             raise InvalidArgument(f"{option} is not read by the {args.suite} suite")

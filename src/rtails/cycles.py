@@ -26,6 +26,7 @@ from .trees import (
     coda_path,
     decorations_of_degree,
     enumerate_trees0,
+    integer_arg,
     make_decoration,
 )
 from .strata0 import (
@@ -85,20 +86,13 @@ def z_truncated(n: int, i: int, j: int) -> Class0:
     return _combine_blocks(n, i, j, 1, truncated=True)
 
 
-def _integers(**params) -> None:
-    """Refuse a size or index that is not an `int`: a bool would share cache
-    entries with 0 and 1, and a float would miss every rule that reads it."""
-    for name, value in params.items():
-        if type(value) is not int:
-            raise InvalidArgument(f"{name} must be an integer, not {value!r}")
-
-
 def _combine_blocks(n: int, i: int, j: int, m: int, truncated: bool) -> Class0:
     """Z or Z^t as the sum of the shared blocks of its degree, each scaled by
     the half of the coefficient that reads i: a fresh class on every call."""
-    _integers(n=n, i=i, j=j, m=m)
-    if n < 2 or i < 1 or m < 1:
-        raise InvalidArgument("Z needs n >= 2, i >= 1, m >= 1")
+    integer_arg("n", n, 2)
+    integer_arg("i", i, 1)
+    integer_arg("j", j)
+    integer_arg("m", m, 1)
     degree = _z_degree(n, i, j, m)
     blocks = _z_blocks(n, m, degree).items() if 0 <= degree <= dim_of(ambient0(n)) else ()
     return zero(ambient0(n)).plus((rooted_factor(key, i, truncated), block) for key, block in blocks)
@@ -193,8 +187,9 @@ class DecPolynomial:
 
 def dec_polynomial(n: int, i: int, m: int = 1) -> DecPolynomial:
     """All graded pieces of Dec with degrees inside the ambient dimension."""
-    if n < 2 or i < 1 or m < 1:
-        raise InvalidArgument("dec_polynomial needs n >= 2, i >= 1, m >= 1")
+    integer_arg("n", n, 2)
+    integer_arg("i", i, 1)
+    integer_arg("m", m, 1)
     lo = i - n - m + 2
     hi = lo + dim_of(ambient0(n))
     coeffs = tuple((j, z_cycle(n, i, j, m)) for j in range(lo, hi + 1))
@@ -215,12 +210,11 @@ def _codas(n: int) -> dict:
 
 def e_cycle(n: int, I, i: int, j: int) -> Class0:
     """E_I(i,j): the coda cycle of degree n-1+j-i."""
-    _integers(n=n, i=i, j=j)
     I = coda_members(I)
-    if not I or not I <= set(range(1, n)):
+    if not I or not I <= set(range(1, integer_arg("n", n))):
         raise InvalidArgument("I must be a non-empty subset of 1..n-1")
-    if i < 1:
-        raise InvalidArgument("i must be >= 1")
+    integer_arg("i", i, 1)
+    integer_arg("j", j)
     amb = ambient0(n)
     degree = n - 1 + j - i
     out = zero(amb)
@@ -256,21 +250,22 @@ def _nonempty_subsets(k: int):
 
 
 def _verify_recursion(identity: str, n: int, i: int, j: int) -> VerificationReport:
+    integer_arg("n", n, 3)
+    integer_arg("i", i, 1)
+    integer_arg("j", j)
     diff = _recursion_lhs(n, i, j) - z_truncated(n, i, j)
     return _report_first(identity, (n, i, j), [((), diff)])
 
 
 def verify_recursion_a(n: int, i: int, j: int) -> VerificationReport:
     """Pullback recursion onto the truncated cycle, for 1 <= i <= n-2."""
-    if not 1 <= i <= n - 2:
+    if integer_arg("i", i, 1) > integer_arg("n", n) - 2:
         raise InvalidArgument("verify_recursion_a needs 1 <= i <= n-2")
     return _verify_recursion("recursion_a", n, i, j)
 
 
 def verify_recursion_all(n: int, i: int, j: int) -> VerificationReport:
     """The same identity without the upper restriction on i."""
-    if i < 1:
-        raise InvalidArgument("i must be >= 1")
     return _verify_recursion("recursion_all", n, i, j)
 
 
@@ -281,16 +276,17 @@ def _plus_sigma0_terms(n: int, i: int, j: int, factor: int):
 
 def verify_dect(n: int, i: int, j: int) -> VerificationReport:
     """Z = Z^t - sum_{i+ > i} i sigma0_*(Z(n-1, i+, j+)) with j+ - i+ = j - i."""
-    if i < 1:
-        raise InvalidArgument("i must be >= 1")
+    integer_arg("n", n, 2)
+    integer_arg("i", i, 1)
+    integer_arg("j", j)
     diff = z_cycle(n, i, j).plus(itertools.chain([(-1, z_truncated(n, i, j))], _plus_sigma0_terms(n, i, j, i)))
     return _report_first("dect", (n, i, j), [((), diff)])
 
 
 def verify_decrec(n: int, i: int) -> VerificationReport:
     """The D-polynomial recursion, checked coefficientwise in D^{-1}."""
-    if n < 3 or i < 1:
-        raise InvalidArgument("verify_decrec needs n >= 3, i >= 1")
+    integer_arg("n", n, 3)
+    integer_arg("i", i, 1)
     diffs = (
         ((j,), _recursion_lhs(n, i, j).plus(itertools.chain([(-1, z_cycle(n, i, j))], _plus_sigma0_terms(n, i, j, -i))))
         for j in range(i - n + 1, i)
@@ -300,8 +296,7 @@ def verify_decrec(n: int, i: int) -> VerificationReport:
 
 def verify_vanishing(n_max: int):
     """is_zero for Z(n,i,j) and Z^t(n,i,j), 1 <= j < i <= n-1, 3 <= n <= n_max."""
-    if n_max < 3:
-        raise InvalidArgument("n_max must be >= 3")
+    integer_arg("n_max", n_max, 3)
     return [
         verify_vanishing_cycle(n, i, j, truncated)
         for n in range(3, n_max + 1)
@@ -328,7 +323,7 @@ def verify_vanishing_cycle(n: int, i: int, j: int, truncated: bool = False) -> V
 
 def collide_first_legs(x: Class0, steps: int) -> Class0:
     """Collide leg 2 into leg 1 and renumber down (`fold`), ``steps`` times."""
-    for _ in range(steps):
+    for _ in range(integer_arg("steps", steps, 0)):
         x = fold(x, 1)
     return x
 
@@ -344,8 +339,7 @@ def verify_collide0(n: int, m_target: int) -> VerificationReport:
     Z^m(n-m+1) blocks, each at its factor at i.  The (i, j) order, the diffs
     and their zero tests are the per-class route's, so the report is too.
     """
-    _integers(n=n, m=m_target)
-    if not 1 <= m_target < n:
+    if integer_arg("m", m_target, 1) >= integer_arg("n", n):
         raise InvalidArgument("need 1 <= m < n")
     amb = ambient0(n - m_target + 1)
 
@@ -379,8 +373,9 @@ def verify_ei_pushforward(n: int, I, i: int) -> VerificationReport:
     """E_I^i(D) = γ_* Dec^{i,m}(D), termwise per D-coefficient."""
     I = coda_members(I)
     m = len(I)
-    if not I or not I <= set(range(1, n)) or m > n - 2:
+    if not I or not I <= set(range(1, integer_arg("n", n))) or m > n - 2:
         raise InvalidArgument("need a non-empty I inside 1..n-1 with |I| <= n-2")
+    integer_arg("i", i, 1)
     # degrees outside [0, dim] vanish on both sides, so this j-range is complete
     diffs = (
         ((j,), e_cycle(n, I, i, j) - glue_push_gamma(z_cycle(n - m, i, j, m), I, n))
@@ -405,8 +400,7 @@ def closed_form_z_top(n: int) -> Class0:
 
 def verify_closed_forms(n: int) -> VerificationReport:
     """Termwise closed form of Z(n,n-1,1), its vanishing, and the j-recursion."""
-    if n < 3:
-        raise InvalidArgument("n must be >= 3")
+    integer_arg("n", n, 3)
     z = z_cycle(n, n - 1, 1)
     if z != closed_form_z_top(n):
         return VerificationReport("closed_forms", (n,), False, "termwise closed form")

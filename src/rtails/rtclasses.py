@@ -44,6 +44,7 @@ from .trees import (
     coda_members,
     enumerate_decorations,
     enumerate_rt_graphs,
+    integer_arg,
     label_key,
     overloaded,
     path_edges,
@@ -205,11 +206,9 @@ def _formula_terms(weights: Mapping, cap, keep=None):
 
 
 def _multiplicities(mults) -> tuple:
-    """``mults`` as a tuple, refused unless each is an integer >= 1 (not a
-    bool), the rule for leg weights."""
-    mults = tuple(mults)
-    if not mults or not all(type(m) is int and m >= 1 for m in mults):
-        raise InvalidArgument(f"multiplicities must be integers >= 1, not {list(mults)}")
+    """``mults`` as a non-empty tuple of leg weights, each an integer >= 1."""
+    mults = tuple(integer_arg("a multiplicity", m, 1) for m in mults)
+    integer_arg("the number of legs", len(mults), 1)
     return mults
 
 
@@ -248,9 +247,7 @@ def f_class_m(mults) -> RtClass:
 
 def f_class(n: int) -> RtClass:
     """The unit-multiplicity graph formula."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    return f_class_m((1,) * n)
+    return f_class_m((1,) * integer_arg("n", n, 1))
 
 
 def over_degree_terms(n: int) -> RtClass:
@@ -259,6 +256,7 @@ def over_degree_terms(n: int) -> RtClass:
     These are dropped from `f_class`; the vanishing theorem makes their
     per-profile sums zero, which `verify_overdegree_drop` certifies.
     """
+    integer_arg("n", n, 1)
 
     def cap(graph: Tree) -> int:
         # nonzero coefficients are bounded by the rational vertices' moduli
@@ -439,8 +437,7 @@ def e_class(n: int, I) -> RtClass:
 
 def verify_frec(n: int) -> VerificationReport:
     """π* F_{n-1} · (kω_n - η) - Σ |I| E_I = F_n, per root profile."""
-    if n < 2:
-        raise InvalidArgument("n must be >= 2")
+    integer_arg("n", n, 2)
     summands = itertools.chain(((-len(I), e_class(n, I)) for I in _nonempty_subsets(n - 1)), [(-1, f_class(n))])
     profile = _profile_witness(multiply_divisor(pullback_forget(f_class(n - 1), n), n).plus(summands))
     return VerificationReport("frec", (n,), profile is None, profile)
@@ -494,7 +491,7 @@ def verify_expansions() -> VerificationReport:
 
 def verify_logan(g: int) -> VerificationReport:
     """φ_* F^1_{g,g}: Σ ω_i - λ_1 - Σ_M C(|M|,2) δ_M over the boundary divisors."""
-    out = pushforward_phi(f_class(g), k=1, g=g)
+    out = pushforward_phi(f_class(integer_arg("g", g, 1)), k=1, g=g)
     expected = PushedClass()
     t, d = build_tree([list(range(1, g + 1))], [], rt_root=0)
     for i in range(1, g + 1):
@@ -544,9 +541,7 @@ class KPoly(FormalSum):
     def __init__(self, c=None):
         self.terms = {}
         for d, v in dict(c or {}).items():
-            if type(d) is not int or d < 0:
-                raise InvalidArgument(f"a power of k must be an integer >= 0, not {d!r}")
-            self._put(d, exact(v))
+            self._put(integer_arg("a power of k", d, 0), exact(v))
 
     @staticmethod
     def _sort_key(d: int) -> int:
@@ -632,10 +627,8 @@ def pushforward_phi(x: RtClass, k: int, g: int) -> PushedClass:
     The bundle rank r is Riemann-Roch's h^0(ω^k): g for k = 1, (2k-1)(g-1)
     for k >= 2 and g >= 2, and 1 on genus 1, where ω is trivial.
     """
-    if not isinstance(k, int) or not isinstance(g, int):
-        raise InvalidArgument("pushforward_phi needs a numeric k and g")
-    if k < 1 or g < 1:
-        raise InvalidArgument("pushforward_phi needs k >= 1 and g >= 1")
+    integer_arg("k", k, 1)
+    integer_arg("g", g, 1)
     r = g if k == 1 else 1 if g == 1 else (2 * k - 1) * (g - 1)
     out = PushedClass()
     for (graph, dec, fact), coeff in x.terms.items():
@@ -685,8 +678,8 @@ def pushforward_point(x: RtClass, g: Optional[int] = None) -> PushedClass:
     """
     if len(x.ambient) != 1:
         raise InvalidArgument("pushforward_point needs a single-leg class")
-    if g is not None and g < 1:
-        raise InvalidArgument("pushforward_point needs g >= 1")
+    if g is not None:
+        integer_arg("g", g, 1)
     out = PushedClass()
     for (a, t), kc in _psi_eta_terms(x):
         if a == 0:
@@ -721,8 +714,7 @@ def f_heavy_expanded(a: int) -> PushedClass:
 
 def emit_relation(g: int, n: int) -> RtClass:
     """The vanishing-regime class (k = 1, g >= 1, n > 2g-2), rendered by the caller."""
-    if g < 1:
-        raise InvalidArgument("relations need g >= 1: the root has positive genus")
-    if n <= 2 * g - 2:
+    integer_arg("g", g, 1)  # the root has positive genus
+    if integer_arg("n", n, 1) <= 2 * g - 2:
         raise InvalidArgument("relations need n > 2g-2")
     return f_class(n)

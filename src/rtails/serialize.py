@@ -21,7 +21,7 @@ import functools
 import json
 from fractions import Fraction
 
-from .trees import H0, Decoration, InvalidArgument, Tree, build_tree, label_key
+from .trees import H0, Decoration, InvalidArgument, Tree, build_tree, integer_arg, label_key
 from .strata0 import Class0
 from .rtclasses import RtClass
 
@@ -52,14 +52,6 @@ def _reads_json(fn):
             raise InvalidArgument(f"malformed JSON ({fn.__name__}): {exc!r}") from exc
 
     return read
-
-
-def _exponent(e) -> int:
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise InvalidArgument(f"exponent {e!r} is not an integer")
-    if e < 0:
-        raise InvalidArgument(f"negative exponent {e}")
-    return e
 
 
 def tree_to_json(tree: Tree, dec: Decoration = Decoration()) -> dict:
@@ -97,8 +89,8 @@ def tree_from_json(blob: dict):
         # JSON side refers to the pair as given: side 0 = tail, 1 = head
         if sign not in ("+", "-"):
             raise InvalidArgument(f"half-edge key {key!r} does not end in + or -")
-        half_exp[(eid, 1 if sign == "+" else 0)] = _exponent(e)
-    leg_exp = {_label_in(l): _exponent(e) for l, e in blob.get("exp_leg", {}).items()}
+        half_exp[(eid, 1 if sign == "+" else 0)] = integer_arg("an exponent", e, 0)
+    leg_exp = {_label_in(l): integer_arg("an exponent", e, 0) for l, e in blob.get("exp_leg", {}).items()}
     return build_tree(legs_by_vertex, pairs, rt_root=rt_root, half_exp=half_exp, leg_exp=leg_exp)
 
 
@@ -157,11 +149,12 @@ def _fact_in(blob: dict) -> dict:
     for key, e in blob.items():
         kind, payload = key.split(":", 1)
         if kind == "leg":
-            fact[("leg", _label_in(payload))] = _exponent(e)
+            fact[("leg", _label_in(payload))] = integer_arg("an exponent", e, 0)
         elif kind != "tail":
             raise InvalidArgument(f"factored slot {key!r} is neither a leg nor a tail")
         else:
-            fact[("tail", tuple(sorted((_label_in(l) for l in payload.split(",")), key=label_key)))] = _exponent(e)
+            tail = tuple(sorted((_label_in(l) for l in payload.split(",")), key=label_key))
+            fact[("tail", tail)] = integer_arg("an exponent", e, 0)
     return fact
 
 

@@ -66,6 +66,7 @@ from .trees import (
     enumerate_stable_trees,
     forget_terms,
     graft,
+    integer_arg,
     label_key,
     make_decoration,
     overloaded,
@@ -215,13 +216,9 @@ class Class0(FormalSum):
         return {term_degree(t, d) for t, d in self.terms}
 
     def mul_psi(self, leg, power: int = 1) -> "Class0":
-        """Multiply by ψ_leg^power (the ψ-class at a marked point); a power
-        that is not an `int` ≥ 0 (a bool included) and a leg outside the
-        ambient are refused, with terms or without."""
-        if type(power) is not int:
-            raise InvalidArgument(f"psi exponent {power!r} is not an integer")
-        if power < 0:
-            raise InvalidArgument("negative psi exponent")
+        """Multiply by ψ_leg^power (the ψ-class at a marked point); a bad
+        power or a leg outside the ambient is refused, with terms or without."""
+        integer_arg("a psi exponent", power, 0)
         if leg not in self.ambient:
             raise InvalidArgument(f"no leg {leg!r}")
 
@@ -313,7 +310,7 @@ def _strata_by_codim(ambient: frozenset) -> tuple:
 def strata_family(ambient, codim: int) -> tuple:
     """Undecorated boundary strata of the given codimension, canonical order."""
     ambient = frozenset(ambient)
-    if codim < 0 or codim > dim_of(ambient):
+    if integer_arg("codim", codim) < 0 or codim > dim_of(ambient):
         return ()
     return _strata_by_codim(ambient)[codim]
 
@@ -593,8 +590,7 @@ def collide(x: FormalSum, leg_i, leg_j) -> FormalSum:
 def fold(x: FormalSum, leg: int) -> FormalSum:
     """Collide ``leg + 1`` into ``leg`` and renumber the integer legs above
     it down by one: one step of a colliding chain, in one pass."""
-    if isinstance(leg, bool) or not isinstance(leg, int):
-        raise InvalidArgument(f"cannot fold at {leg!r}: a chain steps over integer legs")
+    integer_arg("the leg of a chain step", leg)
     return _collided(x, leg, leg + 1, {l: l - 1 for l in x.ambient if isinstance(l, int) and l > leg + 1})
 
 
@@ -645,7 +641,7 @@ def relabel_class(x: FormalSum, mapping: Mapping) -> FormalSum:
 
 def ambient0(n: int) -> frozenset:
     """The legs {1..n, h0} of the rooted space M̄_{0,n+1}."""
-    return frozenset(range(1, n + 1)) | {H0}
+    return frozenset(range(1, integer_arg("n", n) + 1)) | {H0}
 
 
 def glue_push_gamma(x: FormalSum, I, n: int) -> FormalSum:
@@ -673,6 +669,7 @@ def glue_push_gamma(x: FormalSum, I, n: int) -> FormalSum:
 
 def glue_push_sigma0(x: Class0, n: int) -> Class0:
     """Attach a rational bridge carrying h0 and the new leg n at the root leg."""
+    integer_arg("n", n)
     if H0 not in x.ambient:
         raise InvalidArgument("sigma0 needs the root leg h0")
     if x.ambient != ambient0(n - 1):

@@ -124,10 +124,7 @@ def make_decoration(half_exp: Optional[Mapping] = None, leg_exp: Optional[Mappin
     half = tuple(sorted((slot, e) for slot, e in (half_exp or {}).items() if e))
     leg = tuple(sorted(((l, e) for l, e in (leg_exp or {}).items() if e), key=lambda t: label_key(t[0])))
     for _, e in itertools.chain(half, leg):
-        if type(e) is not int:
-            raise InvalidArgument(f"psi exponent {e!r} is not an integer")
-        if e < 0:
-            raise InvalidArgument("negative psi exponent")
+        integer_arg("a psi exponent", e, 0)
     return Decoration(half, leg)
 
 
@@ -137,6 +134,17 @@ def term_sort_key(tree: Tree, dec: Decoration) -> tuple:
 
 class InvalidArgument(ValueError):
     """Raised when an operation's preconditions are violated."""
+
+
+def integer_arg(name: str, value, least: Optional[int] = None) -> int:
+    """``value``, refused unless it is an `int` of at least ``least`` (when
+    given): the one check of a size, index or exponent.  A bool is refused,
+    since it would share cache entries with 0 and 1, and so is a float, which
+    every rule that reads the value would miss.  Each public entry calls it
+    before it touches any cache."""
+    if type(value) is not int or (least is not None and value < least):
+        raise InvalidArgument(f"{name} must be an integer{'' if least is None else f' >= {least}'}, not {value!r}")
+    return value
 
 
 def build_tree(
@@ -165,11 +173,11 @@ def build_tree(
     if len(edge_pairs) != nv - 1:
         raise InvalidArgument("not a tree: |E| != |V| - 1")
 
-    if rt_root is not None and rt_root not in range(nv):
+    if rt_root is not None and integer_arg("rt_root", rt_root) not in range(nv):
         raise InvalidArgument(f"no vertex {rt_root!r}")
     adj: list = [[] for _ in range(nv)]
     for ei, (a, b) in enumerate(edge_pairs):
-        if a not in range(nv) or b not in range(nv):
+        if any(integer_arg("a vertex of an edge", v) not in range(nv) for v in (a, b)):
             raise InvalidArgument(f"edge {(a, b)!r} names no vertex")
         if a == b:
             raise InvalidArgument("loop edge")
@@ -213,8 +221,8 @@ def build_tree(
     for slot, e in (half_exp or {}).items():
         if not e:
             continue
-        ei, side = slot if isinstance(slot, tuple) and len(slot) == 2 else (None, None)
-        if ei not in image or side not in (0, 1):
+        ei, side = slot if isinstance(slot, tuple) and len(slot) == 2 else (-1, -1)
+        if integer_arg("an edge index", ei) not in image or integer_arg("a side", side) not in (0, 1):
             raise InvalidArgument(f"no half-edge {slot!r}")
         eid, child = image[ei]
         new_half[(eid, int(edge_pairs[ei][side] == child))] = e
@@ -337,21 +345,16 @@ def capacity(tree: Tree, head, leg_weights: Optional[Mapping] = None) -> int:
     capacity counts every leg of the tree.
     """
     weights = leg_weights or {}
-
-    def w(label: Label) -> int:
-        wt = weights.get(label, 1)
-        if wt < 1:
-            raise InvalidArgument("leg weights must be positive")
-        return wt
-
+    for weight in weights.values():
+        integer_arg("a leg weight", weight, 1)
     if head == H0:
         # h0 sorts first, so a canonical tree that has it carries it at the root
         if tree.rt or H0 not in tree.legs[0]:
             raise InvalidArgument("h0 capacity only defined for rooted rational trees")
-        return sum(w(l) for ls in tree.legs for l in ls if l != H0)
-    if not isinstance(head, int) or not (0 <= head < tree.num_edges()):
+        return sum(weights.get(l, 1) for ls in tree.legs for l in ls if l != H0)
+    if integer_arg("a head", head, 0) >= tree.num_edges():
         raise InvalidArgument(f"not a head half-edge: {head!r}")
-    return sum(w(l) for l in beyond_legs(tree, head))
+    return sum(weights.get(l, 1) for l in beyond_legs(tree, head))
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +457,16 @@ def enumerate_stable_trees(labels: tuple) -> tuple:
 
 def enumerate_trees0(n: int) -> tuple:
     """All rooted rational trees with legs 1..n and the root leg h0."""
-    if n < 2:
-        raise InvalidArgument("enumerate_trees0 requires n >= 2")
+    integer_arg("n", n, 2)
     return enumerate_stable_trees((H0,) + tuple(range(1, n + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_rt_graphs(n: int) -> tuple:
-    """All rational-tails graphs with legs 1..n and a genus-g root vertex."""
-    if n < 1:
-        raise InvalidArgument("enumerate_rt_graphs requires n >= 1")
+    """All rational-tails graphs with legs 1..n and a genus-g root vertex.
+    The cache is typed, so a bool or a float is a key of its own, which
+    misses and reaches the guard."""
+    integer_arg("n", n, 1)
     return _trees_of_laminar(tuple(range(1, n + 1)), n, rt=True)
 
 
@@ -515,9 +518,8 @@ def decorations_of_degree(tree: Tree, degree: int, leg_bounds: Optional[Mapping]
     listed legs may carry ψ.  Exponent assignments killing a rational vertex's
     moduli factor (per-vertex degree > valence - 3) are pruned.
     """
-    if degree < 0:
-        raise InvalidArgument("degree must be >= 0")
-    bounds = dict(leg_bounds or {})
+    integer_arg("degree", degree, 0)
+    bounds = {l: integer_arg(f"the bound of leg {l!r}", bound, 1) for l, bound in (leg_bounds or {}).items()}
     per_vertex = [_vertex_choices(tree, v, degree, bounds) for v in range(tree.num_vertices())]
     out = []
 
@@ -549,8 +551,7 @@ def decorations_of_degree(tree: Tree, degree: int, leg_bounds: Optional[Mapping]
 def enumerate_decorations(tree: Tree, degree_cap: int, leg_bounds: Optional[Mapping] = None) -> tuple:
     """All decorations of total degree <= degree_cap: the sorted union of
     `decorations_of_degree` over the degrees 0..degree_cap."""
-    if degree_cap < 0:
-        raise InvalidArgument("degree_cap must be >= 0")
+    integer_arg("degree_cap", degree_cap, 0)
     out = [d for degree in range(degree_cap + 1) for d in decorations_of_degree(tree, degree, leg_bounds)]
     out.sort(key=Decoration.sort_key)
     return tuple(out)
@@ -566,7 +567,7 @@ def coda_path(tree: Tree, n: int) -> Optional[tuple]:
     """``(I, path)`` when ``tree`` is a coda, else None: the vertex of leg n
     is external, I is its other legs and ``path`` the root-to-coda edges; on
     the one-vertex tree the path is empty and I is every leg but h0 and n."""
-    v_n = vertex_of_leg(tree, n)
+    v_n = vertex_of_leg(tree, integer_arg("n", n))
     if child_edges_of(tree, v_n):
         return None
     return frozenset(tree.legs[v_n]) - {H0, n}, path_edges(tree, v_n)
@@ -775,8 +776,9 @@ NODE = "@node"
 
 
 def coda_members(I: Iterable[Label]) -> frozenset:
-    """The coda legs I as a set; an I that lists a member twice is refused."""
-    members = tuple(I)
+    """The coda legs I as a set; an I that lists a member twice, or a member
+    that is not an `int` (every coda reads legs 1..n-1), is refused."""
+    members = tuple(integer_arg("a member of I", l) for l in I)
     if len(set(members)) != len(members):
         raise InvalidArgument(f"I repeats a member: {list(members)}")
     return frozenset(members)
@@ -789,7 +791,7 @@ def coda_mapping(n: int, I: Iterable[Label]) -> dict:
     onto {1..n-1} - I.
     """
     I = coda_members(I)
-    if not I or not I <= set(range(1, n)):
+    if not I or not I <= set(range(1, integer_arg("n", n))):
         raise InvalidArgument("I must be a non-empty subset of 1..n-1")
     mapping = dict(zip(range(2, n - len(I) + 1), sorted(set(range(1, n)) - I)))
     mapping[1] = NODE

@@ -48,6 +48,7 @@ from .trees import (
     child_edges_of,
     coda_members,
     coda_path,
+    integer_arg,
 )
 
 
@@ -179,8 +180,7 @@ def _rooted_frame(tree: Tree, m: int) -> tuple:
     """What a rooted tree's layout reads of the tree, once per tree and m:
     (`_capacities` and capacity - 1 of h0, with leg 1 weighted m, and the
     edge Z^t caps at i).  That edge is the one child edge of a root vertex
-    that carries exactly h0 and the last leg n; None on every other tree.
-    `capacity` rejects m < 1."""
+    that carries exactly h0 and the last leg n; None on every other tree."""
     cap0 = capacity(tree, H0, {1: m}) - 1
     n = sum(map(len, tree.legs)) - 1
     kids = child_edges_of(tree, 0)
@@ -205,8 +205,9 @@ def _blocks(dec: Decoration, edge_caps, mults: Optional[Mapping] = None, tops: O
 
 def _rooted(tree: Tree, dec: Decoration, m: int) -> tuple:
     """The i-rooted layout's blocks that do not read i, the `rooted_split`
-    key of those that do, and the edge that key names."""
-    caps, cap0, cut = _rooted_frame(tree, m)
+    key of those that do, and the edge that key names; m is checked before
+    the frame's cache is read."""
+    caps, cap0, cut = _rooted_frame(tree, integer_arg("m", m, 1))
     edge = None if cut is None else (caps[cut], dec.half_exp((cut, 1)), dec.half_exp((cut, 0)))
     return _blocks(dec, caps, {1: m}, skip=cut), (dec.leg_exp(H0), cap0, edge), cut
 
@@ -252,8 +253,6 @@ def _i_blocks(key: tuple, i: int, truncated: bool = False, eid=None, pin: Option
     (cap, d_head, d_tail), if any, is one more edge block, the one labelled
     ``eid``, which Z^t (``truncated``) caps at i.
     """
-    if i < 1:
-        raise InvalidArgument("i must be >= 1")
     d0, cap0, edge = key
     blocks = [(H0, None, cap0 if pin in (None, i) else 0, d0, 0, i)]
     if edge is not None:
@@ -269,8 +268,8 @@ def _layout(tree: Tree, dec: Decoration, *, i=None, m=None, I=None, mults=None, 
     i-coda when ``I`` is given, and reads ``i`` and ``I``; any other rooted
     tree is i-rooted, and reads ``i``, ``m`` (default 1) and ``truncated``.
     A parameter that is given (not None, or True for ``truncated``) but not
-    read is refused, and so is a leg weight that is not an integer >= 1 on
-    a leg of the graph, and an ``I`` that lists a member twice.
+    read is refused, and so is an i or a leg weight that is not an integer
+    >= 1, a weight on no leg of the graph, and a bad ``I`` (`coda_members`).
     """
     if tree.rt:
         context, read = "plain", {"mults"}
@@ -284,11 +283,13 @@ def _layout(tree: Tree, dec: Decoration, *, i=None, m=None, I=None, mults=None, 
     if context == "plain":
         legs = set().union(*tree.legs)
         for label, weight in (mults or {}).items():
-            if label not in legs or type(weight) is not int or weight < 1:
-                raise InvalidArgument(f"leg weights must be integers >= 1 on legs of the graph, not {weight!r} on {label!r}")
+            if label not in legs:
+                raise InvalidArgument(f"leg weights go on legs of the graph, not {weight!r} on {label!r}")
+            integer_arg(f"the weight of leg {label!r}", weight, 1)
         return _blocks(dec, _capacities(tree, mults), mults)
     if i is None:
         raise InvalidArgument(f"the {context} coefficient needs i")
+    integer_arg("i", i, 1)
     if context == "i-rooted":
         blocks, key, eid = _rooted(tree, dec, 1 if m is None else m)
         return blocks + _i_blocks(key, i, truncated, eid)
@@ -337,7 +338,7 @@ def rooted_split(tree: Tree, dec: Decoration, m: int = 1) -> tuple:
 def rooted_factor(key: tuple, i: int, truncated: bool = False) -> int:
     """The half of c^{i,m} that reads i, for a `rooted_split` key; with
     ``truncated`` the key's root edge is capped at i, as in Z^t."""
-    return _evaluate(_i_blocks(key, i, truncated), "dp")[0]
+    return _evaluate(_i_blocks(key, integer_arg("i", i, 1), truncated), "dp")[0]
 
 
 def coeff_d(tree: Tree, dec: Decoration, i: int, I, method: str = "dp") -> int:

@@ -206,9 +206,9 @@ def test_usage_errors(tmp_path, capsys):
         (("verify", "vanishing", "--max-sum", "3"), "--max-sum"),
         (("verify", "collide-rt", "--max-n", "4"), "--max-n"),
         (("verify", "expansions", "--max-n", "5"), "--max-n"),
-        (("relations", "--g", "0", "--n", "2"), "g >= 1"),
-        (("relations", "--g", "-5", "--n", "1"), "g >= 1"),
-        (("zcycle", "--n", "3", "--i", "0", "--j", "5", "--truncated"), "i >= 1"),
+        (("relations", "--g", "0", "--n", "2"), "g must be an integer >= 1, not 0"),
+        (("relations", "--g", "-5", "--n", "1"), "g must be an integer >= 1, not -5"),
+        (("zcycle", "--n", "3", "--i", "0", "--j", "5", "--truncated"), "i must be an integer >= 1, not 0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -231,8 +231,8 @@ def test_usage_errors(tmp_path, capsys):
         (CODA, ("--i", "1", "--coda", "1", "--m", "2"), "m is not read"),
         (CODA, ("--coda", "1"), "needs i"),
         (CODA, ("--i", "1", "--coda", "1,1"), "I repeats a member: [1, 1]"),
-        (ROOT_LEG, ("--multiplicities", "1,1,1,0"), "not 0 on 4"),
-        (ROOT_LEG, ("--multiplicities", "1,1,1,-3"), "not -3 on 4"),
+        (ROOT_LEG, ("--multiplicities", "1,1,1,0"), "the weight of leg 4 must be an integer >= 1, not 0"),
+        (ROOT_LEG, ("--multiplicities", "1,1,1,-3"), "the weight of leg 4 must be an integer >= 1, not -3"),
         (ROOT_LEG, ("--multiplicities", "1,1,1,1,7,9"), "not 7 on 5"),
         # a leg label is an integer or a string: true and 1.0 once read as leg 1
         (_one_vertex([True, 2, 3]), ("--multiplicities", "2,1,1"), "leg label True is not"),
@@ -249,7 +249,7 @@ def test_usage_errors(tmp_path, capsys):
     for argv in (("--i", "0"), ("--i", "0", "--coda", "1")):
         code, out, err = run_cli(capsys, "coeff", "--graph", str(path), *argv)
         assert (code, out) == (2, "")
-        assert "i must be >= 1" in err
+        assert "i must be an integer >= 1, not 0" in err
 
 
 def test_zcycle_help_puts_the_multiplicity_on_leg_1(capsys):
@@ -470,16 +470,25 @@ def test_time_budget_fails_the_run_but_keeps_stdout(capsys):
     assert out == plain
 
 
-def test_empty_or_oversized_verify_grid_is_a_usage_error(capsys):
+def test_empty_or_oversized_verify_grid_is_a_usage_error(capsys, monkeypatch):
     for argv, named in (
         (["vanishing", "--max-n", "2"], ["vanishing", "--max-n 2"]),
         (["collide-rt", "--max-sum", "1"], ["collide-rt", "--max-sum 1"]),
         (["vanishing", "--max-n", "8"], ["--max-n 8", "7"]),
         (["collide-rt", "--max-sum", "7"], ["--max-sum 7", "6"]),
+        # frec builds F(n), which MAX_SUM bounds as it bounds fclass --n
+        (["frec", "--max-n", "7"], ["--max-n 7 is above 6, the largest size measured"]),
     ):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and all(word in err for word in named)
+    # at the bound the work starts
+    def started(task):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, "run_task", started)
+    code, _, err = run_cli(capsys, "verify", "frec", "--max-n", "6")
+    assert code == 3 and "the work started" in err
 
 
 def test_verify_refuses_every_size_its_suite_does_not_read(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 """Source hygiene: no `rtails` module imports a name from a sibling and never
 uses it, no private module-level name is left unread, every public function
 of `trees` is read, every parameter is read, only `trees` derives the
-ψ-budget and crossing tables, only `FormalSum` writes a sum's ``terms``, and
-no module divides with ``/``.
+ψ-budget and crossing tables, only `FormalSum` writes a sum's ``terms``, no
+module divides with ``/``, and only the guard `trees.integer_arg` tests
+``type(…) is int`` (the allow-list names the sites that are no size check).
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -292,3 +293,57 @@ def test_no_true_division(path):
     # a coefficient stays an `int` while it is one, so ``c / k`` would make
     # a float of it: an exact quotient is ``//`` or a `Fraction`
     assert true_divisions(path.read_text()) == []
+
+
+# the sites besides the guard that test ``type(…) is int``, none a size check:
+# a coefficient is an `int` or a `Fraction`, and JSON reads a coefficient and
+# a genus
+INT_TYPE_TESTS_ALLOWED = ("trees.integer_arg", "strata0.exact", "serialize._term_from_json", "serialize.tree_from_json")
+
+
+def _names(node) -> set:
+    """``"type"`` for a call of ``type``, ``"int"`` for the name ``int``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type":
+        return {"type"}
+    return {"int"} if isinstance(node, ast.Name) and node.id == "int" else set()
+
+
+def int_type_tests(source: str, module: str) -> list:
+    """``module.function:line`` for each ``type(…) is int`` or ``type(…) is
+    not int`` in ``source``, by the innermost function around it, outside
+    ``INT_TYPE_TESTS_ALLOWED``."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Compare):
+                sides = list(zip([child.left, *child.comparators], child.comparators))
+                for op, (a, b) in zip(child.ops, sides):
+                    site = f"{module}.{inner}"
+                    if isinstance(op, (ast.Is, ast.IsNot)) and _names(a) | _names(b) == {"type", "int"} and site not in INT_TYPE_TESTS_ALLOWED:
+                        out.append(f"{site}:{child.lineno}")
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_the_check_sees_an_int_type_test():
+    source = (
+        "def integer_arg(v):\n    return type(v) is int\n"
+        "def f(v, w):\n"
+        "    if type(v) is not int:\n        pass\n"
+        "    ok = int is type(w)\n"
+        "    return isinstance(v, int) and type(v) is type(w) and type(v) is bool\n"
+        "class K:\n    def m(self, d):\n        return [type(d) is int for _ in ()]\n"
+    )
+    assert int_type_tests(source, "trees") == ["trees.f:4", "trees.f:6", "trees.m:10"]
+    assert int_type_tests(source, "other") == ["other.integer_arg:2", "other.f:4", "other.f:6", "other.m:10"]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_only_the_guard_tests_for_an_int(path):
+    # a size, index or exponent is checked by `trees.integer_arg` alone, so
+    # that hand-written checks, and the bool and float leaks they left, do not come back
+    assert int_type_tests(path.read_text(), path.stem) == []

@@ -154,13 +154,15 @@ def test_e_class_refuses_a_repeated_coda_member():
 
 
 def test_multiplicities_must_be_integers_at_least_one(monkeypatch):
-    for mults in ((2.9,), (1.5, 1), (0, 2), (2, -1), ("2",), ()):
-        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+    for mults in ((2.9,), (1.5, 1), (0, 2), (2, -1), ("2",)):
+        with pytest.raises(InvalidArgument, match="a multiplicity must be an integer >= 1"):
             f_class_m(mults)
+    with pytest.raises(InvalidArgument, match="the number of legs must be an integer >= 1, not 0"):
+        f_class_m(())
     # the colliding check refuses them before it builds the unit class
     monkeypatch.setattr(rtclasses, "f_class", lambda n: pytest.fail("f_class was built"))
     for mults in ((1.5, 1), (0, 2), (2.0,)):
-        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+        with pytest.raises(InvalidArgument, match="a multiplicity must be an integer >= 1"):
             verify_colliding_rt(mults)
 
 
@@ -169,9 +171,9 @@ def test_a_bool_multiplicity_is_refused(monkeypatch):
     monkeypatch.setattr(rtclasses, "_f_cache", {})
     monkeypatch.setattr(rtclasses, "_chain_cache", {})
     for mults in ((True, 1), (2, False), (True,)):
-        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+        with pytest.raises(InvalidArgument, match="a multiplicity must be an integer >= 1"):
             f_class_m(mults)
-        with pytest.raises(InvalidArgument, match="multiplicities must be integers >= 1"):
+        with pytest.raises(InvalidArgument, match="a multiplicity must be an integer >= 1"):
             verify_colliding_rt(mults)
     assert rtclasses._f_cache == rtclasses._chain_cache == {}
 
@@ -445,8 +447,8 @@ def test_the_shared_moves_keep_every_refusal_for_both_class_types():
         (lambda: collide_rt(f_class(3), 1, 4), "sit in the ambient"),
         (lambda: strata0.fold(f_class(3), 3), "sit in the ambient"),
         # `fold` renumbers the integer legs above its leg; h0 once raised TypeError
-        (lambda: strata0.fold(f_class(3), H0), "integer legs"),
-        (lambda: strata0.fold(push_tree(build_tree([[H0, 1, 2, 3]], [])[0]), H0), "integer legs"),
+        (lambda: strata0.fold(f_class(3), H0), "the leg of a chain step must be an integer, not 'h0'"),
+        (lambda: strata0.fold(push_tree(build_tree([[H0, 1, 2, 3]], [])[0]), H0), "the leg of a chain step must be an integer"),
         (lambda: pullback_forget_rt(f_class(3), 2), "already present"),
     ):
         with pytest.raises(InvalidArgument, match=match):

@@ -299,26 +299,26 @@ def test_glue_push_gamma_refuses_a_repeated_coda_member():
 
 def test_a_negative_psi_exponent_is_an_invalid_argument():
     tree, _ = build_tree([[1, 2, 3, H0]], [])
-    with pytest.raises(InvalidArgument, match="negative psi exponent"):
+    with pytest.raises(InvalidArgument, match="a psi exponent must be an integer >= 0, not -1"):
         push_tree(tree).mul_psi(1, -1)
-    with pytest.raises(InvalidArgument, match="negative psi exponent"):
+    with pytest.raises(InvalidArgument, match="a psi exponent must be an integer >= 0, not -1"):
         make_decoration(leg_exp={1: -1})
     # a negative power is refused even where it would only lower an exponent
-    with pytest.raises(InvalidArgument, match="negative psi exponent"):
+    with pytest.raises(InvalidArgument, match="a psi exponent must be an integer >= 0, not -1"):
         push_tree(tree).mul_psi(1, 1).mul_psi(1, -1)
 
 
 def test_a_psi_exponent_must_be_an_integer():
     # two half-powers once stored ψ_1^1.0, on which `integrate` raised TypeError
     tree, _ = build_tree([[1, 2, 3, H0]], [])
-    with pytest.raises(InvalidArgument, match="not an integer"):
+    with pytest.raises(InvalidArgument, match="a psi exponent must be an integer >= 0, not"):
         push_tree(tree).mul_psi(1, 0.5)
     for exponent in (0.5, 1.0, True, Fraction(1)):
-        with pytest.raises(InvalidArgument, match="not an integer"):
+        with pytest.raises(InvalidArgument, match="a psi exponent must be an integer >= 0, not"):
             make_decoration(leg_exp={1: exponent})
-        with pytest.raises(InvalidArgument, match="not an integer"):
+        with pytest.raises(InvalidArgument, match="a psi exponent must be an integer >= 0, not"):
             make_decoration(half_exp={(0, 0): exponent})
-        with pytest.raises(InvalidArgument, match="not an integer"):
+        with pytest.raises(InvalidArgument, match="a psi exponent must be an integer >= 0, not"):
             build_tree([[1, 2, 3, H0]], [], leg_exp={H0: exponent})
     assert integrate(push_tree(tree).mul_psi(1, 1)) == 1
 
@@ -329,8 +329,8 @@ def test_mul_psi_refuses_a_bad_power_or_leg_with_terms_or_without():
     tree, _ = build_tree([[1, 2, 3, H0]], [])
     psi1 = push_tree(tree, make_decoration(leg_exp={1: 1}))
     for x in (push_tree(tree), psi1, Class0(tree.all_legs())):
-        for power, message in ((True, "not an integer"), (False, "not an integer"), (0.5, "not an integer"), (-1, "negative")):
-            with pytest.raises(InvalidArgument, match=message):
+        for power in (True, False, 0.5, -1):
+            with pytest.raises(InvalidArgument, match=rf"a psi exponent must be an integer >= 0, not {power!r}$"):
                 x.mul_psi(1, power)
         for leg in (99, -1, 0.5, 4):
             with pytest.raises(InvalidArgument, match="no leg"):

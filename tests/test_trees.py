@@ -292,6 +292,10 @@ def test_build_tree_refuses_slots_and_vertices_the_input_lacks():
     for bad_edges, rt_root in (([(0, 2)], None), ([(0, -1)], None), (edges, 2), (edges, -1)):
         with pytest.raises(InvalidArgument):
             build_tree(legs, bad_edges, rt_root=rt_root)
+    # a bool is no vertex or side, though False == 0 and True == 1
+    for bad_edges, rt_root, half in (([(False, True)], None, {}), (edges, True, {}), (edges, None, {(True, 0): 1}), (edges, None, {(0, True): 1})):
+        with pytest.raises(InvalidArgument, match="must be an integer, not (True|False)$"):
+            build_tree(legs, bad_edges, rt_root=rt_root, half_exp=half)
 
 
 def test_capacity_examples():
@@ -308,6 +312,10 @@ def test_capacity_examples():
     assert capacity(g2, inner) == 4
     with pytest.raises(InvalidArgument):
         capacity(g2, 99)
+    # True == 1 once read as the second edge, and a bool weight as 1
+    for head, weights in ((True, None), (inner, {4: True}), (H0, {1: 1.0})):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            capacity(t if head == H0 else g2, head, weights)
 
 
 def test_capacity_root_sum_invariant():
@@ -336,6 +344,10 @@ def test_enumerate_decorations_examples():
     # raising the bound admits psi_1
     decs_m2 = enumerate_decorations(t3, 1, leg_bounds={1: 2})
     assert len(decs_m2) == 3
+    # a bound must be an integer >= 1: True once read as 1, and 1.5 raised TypeError
+    for bound in (True, 1.5, 0):
+        with pytest.raises(InvalidArgument, match=rf"the bound of leg 1 must be an integer >= 1, not {bound!r}$"):
+            enumerate_decorations(t3, 1, leg_bounds={1: bound})
 
 
 def _decorations_by_brute_force(tree, degree, bounds):

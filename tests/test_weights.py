@@ -105,7 +105,7 @@ def test_every_entry_point_refuses_i_below_one_and_an_unknown_method():
     trivial = make_decoration()
     for tree, dec, params in ((t, psi_h0, {"m": 1}), (coda, trivial, {"I": {1}})):
         for entry in (coefficient, enumerate_weightings):
-            with pytest.raises(InvalidArgument, match="i must be >= 1"):
+            with pytest.raises(InvalidArgument, match="i must be an integer >= 1, not 0"):
                 entry(tree, dec, i=0, **params)
     with pytest.raises(InvalidArgument):
         coeff_d(coda, trivial, 0, {1})
@@ -190,7 +190,7 @@ def test_leg_weights_must_be_integers_at_least_one_on_legs_of_the_graph():
     # a bool is no weight, though True == 1
     for mults in ({4: True}, {1: True, 2: 1}, {1: 1, 4: False}):
         for entry in (coeff_c, coefficient, enumerate_weightings):
-            with pytest.raises(InvalidArgument, match="leg weights must be integers >= 1"):
+            with pytest.raises(InvalidArgument, match=r"the weight of leg \d must be an integer >= 1, not (True|False)$"):
                 entry(g, dec, mults=mults)
 
 
