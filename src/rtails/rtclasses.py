@@ -45,6 +45,7 @@ from .trees import (
     enumerate_decorations,
     enumerate_rt_graphs,
     integer_arg,
+    label_arg,
     label_key,
     overloaded,
     path_edges,
@@ -407,7 +408,7 @@ def _root_slots(graph: Tree) -> frozenset:
 
 def multiply_divisor(x: RtClass, leg) -> RtClass:
     """Multiply by (kω_leg - η): a factored bump at the leg's root slot."""
-    if leg not in x.ambient:
+    if label_arg("a leg", leg) not in x.ambient:
         raise InvalidArgument(f"no leg {leg!r}")
     # the new factor starts at the leg's own slot and lands where that leg feeds
     bump = ((_leg_slot(leg), 1),)

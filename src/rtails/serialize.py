@@ -21,7 +21,7 @@ import functools
 import json
 from fractions import Fraction
 
-from .trees import H0, Decoration, InvalidArgument, Tree, build_tree, integer_arg, label_key
+from .trees import H0, Decoration, InvalidArgument, Tree, build_tree, integer_arg, label_arg, label_key
 from .strata0 import Class0
 from .rtclasses import RtClass
 
@@ -32,9 +32,7 @@ def _label_out(l):
 
 def _label_in(l):
     """A leg label read from JSON: an integer, or a string (of digits: the integer)."""
-    if isinstance(l, bool) or not isinstance(l, (int, str)):
-        raise InvalidArgument(f"leg label {l!r} is not an integer or a string")
-    if isinstance(l, str) and l.lstrip("-").isdigit():
+    if isinstance(label_arg("a leg label", l), str) and l.lstrip("-").isdigit():
         return int(l)
     return l
 

@@ -41,7 +41,14 @@ crossing table.  The common refinement comes from the mask-keyed tree cache
 that the enumerator fills, so each stratum is canonicalised once.  Of the
 side choices of the excess factor, a pairing integrates only those that
 leave every vertex a ψ-load equal to its budget (`trees.psi_budgets`); the
-others give 0.
+others give 0.  In codim 0 the one stratum is the whole space, so each term
+is integrated as it is, with no refinement.
+
+Pairing is linear, and `FormalSum.plus` records the summands of a sum of
+frozen classes alone, so `zero_witness` pairs such a sum as Σ f·⟨y, S⟩ over
+its record.  Each frozen y keeps its degrees, its terms grouped by tree and
+a memo of ⟨y, S⟩ (`_pairing_kernel`): a cached block pairs each stratum
+once, whichever Z or Zᵗ sums it.  Any other class is its own one part.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import itertools
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterable, Mapping, Optional
 
 from .trees import (
@@ -67,6 +74,7 @@ from .trees import (
     forget_terms,
     graft,
     integer_arg,
+    label_arg,
     label_key,
     make_decoration,
     overloaded,
@@ -104,13 +112,14 @@ class FormalSum:
     that are already checked straight into its fresh output.  A subclass
     supplies ``_space()``, the constructor arguments that fix where the sum
     lives (two summands must agree on them), and ``_sort_key(key)``, the
-    canonical order of ``items()``.
+    canonical order of ``items()``.  A ``plus`` of frozen summands alone into
+    an empty sum records them as ``_summands``; ``_put`` drops the record.
 
     A cached sum is frozen: ``_put`` and ``_add`` then raise, while sums,
     multiples and products still return fresh sums.
     """
 
-    __slots__ = ("terms", "_frozen")
+    __slots__ = ("terms", "_frozen", "_summands")
 
     @staticmethod
     def _space() -> tuple:
@@ -127,6 +136,7 @@ class FormalSum:
 
     def _put(self, key, coeff) -> None:
         self._check_mutable()
+        self._summands = None
         old = self.terms.get(key)
         new = coeff if old is None else old + coeff
         if new:
@@ -142,10 +152,15 @@ class FormalSum:
         y must have self's type and space, and is built when a lazy sum reaches it."""
         out = type(self)(*self._space())
         terms = out.terms = dict(self.terms)
+        summands = None if terms else []
         for factor, y in pairs:
             if type(y) is not type(self) or y._space() != self._space():
                 raise InvalidArgument(f"cannot add {y!r} to {self!r}")
             factor = exact(factor)
+            if summands is not None and getattr(y, "_frozen", False):
+                summands.append((factor, y))
+            else:
+                summands = None
             if factor:
                 for key, coeff in y.terms.items():
                     old = terms.get(key)
@@ -154,6 +169,7 @@ class FormalSum:
                         terms[key] = new
                     else:
                         del terms[key]
+        out._summands = summands
         return out
 
     def __add__(self, other):
@@ -187,7 +203,7 @@ def _moved(x: FormalSum, ambient, images, image: Optional[Mapping] = None):
 class Class0(FormalSum):
     """Formal sum of decorated strata on the moduli space with the given legs."""
 
-    __slots__ = ("ambient",)
+    __slots__ = ("ambient", "_pairing")
 
     def __init__(self, ambient: Iterable, terms: Optional[Mapping] = None):
         self.ambient = frozenset(ambient)
@@ -212,14 +228,11 @@ class Class0(FormalSum):
     def __repr__(self) -> str:
         return f"Class0({sorted(self.ambient, key=label_key)!r}, {len(self.terms)} terms)"
 
-    def degrees(self) -> set:
-        return {term_degree(t, d) for t, d in self.terms}
-
     def mul_psi(self, leg, power: int = 1) -> "Class0":
         """Multiply by ψ_leg^power (the ψ-class at a marked point); a bad
         power or a leg outside the ambient is refused, with terms or without."""
         integer_arg("a psi exponent", power, 0)
-        if leg not in self.ambient:
+        if label_arg("a leg", leg) not in self.ambient:
             raise InvalidArgument(f"no leg {leg!r}")
 
         def times_psi(tree: Tree, dec: Decoration):
@@ -426,16 +439,12 @@ def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) ->
 def pair(x: Class0, stratum: Tree) -> Fraction:
     """Integral of the product against an undecorated stratum."""
     _check_tree(stratum, x.ambient)
-    if x.terms:
-        degs = x.degrees()
-        if len(degs) > 1:
-            raise InvalidArgument("pairing needs a homogeneous class")
-        if degs.pop() + stratum.num_edges() != dim_of(x.ambient):
-            raise InvalidArgument("degree mismatch")
-    return sum(
-        (c * pair_term(t, d, stratum, x.ambient) for (t, d), c in x.terms.items()),
-        Fraction(0),
-    )
+    kernel = _pairing_kernel(x)
+    if len(kernel[0]) > 1:
+        raise InvalidArgument("pairing needs a homogeneous class")
+    if kernel[0] and min(kernel[0]) + stratum.num_edges() != dim_of(x.ambient):
+        raise InvalidArgument("degree mismatch")
+    return Fraction(_pair_part(kernel, stratum, x.ambient, stratum.num_edges()))
 
 
 @lru_cache(maxsize=None)
@@ -482,6 +491,42 @@ def is_invariant(x: Class0, legs) -> bool:
     return True
 
 
+def _pairing_kernel(x: Class0) -> tuple:
+    """x's term degrees, its terms ``(tree, crossing bits, dec, coeff)``
+    grouped by tree, and a stratum -> pairing memo; kept on a frozen x."""
+    kernel = getattr(x, "_pairing", None)
+    if kernel is None:
+        degrees, by_tree = set(), {}
+        for (tree, dec), coeff in x.terms.items():
+            degrees.add(term_degree(tree, dec))
+            by_tree.setdefault(tree, []).append((dec, coeff))
+        rows = [(tree, split_bits(tree)[1], dec, coeff) for tree, items in by_tree.items() for dec, coeff in items]
+        kernel = (frozenset(degrees), rows, {})
+        if getattr(x, "_frozen", False):
+            x._pairing = kernel
+    return kernel
+
+
+def _pair_part(kernel: tuple, stratum: Tree, ambient: frozenset, codim: int):
+    """⟨P, stratum⟩ for the part P of this `_pairing_kernel`, from its memo or term by term."""
+    _, rows, memo = kernel
+    value = memo.get(stratum)
+    if value is None:
+        if not codim:
+            value = sum(coeff * integrate_term(tree, dec, ambient) for tree, _, dec, coeff in rows)
+        else:
+            own, value, last = split_bits(stratum)[0], 0, None
+            for tree, crossing, dec, coeff in rows:
+                if crossing & own:
+                    continue
+                if tree is not last:
+                    ref, last = _refine(tree, stratum, ambient), tree
+                paired = ref.values.get(dec)
+                value += coeff * (_pair_refined(dec, ambient, ref) if paired is None else paired)
+        memo[stratum] = value
+    return value
+
+
 def zero_witness(x: Class0, legs: Iterable = frozenset()) -> Optional[Tree]:
     """A complementary stratum with nonzero pairing, or None when x = 0.
 
@@ -495,32 +540,16 @@ def zero_witness(x: Class0, legs: Iterable = frozenset()) -> Optional[Tree]:
         raise InvalidArgument(f"cannot permute {sort_labels(legs)!r}: only ambient legs other than {base!r} move")
     if not x.terms:
         return None
-    ambient = x.ambient
-    # integer numerators over the common denominator: same zero pattern
-    common = lcm(*(c.denominator for c in x.terms.values()))
-    degrees: set = set()
-    by_tree: dict = {}
-    for (tree, dec), coeff in x.terms.items():
-        degrees.add(term_degree(tree, dec))
-        by_tree.setdefault(tree, []).append((dec, coeff.numerator * (common // coeff.denominator)))
-    if len(degrees) > 1:
-        raise InvalidArgument("zero test needs a homogeneous class")
-    codim = dim_of(ambient) - degrees.pop()
-    rows = [(tree, split_bits(tree)[1], items) for tree, items in by_tree.items()]
-    for stratum in _orbit_firsts(ambient, codim, legs) if legs else strata_family(ambient, codim):
-        own = split_bits(stratum)[0]
-        total = 0
-        for tree, crossing, items in rows:
-            if crossing & own:
-                continue
-            ref = _refine(tree, stratum, ambient)
-            values = ref.values
-            for dec, num in items:
-                value = values.get(dec)
-                if value is None:
-                    value = _pair_refined(dec, ambient, ref)
-                total += num * value
-        if total:
+    parts = [(factor, _pairing_kernel(y)) for factor, y in getattr(x, "_summands", None) or () if factor]
+    degrees = frozenset().union(*(kernel[0] for _, kernel in parts))
+    if len(degrees) != 1:  # no record, or summands of several degrees
+        parts = [(1, _pairing_kernel(x))]
+        degrees = parts[0][1][0]
+        if len(degrees) > 1:
+            raise InvalidArgument("zero test needs a homogeneous class")
+    codim = dim_of(x.ambient) - min(degrees)
+    for stratum in _orbit_firsts(x.ambient, codim, legs) if legs else strata_family(x.ambient, codim):
+        if sum(factor * _pair_part(kernel, stratum, x.ambient, codim) for factor, kernel in parts):
             return stratum
     return None
 
@@ -535,7 +564,7 @@ def is_zero(x: Class0) -> bool:
 
 def pullback_forget(x: FormalSum, new_leg) -> FormalSum:
     """Pull back along the map forgetting ``new_leg`` (`trees.pullback_terms`)."""
-    if new_leg in x.ambient:
+    if label_arg("a leg", new_leg) in x.ambient:
         raise InvalidArgument(f"leg {new_leg!r} already present")
     return _moved(x, x.ambient | {new_leg}, lambda tree, dec: pullback_terms(tree, dec, new_leg))
 
@@ -575,7 +604,7 @@ def _eliminate_leg_psi(x: Class0, leg) -> Class0:
 
 def pushforward_forget(x: Class0, leg) -> Class0:
     """Push forward along the map forgetting ``leg`` (`trees.forget_terms`); degree drops by one."""
-    if leg not in x.ambient:
+    if label_arg("a leg", leg) not in x.ambient:
         raise InvalidArgument(f"no leg {leg!r}")
     if len(x.ambient) < 4:
         raise InvalidArgument("cannot forget below three legs")
@@ -584,7 +613,7 @@ def pushforward_forget(x: Class0, leg) -> Class0:
 
 def collide(x: FormalSum, leg_i, leg_j) -> FormalSum:
     """Multiply with the {i,j} boundary divisor and forget ``leg_j`` (`trees.collide_term`)."""
-    return _collided(x, leg_i, leg_j, {})
+    return _collided(x, label_arg("a leg", leg_i), label_arg("a leg", leg_j), {})
 
 
 def fold(x: FormalSum, leg: int) -> FormalSum:

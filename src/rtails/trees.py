@@ -123,6 +123,8 @@ class Decoration:
 def make_decoration(half_exp: Optional[Mapping] = None, leg_exp: Optional[Mapping] = None) -> Decoration:
     half = tuple(sorted((slot, e) for slot, e in (half_exp or {}).items() if e))
     leg = tuple(sorted(((l, e) for l, e in (leg_exp or {}).items() if e), key=lambda t: label_key(t[0])))
+    for l, _ in leg:
+        label_arg("a leg", l)
     for _, e in itertools.chain(half, leg):
         integer_arg("a psi exponent", e, 0)
     return Decoration(half, leg)
@@ -144,6 +146,13 @@ def integer_arg(name: str, value, least: Optional[int] = None) -> int:
     before it touches any cache."""
     if type(value) is not int or (least is not None and value < least):
         raise InvalidArgument(f"{name} must be an integer{'' if least is None else f' >= {least}'}, not {value!r}")
+    return value
+
+
+def label_arg(name: str, value) -> Label:
+    """``value``, refused unless it is a leg label: an `int` that is no bool, or a `str`."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InvalidArgument(f"{name} must be an integer or a string, not {value!r}")
     return value
 
 

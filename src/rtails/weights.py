@@ -44,6 +44,7 @@ from .trees import (
     Decoration,
     InvalidArgument,
     Tree,
+    beyond_legs,
     capacity,
     child_edges_of,
     coda_members,
@@ -171,8 +172,10 @@ def _evaluate(layout, method: str) -> tuple:
 
 
 def _capacities(tree: Tree, mults: Optional[Mapping]) -> tuple:
-    """capacity - 1 of every edge head in edge order, with the legs weighted by ``mults``."""
-    return tuple(capacity(tree, eid, mults) - 1 for eid in range(tree.num_edges()))
+    """`trees.capacity` - 1 of every edge head in edge order, with the legs
+    weighted by ``mults``, which `_layout` or `_rooted` has checked."""
+    weights = mults or {}
+    return tuple(sum(weights.get(l, 1) for l in beyond_legs(tree, eid)) - 1 for eid in range(tree.num_edges()))
 
 
 @lru_cache(maxsize=None)

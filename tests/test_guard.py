@@ -1,20 +1,23 @@
-"""Every public entry refuses a size, index or exponent that is no `int`.
+"""Every public entry refuses a size, index or exponent that is no `int`,
+and a leg label that is neither an `int` (a bool is none) nor a `str`.
 
-One guard, `trees.integer_arg`, makes the check.  The signature walk covers
-the functions `rtails` exports, `Class0.mul_psi` and the verifier that each
-`cli.TASKS` entry calls.  For each parameter annotated ``int`` (or
-``Optional[int]``) it calls the entry with ``True``, with ``1.5`` and with
-its valid value as a float in that slot (most lower bounds refuse the first
-two anyway), and the valid values of `EXAMPLES` elsewhere.  It requires
-`InvalidArgument`, and that no module-level cache grows: a dict of an
-`rtails` module, or the entries of an `lru_cache`.  A bool would share the
-cache entries of 0 and 1, and a float would miss every rule that reads it.
+One guard, `trees.integer_arg`, makes the first check, and `trees.label_arg`
+the second.  The signature walk covers the functions `rtails` exports,
+`Class0.mul_psi` and the verifier that each `cli.TASKS` entry calls.  For
+each parameter annotated ``int`` (or ``Optional[int]``) it calls the entry
+with ``True``, with ``1.5`` and with its valid value as a float in that slot
+(most lower bounds refuse the first two anyway), and the valid values of
+`EXAMPLES` elsewhere.  It requires `InvalidArgument`, and that no
+module-level cache grows: a dict of an `rtails` module, or the entries of an
+`lru_cache`.  A bool would share the cache entries of 0 and 1, and a float
+would miss every rule that reads it.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import re
 import types
 from typing import Optional
 
@@ -220,3 +223,26 @@ def test_a_coda_member_that_is_no_int_is_refused():
             with pytest.raises(InvalidArgument, match=rf"^a member of I must be an integer, not {I[-1]!r}$"):
                 refused()
             assert cache_sizes(MODULES) == before
+
+
+def test_a_bool_leg_label_is_refused_before_any_cache():
+    # True == 1, so each of these once took True for leg 1 (or added it)
+    point, f2, f3 = strata0.push_tree(_rooted()), rtclasses.f_class(2), rtclasses.f_class(3)
+    without_1 = strata0.push_tree(build_tree([[H0, 2, 3, 4]], [])[0])
+    for probe in (
+        lambda: point.mul_psi(True, 1),
+        lambda: rtclasses.multiply_divisor(f2, True),
+        lambda: strata0.collide(f3, True, 2),
+        lambda: strata0.collide(f3, 2, True),
+        lambda: make_decoration(leg_exp={True: 1}),
+        lambda: strata0.pullback_forget(without_1, True),
+        lambda: strata0.pushforward_forget(point, True),
+    ):
+        before = cache_sizes(MODULES)
+        with pytest.raises(InvalidArgument, match=r"^a leg must be an integer or a string, not True$"):
+            probe()
+        assert cache_sizes(MODULES) == before
+    assert trees.label_arg("a leg", H0) == H0 and trees.label_arg("a leg", 0) == 0
+    for bad in (False, 1.0, None, (1,)):
+        with pytest.raises(InvalidArgument, match=rf"^a leg must be an integer or a string, not {re.escape(repr(bad))}$"):
+            trees.label_arg("a leg", bad)

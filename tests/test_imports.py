@@ -1,9 +1,10 @@
 """Source hygiene: no `rtails` module imports a name from a sibling and never
 uses it, no private module-level name is left unread, every public function
 of `trees` is read, every parameter is read, only `trees` derives the
-ψ-budget and crossing tables, only `FormalSum` writes a sum's ``terms``, no
-module divides with ``/``, and only the guard `trees.integer_arg` tests
-``type(…) is int`` (the allow-list names the sites that are no size check).
+ψ-budget and crossing tables, only `FormalSum` writes a sum's ``terms`` and
+its record of summands, no module divides with ``/``, and only the guard
+`trees.integer_arg` tests ``type(…) is int`` (the allow-list names the sites
+that are no size check).
 
 The benchmark tracer rebinds functions in every `rtails` namespace by
 identity, so a stale ``from .x import f`` is not harmless noise there.
@@ -189,12 +190,15 @@ def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
 
 
-# the dict methods that change a ``terms`` in place
-TERMS_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear")
+# the dict and list methods that change a ``terms`` or a record in place
+TERMS_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear", "append", "extend")
+# the slots of a sum that only `FormalSum` writes: its terms, and the record
+# of its frozen summands, which would pair the wrong class if it went stale
+SUM_SLOTS = ("terms", "_summands")
 
 
-def _is_terms(node) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "terms"
+def _is_terms(node, slots=("terms",)) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in slots
 
 
 def _starts_a_sum(node: ast.Assign) -> bool:
@@ -212,9 +216,9 @@ def _starts_a_sum(node: ast.Assign) -> bool:
 
 def terms_writers(source: str) -> list:
     """The lines of statements outside ``class FormalSum`` that write a
-    ``terms`` attribute: assign or delete it or one of its items, or call a
-    method of ``TERMS_MUTATORS`` on it.  ``self.terms = {}`` in an
-    ``__init__`` starts a sum and is allowed."""
+    ``terms`` or ``_summands`` attribute (`SUM_SLOTS`): assign or delete it
+    or one of its items, or call a method of ``TERMS_MUTATORS`` on it.
+    ``self.terms = {}`` in an ``__init__`` starts a sum and is allowed."""
     lines = []
 
     def visit(node, function):
@@ -225,13 +229,13 @@ def terms_writers(source: str) -> list:
                 continue
             stored = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
             if (
-                (stored and _is_terms(child))
-                or (stored and isinstance(child, ast.Subscript) and _is_terms(child.value))
+                (stored and _is_terms(child, SUM_SLOTS))
+                or (stored and isinstance(child, ast.Subscript) and _is_terms(child.value, SUM_SLOTS))
                 or (
                     isinstance(child, ast.Call)
                     and isinstance(child.func, ast.Attribute)
                     and child.func.attr in TERMS_MUTATORS
-                    and _is_terms(child.func.value)
+                    and _is_terms(child.func.value, SUM_SLOTS)
                 )
             ):
                 lines.append(child.lineno)
@@ -246,6 +250,7 @@ def test_the_check_sees_a_terms_writer():
         "class FormalSum:\n"
         "    def _put(self, key, coeff):\n"
         "        self.terms[key] = coeff\n"
+        "        self._summands = None\n"
         "class Sum(FormalSum):\n"
         "    def __init__(self):\n"
         "        self.terms = {}\n"
@@ -255,7 +260,7 @@ def test_the_check_sees_a_terms_writer():
         "        x.terms[key] += 1\n"
         "        del x.terms[key]\n"
         "        x.terms.update({})\n"
-        "        return x.terms.get(key), self.terms[key]\n"
+        "        return x.terms.get(key), self.terms[key], x._summands\n"
         "def g(blocks, key):\n"
         "    blocks[key].terms = {}\n"
         "    blocks[key].terms.setdefault(key, 1)\n"
@@ -263,14 +268,22 @@ def test_the_check_sees_a_terms_writer():
         "        blocks[key].terms.pop(k)\n"
         "def __init__(self):\n"
         "    self.terms = {1: 2}\n"
+        "    self._summands = []\n"
+        "def h(x, y):\n"
+        "    x._summands = [(1, y)]\n"
+        "    x._summands[0] = (2, y)\n"
+        "    x._summands.append((1, y))\n"
+        "    del x._summands\n"
+        "    return getattr(x, '_summands', None)\n"
     )
-    assert terms_writers(source) == [8, 9, 10, 11, 12, 15, 16, 18, 20]
+    assert terms_writers(source) == [9, 10, 11, 12, 13, 16, 17, 19, 21, 22, 24, 25, 26, 27]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_formal_sum_writes_terms(path):
     # `FormalSum._put` and `FormalSum.plus` are the writers: a term goes in
-    # checked, and a cancelled key goes out
+    # checked, and a cancelled key goes out; `plus` records its frozen
+    # summands, and `_put` drops the record
     assert terms_writers(path.read_text()) == []
 
 

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from rtails import strata0, trees
+from rtails import cycles, strata0, trees
 from rtails.cycles import ambient0, z_cycle, z_truncated
+from rtails.weights import rooted_factor
 from rtails.trees import (
     H0,
     InvalidArgument,
@@ -332,8 +333,11 @@ def test_mul_psi_refuses_a_bad_power_or_leg_with_terms_or_without():
         for power in (True, False, 0.5, -1):
             with pytest.raises(InvalidArgument, match=rf"a psi exponent must be an integer >= 0, not {power!r}$"):
                 x.mul_psi(1, power)
-        for leg in (99, -1, 0.5, 4):
+        for leg in (99, -1, 4):
             with pytest.raises(InvalidArgument, match="no leg"):
+                x.mul_psi(leg)
+        for leg in (0.5, True):  # no label: refused by the label guard
+            with pytest.raises(InvalidArgument, match=rf"^a leg must be an integer or a string, not {leg!r}$"):
                 x.mul_psi(leg)
     assert psi1.mul_psi(1, 0) == psi1 and push_tree(tree).mul_psi(1) == psi1
 
@@ -490,31 +494,114 @@ def test_laminar_agrees_with_the_pairwise_test_on_the_union():
 
 
 def test_zero_witness_pairs_the_same_strata(monkeypatch):
-    # the strata a zero test refines against: on a passing class every stratum
-    # laminar with at least one term, in family order; on a failing class the
-    # same, up to the first stratum with a nonzero pairing, where it stops
+    # the refinements a zero test makes.  On a class that records no summands,
+    # in codim >= 1: each tree of the class with each stratum laminar with it,
+    # once, in family order; on a passing class for every stratum, on a
+    # failing class up to the first stratum with a nonzero pairing, where it
+    # stops.  In codim 0 the one stratum is the whole space: none.  Z and Z^t
+    # of one degree sum the same frozen blocks, so once one of them is tested
+    # the other refines nothing.
     seen = []
     refine = strata0._refine
 
     def recording(tree, stratum, ambient):
-        seen.append(stratum)
+        seen.append((tree, stratum))
         return refine(tree, stratum, ambient)
 
-    def laminar_strata(x, family):
-        trees = {splits(t) for t, _ in x.terms}
-        return [S for S in family if any(_pairwise_laminar(m, splits(S)) for m in trees)]
+    def laminar_pairs(x, family):
+        trees = dict.fromkeys(t for t, _ in x.terms)
+        return [(t, S) for S in family for t in trees if _pairwise_laminar(splits(t), splits(S))]
 
     monkeypatch.setattr(strata0, "_refine", recording)
     for j, i in itertools.combinations(range(1, 5), 2):
-        for x in (z_cycle(5, i, j), z_truncated(5, i, j)):
-            family = strata_family(x.ambient, 3 - x.degrees().pop())
+        sums = (z_cycle(5, i, j), z_truncated(5, i, j))
+        for z in sums:
+            x = from_terms(z.ambient, [(t, d, c) for (t, d), c in z.terms.items()])
             (t, d), _ = x.items()[0]
+            codim = 3 - t.num_edges() - d.degree()
+            family = strata_family(x.ambient, codim)
             failing = x + push_tree(t, d)
             witness = next(S for S in family if pair(failing, S))
             for y, stop in ((x, len(family)), (failing, family.index(witness) + 1)):
                 seen.clear()
                 assert zero_witness(y) == (None if y is x else witness)
-                assert list(dict.fromkeys(seen)) == laminar_strata(y, family[:stop])
+                assert seen == (laminar_pairs(y, family[:stop]) if codim else [])
+        assert zero_witness(sums[0]) is None
+        seen.clear()
+        assert zero_witness(sums[1]) is None
+        assert seen == []
+
+
+def _vanishing_sums(n_max: int):
+    """``(x, legs)`` for each Z(n, i, j) and Z^t(n, i, j) that `rtails verify
+    vanishing --max-n n_max` tests, as its recorded sum of the frozen blocks,
+    with the legs it certifies; then the same sum with one block perturbed
+    (a thawed copy with one coefficient moved, frozen again)."""
+    for n in range(3, n_max + 1):
+        for i, j in ((i, j) for i in range(1, n) for j in range(1, i)):
+            degree = cycles._z_degree(n, i, j)
+            blocks = cycles._z_blocks(n, 1, degree)
+            for truncated in (False, True):
+                x = z_truncated(n, i, j) if truncated else z_cycle(n, i, j)
+                legs = cycles._z_symmetry(n, 1, degree) if degree < n - 2 else frozenset()
+                yield x, legs
+                moved = list(blocks)[(i + j) % len(blocks)]
+                thawed = Class0(x.ambient, blocks[moved].terms)
+                thawed._put(min(thawed.terms, key=lambda key: trees.term_sort_key(*key)), 1)
+                perturbed = {**blocks, moved: thawed.freeze()}
+                yield strata0.zero(x.ambient).plus((rooted_factor(key, i, truncated), perturbed[key]) for key in blocks), legs
+
+
+def test_a_recorded_sum_and_its_copy_give_the_same_witness():
+    # pairing is linear and the strata are walked in one order, so pairing
+    # the recorded blocks finds the stratum that pairing the terms finds
+    cases = list(_vanishing_sums(6))
+    assert len(cases) == 80
+    failing = 0
+    for x, legs in cases:
+        assert x._summands
+        copy = from_terms(x.ambient, [(t, d, c) for (t, d), c in x.terms.items()])
+        assert copy == x and getattr(copy, "_summands", None) is None
+        for walked in (legs, frozenset()):
+            witness = zero_witness(x, walked)
+            assert witness == zero_witness(copy, walked)
+        failing += witness is not None
+    assert failing == 40
+
+
+def test_a_codim_0_pairing_is_the_integral():
+    # the whole space is the one stratum: each term is integrated as it is
+    for n in range(3, 7):
+        ambient = ambient0(n)
+        (whole,) = strata_family(ambient, 0)
+        for block in cycles._z_blocks(n, 1, n - 2).values():
+            for part in (block, block.scale(Fraction(2, 3))):
+                assert strata0._pair_part(strata0._pairing_kernel(part), whole, ambient, 0) == integrate(part)
+
+
+def test_a_put_drops_the_record(monkeypatch):
+    x = z_cycle(5, 3, 1)
+    assert zero_witness(x) is None  # its blocks are paired now
+    assert [y for _, y in x._summands] == list(cycles._z_blocks(5, 1, 2).values())
+    x._put(min(x.terms, key=lambda key: trees.term_sort_key(*key)), 1)
+    assert x._summands is None
+    seen = []
+    refine = strata0._refine
+    monkeypatch.setattr(strata0, "_refine", lambda *args: seen.append(args) or refine(*args))
+    witness = zero_witness(x)
+    assert seen and {tree for tree, _, _ in seen} <= {tree for tree, _ in x.terms}  # its own terms, refined anew
+    assert witness is not None and witness == zero_witness(from_terms(x.ambient, [(t, d, c) for (t, d), c in x.terms.items()]))
+
+
+def test_a_sum_records_only_frozen_summands_into_an_empty_class():
+    blocks = list(cycles._z_blocks(5, 1, 2).values())
+    empty = strata0.zero(blocks[0].ambient)
+    assert empty.plus([(1, blocks[0]), (Fraction(1, 2), blocks[1])])._summands == [(1, blocks[0]), (Fraction(1, 2), blocks[1])]
+    assert (empty + blocks[0])._summands == [(1, blocks[0])] and blocks[0].scale(3)._summands == [(3, blocks[0])]
+    thawed = Class0(blocks[1].ambient, blocks[1].terms)
+    assert empty.plus([(1, blocks[0]), (1, thawed), (1, blocks[2])])._summands is None
+    assert (thawed + blocks[0])._summands is None  # self has terms
+    assert getattr(thawed, "_summands", None) is None
 
 
 def test_integrate_term_is_the_fraction_formula():
