@@ -114,6 +114,18 @@ def _shape(tree: Tree, n: int) -> tuple:
     return tree.edges, tuple([tuple(map(keep, legs)) for legs in tree.legs])
 
 
+@lru_cache(maxsize=None)
+def _shaped_trees(n: int) -> tuple:
+    """Each rooted tree on legs 1..n, in enumeration order, checked once
+    (`_check_tree`), with its edge count and the number of its `_shape`, the
+    shapes numbered as they first occur."""
+    amb, numbers, out = ambient0(n), {}, []
+    for tree in enumerate_trees0(n):
+        _check_tree(tree, amb)
+        out.append((tree, tree.num_edges(), numbers.setdefault(_shape(tree, n), len(numbers))))
+    return tuple(out)
+
+
 def _z_blocks(n: int, m: int, degree: int) -> dict:
     """The support of Z^m(n, ·, ·) in one degree, grouped for every (i, j).
 
@@ -126,21 +138,19 @@ def _z_blocks(n: int, m: int, degree: int) -> dict:
     Whether a term vanishes (`term_is_zero`) reads its degree, fixed here,
     and the ψ-budgets, which are the shape's, so a listed decoration is
     checked on the shape's first tree; each tree's own legs are checked once
-    (`_check_tree`), and its terms go straight into the blocks.
+    per n (`_shaped_trees`), and its terms go straight into the blocks.
     """
     cache_key = (n, m, degree)
     if cache_key not in _block_cache:
         amb = ambient0(n)
         blocks: dict = {}
         listed: dict = {}
-        for tree in enumerate_trees0(n):
-            psi_budget = degree - tree.num_edges()
+        for tree, num_edges, shape in _shaped_trees(n):
+            psi_budget = degree - num_edges
             if psi_budget < 0:
                 continue
-            _check_tree(tree, amb)
-            shape = _shape(tree, n)
             if shape not in listed:
-                sign = (-1) ** (1 + tree.num_edges())
+                sign = (-1) ** (1 + num_edges)
                 listed[shape] = terms = []
                 for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
                     free, key = rooted_split(tree, dec, m)
@@ -333,21 +343,28 @@ def verify_collide0(n: int, m_target: int) -> VerificationReport:
 
     Both sides are sums of the blocks of their degree scaled by
     ``rooted_factor(key, i)`` (`_z_blocks`), and `collide_first_legs` is
-    linear: it sends each term to at most one term, with a sign.  So each
-    block of Z(n, ·, ·) is collided once per chain step (`_collided_blocks`,
-    shared by every m), and each (i, j) diff is one `plus` of those less the
-    Z^m(n-m+1) blocks, each at its factor at i.  The (i, j) order, the diffs
-    and their zero tests are the per-class route's, so the report is too.
+    linear, so the (i, j) diff is Σ_k rooted_factor(k, i)·(C_k − Z_k) over
+    the collided Z(n) blocks C (`_collided_blocks`: each collided once per
+    chain step, shared by every m) and the Z^m(n-m+1) blocks Z.  If the
+    tables agree key by key in every degree (a missing key reads as empty),
+    every diff is 0 and none is built; else each diff is one `plus` of the
+    tables, and the diffs, their order and zero tests are the per-class route's.
     """
     if integer_arg("m", m_target, 1) >= integer_arg("n", n):
         raise InvalidArgument("need 1 <= m < n")
     amb = ambient0(n - m_target + 1)
 
+    def tables(degree: int) -> tuple:  # (C, Z) of one degree
+        target = _z_blocks(n - m_target + 1, m_target, degree) if degree <= dim_of(amb) else {}
+        return _collided_blocks(n, degree, m_target - 1), target
+
+    none = zero(amb)
+    agree = (c is z or all(c.get(k, none) == z.get(k, none) for k in c.keys() | z.keys()) for c, z in map(tables, range(n - 1)))
+    if all(agree):
+        return _report_first("collide0", (n, m_target), ())
+
     def diff(i: int, j: int) -> Class0:
-        degree = _z_degree(n, i, j)
-        sides = [(1, _collided_blocks(n, degree, m_target - 1))]
-        if degree <= dim_of(amb):
-            sides.append((-1, _z_blocks(n - m_target + 1, m_target, degree)))
+        sides = zip((1, -1), tables(_z_degree(n, i, j)))
         return zero(amb).plus((sign * rooted_factor(key, i), block) for sign, blocks in sides for key, block in blocks.items())
 
     diffs = (((i, j), diff(i, j)) for i in range(1, n) for j in range(i - n + 1, i))

@@ -76,11 +76,7 @@ class Tree:
         return sort_labels(l for ls in self.legs for l in ls)
 
     def sort_key(self) -> tuple:
-        return (
-            int(self.rt),
-            tuple(tuple(label_key(l) for l in ls) for ls in self.legs),
-            self.edges,
-        )
+        return _tree_order(self, label_key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +124,11 @@ def make_decoration(half_exp: Optional[Mapping] = None, leg_exp: Optional[Mappin
     for _, e in itertools.chain(half, leg):
         integer_arg("a psi exponent", e, 0)
     return Decoration(half, leg)
+
+
+def _tree_order(tree: Tree, key) -> tuple:
+    """`Tree.sort_key`, with ``key`` giving each label's `label_key`."""
+    return (int(tree.rt), tuple(tuple(map(key, ls)) for ls in tree.legs), tree.edges)
 
 
 def term_sort_key(tree: Tree, dec: Decoration) -> tuple:
@@ -413,39 +414,49 @@ def _tree_from_laminar(labels: tuple, family: tuple, rt: bool, base: tuple = ())
     return tree
 
 
+# labels -> {mask: the labels of its bits, in order}, filled as trees are built
+_mask_labels: dict = {}
+
+
 def _build_from_laminar(labels: tuple, family: tuple, rt: bool, base: tuple) -> Tree:
     """The canonical tree whose edge splits are exactly ``family``.
 
     Bit k of a split is ``labels[k]``.  A split's parent is the smallest
     split that holds it; the root holds the ``base`` legs and every label no
     split holds.  Children come in the order of their lowest bit, the
-    smallest label beyond them, and vertices are numbered depth first.
+    smallest label beyond them, and vertices are numbered depth first.  A
+    vertex's own legs are looked up by its mask in a memo per label tuple
+    (``_mask_labels``), so only a mask met for the first time scans the labels.
     """
     by_size = sorted(family, key=int.bit_count)
     children: dict = {m: [] for m in [None] + by_size}  # None: the root
     for i, m in enumerate(by_size):
         children[next((p for p in by_size[i + 1:] if p & m == m), None)].append(m)
+    own_legs = _mask_labels.setdefault(labels, {})
     legs: list = []
     edges: list = []
-
-    def visit(node, mask: int, own: tuple) -> None:
+    stack = [(None, None)]  # (split, its parent vertex)
+    while stack:
+        node, parent = stack.pop()
         v = len(legs)
+        if parent is not None:
+            edges.append((parent, v))
         kids = sorted(children[node], key=lambda m: m & -m)
-        rest = mask & ~sum(kids)  # disjoint, so their sum is their union
-        legs.append(own + tuple(l for k, l in enumerate(labels) if rest >> k & 1))
-        for m in kids:
-            edges.append((v, len(legs)))
-            visit(m, m, ())
-
-    visit(None, (1 << len(labels)) - 1, base)
+        rest = ((1 << len(labels)) - 1 if node is None else node) & ~sum(kids)  # disjoint: their sum is their union
+        own = own_legs.get(rest)
+        if own is None:
+            own = own_legs[rest] = tuple(l for k, l in enumerate(labels) if rest >> k & 1)
+        legs.append(base + own if node is None else own)
+        stack.extend((m, v) for m in reversed(kids))
     return Tree(legs=tuple(legs), edges=tuple(edges), rt=rt)
 
 
 def _trees_of_laminar(labels: tuple, max_part: int, rt: bool, base: tuple = ()) -> tuple:
-    """Dual trees of the laminar families of 2..max_part-subsets of ``labels``."""
+    """Dual trees of the laminar families of 2..max_part-subsets of ``labels``, sorted."""
     families = _laminar_families(_crossing_table(len(labels), max_part))
     out = [_tree_from_laminar(labels, fam, rt, base) for fam in families]
-    out.sort(key=Tree.sort_key)
+    keys = {l: label_key(l) for l in base + labels}
+    out.sort(key=lambda tree: _tree_order(tree, keys.__getitem__))
     return tuple(out)
 
 

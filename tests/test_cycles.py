@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -410,6 +411,8 @@ def test_a_shape_key_blind_to_leg_n_fails_the_oracle(monkeypatch):
     real = cycles._shape
     monkeypatch.setattr(cycles, "_shape", lambda tree, n: real(tree, n + 1))
     monkeypatch.setattr(cycles, "_block_cache", {})
+    # the trees' shapes are listed once per n: a fresh listing reads the blind key
+    monkeypatch.setattr(cycles, "_shaped_trees", functools.lru_cache(maxsize=None)(cycles._shaped_trees.__wrapped__))
     n, i, j, m, truncated = next(_grouped_mismatches(6))
     assert truncated and m == 1
 
@@ -597,28 +600,48 @@ def _per_class_diffs(n, m):
 
 def _block_pass_diffs(monkeypatch, n, m):
     """Every (label, diff) pair that `verify_collide0(n, m)` hands to its zero
-    test, with no early stop."""
-    seen = []
+    test, with no early stop, and the number of `plus` calls it makes."""
+    seen, sums = [], []
+    real = strata0.FormalSum.plus
     with monkeypatch.context() as patch:
         patch.setattr(cycles, "_report_first", lambda identity, params, labelled: seen.extend(labelled))
+        patch.setattr(strata0.FormalSum, "plus", lambda self, pairs: sums.append(1) or real(self, pairs))
         verify_collide0(n, m)
-    return seen
+    return seen, len(sums)
 
 
-def _assert_routes_agree(monkeypatch, n, m) -> str:
-    """The two routes give the same diff at every (i, j) and the same report;
-    returns its line."""
+def _assert_routes_agree(monkeypatch, n, m) -> tuple:
+    """The two routes give the same diff at every (i, j) and the same report:
+    either the block route builds every diff and hands them to the zero test,
+    or it passes on its tables with no `plus`, and every per-class diff is 0.
+    Returns the report line and whether the diffs were built."""
     oracle = _per_class_diffs(n, m)
-    assert _block_pass_diffs(monkeypatch, n, m) == oracle, (n, m)
+    seen, sums = _block_pass_diffs(monkeypatch, n, m)
+    if seen:
+        assert seen == oracle, (n, m)
+    else:
+        assert sums == 0 and all(not diff.terms for _, diff in oracle), (n, m)
     line = verify_collide0(n, m).line()
     assert line == cycles._report_first("collide0", (n, m), oracle).line(), (n, m)
-    return line
+    return line, bool(seen)
 
 
 def test_collide0_block_pass_equals_the_per_class_route(monkeypatch):
+    # on this grid the tables agree key by key, so no task builds a diff
     for n in range(3, 6):
         for m in range(1, n):
-            assert _assert_routes_agree(monkeypatch, n, m).startswith("pass ")
+            line, built = _assert_routes_agree(monkeypatch, n, m)
+            assert line.startswith("pass ") and not built, (n, m)
+
+
+def test_collide0_with_m_1_is_decided_by_identity(monkeypatch):
+    # no leg is collided, so both sides are the one table of Z(n) blocks:
+    # no chain step is cached and no class is summed
+    monkeypatch.setattr(cycles, "_collided_cache", {})
+    for n in range(2, 7):
+        assert _block_pass_diffs(monkeypatch, n, 1) == ([], 0), n
+        assert verify_collide0(n, 1).passed, n
+    assert cycles._collided_cache == {}
 
 
 @pytest.mark.parametrize("n, m, degree, fails", [(4, 1, 2, False), (4, 1, 1, True), (3, 2, 1, True), (3, 3, 1, True)])
@@ -636,8 +659,51 @@ def test_collide0_routes_agree_with_a_block_doubled(monkeypatch, n, m, degree, f
             patch.setattr(cycles, "_block_cache", {(n, m, degree): {**real, key: real[key].scale(2).freeze()}})
             patch.setattr(cycles, "_collided_cache", {})
             for task in tasks:
-                failed += _assert_routes_agree(monkeypatch, *task).startswith("FAIL")
+                failed += _assert_routes_agree(monkeypatch, *task)[0].startswith("FAIL")
     assert bool(failed) == fails
+
+
+def _doubled(block: Class0) -> Class0:
+    """``block`` with every coefficient doubled: a thawed copy, frozen again."""
+    return Class0(block.ambient, {key: 2 * coeff for key, coeff in block.terms.items()}).freeze()
+
+
+def test_collide0_falls_back_to_the_per_class_route_when_a_block_changes(monkeypatch):
+    # every task of the n <= 6 grid, with one block doubled, or dropped (its
+    # key then missing), in the Z(n) table (the collided side) or in the
+    # Z^m(n-m+1) table (the target side): the first block, in degree then key
+    # order, that changes its side's table
+    cases = fallbacks = 0
+    for _, (n, m) in cli._grid("collide0", 6, 0):
+        amb = ambient0(n - m + 1)
+        sides = [(n, 1, lambda degree: cycles._collided_blocks(n, degree, m - 1))]
+        sides.append((n - m + 1, m, lambda degree: cycles._z_blocks(n - m + 1, m, degree)))
+        for source, weight, table in sides[: 1 if m == 1 else 2]:
+            degree, key = next(
+                (degree, key)
+                for degree in range(min(n - 1, dim_of(amb) + 1))
+                for key in sorted(cycles._z_blocks(source, weight, degree), key=repr)
+                if table(degree).get(key, zero(amb)).terms
+            )
+            real = cycles._z_blocks(source, weight, degree)
+            doubled = {**real, key: _doubled(real[key])}
+            dropped = {k: block for k, block in real.items() if k != key}
+            for blocks in (doubled, dropped):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cycles, "_block_cache", {**cycles._block_cache, (source, weight, degree): blocks})
+                    patch.setattr(cycles, "_collided_cache", {})
+                    oracle = _per_class_diffs(n, m)
+                    seen, _ = _block_pass_diffs(monkeypatch, n, m)
+                    if m == 1:
+                        # one table feeds both sides, so changing it changes no diff
+                        assert seen == [] and all(not diff.terms for _, diff in oracle), (n, m)
+                    else:
+                        assert seen == oracle, (n, m, source)
+                        fallbacks += 1
+                    line = verify_collide0(n, m).line()
+                    assert line == cycles._report_first("collide0", (n, m), oracle).line(), (n, m, source)
+                    cases += 1
+    assert (cases, fallbacks) == (48, 40)
 
 
 # ---------------------------------------------------------------------------

@@ -103,18 +103,20 @@ def _oracle_trees(labels, rt):
 
 def test_enumerate_trees0_counts():
     # frozen from the oracle: 1, 4, 26 for n = 2, 3, 4; and 2 752 for n = 6,
-    # Schröder's fourth problem on n leaves below the root h0 (OEIS A000311)
+    # Schröder's fourth problem on n leaves below the root h0 (OEIS A000311).
+    # The order is `Tree.sort_key`'s: `strata_family` keeps it, and it fixes
+    # every witness
     for n, expected in [(2, 1), (3, 4), (4, 26), (6, 2752)]:
         got = enumerate_trees0(n)
         oracle = _oracle_trees(list(range(1, n + 1)) + [H0], rt=False)
         assert len(oracle) == expected
-        assert set(got) == oracle
+        assert list(got) == sorted(oracle, key=Tree.sort_key)
 
 
 def test_enumerate_trees0_matches_oracle_n5():
     got = enumerate_trees0(5)
     oracle = _oracle_trees([1, 2, 3, 4, 5, H0], rt=False)
-    assert set(got) == oracle
+    assert list(got) == sorted(oracle, key=Tree.sort_key)
 
 
 def _pairwise_families(k, max_part):
@@ -144,16 +146,33 @@ def test_laminar_families_match_the_pairwise_rule():
 
 
 def test_enumerate_rt_counts():
-    # frozen from the oracle: 1, 2, 8 for n = 1, 2, 3
-    for n, expected in [(1, 1), (2, 2), (3, 8)]:
+    # frozen from the oracle: 1, 2, 8, 472 for n = 1, 2, 3, 5
+    for n, expected in [(1, 1), (2, 2), (3, 8), (5, 472)]:
         got = enumerate_rt_graphs(n)
         oracle = _oracle_trees(list(range(1, n + 1)), rt=True)
         assert len(oracle) == expected
-        assert set(got) == oracle
+        assert list(got) == sorted(oracle, key=Tree.sort_key)
 
 
 def test_enumerate_rt_matches_oracle_n4():
-    assert set(enumerate_rt_graphs(4)) == _oracle_trees([1, 2, 3, 4], rt=True)
+    assert list(enumerate_rt_graphs(4)) == sorted(_oracle_trees([1, 2, 3, 4], rt=True), key=Tree.sort_key)
+
+
+def test_building_a_tree_memoises_at_most_one_leg_tuple_per_vertex(monkeypatch):
+    # a vertex's legs are looked up by its mask: on 40 labels, a table of
+    # every mask would hold 2^40 entries, while one tree adds one per vertex
+    monkeypatch.setattr(trees, "_mask_labels", {})
+    labels = tuple(range(1, 41))
+    caterpillar = tuple((1 << k) - 1 for k in range(2, 40))
+    pairs = tuple(3 << k for k in range(0, 40, 2))
+    nested = tuple((1 << k) - 1 for k in range(4, 40, 2)) + pairs[1:]
+    for family in (caterpillar, pairs, nested):
+        before = sum(map(len, trees._mask_labels.values()))
+        tree = trees._build_from_laminar(labels, family, False, (H0,))
+        assert sorted(trees.splits(tree)) == sorted(family)
+        assert tree == _dfs_canonical(tree.legs, tree.edges)[0]
+        assert sum(map(len, trees._mask_labels.values())) - before <= tree.num_vertices()
+    assert list(trees._mask_labels) == [labels]
 
 
 def test_enumeration_rejects_out_of_range():
