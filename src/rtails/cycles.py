@@ -28,17 +28,18 @@ from .trees import (
     enumerate_trees0,
     integer_arg,
     make_decoration,
+    overloaded,
 )
 from .strata0 import (
     Class0,
     ambient0,
     dim_of,
     fold,
+    freeze_block,
     glue_push_gamma,
     glue_push_sigma0,
     is_invariant,
     pullback_forget,
-    term_is_zero,
     zero,
     zero_witness,
     _check_tree,
@@ -135,32 +136,42 @@ def _z_blocks(n: int, m: int, degree: int) -> dict:
     depends on, one frozen `Class0` per key.  Z and Z^t of this degree share
     the blocks.
 
-    Whether a term vanishes (`term_is_zero`) reads its degree, fixed here,
-    and the ψ-budgets, which are the shape's, so a listed decoration is
-    checked on the shape's first tree; each tree's own legs are checked once
-    per n (`_shaped_trees`), and its terms go straight into the blocks.
+    Each tree's legs are checked once per n (`_shaped_trees`), and the
+    degree is fixed here, so a listed decoration is tested only for a vertex
+    over its budget (`trees.overloaded`), on the shape's first tree: the
+    budgets are the shape's.  For the same reason every tree of a shape has
+    the same integrals, so a top-degree block carries its integral as Σ over
+    its listed terms of (trees of the shape)·coeff·∫(first tree, dec)
+    (`strata0.freeze_block`), which its first codim-0 pairing evaluates.
     """
     cache_key = (n, m, degree)
     if cache_key not in _block_cache:
         amb = ambient0(n)
         blocks: dict = {}
-        listed: dict = {}
-        for tree, num_edges, shape in _shaped_trees(n):
+        listed: dict = {}  # shape -> (its first tree, its terms)
+        trees_of: dict = {}  # shape -> how many trees have it
+        for tree, num_edges, shape in _shaped_trees(n) if degree <= dim_of(amb) else ():
             psi_budget = degree - num_edges
             if psi_budget < 0:
                 continue
             if shape not in listed:
                 sign = (-1) ** (1 + num_edges)
-                listed[shape] = terms = []
+                listed[shape] = tree, []
                 for dec in decorations_of_degree(tree, psi_budget, leg_bounds={1: m}):
                     free, key = rooted_split(tree, dec, m)
-                    if free and not term_is_zero(tree, dec, amb):
-                        terms.append((dec, sign * free, key))
-            for dec, coeff, key in listed[shape]:
+                    if free and not overloaded(tree, dec):
+                        listed[shape][1].append((dec, sign * free, key))
+            trees_of[shape] = trees_of.get(shape, 0) + 1
+            for dec, coeff, key in listed[shape][1]:
                 if key not in blocks:
                     blocks[key] = zero(amb)
                 blocks[key]._put((tree, dec), coeff)
-        _block_cache[cache_key] = {key: block.freeze() for key, block in blocks.items()}
+        shapes: dict = {}  # key -> its listed terms with their shapes' tree counts, in the top degree
+        if degree == dim_of(amb):
+            for shape, (first, terms) in listed.items():
+                for dec, coeff, key in terms:
+                    shapes.setdefault(key, []).append((trees_of[shape], first, dec, coeff))
+        _block_cache[cache_key] = {key: freeze_block(block, degree, shapes.get(key)) for key, block in blocks.items()}
     return _block_cache[cache_key]
 
 

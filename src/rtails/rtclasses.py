@@ -325,7 +325,7 @@ def _profile_groups(x: RtClass) -> dict:
     return groups
 
 
-def _tensor_is_zero(profile, bucket: dict) -> bool:
+def _tensor_is_zero(profile, bucket: dict, supports: dict) -> bool:
     """Zero test in the tensor product of the tails' strata algebras.
 
     The product is graded by multidegree (one degree per tail), and a term
@@ -336,49 +336,43 @@ def _tensor_is_zero(profile, bucket: dict) -> bool:
 
     Each distinct tail content is paired once, with the strata of its family
     laminar to it (one AND on the split bits); its nonzero values are its
-    support.  A term adds its numerator times the product of its tails'
-    values to each tuple of strata in the product of their supports, which
-    is the sum over every tuple with the zero pairings left out.
+    support, kept in ``supports`` by (tree, dec): a tail's ambient is its
+    tree's legs and its degree fixes its family, so `_profile_witness`
+    passes one dict to every profile of a class.  A term adds its numerator
+    times the product of its tails' values to each tuple of strata in the
+    product of their supports, which is the sum over every tuple with the
+    zero pairings left out.
     """
     bucket = {k: c for k, c in bucket.items() if c}
     if not bucket:
         return True
     ambients = [frozenset(legs) | {H0} for legs, _, _ in profile[1]]
     common = lcm(*(c.denominator for c in bucket.values()))
-    by_degree: dict = {}
+    totals: dict = {}  # (multidegree, the index of each tail's stratum in its family) -> sum
     for contents, coeff in bucket.items():
+        num = coeff.numerator * (common // coeff.denominator)
+        factors = []
+        for (tree, dec), amb in zip(contents, ambients):
+            support = supports.get((tree, dec))
+            if support is None:
+                family = strata_family(amb, dim_of(amb) - term_degree(tree, dec))
+                crossing = split_bits(tree)[1]
+                values = ((s, pair_term(tree, dec, S, amb)) for s, S in enumerate(family) if not crossing & split_bits(S)[0])
+                support = supports[tree, dec] = [(s, value) for s, value in values if value]
+            factors.append(support)
         degrees = tuple(term_degree(tree, dec) for tree, dec in contents)
-        by_degree.setdefault(degrees, []).append((contents, coeff.numerator * (common // coeff.denominator)))
-    # a tail's degree fixes its family, so its support serves every degree group
-    supports: dict = {}
-    for degrees, items in by_degree.items():
-        families = [strata_family(amb, dim_of(amb) - d) for amb, d in zip(ambients, degrees)]
-        owns = [[split_bits(S)[0] for S in family] for family in families]
-        totals: dict = {}
-        for contents, num in items:
-            factors = []
-            for t, (tree, dec) in enumerate(contents):
-                if (t, tree, dec) not in supports:
-                    crossing, amb = split_bits(tree)[1], ambients[t]
-                    values = (
-                        (s, pair_term(tree, dec, S, amb))
-                        for s, (S, own) in enumerate(zip(families[t], owns[t]))
-                        if not crossing & own
-                    )
-                    supports[t, tree, dec] = [(s, value) for s, value in values if value]
-                factors.append(supports[t, tree, dec])
-            for picks in itertools.product(*factors):
-                strata = tuple(s for s, _ in picks)
-                totals[strata] = totals.get(strata, 0) + num * prod(value for _, value in picks)
-        if any(totals.values()):
-            return False
-    return True
+        for picks in itertools.product(*factors):
+            strata = (degrees, tuple(s for s, _ in picks))
+            totals[strata] = totals.get(strata, 0) + num * prod(value for _, value in picks)
+    return not any(totals.values())
 
 
 def _profile_witness(x: RtClass):
-    """The first root profile of ``x`` that does not vanish, or None."""
+    """The first root profile of ``x`` that does not vanish, or None; its
+    profiles share the tails' supports (`_tensor_is_zero`)."""
+    supports: dict = {}
     for profile, bucket in _profile_groups(x).items():
-        if not _tensor_is_zero(profile, bucket):
+        if not _tensor_is_zero(profile, bucket, supports):
             return profile
     return None
 

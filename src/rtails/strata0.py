@@ -39,16 +39,20 @@ with one AND of the bits `trees.split_bits` caches per tree: those of its own
 splits, and of every split crossing one of them, from the enumerator's
 crossing table.  The common refinement comes from the mask-keyed tree cache
 that the enumerator fills, so each stratum is canonicalised once.  Of the
-side choices of the excess factor, a pairing integrates only those that
-leave every vertex a ψ-load equal to its budget (`trees.psi_budgets`); the
-others give 0.  In codim 0 the one stratum is the whole space, so each term
-is integrated as it is, with no refinement.
+side choices of the excess factor, a pairing sums the multinomial ∏b!/∏e!
+of only those that leave every vertex a ψ-load equal to its budget
+(`trees.psi_budgets`), the others giving 0, straight from the refinement:
+it builds no decoration (`_pair_refined`).  In codim 0 the one stratum is
+the whole space, so each term is integrated as it is, with no refinement.
 
 Pairing is linear, and `FormalSum.plus` records the summands of a sum of
 frozen classes alone, so `zero_witness` pairs such a sum as Σ f·⟨y, S⟩ over
-its record.  Each frozen y keeps its degrees, its terms grouped by tree and
-a memo of ⟨y, S⟩ (`_pairing_kernel`): a cached block pairs each stratum
-once, whichever Z or Zᵗ sums it.  Any other class is its own one part.
+its record.  Each frozen y keeps a `_Kernel`: its degrees, a memo of
+⟨y, S⟩, so that a cached block pairs each stratum once, whichever Z or Zᵗ
+sums it, and its terms grouped by tree, built on its first codim >= 1 miss.
+A Z block comes frozen with its degree (`freeze_block`), and in the top
+degree with its integral as a sum over decorated shapes.  Any other class
+is its own one part.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ from .trees import (
     split_bits,
     splits,
     term_sort_key,
+    vertex_of_leg,
     _build_from_laminar,
     _frame,
     _tree_from_laminar,
@@ -109,7 +114,8 @@ class FormalSum:
     ``_put`` adds a coefficient and drops a cancelled key.  Subclasses check
     a new term in their own ``_add`` before they ``_put`` it; ``plus`` is the
     one way to sum (sums, differences and multiples call it) and adds terms
-    that are already checked straight into its fresh output.  A subclass
+    that are already checked straight into its fresh output, a summand
+    that shares no key with it in one ``dict.update``.  A subclass
     supplies ``_space()``, the constructor arguments that fix where the sum
     lives (two summands must agree on them), and ``_sort_key(key)``, the
     canonical order of ``items()``.  A ``plus`` of frozen summands alone into
@@ -161,7 +167,9 @@ class FormalSum:
                 summands.append((factor, y))
             else:
                 summands = None
-            if factor:
+            if factor and terms.keys().isdisjoint(y.terms):  # no key to merge: one update
+                terms.update({key: coeff * factor for key, coeff in y.terms.items()})
+            elif factor:
                 for key, coeff in y.terms.items():
                     old = terms.get(key)
                     new = coeff * factor if old is None else old + coeff * factor
@@ -371,42 +379,56 @@ def _refine(tree: Tree, stratum: Tree, ambient: frozenset) -> Optional[_Refineme
     return _Refinement(gamma, tuple(edge_of_mask[m] for m in t_masks), shared)
 
 
-def _excess_decorations(dec: Decoration, ref: _Refinement, top_only: bool = False):
+def _excess_decorations(dec: Decoration, ref: _Refinement):
     """Decorations on the refinement of the product of (tree, dec) with a stratum.
 
     ``ref`` is ``_refine(tree, stratum, ambient)``.  Each shared edge
     contributes -ψ' - ψ'', so the product is (-1)^|shared| times the sum of
-    the decorated refinements yielded here, one per choice of sides.  With
-    ``top_only``, only the choices that leave every vertex of ``gamma`` a
-    ψ-load equal to its budget are yielded: every other choice integrates to 0.
+    the decorated refinements yielded here, one per choice of sides.
     """
-    gamma, edge_of, shared = ref.gamma, ref.edge_of, ref.shared
-    half = {(edge_of[eid], side): e for (eid, side), e in dec.half}
-    if top_only:
-        loads = psi_loads(gamma, Decoration(tuple(half.items()), dec.leg))
-        need = [b - load for b, load in zip(psi_budgets(gamma), loads)]
-        if min(need) < 0 or sum(need) != len(shared):
-            return
-    for sides in itertools.product((0, 1), repeat=len(shared)):
-        if top_only:
-            left = list(need)
-            for eid, side in zip(shared, sides):
-                left[gamma.edges[eid][side]] -= 1
-            if any(left):
-                continue
+    half = {(ref.edge_of[eid], side): e for (eid, side), e in dec.half}
+    for sides in itertools.product((0, 1), repeat=len(ref.shared)):
         h2 = dict(half)
-        for eid, side in zip(shared, sides):
+        for eid, side in zip(ref.shared, sides):
             h2[(eid, side)] = h2.get((eid, side), 0) + 1
         yield Decoration(tuple(sorted(h2.items())), dec.leg)
 
 
-def _pair_refined(dec: Decoration, ambient: frozenset, ref: _Refinement) -> int:
+def _pair_refined(dec: Decoration, ref: _Refinement) -> int:
     """The pairing of (tree, dec) with the stratum that ``ref`` refines it
-    against, memoised in ``ref.values``; the callers read the memo first."""
+    against, memoised in ``ref.values``; the callers read the memo first.
+
+    It is (-1)^|shared| times the top integral over gamma of each side choice
+    of the excess factor (`_excess_decorations`), summed here without
+    building one: a choice integrates to nonzero only when it leaves every
+    vertex a ψ-load equal to its budget, and then to ∏ b! // ∏ e!
+    (`integrate_term`), where a chosen slot's exponent is one above dec's.
+    Gamma's budgets and leg vertices come from the caches per tree
+    (`psi_budgets`, `vertex_of_leg`), which hold nothing per refinement.
+    """
+    gamma, shared = ref.gamma, ref.shared
+    edges, budgets = gamma.edges, psi_budgets(gamma)
+    need = list(budgets)
+    half, denom = {}, 1
+    for (eid, side), e in dec.half:
+        slot = (ref.edge_of[eid], side)
+        half[slot] = e
+        need[edges[slot[0]][side]] -= e
+        denom *= factorial(e)
+    for l, e in dec.leg:
+        need[vertex_of_leg(gamma, l)] -= e
+        denom *= factorial(e)
     value = 0
-    for d2 in _excess_decorations(dec, ref, top_only=True):
-        value += integrate_term(ref.gamma, d2, ambient)
-    if len(ref.shared) % 2:
+    if min(need) >= 0 and sum(need) == len(shared):
+        top = prod(map(factorial, budgets))
+        for sides in itertools.product((0, 1), repeat=len(shared)):
+            left, chosen = list(need), denom
+            for eid, side in zip(shared, sides):
+                left[edges[eid][side]] -= 1
+                chosen *= half.get((eid, side), 0) + 1
+            if not any(left):
+                value += top // chosen
+    if len(shared) % 2:
         value = -value
     ref.values[dec] = value
     return value
@@ -433,16 +455,16 @@ def pair_term(tree: Tree, dec: Decoration, stratum: Tree, ambient: frozenset) ->
         return 0
     ref = _refine(tree, stratum, ambient)
     value = ref.values.get(dec)
-    return _pair_refined(dec, ambient, ref) if value is None else value
+    return _pair_refined(dec, ref) if value is None else value
 
 
 def pair(x: Class0, stratum: Tree) -> Fraction:
     """Integral of the product against an undecorated stratum."""
     _check_tree(stratum, x.ambient)
     kernel = _pairing_kernel(x)
-    if len(kernel[0]) > 1:
+    if len(kernel.degrees) > 1:
         raise InvalidArgument("pairing needs a homogeneous class")
-    if kernel[0] and min(kernel[0]) + stratum.num_edges() != dim_of(x.ambient):
+    if kernel.degrees and min(kernel.degrees) + stratum.num_edges() != dim_of(x.ambient):
         raise InvalidArgument("degree mismatch")
     return Fraction(_pair_part(kernel, stratum, x.ambient, stratum.num_edges()))
 
@@ -491,30 +513,59 @@ def is_invariant(x: Class0, legs) -> bool:
     return True
 
 
-def _pairing_kernel(x: Class0) -> tuple:
-    """x's term degrees, its terms ``(tree, crossing bits, dec, coeff)``
-    grouped by tree, and a stratum -> pairing memo; kept on a frozen x."""
+class _Kernel:
+    """How a class pairs: its term degrees, its terms (``source``), a stratum ->
+    pairing ``memo``, and, once a codim >= 1 pairing misses the memo, its
+    ``rows`` ``(tree, crossing bits, dec, coeff)``, grouped by tree.  A
+    top-degree block may carry ``shapes`` instead of integrating its terms:
+    ``(multiplicity, tree, dec, coeff)`` with Σ mult·coeff·∫(tree, dec)
+    equal to its integral (`freeze_block`)."""
+
+    __slots__ = ("degrees", "source", "memo", "rows", "shapes")
+
+    def __init__(self, source: dict, degrees: frozenset, shapes: Optional[list] = None):
+        self.degrees = degrees
+        self.source = source
+        self.memo: dict = {}
+        self.rows = None
+        self.shapes = shapes
+
+
+def _pairing_kernel(x: Class0) -> _Kernel:
+    """x's `_Kernel`, kept on a frozen x."""
     kernel = getattr(x, "_pairing", None)
     if kernel is None:
-        degrees, by_tree = set(), {}
-        for (tree, dec), coeff in x.terms.items():
-            degrees.add(term_degree(tree, dec))
-            by_tree.setdefault(tree, []).append((dec, coeff))
-        rows = [(tree, split_bits(tree)[1], dec, coeff) for tree, items in by_tree.items() for dec, coeff in items]
-        kernel = (frozenset(degrees), rows, {})
+        kernel = _Kernel(x.terms, frozenset(term_degree(tree, dec) for tree, dec in x.terms))
         if getattr(x, "_frozen", False):
             x._pairing = kernel
     return kernel
 
 
-def _pair_part(kernel: tuple, stratum: Tree, ambient: frozenset, codim: int):
-    """⟨P, stratum⟩ for the part P of this `_pairing_kernel`, from its memo or term by term."""
-    _, rows, memo = kernel
-    value = memo.get(stratum)
+def freeze_block(x: Class0, degree: int, shapes: Optional[list]) -> Class0:
+    """Freeze x, whose terms all have ``degree``, with a `_Kernel` that takes
+    the degree as given; in the top degree ``shapes`` may give its integral
+    (`_Kernel`).  Returns x."""
+    x._pairing = _Kernel(x.terms, frozenset([degree]) if x.terms else frozenset(), shapes)
+    return x.freeze()
+
+
+def _pair_part(kernel: _Kernel, stratum: Tree, ambient: frozenset, codim: int):
+    """⟨P, stratum⟩ for the part P of this `_Kernel`, from its memo or term by term."""
+    value = kernel.memo.get(stratum)
     if value is None:
         if not codim:
-            value = sum(coeff * integrate_term(tree, dec, ambient) for tree, _, dec, coeff in rows)
+            if kernel.shapes is not None:
+                value = sum(mult * coeff * integrate_term(tree, dec, ambient) for mult, tree, dec, coeff in kernel.shapes)
+                kernel.shapes = None  # the memo holds the one codim-0 value now
+            else:
+                value = sum(coeff * integrate_term(tree, dec, ambient) for (tree, dec), coeff in kernel.source.items())
         else:
+            rows = kernel.rows
+            if rows is None:
+                by_tree: dict = {}
+                for (tree, dec), coeff in kernel.source.items():
+                    by_tree.setdefault(tree, []).append((dec, coeff))
+                rows = kernel.rows = [(tree, split_bits(tree)[1], dec, coeff) for tree, items in by_tree.items() for dec, coeff in items]
             own, value, last = split_bits(stratum)[0], 0, None
             for tree, crossing, dec, coeff in rows:
                 if crossing & own:
@@ -522,8 +573,8 @@ def _pair_part(kernel: tuple, stratum: Tree, ambient: frozenset, codim: int):
                 if tree is not last:
                     ref, last = _refine(tree, stratum, ambient), tree
                 paired = ref.values.get(dec)
-                value += coeff * (_pair_refined(dec, ambient, ref) if paired is None else paired)
-        memo[stratum] = value
+                value += coeff * (_pair_refined(dec, ref) if paired is None else paired)
+        kernel.memo[stratum] = value
     return value
 
 
@@ -541,10 +592,10 @@ def zero_witness(x: Class0, legs: Iterable = frozenset()) -> Optional[Tree]:
     if not x.terms:
         return None
     parts = [(factor, _pairing_kernel(y)) for factor, y in getattr(x, "_summands", None) or () if factor]
-    degrees = frozenset().union(*(kernel[0] for _, kernel in parts))
+    degrees = frozenset().union(*(kernel.degrees for _, kernel in parts))
     if len(degrees) != 1:  # no record, or summands of several degrees
         parts = [(1, _pairing_kernel(x))]
-        degrees = parts[0][1][0]
+        degrees = parts[0][1].degrees
         if len(degrees) > 1:
             raise InvalidArgument("zero test needs a homogeneous class")
     codim = dim_of(x.ambient) - min(degrees)

@@ -8,7 +8,8 @@ Two tree families share one representation:
   the stability bound, all other vertices are rational.
 
 Legs carry distinct labels, so trees are rigid and a deterministic bottom-up
-encoding doubles as an isomorphism test.  Every `Tree` instance is canonical:
+encoding doubles as an isomorphism test.  Trees and decorations are interned
+(`_Interned`), so equal ones are one object.  Every `Tree` is canonical:
 vertex 0 is the root (the genus vertex, or the vertex carrying the smallest
 label), children are ordered by the smallest label in their subtree, and edges
 are stored as ``(parent, child)`` in depth-first discovery order.  Half-edge
@@ -19,7 +20,6 @@ tail, closer to the root) and side 1 at the child (the head).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -41,30 +41,47 @@ def sort_labels(labels: Iterable[Label]) -> tuple:
     return tuple(sorted(labels, key=label_key))
 
 
-@dataclass(frozen=True, slots=True)
-class Tree:
+class _Interned:
+    """An immutable value whose fields are its slots: equal fields give the
+    one instance, looked up in the class's ``_table``, so ``==`` and ``hash``
+    are the identity's.  A pickle carries the fields alone, and loading it
+    looks the instance up again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name} of an interned {type(self).__name__} to {value!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name} of an interned {type(self).__name__}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Tree(_Interned):
     """A canonical stable labeled tree.
 
     ``legs[v]`` is the sorted tuple of leg labels at vertex ``v``; ``edges``
     are ``(parent, child)`` pairs; ``rt`` is True when vertex 0 is a
-    positive-genus root (rational-tails variant).  The hash is computed once,
-    when the tree is built, and equals ``hash((legs, edges, rt))``.
+    positive-genus root (rational-tails variant).  Interned (`_Interned`).
     """
 
-    legs: tuple
-    edges: tuple
-    rt: bool = False
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("legs", "edges", "rt")
+    _table: dict = {}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.legs, self.edges, self.rt)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # only the fields: a process with another string-hash seed rehashes
-        return (Tree, (self.legs, self.edges, self.rt))
+    def __new__(cls, legs: tuple, edges: tuple, rt: bool = False) -> "Tree":
+        tree = cls._table.get((legs, edges, rt))
+        if tree is None:
+            tree = cls._table[legs, edges, rt] = object.__new__(cls)
+            object.__setattr__(tree, "legs", legs)
+            object.__setattr__(tree, "edges", edges)
+            object.__setattr__(tree, "rt", rt)
+        return tree
 
     def num_vertices(self) -> int:
         return len(self.legs)
@@ -79,23 +96,20 @@ class Tree:
         return _tree_order(self, label_key)
 
 
-@dataclass(frozen=True, slots=True)
-class Decoration:
+class Decoration(_Interned):
     """ψ-exponents on half-edge slots and legs; only nonzero entries stored.
-    The hash is stored as `Tree`'s is, equal to ``hash((half, leg))``."""
+    Interned (`_Interned`)."""
 
-    half: tuple = ()
-    leg: tuple = ()
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("half", "leg")
+    _table: dict = {}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.half, self.leg)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Decoration, (self.half, self.leg))
+    def __new__(cls, half: tuple = (), leg: tuple = ()) -> "Decoration":
+        dec = cls._table.get((half, leg))
+        if dec is None:
+            dec = cls._table[half, leg] = object.__new__(cls)
+            object.__setattr__(dec, "half", half)
+            object.__setattr__(dec, "leg", leg)
+        return dec
 
     def half_dict(self) -> dict:
         return dict(self.half)

@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,20 @@ def test_verify_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "verify", "closed-forms", "--max-n", "4")
     _, out2, _ = run_cli(capsys, "verify", "closed-forms", "--max-n", "4")
     assert out1 == out2
+
+
+def test_verify_output_does_not_depend_on_the_process():
+    # a tree's or decoration's hash is its instance's identity, which differs
+    # from process to process, as the string hashes do under another seed:
+    # no printed line or order may follow either
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "from rtails.cli import main; main(['verify', 'vanishing', '--max-n', '5'])"
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+        outs.append(out.stdout)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 20
 
 
 def test_fclass_json_deterministic(capsys):

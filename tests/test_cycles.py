@@ -417,6 +417,31 @@ def test_a_shape_key_blind_to_leg_n_fails_the_oracle(monkeypatch):
     assert truncated and m == 1
 
 
+def test_a_top_degree_block_integrates_by_shape(monkeypatch):
+    # every tree of a shape has the same integrals, so a top-degree block's
+    # codim-0 pairing sums each listed term once, times the trees of its
+    # shape: it must equal the integral of the block's labelled terms, and a
+    # listed coefficient changed in that sum must show
+    monkeypatch.setattr(cycles, "_block_cache", {})
+    blocks = 0
+    for n in range(2, 7):
+        amb = ambient0(n)
+        (whole,) = strata_family(amb, 0)
+        for m in range(1, 8 - n):
+            for block in cycles._z_blocks(n, m, n - 2).values():
+                kernel = block._pairing
+                shapes = kernel.shapes
+                assert sum(mult for mult, *_ in shapes) == len(block.terms)
+                (mult, tree, dec, coeff), *rest = shapes
+                kernel.shapes = ((mult, tree, dec, coeff + 1), *rest)
+                assert strata0._pair_part(kernel, whole, amb, 0) != strata0.integrate(block)
+                kernel.shapes, kernel.memo = shapes, {}
+                assert strata0._pair_part(kernel, whole, amb, 0) == strata0.integrate(block)
+                assert kernel.shapes is None and kernel.rows is None  # the memo holds it; no row list was built
+                blocks += 1
+    assert blocks == 55
+
+
 def test_trees_of_one_shape_share_decorations_coefficient_halves_and_zero_verdicts():
     # the blocks list and check each decorated shape once, for every tree of the shape
     shapes = {}

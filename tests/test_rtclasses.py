@@ -733,9 +733,9 @@ def test_tensor_zero_test_matches_the_all_codimension_oracle(monkeypatch):
     seen = []
     real = rtclasses._tensor_is_zero
 
-    def recording(profile, bucket):
+    def recording(profile, bucket, supports):
         seen.append((profile, dict(bucket)))
-        return real(profile, bucket)
+        return real(profile, bucket, supports)
 
     monkeypatch.setattr(rtclasses, "_tensor_is_zero", recording)
     for n in (2, 3, 4):
@@ -744,18 +744,18 @@ def test_tensor_zero_test_matches_the_all_codimension_oracle(monkeypatch):
     assert seen
     nonvanishing = 0
     for profile, bucket in seen:
-        assert real(profile, bucket) == _all_codim_is_zero(profile, bucket) is True
+        assert real(profile, bucket, {}) == _all_codim_is_zero(profile, bucket) is True
         # one more copy of a term's tail content: vanishing or not, both tests agree
         contents, coeff = next((k, c) for k, c in bucket.items() if c)
         bumped = {**bucket, contents: coeff + 1}
-        verdict = real(profile, bumped)
+        verdict = real(profile, bumped, {})
         assert verdict == _all_codim_is_zero(profile, bumped)
         nonvanishing += not verdict
     assert nonvanishing
     profile, vanishing, perturbed = _two_tail_buckets()
-    assert real(profile, vanishing) and _all_codim_is_zero(profile, vanishing)
+    assert real(profile, vanishing, {}) and _all_codim_is_zero(profile, vanishing)
     for bucket in perturbed:
-        assert not real(profile, bucket) and not _all_codim_is_zero(profile, bucket)
+        assert not real(profile, bucket, {}) and not _all_codim_is_zero(profile, bucket)
 
 
 def _product_loop_is_zero(profile, bucket):
@@ -825,15 +825,15 @@ def test_the_support_sum_equals_the_product_loop_oracle(monkeypatch):
                 tails = max(tails, len(profile[1]))
                 for key in [None, *list(bucket)[:3]]:
                     bumped = bucket if key is None else {**bucket, key: bucket[key] + 1}
-                    verdicts.append(rtclasses._tensor_is_zero(profile, bumped))
+                    verdicts.append(rtclasses._tensor_is_zero(profile, bumped, {}))
                     assert verdicts[-1] == _product_loop_is_zero(profile, bumped), (n, profile, key)
     assert len(verdicts) == 1328 and verdicts.count(False) == 1164 and tails >= 2
     profile, vanishing, perturbed = _two_tail_buckets()
-    assert rtclasses._tensor_is_zero(profile, vanishing) and _product_loop_is_zero(profile, vanishing)
+    assert rtclasses._tensor_is_zero(profile, vanishing, {}) and _product_loop_is_zero(profile, vanishing)
     for bucket in perturbed:
-        assert not rtclasses._tensor_is_zero(profile, bucket) and not _product_loop_is_zero(profile, bucket)
+        assert not rtclasses._tensor_is_zero(profile, bucket, {}) and not _product_loop_is_zero(profile, bucket)
     for profile, bucket in _cancelling_buckets():
-        assert not rtclasses._tensor_is_zero(profile, bucket) and not _product_loop_is_zero(profile, bucket)
+        assert not rtclasses._tensor_is_zero(profile, bucket, {}) and not _product_loop_is_zero(profile, bucket)
 
 
 def test_the_tensor_zero_test_pairs_each_tail_with_its_laminar_strata_once(monkeypatch):
@@ -842,7 +842,7 @@ def test_the_tensor_zero_test_pairs_each_tail_with_its_laminar_strata_once(monke
     for profile, bucket in [_two_tail_buckets()[:2], *_cancelling_buckets()]:
         calls = []
         monkeypatch.setattr(rtclasses, "pair_term", lambda *args: calls.append(args) or pair_term(*args))
-        rtclasses._tensor_is_zero(profile, bucket)
+        rtclasses._tensor_is_zero(profile, bucket, {})
         ambients = [frozenset(legs) | {H0} for legs, _, _ in profile[1]]
         pairs = {
             (tree, dec, S, amb)
@@ -853,6 +853,19 @@ def test_the_tensor_zero_test_pairs_each_tail_with_its_laminar_strata_once(monke
         laminar = {pair for pair in pairs if not trees.split_bits(pair[0])[1] & trees.split_bits(pair[2])[0]}
         assert sorted(map(repr, calls)) == sorted(map(repr, laminar))
     assert len(laminar) < len(pairs)
+
+
+def test_the_profiles_of_one_class_share_their_tails_supports(monkeypatch):
+    # a tail's support is its (tree, dec)'s alone, so one `_profile_witness`
+    # call pairs each tail content with each of its laminar strata once
+    calls = []
+    monkeypatch.setattr(rtclasses, "pair_term", lambda *args: calls[-1].append(args) or pair_term(*args))
+    real = rtclasses._profile_witness
+    monkeypatch.setattr(rtclasses, "_profile_witness", lambda x: calls.append([]) or real(x))
+    for n in range(2, 6):
+        assert verify_frec(n).passed
+    assert all(len(c) == len(set(c)) for c in calls)
+    assert max(map(len, calls)) > 1000
 
 
 def _tail_rebuilt(graph, dec, root_edge):

@@ -631,22 +631,89 @@ def test_memoised_pairings_equal_fresh_ones(monkeypatch):
         for t, d in random.Random(13).sample(_decorated_terms(labels), 60)
         for S in strata_family(ambient, dim - t.num_edges() - d.degree())
     ]
-    calls = []
+    misses = []
+    pair_refined = strata0._pair_refined
 
-    def counting(*args):
-        calls.append(args)
-        return integrate_term(*args)
+    def counting(dec, ref):  # a refinement's memo missed this decoration
+        misses.append((dec, ref))
+        return pair_refined(dec, ref)
 
-    monkeypatch.setattr(strata0, "integrate_term", counting)
+    monkeypatch.setattr(strata0, "_pair_refined", counting)
     _refine.cache_clear()
     fresh = [pair_term(t, d, S, ambient) for t, d, S in cases]
-    assert calls
-    calls.clear()
+    assert len(misses) == len({(d, _refine(t, S, ambient)) for t, d, S in cases if strata0._laminar(t, S)})
+    misses.clear()
     memoised = [pair_term(t, d, S, ambient) for t, d, S in cases]
-    assert not calls  # every value came from a refinement's memo
+    assert not misses  # every value came from a refinement's memo
     monkeypatch.undo()
     for (t, d, S), a, b in zip(cases, fresh, memoised):
         assert a == b == integrate(product_with_stratum(push_tree(t, d), S))
+
+
+def test_the_pairing_builds_no_decoration_and_equals_the_product_route(monkeypatch):
+    # on 8 legs a codim-2 tree with one ψ and a codim-2 stratum can share both
+    # edges, with the ψ on a shared edge's half: the chosen side's exponent
+    # then rises from 1 to 2, which the quotient ∏b! // ∏e! must see
+    labels = (1, 2, 3, 4, 5, 6, 7, H0)
+    ambient = frozenset(labels)
+    family = strata_family(ambient, 2)
+    cases = []
+    for t in random.Random(23).sample(family, 12):
+        decs = [d for d in enumerate_decorations(t, 1) if d.half]
+        cases += [(t, d, S) for d in decs for S in family if _laminar(t, S)]
+
+    def no_decoration(*args):
+        raise AssertionError("the pairing built a decoration")
+
+    refs = [_refine(t, S, ambient) for t, _, S in cases]
+    monkeypatch.setattr(strata0, "Decoration", no_decoration)
+    values = [strata0._pair_refined(d, ref) for (_, d, _), ref in zip(cases, refs)]
+    monkeypatch.undo()
+    on_shared = 0
+    for (t, d, S), ref, value in zip(cases, refs, values):
+        assert value == integrate(product_with_stratum(push_tree(t, d), S))
+        on_shared += value != 0 and len(ref.shared) == 2 and any(ref.edge_of[e] in ref.shared for (e, _), _ in d.half)
+    assert on_shared
+
+
+def _plus_term_by_term(x, pairs):
+    """`FormalSum.plus` as one loop over every term: the oracle of its one-update path."""
+    out = type(x)(*x._space())
+    terms = out.terms = dict(x.terms)
+    for factor, y in pairs:
+        for key, coeff in y.terms.items() if factor else ():
+            old = terms.get(key)
+            new = coeff * factor if old is None else old + coeff * factor
+            if new:
+                terms[key] = new
+            else:
+                del terms[key]
+    return out
+
+
+def test_plus_equals_the_term_by_term_loop():
+    # summands that share no key with the sum so far go in with one update;
+    # those that do are merged term by term, and a cancelled key goes out
+    blocks = [b for b in cycles._z_blocks(5, 1, 2).values()]
+    ambient = blocks[0].ambient
+    empty = strata0.zero(ambient)
+    halves = from_terms(ambient, [(t, d, Fraction(c, 2)) for (t, d), c in blocks[0].terms.items()])
+    factors = (0, 1, -1, 3, Fraction(1, 1), Fraction(-2, 3))
+    cases = [
+        (empty, [(f, b) for f, b in zip(factors, blocks)]),  # disjoint keys, every factor
+        (empty, [(1, blocks[0]), (-1, blocks[0])]),  # an overlap that cancels every key
+        (empty, [(2, blocks[0]), (-4, halves)]),  # int and Fraction cancel to nothing
+        (empty, [(1, blocks[1]), (2, blocks[0]), (-4, halves)]),
+        (blocks[0], [(1, blocks[0]), (Fraction(1, 3), blocks[1]), (0, halves)]),  # self's keys overlap
+        (halves, [(-1, blocks[1]), (2, blocks[0]), (Fraction(5, 7), halves)]),
+    ]
+    for x, pairs in cases:
+        got, want = x.plus(pairs), _plus_term_by_term(x, pairs)
+        assert got == want
+        assert {key: type(c) for key, c in got.terms.items()} == {key: type(c) for key, c in want.terms.items()}
+    assert not empty.plus(cases[1][1]).terms and not empty.plus(cases[2][1]).terms
+    assert all(type(c) is int for c in empty.plus([(-1, blocks[0])]).terms.values())
+    assert all(type(c) is Fraction for c in empty.plus([(Fraction(1), blocks[0])]).terms.values())
 
 
 def test_zero_witness_with_fractional_coefficients():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import pickle
@@ -731,35 +732,44 @@ def test_a_plan_that_adds_no_leg_reads_no_path():
 
 
 # ---------------------------------------------------------------------------
-# the stored hash
+# interning
 
 
-def test_a_stored_hash_equals_the_hash_of_the_fields():
+def test_equal_fields_give_the_one_interned_instance():
     for tree in (*enumerate_trees0(5), *enumerate_rt_graphs(4)):
-        assert hash(tree) == hash((tree.legs, tree.edges, tree.rt))
+        assert Tree(tuple(tuple([*ls]) for ls in tree.legs), tuple(tuple([*e]) for e in tree.edges), tree.rt) is tree
+        assert Tree(legs=tree.legs, edges=tree.edges, rt=tree.rt) is tree
+        assert pickle.loads(pickle.dumps(tree)) is tree and copy.deepcopy(tree) is tree
         for dec in decorations_of_degree(tree, 1, {}):
-            assert hash(dec) == hash((dec.half, dec.leg))
-    assert hash(Decoration()) == hash(((), ()))
-    assert not hasattr(Tree((((H0, 1, 2),)), ()), "__dict__")  # slots: no per-instance dict
+            assert Decoration(tuple([*dec.half]), tuple([*dec.leg])) is dec
+            assert pickle.loads(pickle.dumps(dec)) is dec
+    # equal fields built apart meet in one instance, and unequal ones do not
+    assert make_decoration({}, {H0: 1}) is Decoration((), ((H0, 1),)) is not Decoration((), ((H0, 2),))
+    assert Decoration() is Decoration((), ()) and Tree(((H0, 1, 2),), ()) is not Tree(((H0, 1, 2),), (), True)
+    tree = Tree(((H0, 1, 2),), ())
+    assert not hasattr(tree, "__dict__")  # slots: no per-instance dict
+    with pytest.raises(AttributeError):
+        tree.legs = ((H0, 1, 3),)  # an interned instance never changes
+    assert repr(tree) == "Tree(legs=(('h0', 1, 2),), edges=(), rt=False)"
+    assert repr(Decoration((((0, 1), 2),))) == "Decoration(half=(((0, 1), 2),), leg=())"
 
 
 def test_a_pickled_tree_takes_the_hash_of_the_loading_process():
-    # h0 is a string, so the hash of a tree or decoration carrying it
-    # depends on the string-hash seed; a pickle carries the fields alone
+    # a tree's hash is its instance's identity, which another process (here
+    # also with another string-hash seed) does not share; a pickle carries
+    # the fields alone, and loading it finds this process's instance
     tree, dec = build_tree([[H0, 3], [1, 2]], [(0, 1)], half_exp={(0, 1): 1}, leg_exp={H0: 2})
     code = (
         "import pickle, sys\n"
         "from rtails.trees import H0, build_tree\n"
         "term = build_tree([[H0, 3], [1, 2]], [(0, 1)], half_exp={(0, 1): 1}, leg_exp={H0: 2})\n"
-        "print(repr([hash(term[0]), pickle.dumps(term)]))\n"
+        "print(repr(pickle.dumps(term)))\n"
     )
     seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    foreign_hash, blob = eval(out.stdout)
-    assert foreign_hash != hash(tree)  # the seeds differ, and so do the hashes
-    loaded_tree, loaded_dec = pickle.loads(blob)
-    assert (loaded_tree, loaded_dec) == (tree, dec)
+    loaded_tree, loaded_dec = pickle.loads(eval(out.stdout))
+    assert loaded_tree is tree and loaded_dec is dec  # re-interned here
     assert (hash(loaded_tree), hash(loaded_dec)) == (hash(tree), hash(dec))
     assert {tree: 1}[loaded_tree] == 1 and {dec: 1}[loaded_dec] == 1
